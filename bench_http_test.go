@@ -251,9 +251,9 @@ func BenchmarkResultGetGzipEncode(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkStreamReplay measures a cache-hit stream replay: the NDJSON
-// rows come from the blob's memoized pre-rendered row set, one write per
-// row, no per-replay marshaling.
+// BenchmarkStreamReplay measures a cache-hit stream replay: each row's
+// body is copied out of the canonical result bytes into one buffer, one
+// write per replay, no per-replay marshaling and nothing memoized.
 func BenchmarkStreamReplay(b *testing.B) {
 	handler, _, st := setupResultPlane(b)
 	path := "/v1/jobs/" + st.ID + "/stream"

@@ -9,9 +9,9 @@ import (
 
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2, &obs.Counter{}, &obs.Counter{})
-	r1 := newResultBlob("a", &JobResult{})
-	r2 := newResultBlob("b", &JobResult{})
-	r3 := newResultBlob("c", &JobResult{})
+	r1 := newResultBlob("a", nil)
+	r2 := newResultBlob("b", nil)
+	r3 := newResultBlob("c", nil)
 	c.put("a", r1)
 	c.put("b", r2)
 	if got, ok := c.get("a"); !ok || got != r1 {

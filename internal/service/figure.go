@@ -20,22 +20,23 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.snapshotJob(job, true)
-	if st.Status != StatusDone || st.Result == nil {
+	if st.Status != StatusDone || st.resultRaw == nil {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; figures render once it is done", st.ID, st.Status))
 		return
 	}
 	// A done job's figure is a pure function of the job ID (the title) and
 	// its immutable result, so the composite is a strong ETag — checked
-	// before the render, which is the expensive part of this endpoint.
+	// before the decode and the render, the expensive parts of this
+	// endpoint.
 	etag := `"f:` + st.ID + `:` + st.CacheKey + `"`
 	w.Header().Set("ETag", etag)
 	if ifNoneMatchHit(r, etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	res := st.Result
-	if len(res.Runs) == 0 || len(res.Runs[0].Rows) == 0 {
+	res, err := decodeResult(st.resultRaw)
+	if err != nil || len(res.Runs) == 0 || len(res.Runs[0].Rows) == 0 {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s recorded no rows", st.ID))
 		return
 	}

@@ -73,7 +73,11 @@ type Job struct {
 	// only for jobs recovered from WAL records that predate tracing).
 	trace *obs.Trace
 
-	rows *rowBuffer
+	// log holds the rows recorded so far while the job is queued or
+	// running; the terminal transition drops it (completeStream), keeping
+	// only how many rows it held. Jobs born terminal never have one.
+	log  *rowLog
+	rows int
 	done chan struct{}
 }
 
@@ -119,32 +123,24 @@ type JobStatus struct {
 	// jobs recovered from WAL records written before tracing existed.
 	Trace string `json:"trace,omitempty"`
 
-	// resultRaw is the result's canonical encoding, spliced verbatim into
-	// the status JSON by MarshalJSON so GET /v1/jobs/{id} never re-encodes
-	// a result (Result stays populated for in-process callers).
-	resultRaw json.RawMessage
+	// resultRaw is the result's canonical encoding, which GET /v1/jobs/{id}
+	// splices in verbatim (handleGet); no HTTP path sets Result, which is
+	// decoded only by Job.Snapshot, for in-process callers.
+	resultRaw []byte
 }
 
-// MarshalJSON splices the canonical result bytes into the status envelope
-// when the snapshot carries them: the result portion of the response is
-// then a copy of the encode-once buffer, not a fresh json.Marshal of the
-// decoded struct. Statuses without raw bytes marshal field-by-field as
-// before.
-func (st JobStatus) MarshalJSON() ([]byte, error) {
-	type alias JobStatus // drops the method set; plain marshal below
-	if len(st.resultRaw) == 0 {
-		return marshalNoEscape(alias(st))
-	}
-	// The depth-0 RawMessage field shadows the embedded alias's Result, so
-	// the decoded struct is never re-encoded.
-	return marshalNoEscape(struct {
-		alias
-		Result json.RawMessage `json:"result,omitempty"`
-	}{alias: alias(st), Result: st.resultRaw})
-}
-
-// statusLocked assembles the wire status; callers hold j.mu.
+// statusLocked assembles the wire status; callers hold j.mu. Rows is the
+// recorded row count: the log's while one exists, what the recording rule
+// fixes for a finished result (whichever sweep produced it), and what a
+// cancelled or failed sweep had recorded when it stopped.
 func (j *Job) statusLocked(includeResult bool) JobStatus {
+	rows := j.rows
+	switch {
+	case j.log != nil:
+		rows = j.log.rows()
+	case j.status == StatusDone:
+		rows = j.spec.recordedRows()
+	}
 	st := JobStatus{
 		ID:       j.ID,
 		Status:   j.status,
@@ -157,7 +153,7 @@ func (j *Job) statusLocked(includeResult bool) JobStatus {
 		Periods:  j.spec.Periods,
 		Seeds:    j.spec.Seeds,
 		Shards:   j.spec.Shards,
-		Rows:     j.rows.snapshotLen(),
+		Rows:     rows,
 		Created:  j.created,
 		Trace:    j.traceID(),
 	}
@@ -170,22 +166,38 @@ func (j *Job) statusLocked(includeResult bool) JobStatus {
 		st.Finished = &t
 	}
 	if includeResult && j.status == StatusDone && j.result != nil {
-		// The raw splice serves the HTTP path; the decoded struct (memoized
-		// on the blob, at most one unmarshal per blob ever) serves in-process
-		// callers like the figure renderer.
-		if res, err := j.result.result(); err == nil {
-			st.Result = res
-			st.resultRaw = j.result.data
-		}
+		st.resultRaw = j.result.data
 	}
 	return st
 }
 
-// Snapshot returns the job's current wire status.
-func (j *Job) Snapshot(includeResult bool) JobStatus {
+// snapshot returns the job's current wire status; a finished job's result
+// rides along as its canonical bytes only.
+func (j *Job) snapshot(includeResult bool) JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.statusLocked(includeResult)
+}
+
+// Snapshot returns the job's current wire status for in-process callers:
+// with includeResult, Result is decoded from the canonical bytes on each
+// call (nothing decoded is kept; the HTTP handlers never come here).
+func (j *Job) Snapshot(includeResult bool) JobStatus {
+	st := j.snapshot(includeResult)
+	if len(st.resultRaw) > 0 {
+		st.Result, _ = decodeResult(st.resultRaw) // nil on bytes that are not a result
+	}
+	return st
+}
+
+// decodeResult rebuilds the struct form of a result from its canonical
+// bytes, for the callers that want to index it: Snapshot and the figure.
+func decodeResult(data []byte) (*JobResult, error) {
+	res := new(JobResult)
+	if err := json.Unmarshal(data, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // finish moves the job to a terminal state and closes its stream. It must
@@ -200,13 +212,20 @@ func (j *Job) finish(status Status, res *resultBlob, errMsg string, cached bool)
 	j.finished = time.Now()
 	j.cancel = nil
 	j.mu.Unlock()
-	j.completeStream(status)
+	j.completeStream()
 }
 
-// completeStream emits the terminal stream row and releases waiters.
-func (j *Job) completeStream(status Status) {
-	j.rows.append(StreamRow{Event: string(status), Period: -1})
-	j.rows.closeBuf()
+// completeStream ends the live stream of a job whose terminal status is
+// set: the row log is closed — attached readers drain it and emit the
+// terminal row — and dropped, so a finished job holds no row memory beyond
+// its canonical bytes; then waiters on done are released.
+func (j *Job) completeStream() {
+	j.mu.Lock()
+	log := j.log
+	j.log = nil
+	j.rows = log.rows()
+	j.mu.Unlock()
+	log.wake(true)
 	close(j.done)
 }
 
@@ -232,12 +251,12 @@ func initialCounts(spec *JobSpec, states []ode.Var) map[ode.Var]int {
 	return counts
 }
 
-// buildSweep compiles the job's spec into harness jobs plus the result
-// slots their hooks fill. The recording rule — counts after the Step of
-// every period t with t % RecordEvery == 0, plus the final period — is
-// part of the service's public contract (the end-to-end tests reproduce
-// it against a direct harness.Sweep run).
-func buildSweep(spec *JobSpec, comp *compiled, rows *rowBuffer) ([]harness.Job, []RunResult, error) {
+// buildSweep compiles the job's spec into harness jobs whose hooks record
+// into log. The recording rule — counts after the Step of every period t
+// with t % RecordEvery == 0, plus the final period — is part of the
+// service's public contract (the end-to-end tests reproduce it against a
+// direct harness.Sweep run); JobSpec.rowsPerRun counts what it yields.
+func buildSweep(spec *JobSpec, comp *compiled, log *rowLog) ([]harness.Job, error) {
 	states := comp.proto.States
 	counts := initialCounts(spec, states)
 
@@ -245,17 +264,15 @@ func buildSweep(spec *JobSpec, comp *compiled, rows *rowBuffer) ([]harness.Job, 
 	for i, e := range spec.Events {
 		p, err := e.perturbation()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		events[i] = harness.Event{At: e.At, P: p}
 	}
 
-	runs := make([]RunResult, spec.Seeds)
+	log.reserve(spec.rowsPerRun())
 	jobs := make([]harness.Job, spec.Seeds)
 	for i := range jobs {
-		i := i
-		seed := spec.seedFor(i)
-		runs[i].Seed = seed
+		seed := log.seeds[i]
 
 		var newRunner func(seed int64) (harness.Runner, error)
 		switch spec.Engine {
@@ -282,20 +299,12 @@ func buildSweep(spec *JobSpec, comp *compiled, rows *rowBuffer) ([]harness.Job, 
 				return asyncnet.NewRunner(cfg)
 			}
 		default:
-			return nil, nil, fmt.Errorf("unknown engine %q", spec.Engine)
+			return nil, fmt.Errorf("unknown engine %q", spec.Engine)
 		}
 
-		run := &runs[i]
-		record := func(r harness.Runner, t int) {
-			row := PeriodRow{Period: t, Counts: make([]int, len(states))}
-			for si, s := range states {
-				row.Counts[si] = r.Count(s)
-			}
-			run.Rows = append(run.Rows, row)
-			if rows != nil {
-				rows.append(StreamRow{Run: i, Seed: seed, Period: t, Counts: row.Counts})
-			}
-		}
+		// The run's slab: this hook is its only writer, so the row is
+		// appended outside the log's lock and published whole.
+		slab := log.slabs[i]
 		jobs[i] = harness.Job{
 			Name:    fmt.Sprintf("service-run-%d", i),
 			Seed:    seed,
@@ -303,24 +312,30 @@ func buildSweep(spec *JobSpec, comp *compiled, rows *rowBuffer) ([]harness.Job, 
 			Periods: spec.Periods,
 			Events:  events,
 			AfterStep: func(r harness.Runner, t int) {
-				if t%spec.RecordEvery == 0 || t == spec.Periods-1 {
-					record(r, t)
+				if t%spec.RecordEvery != 0 && t != spec.Periods-1 {
+					return
 				}
+				slab = append(slab, t)
+				for _, s := range states {
+					slab = append(slab, r.Count(s))
+				}
+				log.publish(i, slab)
 			},
 		}
 	}
-	return jobs, runs, nil
+	return jobs, nil
 }
 
-// execute runs the sweep for a job that missed the cache. It returns the
-// assembled result, or ctx's error if the job was cancelled mid-flight.
-func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
+// execute runs the sweep for a job that missed the cache, recording into
+// log. It returns each run's crash-stop total, or ctx's error if the job
+// was cancelled mid-flight.
+func (s *Server) execute(ctx context.Context, job *Job, log *rowLog) ([]int, error) {
 	job.mu.Lock()
 	spec := job.spec
 	comp := job.comp
 	job.mu.Unlock()
 
-	jobs, runs, err := buildSweep(&spec, comp, job.rows)
+	jobs, err := buildSweep(&spec, comp, log)
 	if err != nil {
 		return nil, err
 	}
@@ -341,14 +356,11 @@ func (s *Server) execute(ctx context.Context, job *Job) (*JobResult, error) {
 		}
 		return nil, err
 	}
-	res := &JobResult{States: make([]string, len(comp.proto.States)), Runs: runs}
-	for i, st := range comp.proto.States {
-		res.States[i] = string(st)
-	}
+	killed := make([]int, len(results))
 	for i := range results {
-		runs[i].Killed = results[i].Killed
+		killed[i] = results[i].Killed
 	}
-	return res, nil
+	return killed, nil
 }
 
 // worker consumes the job queue until the server closes.
@@ -380,6 +392,7 @@ func (s *Server) runJob(job *Job) {
 	}
 	cacheable := job.spec.cacheable()
 	key := job.Key
+	log := job.log
 
 	// A twin job submitted earlier may have populated the cache — or a
 	// previous process the result store — between submission and pickup;
@@ -393,11 +406,8 @@ func (s *Server) runJob(job *Job) {
 			s.met.queueWait.ObserveTraced(job.started.Sub(job.created).Seconds(), job.traceID())
 			s.journal(store.JobRecord{Op: store.OpRunning, ID: job.ID, Key: key, Trace: job.traceID(),
 				StartedAt: job.started.UnixNano()})
-			// Eager replay, unlike the submit-time hit: stream readers may
-			// already be blocked in wait() on this live job, and only a new
-			// reader would materialize a deferred replay. The rows are the
-			// blob's memoized render, so the copy is pointer-sized per row.
-			job.rows.appendRendered(blob.streamRows())
+			// Stream readers already parked on this job's (empty) log wake
+			// at the close and, seeing a cached result, replay the blob.
 			job.finish(StatusDone, blob, "", true)
 			job.traceAdd(obs.StageResponded)
 			s.journal(store.JobRecord{Op: store.OpDone, ID: job.ID, Key: key, Cached: true, Trace: job.traceID(),
@@ -420,13 +430,11 @@ func (s *Server) runJob(job *Job) {
 	s.journal(store.JobRecord{Op: store.OpRunning, ID: job.ID, Key: key, Trace: job.traceID(),
 		StartedAt: job.started.UnixNano()})
 
-	res, err := s.execute(ctx, job)
+	killed, err := s.execute(ctx, job, log)
 	switch {
 	case err == nil:
 		job.traceAdd(obs.StageSwept)
-		// The one encode: these bytes are what the store persists and what
-		// every future read of this result serves.
-		blob := newResultBlob(key, res)
+		blob := newResultBlob(key, encodeResult(log, killed))
 		if cacheable {
 			if perr := s.persistResult(blob); perr != nil {
 				// Durability is part of "done": a result that cannot be
@@ -488,7 +496,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		job.finished = time.Now()
 		job.mu.Unlock()
 		job.traceAdd(obs.StageResponded)
-		job.completeStream(StatusCancelled)
+		job.completeStream()
 		s.journal(store.JobRecord{Op: store.OpAborted, ID: job.ID, Key: job.Key, Trace: job.traceID(),
 			Error: "job cancelled before it started", FinishedAt: time.Now().UnixNano()})
 		s.logCompletion(job)

@@ -58,10 +58,9 @@ func (s *Server) peekResult(key string) (*resultBlob, bool) {
 }
 
 // resultFromStore loads a stored blob's bytes into the LRU without
-// decoding them — a cheap json.Valid scan stands in for the old full
-// unmarshal, since the bytes are spliced verbatim into response envelopes
-// and must at least be well-formed JSON. The struct is decoded lazily,
-// once, if a handler ever needs it.
+// decoding them — a json.Valid scan is all they get, since the bytes are
+// spliced verbatim into response envelopes and must at least be
+// well-formed JSON.
 func (s *Server) resultFromStore(key string) (*resultBlob, bool) {
 	data, err := s.store.GetResult(key)
 	if err != nil {
@@ -79,7 +78,7 @@ func (s *Server) resultFromStore(key string) (*resultBlob, bool) {
 		return nil, false
 	}
 	s.met.diskHits.Inc()
-	blob := newResultBlobFromBytes(key, data)
+	blob := newResultBlob(key, data)
 	blob.persistable = true // these bytes came from the store
 	s.cache.put(key, blob)
 	return blob, true
@@ -136,28 +135,26 @@ func (s *Server) recoverJobs() []restartableJob {
 		}
 	}
 	// Load oldest-first so the newest result ends most recently used.
-	// Warming loads bytes only — a json.Valid scan instead of an unmarshal
-	// per blob — so startup cost is I/O, not decoding; blobs decode lazily
-	// if a handler ever needs the struct.
-	loaded := make(map[string]*resultBlob)
+	// Warming loads bytes only — a json.Valid scan, no decode — so startup
+	// cost is I/O. Recovered jobs hold no blob themselves: reads resolve
+	// the key (snapshotJob), so warm and cold differ only in latency.
 	for i := len(chosen) - 1; i >= 0; i-- {
 		key := chosen[i]
 		data, err := s.store.GetResult(key)
 		if err != nil || !json.Valid(data) {
 			continue
 		}
-		blob := newResultBlobFromBytes(key, data)
+		blob := newResultBlob(key, data)
 		blob.persistable = true
 		s.cache.put(key, blob)
-		loaded[key] = blob
+		s.warmed++
 	}
-	s.warmed = len(loaded)
 
 	now := time.Now()
 	maxID := 0
 	var restartable []restartableJob
 	for _, rj := range recovered {
-		job := &Job{ID: rj.ID, Key: rj.Key, rows: newRowBuffer(), done: make(chan struct{})}
+		job := &Job{ID: rj.ID, Key: rj.Key, done: make(chan struct{})}
 		if obs.ValidTraceID(rj.Trace) {
 			// Rebuild an approximate trail from the journaled timestamps:
 			// the per-stage spans died with the previous process, but the
@@ -183,7 +180,6 @@ func (s *Server) recoverJobs() []restartableJob {
 		if rj.FinishedAt != 0 {
 			job.finished = time.Unix(0, rj.FinishedAt)
 		}
-		var blob *resultBlob
 		switch {
 		case rj.Interrupted:
 			job.status = StatusFailed
@@ -196,11 +192,6 @@ func (s *Server) recoverJobs() []restartableJob {
 		case rj.Status == store.OpDone:
 			job.status = StatusDone
 			job.cached = rj.Cached
-			// Warmed blobs re-attach eagerly (bytes only — no decode);
-			// colder ones reload from disk when something asks
-			// (snapshotJob).
-			blob = loaded[rj.Key]
-			job.result = blob
 		case rj.Status == store.OpFailed:
 			job.status = StatusFailed
 			job.errMsg = rj.Error
@@ -208,7 +199,6 @@ func (s *Server) recoverJobs() []restartableJob {
 			job.status = StatusCancelled
 			job.errMsg = rj.Error
 		}
-		job.rows.replayBlob(blob, job.status)
 		close(job.done)
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
@@ -265,22 +255,15 @@ func (s *Server) idNumber(id string) int {
 	return n
 }
 
-// snapshotJob is Job.Snapshot plus the durable fall-through: a job
-// recovered from the WAL carries no in-memory result until something asks
-// for it, at which point the blob is reloaded from the result store.
+// snapshotJob is the job's wire status plus the durable fall-through: a
+// done job recovered from the WAL holds no result of its own, so its bytes
+// are resolved by key — LRU, then the result store — whenever the status
+// page, a stream replay or the figure asks.
 func (s *Server) snapshotJob(job *Job, includeResult bool) JobStatus {
-	st := job.Snapshot(includeResult)
-	if includeResult && st.Status == StatusDone && st.Result == nil && job.Key != "" {
+	st := job.snapshot(includeResult)
+	if includeResult && st.Status == StatusDone && st.resultRaw == nil && job.Key != "" {
 		if blob, ok := s.peekResult(job.Key); ok {
-			job.mu.Lock()
-			if job.result == nil {
-				job.result = blob
-			}
-			job.mu.Unlock()
-			if res, err := blob.result(); err == nil {
-				st.Result = res
-				st.resultRaw = blob.data
-			}
+			st.resultRaw = blob.data
 		}
 	}
 	return st

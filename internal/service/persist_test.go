@@ -238,6 +238,47 @@ func TestFileBackendPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRecoveredColdJobsStreamTheirRows: a recovered done job replays its
+// full stream whether or not its blob was among those the restart warmed.
+// The blob is resolved by key when the stream is asked for (LRU, then the
+// store) — not captured at boot, which left every job beyond the cache's
+// capacity replaying the terminal row alone for the life of the process.
+func TestRecoveredColdJobsStreamTheirRows(t *testing.T) {
+	dir := t.TempDir()
+	fst := openFileStore(t, dir)
+	srv1 := New(Config{Workers: 1, Store: fst})
+	var ids []string
+	for seed := int64(1); seed <= 4; seed++ {
+		spec := smallSpec()
+		spec.Seed = seed
+		job, err := srv1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.done
+		ids = append(ids, job.ID)
+	}
+	srv1.Close()
+	if err := fst.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fst2 := openFileStore(t, dir)
+	t.Cleanup(func() { fst2.Close() }) // after the server cleanup below
+	srv2, ts := newTestServer(t, Config{Workers: 1, CacheSize: 1, Store: fst2})
+	if w := srv2.stats().WarmedResults; w != 1 {
+		t.Fatalf("warmed_results = %d with -cache 1, want 1", w)
+	}
+	for round := 0; round < 2; round++ { // each replay evicts the previous job's blob
+		for _, id := range ids {
+			checkStream(t, readStream(t, ts.URL, id), 1, smallSpec().Periods, StatusDone)
+		}
+	}
+	if n := srv2.SweepsExecuted(); n != 0 {
+		t.Fatalf("replaying recovered jobs ran %d sweeps", n)
+	}
+}
+
 // TestAsyncnetVirtualResultSurvivesRestart is the durability half of the
 // virtual-asyncnet cacheability contract: a virtual-mode asyncnet result
 // is persisted like any other deterministic engine's, so a restarted

@@ -3,22 +3,20 @@ package service
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// resultBlob is the encode-once form of a finished result: the canonical
-// JSON bytes — the exact bytes store.PutResult holds — plus lazily
-// memoized views (decoded struct, pre-rendered stream rows, gzip variant)
-// built at most once per blob, never per request. Every read path of a
-// completed job serves from one of these buffers: GET /v1/results/{key}
-// copies data, GET /v1/jobs/{id} splices data into the status envelope,
-// stream replays copy the rendered rows, and Accept-Encoding: gzip copies
-// the compressed variant. All fields are immutable after the sync.Once
-// that fills them, so blobs are shared freely across jobs and handlers.
+// resultBlob is all that is kept of a finished result: the canonical JSON
+// bytes — the exact bytes store.PutResult holds — plus the gzip variant,
+// built at most once. Every read of a completed job serves from one of
+// the two: GET /v1/results/{key} copies data, GET /v1/jobs/{id} splices it
+// into the status envelope, stream replays copy row bodies out of it
+// (scanResult), Accept-Encoding: gzip copies the compressed variant.
+// Nothing decoded or rendered is memoized. Fields are immutable once
+// filled, so blobs are shared freely across jobs and handlers.
 type resultBlob struct {
 	key  string
 	data []byte // canonical JSON encoding, as persisted
@@ -31,83 +29,15 @@ type resultBlob struct {
 	// deterministic result later stored under the key.
 	persistable bool
 
-	decodeOnce sync.Once
-	decoded    *JobResult
-	decodeErr  error
-
-	rowsOnce sync.Once
-	rowsData [][]byte
-
 	gzOnce sync.Once
 	gzData []byte
 }
 
-// newResultBlob encodes a completed result exactly once. This is the only
-// place a finished JobResult meets json.Marshal; everything downstream
-// copies the returned bytes.
-func newResultBlob(key string, res *JobResult) *resultBlob {
-	data, err := json.Marshal(res)
-	if err != nil {
-		// JobResult contains only marshalable types; unreachable.
-		panic("service: result marshal: " + err.Error())
-	}
-	return &resultBlob{key: key, data: data, decoded: res}
-}
-
-// newResultBlobFromBytes wraps already-canonical bytes (a stored blob)
-// without decoding them; the struct is recovered lazily if a handler needs
-// it. Callers are expected to have checked json.Valid.
-func newResultBlobFromBytes(key string, data []byte) *resultBlob {
+// newResultBlob wraps canonical bytes: a fresh sweep's one encode
+// (encodeResult), or a stored blob the caller has checked with json.Valid.
+func newResultBlob(key string, data []byte) *resultBlob {
 	return &resultBlob{key: key, data: data}
 }
-
-// result returns the decoded struct, unmarshaling the canonical bytes at
-// most once per blob (blobs built from a fresh sweep never unmarshal).
-func (b *resultBlob) result() (*JobResult, error) {
-	b.decodeOnce.Do(func() {
-		if b.decoded != nil {
-			return
-		}
-		res := new(JobResult)
-		if err := json.Unmarshal(b.data, res); err != nil {
-			b.decodeErr = err
-			return
-		}
-		b.decoded = res
-	})
-	return b.decoded, b.decodeErr
-}
-
-// streamRows returns the result's stream replay — one newline-terminated
-// NDJSON row per recorded period, exactly what a live run would have
-// streamed — rendered at most once per blob and shared by every replay.
-// Callers must not mutate the rows or append to the returned slice's
-// backing array (re-slice with a full slice expression first).
-func (b *resultBlob) streamRows() [][]byte {
-	b.rowsOnce.Do(func() {
-		res, err := b.result()
-		if err != nil {
-			return
-		}
-		n := 0
-		for i := range res.Runs {
-			n += len(res.Runs[i].Rows)
-		}
-		rows := make([][]byte, 0, n)
-		for i := range res.Runs {
-			run := &res.Runs[i]
-			for _, row := range run.Rows {
-				rows = append(rows, renderRow(StreamRow{Run: i, Seed: run.Seed, Period: row.Period, Counts: row.Counts}))
-			}
-		}
-		b.rowsData = rows
-	})
-	return b.rowsData
-}
-
-// size is the canonical encoding's byte length (the identity
-// Content-Length).
-func (b *resultBlob) size() int { return len(b.data) }
 
 // resultGzip returns blob's gzip variant, built at most once: a persisted
 // sibling blob is preferred (so restarts warm compressed serving without

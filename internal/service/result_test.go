@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -290,4 +292,104 @@ func TestFigureTraceConditionalHeaders(t *testing.T) {
 			t.Fatalf("%s conditional: %d with %d bytes", path, resp.StatusCode, len(body))
 		}
 	}
+}
+
+// rowsJob is an aggregate-engine job recording the given number of rows.
+func rowsJob(rows int, seed int64) JobSpec {
+	return JobSpec{Source: "x' = -4*x*y + 0.01*z\ny' = 4*x*y - y\nz' = y - 0.01*z", Engine: EngineAggregate,
+		N: 1_000_000, Initial: map[string]int{"x": 900_000, "y": 100_000}, Periods: rows, Seed: seed}
+}
+
+// oracleStatusJSON is the status body as it was produced before the splice
+// by copy: the envelope marshaled by encoding/json with the result as a
+// shadowing json.RawMessage field.
+func oracleStatusJSON(t *testing.T, st JobStatus) []byte {
+	t.Helper()
+	type alias JobStatus
+	data, err := marshalNoEscape(struct {
+		alias
+		Result json.RawMessage `json:"result,omitempty"`
+	}{alias: alias(st), Result: st.resultRaw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// TestStatusSpliceBytesAndNoDecode: GET /v1/jobs/{id} of a finished job
+// answers with exactly the bytes the encoder-driven splice produced — same
+// keys, same order, result verbatim — and gets there without decoding,
+// re-validating or re-encoding the result: the whole request allocates a
+// few dozen objects where one unmarshal of these 2 000 rows takes
+// thousands.
+func TestStatusSpliceBytesAndNoDecode(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	job, err := srv.Submit(rowsJob(2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.done
+	h := srv.Handler()
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID, nil))
+		return rec
+	}
+
+	st := srv.snapshotJob(job, true)
+	if len(st.resultRaw) < 50_000 || st.Result != nil {
+		t.Fatalf("HTTP-path snapshot carries %d raw bytes and decoded result %v", len(st.resultRaw), st.Result)
+	}
+	if got, want := get().Body.Bytes(), oracleStatusJSON(t, st); !bytes.Equal(got, want) {
+		t.Fatalf("status body changed:\n got %.300s…\nwant %.300s…", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { get() }); allocs > 100 {
+		t.Fatalf("GET /v1/jobs/{id} allocates %.0f objects per request: something decodes the result", allocs)
+	}
+	// In-process callers still get the struct, decoded on request.
+	if res := job.Snapshot(true).Result; res == nil || len(res.Runs[0].Rows) != 2000 {
+		t.Fatalf("Snapshot(true).Result = %v", res)
+	}
+}
+
+// TestFinishedJobKeepsOnlyItsBytes pins the finished-job memory bound: 40
+// done 5 000-row jobs retain, per job, the canonical result bytes plus a
+// small constant — no decoded rows, no rendered lines, no slabs.
+func TestFinishedJobKeepsOnlyItsBytes(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	run := func(seed int64) int {
+		job, err := srv.Submit(rowsJob(5000, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.done
+		st := job.snapshot(true)
+		if st.Status != StatusDone {
+			t.Fatalf("job %s: %s %s", st.ID, st.Status, st.Error)
+		}
+		return len(st.resultRaw)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the first cycle's sweep and pool clearing settle in the second
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	run(1000) // compile memo, metric series and pools exist before the baseline
+	before := heap()
+	const jobs = 40
+	canonical := 0
+	for seed := int64(1); seed <= jobs; seed++ {
+		canonical += run(seed)
+	}
+	after := heap()
+	perJob, bound := float64(after-before)/jobs, 1.25*float64(canonical)/jobs+16<<10
+	t.Logf("retained %.0f B per finished job, canonical bytes %d B (%.2f×)", perJob, canonical/jobs, perJob*jobs/float64(canonical))
+	if after > before && perJob > bound {
+		t.Fatalf("a finished job retains %.0f B, more than 1.25 × its %d canonical bytes + 16 KB", perJob, canonical/jobs)
+	}
+	runtime.KeepAlive(srv)
 }

@@ -24,16 +24,22 @@
 // coalesces onto the in-flight job (single-flight deduplication) instead
 // of running a second sweep.
 //
-// The read side is an encode-once data plane (result.go): a completed
-// result is marshaled exactly once, and the canonical bytes — the same
-// buffer the blob store persists — back every response afterwards.
-// GET /v1/results/{key} copies them, job statuses splice them in as raw
-// JSON, stream replays copy pre-rendered rows memoized on the blob, and
-// gzip responses copy a lazily-built compressed variant (persisted as a
-// sibling blob). The content address doubles as a strong ETag, so
-// If-None-Match revalidations answer 304 before any result-sized buffer
-// is touched; results evicted from the LRU stream from disk through the
-// store's reader without whole-blob buffering.
+// A recorded row has one in-memory form while its job runs and none after
+// it finishes. The sweep's record hook appends the period and the counts
+// to a flat, exactly pre-sized slab per run (stream.go) — no per-row
+// allocation, no JSON — and live /stream readers render NDJSON from the
+// slabs' published prefix on their own goroutines, one write per wake-up.
+// At completion the canonical result bytes are produced once, straight
+// from the slabs (encode.go), and the slabs are dropped: a finished job
+// keeps those bytes — the buffer the blob store persists — plus a gzip
+// variant once one is asked for, and nothing decoded or rendered, so its
+// footprint is about the size of its result. The bytes back every later
+// response (result.go): GET /v1/results/{key} copies them, job statuses
+// splice them in verbatim, stream replays copy row bodies out of them.
+// The content address doubles as a strong ETag, so If-None-Match
+// revalidations answer 304 before any result-sized buffer is touched;
+// results evicted from the LRU stream from disk through the store's
+// reader without whole-blob buffering.
 //
 // Endpoints:
 //
@@ -248,7 +254,7 @@ func (s *Server) Close() {
 				job.finished = time.Now()
 				job.mu.Unlock()
 				job.traceAdd(obs.StageResponded)
-				job.completeStream(StatusCancelled)
+				job.completeStream()
 				s.journal(store.JobRecord{Op: store.OpAborted, ID: job.ID, Key: job.Key, Trace: job.traceID(),
 					Error: "service shut down before the job started", FinishedAt: time.Now().UnixNano()})
 				s.logCompletion(job)
@@ -311,7 +317,6 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		status:  StatusQueued,
 		created: created,
 		trace:   tr,
-		rows:    newRowBuffer(),
 		done:    make(chan struct{}),
 	}
 
@@ -323,9 +328,6 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 			job.started = job.created
 			job.finished = time.Now()
 			tr.Add(obs.StageResponded, job.finished)
-			// Deferred replay: the rows render (from the blob's memoized
-			// stream render) only if someone actually streams this job.
-			job.rows.replayBlob(blob, StatusDone)
 			close(job.done)
 			s.register(job)
 			s.met.submitted.Inc()
@@ -338,6 +340,12 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 			return job, nil
 		}
 	}
+
+	seeds := make([]int64, spec.Seeds)
+	for i := range seeds {
+		seeds[i] = spec.seedFor(i)
+	}
+	job.log = newRowLog(comp.proto.States, seeds)
 
 	// Twin check, registration, and enqueue form one critical section: a
 	// coalescing submitter must never be handed a job that a concurrent
@@ -544,8 +552,13 @@ func marshalNoEscape(v any) ([]byte, error) {
 // exact Content-Length instead of falling into chunked transfer encoding
 // (the newline terminator matches the historical Encoder framing).
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
 	data, err := marshalNoEscape(v)
+	writeBody(w, status, data, err)
+}
+
+// writeBody sends an encoded JSON body (or a bare 500 if encoding failed).
+func writeBody(w http.ResponseWriter, status int, data []byte, err error) {
+	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
 		// Nothing body-safe to send: the value failed to encode.
 		w.WriteHeader(http.StatusInternalServerError)
@@ -617,9 +630,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.Trace != "" {
 		w.Header().Set(obs.TraceHeader, st.Trace)
 	}
+	// 200 only for an answer from the cache. A job whose sweep this request
+	// enqueued is 202 even if a worker has finished it before the snapshot
+	// above — how fast the sweep ran must not change the code a submit gets.
 	status := http.StatusAccepted
-	if st.Status == StatusDone {
-		status = http.StatusOK // served from cache, no work pending
+	if st.Status == StatusDone && st.Cached {
+		status = http.StatusOK
 	}
 	writeJSON(w, status, st)
 }
@@ -647,13 +663,16 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.snapshotJob(job, true)
-	if len(st.resultRaw) > 0 {
-		// The result portion of this response is the canonical buffer,
-		// spliced verbatim — no per-request marshal of the decoded struct.
+	data, err := marshalNoEscape(st)
+	if err == nil && len(st.resultRaw) > 0 {
+		// The envelope is reopened and the canonical buffer copied in as
+		// its last field: no per-request decode or marshal of the result,
+		// and no encoder re-validating it as a json.RawMessage either.
 		s.met.encodesSaved.Inc()
 		s.met.bytesServed.Add(int64(len(st.resultRaw)))
+		data = append(append(append(data[:len(data)-1], `,"result":`...), st.resultRaw...), '}')
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeBody(w, http.StatusOK, data, err)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -665,46 +684,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 	default:
 		writeError(w, http.StatusConflict, err)
-	}
-}
-
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errNotFound)
-		return
-	}
-	// Render any deferred replay (cache hits, recovered jobs) before the
-	// first wait: only jobs someone actually streams pay the row render.
-	job.rows.materialize()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	ctx := r.Context()
-	stop := context.AfterFunc(ctx, job.rows.broadcast)
-	defer stop()
-
-	sent := 0
-	for {
-		rows, closed := job.rows.wait(sent, func() bool { return ctx.Err() != nil })
-		if ctx.Err() != nil {
-			return
-		}
-		for ; sent < len(rows); sent++ {
-			// One write per row: every row is rendered with its own trailing
-			// '\n' (renderRow), so no reader ever appends to a shared buffer
-			// — and flush-per-row streaming pays half the syscalls.
-			if _, err := w.Write(rows[sent]); err != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if closed && sent == len(rows) {
-			return
-		}
 	}
 }
 

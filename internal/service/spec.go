@@ -128,17 +128,35 @@ func (s *JobSpec) seedFor(i int) int64 {
 	return harness.DeriveSeed(s.Seed, i)
 }
 
+// rowsPerRun is how many rows the recording rule yields for one run: every
+// RecordEvery-th period from 0, plus the final period when that is not one
+// of them. The row log is sized from it.
+func (s *JobSpec) rowsPerRun() int {
+	if s.Periods < 1 {
+		return 0 // a recovered job whose spec the WAL lost
+	}
+	every := s.RecordEvery
+	rows := (s.Periods + every - 1) / every
+	if (s.Periods-1)%every != 0 {
+		rows++
+	}
+	return rows
+}
+
+// recordedRows is the row count of the job's finished result, all runs.
+func (s *JobSpec) recordedRows() int { return s.rowsPerRun() * s.Seeds }
+
 // Limits bound what a single job may ask of the service.
 type Limits struct {
 	MaxN       int
 	MaxPeriods int
 	MaxSeeds   int
 	MaxShards  int
-	// MaxRows bounds the total recorded observations of one job —
-	// ceil(periods/record_every) rows per run times seeds. Every row is
-	// held in memory twice (result slice + marshaled stream buffer), so
-	// without this cap a single request within the other limits could
-	// still exhaust the daemon's memory.
+	// MaxRows bounds the total recorded observations of one job
+	// (JobSpec.recordedRows). A running job holds every row in its row
+	// log and a finished one in its canonical bytes, so without this cap
+	// a single request within the other limits could still exhaust the
+	// daemon's memory.
 	MaxRows int
 }
 
@@ -222,8 +240,7 @@ func (s *JobSpec) normalize(lim Limits) (*compiled, error) {
 		return nil, fmt.Errorf("shards %d exceeds the group size %d", s.Shards, s.N)
 	}
 	if lim.MaxRows > 0 {
-		rowsPerRun := (s.Periods + s.RecordEvery - 1) / s.RecordEvery
-		if rows := rowsPerRun * s.Seeds; rows > lim.MaxRows {
+		if rows := s.recordedRows(); rows > lim.MaxRows {
 			return nil, fmt.Errorf("job would record %d rows (periods/record_every × seeds), exceeding the service limit %d; raise record_every or lower seeds/periods", rows, lim.MaxRows)
 		}
 	}
