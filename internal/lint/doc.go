@@ -26,9 +26,10 @@
 // fsyncorder — the durable store (internal/store, plus the service's
 // persistence glue) must order writes so a crash at any point is
 // recoverable: a file write must be Synced before the file is renamed
-// into place, and a job's "done" journal record must not be appended
-// before its result blob is durably written (cache hits, which journal
-// done with Cached: true against an already-durable blob, are exempt).
+// into place, and a job's "done" journal record must not be built in a
+// function that has not durably written its result blob first (cache
+// hits, which journal done with Cached: true against an already-durable
+// blob, are exempt).
 //
 // closecheck — errors from Close/Sync on writable *os.File handles and
 // Close/Flush on buffered writers must be checked: the kernel and the

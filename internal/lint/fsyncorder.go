@@ -18,11 +18,14 @@ var fsyncorderPaths = []string{
 //     an intervening Sync — rename-into-place publishes the file's name,
 //     and a crash after the rename but before the data hits disk leaves a
 //     durable name pointing at torn contents;
-//  2. a function that both persists a result blob (PutResult/persistResult)
-//     and journals that job's uncached "done" record must persist first —
-//     the WAL must never claim a result the disk does not hold. Done
-//     records marked Cached: true are exempt: they describe a blob that
-//     was already durable before this job existed.
+//  2. a function that builds a job's uncached "done" record — a record
+//     literal with Op: OpDone, or an assignment of OpDone to a record's Op
+//     — must have persisted the result blob (PutResult) first: the WAL
+//     must never claim a result the disk does not hold. A function with
+//     no PutResult at all is no exception, so a second done-site cannot
+//     pass by leaving the blob write out. Records marked Cached: true are
+//     exempt: they describe a blob that was already durable before this
+//     job existed.
 //
 // The scan is ordered by source position within one function body, not by
 // control flow; the rare branch shape it misjudges documents itself with
@@ -32,9 +35,9 @@ var AnalyzerFsyncorder = &Analyzer{
 	Doc: `enforce Sync-before-rename and blob-before-done-record ordering
 
 In the durability-owning packages, flags (1) os.Rename calls that a file
-write can reach with no Sync in between, and (2) journal appends of a
-job's uncached done record positioned before the corresponding result
-blob write (PutResult) in the same function.`,
+write can reach with no Sync in between, and (2) a job's uncached done
+record built with no result blob write (PutResult) before it in the same
+function.`,
 	Run: runFsyncorder,
 }
 
@@ -73,12 +76,19 @@ func runFsyncorder(pass *Pass) error {
 func checkFsyncOrder(pass *Pass, fd *ast.FuncDecl) {
 	var events []fsyncEvent
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if kind, ok := classifyFsyncCall(pass, call); ok {
-			events = append(events, fsyncEvent{kind: kind, pos: call.Pos()})
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if kind, ok := classifyFsyncCall(pass, n); ok {
+				events = append(events, fsyncEvent{kind: kind, pos: n.Pos()})
+			}
+		case *ast.CompositeLit:
+			if doneRecordLit(n) {
+				events = append(events, fsyncEvent{kind: evDoneRecord, pos: n.Pos()})
+			}
+		case *ast.AssignStmt:
+			if doneOpAssign(n) {
+				events = append(events, fsyncEvent{kind: evDoneRecord, pos: n.Pos()})
+			}
 		}
 		return true
 	})
@@ -106,19 +116,15 @@ func checkFsyncOrder(pass *Pass, fd *ast.FuncDecl) {
 	}
 
 	// Rule 2: an uncached done record must follow the blob write.
-	var firstPut token.Pos = token.NoPos
+	persisted := false
 	for _, ev := range events {
-		if ev.kind == evPutResult {
-			firstPut = ev.pos
-			break
-		}
-	}
-	if firstPut == token.NoPos {
-		return
-	}
-	for _, ev := range events {
-		if ev.kind == evDoneRecord && ev.pos < firstPut {
-			pass.Reportf(ev.pos, "done record journaled before the result blob is durably written in %s: on replay the WAL would claim a result the disk does not hold; call PutResult first (cache-hit records carry Cached: true and are exempt)", funcName(fd))
+		switch ev.kind {
+		case evPutResult:
+			persisted = true
+		case evDoneRecord:
+			if !persisted {
+				pass.Reportf(ev.pos, "done record built with no result blob durably written before it in %s: on replay the WAL would claim a result the disk does not hold; call PutResult first (cache-hit records carry Cached: true and are exempt)", funcName(fd))
+			}
 		}
 	}
 }
@@ -152,52 +158,52 @@ func classifyFsyncCall(pass *Pass, call *ast.CallExpr) (fsyncEventKind, bool) {
 		}
 		return 0, false
 	}
-	// A journal/Append call whose record literal carries an OpDone (or
-	// "done") op is a done-record append; Cached: true exempts it.
-	if fn.Name() == "Append" || fn.Name() == "journal" || fn.Name() == "appendNoSync" {
-		if doneRecordArg(call) {
-			return evDoneRecord, true
-		}
-		return 0, false
-	}
-	if fn.Name() == "PutResult" || fn.Name() == "persistResult" {
+	if fn.Name() == "PutResult" {
 		return evPutResult, true
 	}
 	return 0, false
 }
 
-// doneRecordArg inspects a journal-style call's arguments for a composite
-// literal with Op set to a "done" op and no Cached: true field.
-func doneRecordArg(call *ast.CallExpr) bool {
-	for _, arg := range call.Args {
-		lit, ok := ast.Unparen(arg).(*ast.CompositeLit)
+// isDoneOp reports whether e is the "done" op: the OpDone constant or its
+// string value.
+func isDoneOp(e ast.Expr) bool {
+	if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok {
+		return lit.Value == `"done"`
+	}
+	return selectorOrIdentName(e) == "OpDone"
+}
+
+// doneRecordLit reports whether lit is a record literal with Op set to the
+// "done" op and no Cached: true field.
+func doneRecordLit(lit *ast.CompositeLit) bool {
+	isDone, isCached := false, false
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
 			continue
 		}
-		isDone, isCached := false, false
-		for _, elt := range lit.Elts {
-			kv, ok := elt.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			switch key.Name {
-			case "Op":
-				if name := selectorOrIdentName(kv.Value); name == "OpDone" {
-					isDone = true
-				} else if lit, ok := kv.Value.(*ast.BasicLit); ok && lit.Value == `"done"` {
-					isDone = true
-				}
-			case "Cached":
-				if id, ok := ast.Unparen(kv.Value).(*ast.Ident); ok && id.Name == "true" {
-					isCached = true
-				}
+		key, ok := kv.Key.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		switch key.Name {
+		case "Op":
+			isDone = isDoneOp(kv.Value)
+		case "Cached":
+			if id, ok := ast.Unparen(kv.Value).(*ast.Ident); ok && id.Name == "true" {
+				isCached = true
 			}
 		}
-		if isDone && !isCached {
+	}
+	return isDone && !isCached
+}
+
+// doneOpAssign reports whether as sets some record's Op field to the
+// "done" op. Nothing can be told of the record's Cached field from here,
+// so the record counts as uncached.
+func doneOpAssign(as *ast.AssignStmt) bool {
+	for i, lhs := range as.Lhs {
+		if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Op" && i < len(as.Rhs) && isDoneOp(as.Rhs[i]) {
 			return true
 		}
 	}

@@ -32,3 +32,21 @@ func cachedDone(j *journalT, b *blobs, key string, data []byte) error {
 	}
 	return b.PutResult(key, data)
 }
+
+// cachedDoneNoBlob is the cache-hit path as the service writes it: no blob
+// write anywhere in the function, and none needed.
+func cachedDoneNoBlob(j *journalT) error {
+	return j.Append(record{Op: "done", Cached: true})
+}
+
+// blobThenOpAssigned picks the record's op after the blob is durable.
+func blobThenOpAssigned(j *journalT, b *blobs, key string, data []byte, failed bool) error {
+	if err := b.PutResult(key, data); err != nil {
+		return err
+	}
+	rec := record{Op: "failed"}
+	if !failed {
+		rec.Op = "done"
+	}
+	return j.Append(rec)
+}

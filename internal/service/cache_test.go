@@ -1,6 +1,7 @@
 package service
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 
@@ -188,34 +189,38 @@ func TestSpecValidationErrors(t *testing.T) {
 	}
 }
 
-// TestAsyncnetCacheability pins the mode-dependent cache contract: the
-// default virtual mode is deterministic and cacheable; wallclock mode
-// (real goroutines, real timers) remains the one uncacheable
-// configuration.
+// TestAsyncnetCacheability: wallclock mode is not served — a 400 that names
+// the CLI which still runs it — and the keys of the modes that are hold
+// their values from when it was: the mode is hashed as before, so an
+// existing -data directory and every ETag a client holds stay valid.
 func TestAsyncnetCacheability(t *testing.T) {
-	spec := JobSpec{Source: "x' = -x*y\ny' = x*y\n", N: 50, Periods: 2, Engine: "asyncnet"}
-	if _, err := spec.normalize(defaultLimits); err != nil {
-		t.Fatal(err)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
+		JobSpec{Source: epidemicSource, N: 50, Periods: 2, Engine: "asyncnet", Mode: "wallclock"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "odeproto -engine asyncnet -async-mode wallclock") {
+		t.Fatalf("wallclock submit: %d %s, want a 400 pointing at the CLI", resp.StatusCode, data)
 	}
-	if spec.Mode != ModeVirtual {
-		t.Fatalf("asyncnet mode normalized to %q, want %q", spec.Mode, ModeVirtual)
-	}
-	if !spec.cacheable() {
-		t.Fatal("virtual asyncnet jobs must be cacheable (deterministic scheduler)")
-	}
-	wallclock := JobSpec{Source: "x' = -x*y\ny' = x*y\n", N: 50, Periods: 2, Engine: "asyncnet", Mode: ModeWallclock}
-	if _, err := wallclock.normalize(defaultLimits); err != nil {
-		t.Fatal(err)
-	}
-	if wallclock.cacheable() {
-		t.Fatal("wallclock asyncnet jobs must not be cacheable (nondeterministic runtime)")
-	}
-	agent := JobSpec{Source: "x' = -x*y\ny' = x*y\n", N: 50, Periods: 2}
-	if _, err := agent.normalize(defaultLimits); err != nil {
-		t.Fatal(err)
-	}
-	if !agent.cacheable() {
-		t.Fatal("agent jobs must be cacheable")
+
+	// Golden keys, computed by the commit before wallclock mode left.
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		key  string
+	}{
+		{"asyncnet default", JobSpec{Source: epidemicSource, N: 50, Periods: 2, Engine: "asyncnet"},
+			"a5fde25758e471acd3ac95668088ff6aa07957d914723f3301d344862444911e"},
+		{"asyncnet virtual", JobSpec{Source: epidemicSource, N: 50, Periods: 2, Engine: "asyncnet", Mode: ModeVirtual},
+			"a5fde25758e471acd3ac95668088ff6aa07957d914723f3301d344862444911e"},
+		{"agent", JobSpec{Source: epidemicSource, N: 50, Periods: 2},
+			"adfecf7634d147a1c521e30e8d312b0246e28c2627bcfadb15e9489df432dffd"},
+	} {
+		spec, key := normalizeOrFatal(t, tc.spec)
+		if key != tc.key {
+			t.Errorf("%s: cache key %s, want %s", tc.name, key, tc.key)
+		}
+		if tc.spec.Engine == "asyncnet" && spec.Mode != ModeVirtual {
+			t.Errorf("%s: mode normalized to %q, want %q", tc.name, spec.Mode, ModeVirtual)
+		}
 	}
 }
 
@@ -224,13 +229,19 @@ func TestAsyncnetCacheability(t *testing.T) {
 // of the key.
 func TestAsyncnetModeCacheKey(t *testing.T) {
 	base := JobSpec{Source: "x' = -x*y\ny' = x*y\n", N: 50, Periods: 2, Engine: "asyncnet"}
-	_, keyDefault := normalizeOrFatal(t, base)
+	comp, err := base.normalize(defaultLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyDefault := base.cacheKey(comp)
 	explicit := JobSpec{Source: "x' = -x*y\ny' = x*y\n", N: 50, Periods: 2, Engine: "asyncnet", Mode: ModeVirtual}
 	if _, key := normalizeOrFatal(t, explicit); key != keyDefault {
 		t.Fatal("explicit virtual mode split the cache from the default")
 	}
-	wallclock := JobSpec{Source: "x' = -x*y\ny' = x*y\n", N: 50, Periods: 2, Engine: "asyncnet", Mode: ModeWallclock}
-	if _, key := normalizeOrFatal(t, wallclock); key == keyDefault {
-		t.Fatal("mode is not part of the cache key")
+	// normalize no longer lets another mode through, but the field is hashed
+	// as it was: the key the parent gave mode "wallclock".
+	base.Mode = "wallclock"
+	if key := base.cacheKey(comp); key != "2a71309be2139284791b37ecec006271721e9d7833f5a56e59282bbd60aaa127" {
+		t.Fatalf("mode is not hashed as before: key %s", key)
 	}
 }

@@ -29,10 +29,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// its immutable result, so the composite is a strong ETag — checked
 	// before the decode and the render, the expensive parts of this
 	// endpoint.
-	etag := `"f:` + st.ID + `:` + st.CacheKey + `"`
-	w.Header().Set("ETag", etag)
-	if ifNoneMatchHit(r, etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, `"f:`+st.ID+`:`+st.CacheKey+`"`) {
 		return
 	}
 	res, err := decodeResult(st.resultRaw)

@@ -74,8 +74,8 @@ type Job struct {
 	trace *obs.Trace
 
 	// log holds the rows recorded so far while the job is queued or
-	// running; the terminal transition drops it (completeStream), keeping
-	// only how many rows it held. Jobs born terminal never have one.
+	// running; the terminal transition drops it (conclude), keeping only
+	// how many rows it held. Jobs born terminal never have one.
 	log  *rowLog
 	rows int
 	done chan struct{}
@@ -107,8 +107,8 @@ type JobStatus struct {
 	// cache without running a sweep.
 	Cached bool   `json:"cached"`
 	Engine string `json:"engine"`
-	// Mode is the asyncnet execution mode (virtual or wallclock); empty
-	// for the other engines.
+	// Mode is the asyncnet execution mode ("virtual"); empty for the other
+	// engines.
 	Mode     string     `json:"mode,omitempty"`
 	N        int        `json:"n"`
 	Periods  int        `json:"periods"`
@@ -200,33 +200,94 @@ func decodeResult(data []byte) (*JobResult, error) {
 	return res, nil
 }
 
-// finish moves the job to a terminal state and closes its stream. It must
-// be called exactly once per job, by whoever owns the transition (the
-// worker, or Cancel for still-queued jobs).
-func (j *Job) finish(status Status, res *resultBlob, errMsg string, cached bool) {
-	j.mu.Lock()
-	j.status = status
-	j.result = res
-	j.errMsg = errMsg
-	j.cached = cached
-	j.finished = time.Now()
-	j.cancel = nil
-	j.mu.Unlock()
-	j.completeStream()
+// outcome is how a job ends: its terminal status, with the result of a done
+// job or the error of a failed or cancelled one. cached marks a result that
+// was already in the cache or the store — durable before this job asked.
+type outcome struct {
+	status Status
+	blob   *resultBlob
+	errMsg string
+	cached bool
 }
 
-// completeStream ends the live stream of a job whose terminal status is
-// set: the row log is closed — attached readers drain it and emit the
-// terminal row — and dropped, so a finished job holds no row memory beyond
-// its canonical bytes; then waiters on done are released.
-func (j *Job) completeStream() {
-	j.mu.Lock()
-	log := j.log
-	j.log = nil
-	j.rows = log.rows()
-	j.mu.Unlock()
-	log.wake(true)
-	close(j.done)
+// conclude is the only place a job becomes terminal. It moves job from the
+// non-terminal status from to out, and reports false, having changed
+// nothing, when the job had already left from: a queued job is contended by
+// Cancel, a worker's pickup and Close's drain, and exactly one of them wins.
+//
+// The order is the durability contract. A fresh result is persisted (and
+// fsync'd, for the file backend) before anything calls the job done, so the
+// WAL never claims a result the disk does not hold; a result that cannot be
+// stored fails the job rather than silently losing the crash-recovery
+// guarantee. Then the state is set with one reading of the clock, the job
+// table's count moves and the single-flight claim goes, the row log is
+// closed — attached readers drain it and emit the terminal row — and
+// dropped, waiters on done are released, the one terminal record is
+// journaled with the finished instant just served, and the trace, the
+// metrics and the log line follow.
+func (s *Server) conclude(job *Job, from Status, out outcome) bool {
+	if out.status == StatusDone && !out.cached {
+		if err := s.store.PutResult(job.Key, out.blob.data); err != nil {
+			out = outcome{status: StatusFailed, errMsg: fmt.Sprintf("persisting result: %v", err)}
+		} else {
+			s.cache.put(job.Key, out.blob)
+			job.traceAdd(obs.StagePersisted)
+		}
+	}
+
+	job.mu.Lock()
+	if job.status != from {
+		job.mu.Unlock()
+		return false
+	}
+	finished := time.Now()
+	job.status, job.result, job.errMsg, job.cached = out.status, out.blob, out.errMsg, out.cached
+	job.finished = finished
+	job.cancel = nil
+	log := job.log
+	if log != nil {
+		job.log, job.rows = nil, log.rows()
+	}
+	job.mu.Unlock()
+
+	// A submit-time hit arrives unregistered and enters the table already
+	// done; every other job moves its count.
+	born := job.ID == ""
+	s.mu.Lock()
+	if born {
+		s.register(job)
+	} else {
+		s.counts[from]--
+	}
+	s.counts[out.status]++
+	if s.inflight[job.Key] == job {
+		delete(s.inflight, job.Key)
+	}
+	s.mu.Unlock()
+	if log != nil {
+		log.wake(true)
+	}
+	close(job.done)
+
+	rec := store.JobRecord{ID: job.ID, Key: job.Key, Trace: job.traceID(), Error: out.errMsg, Cached: out.cached,
+		FinishedAt: finished.UnixNano()}
+	switch out.status {
+	case StatusDone:
+		rec.Op = store.OpDone
+	case StatusFailed:
+		rec.Op = store.OpFailed
+	case StatusCancelled:
+		rec.Op = store.OpAborted
+	}
+	if born {
+		// One snapshot-style record, not a submitted/done pair: no sweep
+		// runs on that path, and each append is an fsync.
+		rec.Spec, rec.SubmittedAt = specJSON(&job.spec), job.created.UnixNano()
+	}
+	s.journal(rec)
+	job.traceAdd(obs.StageResponded)
+	s.logCompletion(job)
+	return true
 }
 
 // initialCounts resolves the spec's initial populations against the
@@ -379,101 +440,53 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob drives one queued job to a terminal state, journaling each
-// transition to the durable store. A completed result is persisted (and
-// fsync'd, for the file backend) before the job is marked done, so the
-// WAL never claims a result the disk does not hold.
+// runJob takes one queued job through pickup, the sweep and conclude,
+// journaling the pickup on the way.
 func (s *Server) runJob(job *Job) {
 	job.mu.Lock()
 	if job.status != StatusQueued {
-		// Cancelled while queued; finish() already ran.
-		job.mu.Unlock()
+		job.mu.Unlock() // cancelled while queued
 		return
 	}
-	cacheable := job.spec.cacheable()
-	key := job.Key
-	log := job.log
-
-	// A twin job submitted earlier may have populated the cache — or a
-	// previous process the result store — between submission and pickup;
-	// re-check before simulating (peek: Submit already counted this job's
-	// miss).
-	if cacheable {
-		if blob, ok := s.peekResult(key); ok {
-			job.status = StatusRunning
-			job.started = time.Now()
-			job.mu.Unlock()
-			s.met.queueWait.ObserveTraced(job.started.Sub(job.created).Seconds(), job.traceID())
-			s.journal(store.JobRecord{Op: store.OpRunning, ID: job.ID, Key: key, Trace: job.traceID(),
-				StartedAt: job.started.UnixNano()})
-			// Stream readers already parked on this job's (empty) log wake
-			// at the close and, seeing a cached result, replay the blob.
-			job.finish(StatusDone, blob, "", true)
-			job.traceAdd(obs.StageResponded)
-			s.journal(store.JobRecord{Op: store.OpDone, ID: job.ID, Key: key, Cached: true, Trace: job.traceID(),
-				FinishedAt: time.Now().UnixNano()})
-			s.logCompletion(job)
-			s.dropInflight(job)
-			return
-		}
-	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
+	defer cancel()
 	job.status = StatusRunning
 	job.started = time.Now()
 	job.cancel = cancel
+	log := job.log
 	job.mu.Unlock()
-	defer cancel()
+	s.mu.Lock()
+	s.counts[StatusQueued]--
+	s.counts[StatusRunning]++
+	s.mu.Unlock()
 	s.met.queueWait.ObserveTraced(job.started.Sub(job.created).Seconds(), job.traceID())
 	// Every worker record stamps the key: if a crash loses the submitter
 	// and its OpSubmitted append raced, the recovered job still knows its
 	// content address and can reload its persisted result.
-	s.journal(store.JobRecord{Op: store.OpRunning, ID: job.ID, Key: key, Trace: job.traceID(),
+	s.journal(store.JobRecord{Op: store.OpRunning, ID: job.ID, Key: job.Key, Trace: job.traceID(),
 		StartedAt: job.started.UnixNano()})
 
-	killed, err := s.execute(ctx, job, log)
-	switch {
-	case err == nil:
-		job.traceAdd(obs.StageSwept)
-		blob := newResultBlob(key, encodeResult(log, killed))
-		if cacheable {
-			if perr := s.persistResult(blob); perr != nil {
-				// Durability is part of "done": a result that cannot be
-				// stored fails the job rather than silently losing the
-				// crash-recovery guarantee.
-				job.finish(StatusFailed, nil, perr.Error(), false)
-				s.journal(store.JobRecord{Op: store.OpFailed, ID: job.ID, Key: key, Trace: job.traceID(),
-					Error: perr.Error(), FinishedAt: time.Now().UnixNano()})
-				break
-			}
-			s.cache.put(key, blob)
-			job.traceAdd(obs.StagePersisted)
+	// A twin job submitted earlier may have populated the cache — or a
+	// previous process the result store — between submission and pickup;
+	// re-check before simulating (peek: Submit already counted this job's
+	// miss). Stream readers already parked on this job's (empty) log wake at
+	// its close and, seeing a cached result, replay the blob.
+	var out outcome
+	if blob, ok := s.peekResult(job.Key); ok {
+		out = outcome{status: StatusDone, blob: blob, cached: true}
+	} else {
+		killed, err := s.execute(ctx, job, log)
+		switch {
+		case err == nil:
+			job.traceAdd(obs.StageSwept)
+			out = outcome{status: StatusDone, blob: newResultBlob(job.Key, encodeResult(log, killed))}
+		case ctx.Err() != nil:
+			out = outcome{status: StatusCancelled, errMsg: "job cancelled"}
+		default:
+			out = outcome{status: StatusFailed, errMsg: err.Error()}
 		}
-		job.finish(StatusDone, blob, "", false)
-		s.journal(store.JobRecord{Op: store.OpDone, ID: job.ID, Key: key, Trace: job.traceID(),
-			FinishedAt: time.Now().UnixNano()})
-	case ctx.Err() != nil:
-		job.finish(StatusCancelled, nil, "job cancelled", false)
-		s.journal(store.JobRecord{Op: store.OpAborted, ID: job.ID, Key: key, Trace: job.traceID(),
-			Error: "job cancelled", FinishedAt: time.Now().UnixNano()})
-	default:
-		job.finish(StatusFailed, nil, err.Error(), false)
-		s.journal(store.JobRecord{Op: store.OpFailed, ID: job.ID, Key: key, Trace: job.traceID(),
-			Error: err.Error(), FinishedAt: time.Now().UnixNano()})
 	}
-	job.traceAdd(obs.StageResponded)
-	s.logCompletion(job)
-	s.dropInflight(job)
-}
-
-// persistResult writes a completed result's canonical bytes to the
-// durable store under their content address, after which the blob is
-// persistable (its gzip variant may be stored as a sibling).
-func (s *Server) persistResult(blob *resultBlob) error {
-	if err := s.store.PutResult(blob.key, blob.data); err != nil {
-		return fmt.Errorf("persisting result: %w", err)
-	}
-	blob.persistable = true
-	return nil
+	s.conclude(job, StatusRunning, out)
 }
 
 // Cancel aborts a job. Queued jobs terminate immediately; running jobs
@@ -484,34 +497,17 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, errNotFound
 	}
+	// If a worker picks the job up first the claim fails, and the job is
+	// cancelled as the running one it has become.
+	if s.conclude(job, StatusQueued, outcome{status: StatusCancelled, errMsg: "job cancelled before it started"}) {
+		return job.snapshot(false), nil
+	}
 	job.mu.Lock()
-	switch job.status {
-	case StatusQueued:
-		// Claim the terminal transition while holding the lock: the worker
-		// that later pops this job observes the non-queued status under
-		// the same mutex and skips it, so finish-style bookkeeping here
-		// cannot double with the worker's.
-		job.status = StatusCancelled
-		job.errMsg = "job cancelled before it started"
-		job.finished = time.Now()
-		job.mu.Unlock()
-		job.traceAdd(obs.StageResponded)
-		job.completeStream()
-		s.journal(store.JobRecord{Op: store.OpAborted, ID: job.ID, Key: job.Key, Trace: job.traceID(),
-			Error: "job cancelled before it started", FinishedAt: time.Now().UnixNano()})
-		s.logCompletion(job)
-		s.dropInflight(job)
-		return job.Snapshot(false), nil
-	case StatusRunning:
-		cancel := job.cancel
-		job.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return job.Snapshot(false), nil
-	default:
-		st := job.statusLocked(false)
-		job.mu.Unlock()
+	st, cancel := job.statusLocked(false), job.cancel
+	job.mu.Unlock()
+	if st.Status != StatusRunning {
 		return st, fmt.Errorf("job %s is already %s", id, st.Status)
 	}
+	cancel()
+	return st, nil
 }

@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -17,7 +14,7 @@ import (
 
 // journal appends one lifecycle record to the durable store. Journaling is
 // best-effort — a failed append is counted in /v1/stats rather than
-// failing the request — but result persistence is not (see runJob: a
+// failing the request — but result persistence is not (see conclude: a
 // result that cannot be stored fails its job instead of claiming done).
 func (s *Server) journal(rec store.JobRecord) {
 	if err := s.store.Append(rec); err != nil {
@@ -79,7 +76,6 @@ func (s *Server) resultFromStore(key string) (*resultBlob, bool) {
 	}
 	s.met.diskHits.Inc()
 	blob := newResultBlob(key, data)
-	blob.persistable = true // these bytes came from the store
 	s.cache.put(key, blob)
 	return blob, true
 }
@@ -99,11 +95,12 @@ type restartableJob struct {
 // recoverJobs rebuilds the job table from the store's replayed WAL: job
 // metadata and statuses return to /v1/jobs, the most recently finished
 // results warm the LRU from disk (up to its capacity), and jobs that were
-// queued or mid-run at crash time are marked failed-restartable — with
-// that transition journaled, so the next recovery replays them as plain
-// failures. It returns the interrupted jobs whose specs survived in the
-// WAL, so New can resubmit them under Config.ResumeInterrupted. Runs
-// once, from New, before the workers start.
+// queued or mid-run at crash time are concluded failed-restartable — a
+// journaled transition like any other, so the next recovery replays them
+// as plain failures. Jobs the WAL already shows terminal are restored as
+// journaled; nothing is written for them. It returns the interrupted jobs
+// whose specs survived in the WAL, so New can resubmit them under
+// Config.ResumeInterrupted. Runs once, from New, before the workers start.
 func (s *Server) recoverJobs() []restartableJob {
 	recovered := s.store.Recovered()
 	if len(recovered) == 0 {
@@ -144,17 +141,14 @@ func (s *Server) recoverJobs() []restartableJob {
 		if err != nil || !json.Valid(data) {
 			continue
 		}
-		blob := newResultBlob(key, data)
-		blob.persistable = true
-		s.cache.put(key, blob)
+		s.cache.put(key, newResultBlob(key, data))
 		s.warmed++
 	}
 
-	now := time.Now()
 	maxID := 0
 	var restartable []restartableJob
 	for _, rj := range recovered {
-		job := &Job{ID: rj.ID, Key: rj.Key, done: make(chan struct{})}
+		job := &Job{ID: rj.ID, Key: rj.Key, status: StatusQueued, done: make(chan struct{})}
 		if obs.ValidTraceID(rj.Trace) {
 			// Rebuild an approximate trail from the journaled timestamps:
 			// the per-stage spans died with the previous process, but the
@@ -180,30 +174,32 @@ func (s *Server) recoverJobs() []restartableJob {
 		if rj.FinishedAt != 0 {
 			job.finished = time.Unix(0, rj.FinishedAt)
 		}
-		switch {
-		case rj.Interrupted:
-			job.status = StatusFailed
-			job.errMsg = restartableErr
-			job.finished = now
-			s.journal(store.JobRecord{Op: store.OpFailed, ID: job.ID, Error: restartableErr, FinishedAt: now.UnixNano()})
-			if specOK {
-				restartable = append(restartable, restartableJob{job: job, spec: job.spec})
-			}
-		case rj.Status == store.OpDone:
+		switch rj.Status {
+		case store.OpRunning:
+			job.status = StatusRunning
+		case store.OpDone:
 			job.status = StatusDone
 			job.cached = rj.Cached
-		case rj.Status == store.OpFailed:
+		case store.OpFailed:
 			job.status = StatusFailed
 			job.errMsg = rj.Error
-		case rj.Status == store.OpAborted:
+		case store.OpAborted:
 			job.status = StatusCancelled
 			job.errMsg = rj.Error
 		}
-		close(job.done)
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
+		s.counts[job.status]++
 		if n := s.idNumber(job.ID); n > maxID {
 			maxID = n
+		}
+		if !rj.Interrupted {
+			close(job.done)
+			continue
+		}
+		s.conclude(job, job.status, outcome{status: StatusFailed, errMsg: restartableErr})
+		if specOK {
+			restartable = append(restartable, restartableJob{job: job, spec: job.spec})
 		}
 	}
 	s.nextID = maxID
@@ -267,83 +263,4 @@ func (s *Server) snapshotJob(job *Job, includeResult bool) JobStatus {
 		}
 	}
 	return st
-}
-
-// dropInflight releases a job's single-flight claim once it is terminal.
-func (s *Server) dropInflight(job *Job) {
-	if job.Key == "" {
-		return
-	}
-	s.mu.Lock()
-	if s.inflight[job.Key] == job {
-		delete(s.inflight, job.Key)
-	}
-	s.mu.Unlock()
-}
-
-// handleResult serves a persisted result directly by its cache key (the
-// "cache_key" of every job status): 200 with the result JSON when the key
-// is in the LRU or the durable store, 404 otherwise. Both paths write the
-// same bytes — the canonical encode-once blob — and both negotiate the
-// same HTTP semantics: a strong ETag (the content address), If-None-Match
-// → 304 before any result bytes are touched, gzip when the client asked
-// for it, and an exact Content-Length. The LRU path copies the shared
-// in-memory buffer; the disk path answers gzip from the persisted sibling
-// blob and otherwise streams the identity bytes via the store's reader,
-// never buffering a whole blob just to forward it.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if blob, ok := s.cache.peek(key); ok {
-		s.serveResultBlob(w, r, blob)
-		return
-	}
-
-	etag := etagForKey(key)
-	if acceptsGzip(r) {
-		// A persisted gzip sibling implies the canonical blob exists: the
-		// sibling is only ever written after PutResult succeeded.
-		if gz, err := s.store.GetResultGzip(key); err == nil {
-			h := w.Header()
-			h.Set("ETag", etag)
-			h.Set("Vary", "Accept-Encoding")
-			if ifNoneMatchHit(r, etag) {
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-			h.Set("Content-Type", "application/json")
-			h.Set("Content-Encoding", "gzip")
-			h.Set("Content-Length", strconv.Itoa(len(gz)))
-			w.WriteHeader(http.StatusOK)
-			n, _ := w.Write(gz)
-			s.met.bytesServed.Add(int64(n))
-			return
-		}
-	}
-
-	rc, size, err := s.store.GetResultReader(key)
-	switch {
-	case err == nil:
-	case errors.Is(err, store.ErrNotFound):
-		writeError(w, http.StatusNotFound, fmt.Errorf("no result for key %q", key))
-		return
-	default:
-		s.met.storeErrs.Inc()
-		s.log.Warn("result blob unreadable", "key", key, "err", err)
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("reading result %q: %w", key, err))
-		return
-	}
-	defer func() { _ = rc.Close() }()
-	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set("Vary", "Accept-Encoding")
-	if ifNoneMatchHit(r, etag) {
-		// The open confirmed the representation exists; no bytes were read.
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.FormatInt(size, 10))
-	w.WriteHeader(http.StatusOK)
-	n, _ := io.Copy(w, rc)
-	s.met.bytesServed.Add(n)
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -337,28 +336,35 @@ func TestAsyncnetVirtualResultSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestWallclockAsyncnetResultNotPersisted: the wallclock oracle stays
-// outside the durability contract — its jobs finish, but no blob lands
-// under their key.
-func TestWallclockAsyncnetResultNotPersisted(t *testing.T) {
-	fst := openFileStore(t, t.TempDir())
-	defer fst.Close()
-	srv := New(Config{Workers: 1, Store: fst})
-	defer srv.Close()
-	spec := JobSpec{
-		Source: epidemicSource, Engine: "asyncnet", Mode: ModeWallclock,
-		N: 60, Initial: map[string]int{"x": 50, "y": 10}, Periods: 2,
+// TestFinishedInstantSurvivesRestart: the finished instant a job's status
+// page serves is the one its terminal record journals, so a restart does
+// not move it — for a swept job and for one answered from the cache.
+func TestFinishedInstantSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	fst := openFileStore(t, dir)
+	srv1, ts1 := newTestServer(t, Config{Workers: 1, Store: fst})
+	served := make(map[string]time.Time)
+	for _, want := range []int{http.StatusAccepted, http.StatusOK} {
+		resp, data := doJSON(t, http.MethodPost, ts1.URL+"/v1/jobs", smallSpec())
+		if resp.StatusCode != want {
+			t.Fatalf("submit: %d %s", resp.StatusCode, data)
+		}
+		st := waitStatus(t, ts1.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
+		served[st.ID] = *st.Finished
 	}
-	job, err := srv.Submit(spec)
-	if err != nil {
+	srv1.Close() // waits for the worker, and with it the last record
+	if err := fst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-job.done
-	if st := job.Snapshot(false); st.Status != StatusDone {
-		t.Fatalf("wallclock job finished %s: %s", st.Status, st.Error)
-	}
-	if _, err := fst.GetResult(job.Key); err == nil {
-		t.Fatal("wallclock asyncnet result was persisted")
+
+	fst2 := openFileStore(t, dir)
+	t.Cleanup(func() { fst2.Close() }) // after the server cleanup below
+	_, ts2 := newTestServer(t, Config{Workers: 1, Store: fst2})
+	for id, want := range served {
+		_, data := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+id, nil)
+		if st := decodeStatus(t, data); st.Finished == nil || !st.Finished.Equal(want) {
+			t.Errorf("job %s finished at %v before the restart and %v after it", id, want, st.Finished)
+		}
 	}
 }
 
@@ -525,7 +531,7 @@ func TestRecoveryMarksInterruptedJobs(t *testing.T) {
 // result, the job must not claim done — the WAL would promise a blob the
 // disk does not have.
 func TestPutResultFailureFailsTheJob(t *testing.T) {
-	srv := New(Config{Workers: 1, Store: failingStore{}})
+	srv := New(Config{Workers: 1, Store: &recordingStore{Store: store.NewMemory(), failPut: true}})
 	defer srv.Close()
 	job, err := srv.Submit(smallSpec())
 	if err != nil {
@@ -537,19 +543,3 @@ func TestPutResultFailureFailsTheJob(t *testing.T) {
 		t.Fatalf("job with a failing store finished %+v", st)
 	}
 }
-
-// failingStore accepts journal records but refuses result blobs.
-type failingStore struct{}
-
-func (failingStore) Append(rec store.JobRecord) error        { return nil }
-func (failingStore) PutResult(key string, data []byte) error { return fmt.Errorf("disk full") }
-func (failingStore) GetResult(key string) ([]byte, error)    { return nil, store.ErrNotFound }
-func (failingStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
-	return nil, 0, store.ErrNotFound
-}
-func (failingStore) PutResultGzip(key string, data []byte) error { return fmt.Errorf("disk full") }
-func (failingStore) GetResultGzip(key string) ([]byte, error)    { return nil, store.ErrNotFound }
-func (failingStore) Recovered() []store.RecoveredJob             { return nil }
-func (failingStore) Compact() error                              { return nil }
-func (failingStore) Stats() store.Stats                          { return store.Stats{Backend: "failing"} }
-func (failingStore) Close() error                                { return nil }

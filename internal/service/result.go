@@ -3,10 +3,15 @@ package service
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+
+	"odeproto/internal/store"
 )
 
 // resultBlob is all that is kept of a finished result: the canonical JSON
@@ -21,14 +26,6 @@ type resultBlob struct {
 	key  string
 	data []byte // canonical JSON encoding, as persisted
 
-	// persistable marks blobs whose bytes the durable store holds under
-	// key, so the gzip variant may be persisted as a sibling blob. It is
-	// false for non-cacheable (wallclock) results: their key is a spec
-	// hash, not a content address — a different run of the same spec
-	// yields different bytes, and a persisted sibling would poison any
-	// deterministic result later stored under the key.
-	persistable bool
-
 	gzOnce sync.Once
 	gzData []byte
 }
@@ -41,15 +38,13 @@ func newResultBlob(key string, data []byte) *resultBlob {
 
 // resultGzip returns blob's gzip variant, built at most once: a persisted
 // sibling blob is preferred (so restarts warm compressed serving without
-// recompressing), otherwise the canonical bytes are compressed here and —
-// for persistable blobs — written back as the sibling, best-effort.
+// recompressing), otherwise the canonical bytes are compressed here and
+// written back as the sibling, best-effort.
 func (s *Server) resultGzip(b *resultBlob) []byte {
 	b.gzOnce.Do(func() {
-		if b.persistable {
-			if gz, err := s.store.GetResultGzip(b.key); err == nil {
-				b.gzData = gz
-				return
-			}
+		if gz, err := s.store.GetResultGzip(b.key); err == nil {
+			b.gzData = gz
+			return
 		}
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
@@ -57,13 +52,11 @@ func (s *Server) resultGzip(b *resultBlob) []byte {
 		_, _ = zw.Write(b.data)
 		_ = zw.Close()
 		b.gzData = buf.Bytes()
-		if b.persistable {
-			if err := s.store.PutResultGzip(b.key, b.gzData); err != nil {
-				// The sibling is only a cache of the canonical bytes; a failed
-				// write costs future recompressions, not correctness.
-				s.met.storeErrs.Inc()
-				s.log.Warn("gzip sibling write failed", "key", b.key, "err", err)
-			}
+		if err := s.store.PutResultGzip(b.key, b.gzData); err != nil {
+			// The sibling is only a cache of the canonical bytes; a failed
+			// write costs future recompressions, not correctness.
+			s.met.storeErrs.Inc()
+			s.log.Warn("gzip sibling write failed", "key", b.key, "err", err)
 		}
 	})
 	return b.gzData
@@ -114,33 +107,82 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// serveResultBlob answers a result request entirely from canonical bytes:
-// ETag first — a 304 returns before any result-sized buffer is touched —
-// then the gzip or identity variant with an exact Content-Length. No JSON
-// is encoded on this path, ever; the encodes-saved counter records each
-// request the old per-request marshal would have paid.
-func (s *Server) serveResultBlob(w http.ResponseWriter, r *http.Request, b *resultBlob) {
-	etag := etagForKey(b.key)
+// notModified sets the response's ETag and, when the request's
+// If-None-Match matches it, answers 304 and reports true: the caller
+// returns without building, or reading, the representation.
+func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
+	w.Header().Set("ETag", etag)
+	if !ifNoneMatchHit(r, etag) {
+		return false
+	}
+	w.WriteHeader(http.StatusNotModified)
+	return true
+}
+
+// handleResult serves a result by its cache key (the "cache_key" of every
+// job status) from the LRU or, past it, the durable store: 404 when neither
+// holds the key. Every path writes the same canonical encode-once bytes
+// under the same HTTP semantics, in one order: probe that the
+// representation exists (an LRU lookup, or the store's open — no result
+// byte read), set the strong ETag (the content address) and Vary, answer a
+// matching If-None-Match with 304, and only then pick the body — gzip when
+// the client asked for it, with an exact Content-Length. An LRU blob is
+// copied from memory and builds its gzip variant at most once; past the LRU
+// gzip comes from the persisted sibling blob and identity streams through
+// the store's reader, never buffering a whole blob just to forward it. No
+// JSON is encoded on this path, ever; the encodes-saved counter records
+// each LRU request the old per-request marshal would have paid.
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	key := r.PathValue("key")
+	blob, cached := s.cache.peek(key)
+	var rc io.ReadCloser
+	var size int64
+	if cached {
+		s.met.encodesSaved.Inc()
+	} else {
+		var err error
+		rc, size, err = s.store.GetResultReader(key)
+		if errors.Is(err, store.ErrNotFound) {
+			writeError(w, http.StatusNotFound, fmt.Errorf("no result for key %q", key))
+			return
+		}
+		if err != nil {
+			s.met.storeErrs.Inc()
+			s.log.Warn("result blob unreadable", "key", key, "err", err)
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("reading result %q: %w", key, err))
+			return
+		}
+		defer func() { _ = rc.Close() }()
+	}
 	h := w.Header()
-	h.Set("ETag", etag)
 	h.Set("Vary", "Accept-Encoding")
-	s.met.encodesSaved.Inc()
-	if ifNoneMatchHit(r, etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, etagForKey(key)) {
 		return
 	}
-	body := b.data
+
+	var body io.Reader = rc // past the LRU, identity streams from the store
+	if cached {
+		body, size = bytes.NewReader(blob.data), int64(len(blob.data))
+	}
 	if acceptsGzip(r) {
-		if gz := s.resultGzip(b); len(gz) > 0 {
+		var gz []byte
+		if cached {
+			gz = s.resultGzip(blob)
+		} else {
+			// The sibling is only ever written after PutResult succeeded;
+			// without one the identity bytes go out.
+			gz, _ = s.store.GetResultGzip(key)
+		}
+		if len(gz) > 0 {
 			h.Set("Content-Encoding", "gzip")
-			body = gz
+			body, size = bytes.NewReader(gz), int64(len(gz))
 		}
 	}
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Content-Length", strconv.FormatInt(size, 10))
 	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(body)
-	s.met.bytesServed.Add(int64(n))
+	n, _ := io.Copy(w, body)
+	s.met.bytesServed.Add(n)
 }
 
 // HasResult reports whether this node can serve GET /v1/results/{key}

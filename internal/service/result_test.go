@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,6 +176,47 @@ func TestResultConditionalGet(t *testing.T) {
 	resp, body = rawGet(t, base+"/v1/results/"+key, map[string]string{"If-None-Match": etag})
 	if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
 		t.Fatalf("disk 304: %d with %d bytes", resp.StatusCode, len(body))
+	}
+}
+
+// TestColdRevalidationReadsNothing: a conditional GET of a key the LRU does
+// not hold answers 304 from the store's open alone — no blob, no gzip
+// sibling and no byte of the reader is read, whatever encoding the client
+// accepts — and a key the store does not hold is still a 404 (the cluster
+// router's failover keys on it).
+func TestColdRevalidationReadsNothing(t *testing.T) {
+	fst := openFileStore(t, t.TempDir())
+	t.Cleanup(func() { fst.Close() }) // after the server cleanup below
+	rec := &recordingStore{Store: fst}
+	srv, ts := newTestServer(t, Config{Workers: 1, Store: rec})
+	key := runSmallJob(t, ts.URL).CacheKey
+	etag := `"` + key + `"`
+	// The sibling exists, so a gzip revalidation has something it could read.
+	if resp, _ := rawGet(t, ts.URL+"/v1/results/"+key, map[string]string{"Accept-Encoding": "gzip"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("gzip GET: %d", resp.StatusCode)
+	}
+	dropFromCache(srv, key)
+
+	for _, enc := range []string{"identity", "gzip"} {
+		rec.mu.Lock()
+		rec.reads = 0
+		rec.mu.Unlock()
+		resp, body := rawGet(t, ts.URL+"/v1/results/"+key, map[string]string{"If-None-Match": etag, "Accept-Encoding": enc})
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 || resp.Header.Get("ETag") != etag {
+			t.Fatalf("cold revalidation (%s): %d with %d bytes, ETag %q", enc, resp.StatusCode, len(body), resp.Header.Get("ETag"))
+		}
+		rec.mu.Lock()
+		reads := rec.reads
+		rec.mu.Unlock()
+		if reads != 0 {
+			t.Errorf("cold revalidation (%s) read result bytes %d times before answering 304", enc, reads)
+		}
+	}
+	for _, enc := range []string{"identity", "gzip"} {
+		resp, _ := rawGet(t, ts.URL+"/v1/results/"+strings.Repeat("ab", 32), map[string]string{"If-None-Match": "*", "Accept-Encoding": enc})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("missing key (%s): %d, want 404", enc, resp.StatusCode)
+		}
 	}
 }
 

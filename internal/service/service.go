@@ -6,13 +6,14 @@
 // then either answers it from a content-addressed result cache or enqueues
 // it on a bounded queue feeding a worker pool; workers route execution
 // through harness.SweepContext so DELETE /v1/jobs/{id} can abort in-flight
-// sweeps at a period boundary. The cache is sound because sweep output is
-// byte-identical for a fixed normalized spec (seed derivation, the agent
-// engine's shard count K, and the asyncnet mode are all part of the
-// cache key); wallclock-mode asyncnet is the one exception — it
-// schedules real goroutines against wall-clock timers — and is therefore
-// never cached, while the default virtual mode runs on a deterministic
-// discrete-event scheduler and caches like every other engine.
+// sweeps at a period boundary. The cache is sound because every engine the
+// service offers makes sweep output a pure function of the normalized spec:
+// seed derivation, the agent engine's shard count K and the asyncnet mode
+// are all part of the cache key, and asyncnet runs on its deterministic
+// virtual-time scheduler. The wallclock substrate — real goroutines against
+// wall-clock timers, kept in internal/asyncnet as that scheduler's oracle —
+// is not offered here (odeproto -async-mode wallclock runs it), so every
+// done job has a content address.
 //
 // Durability is pluggable (internal/store): job lifecycle transitions are
 // journaled to the configured Store and completed results are written as
@@ -20,9 +21,10 @@
 // file backend a restarted daemon recovers its job list, warms the LRU
 // from disk, serves previously computed results without re-simulating,
 // and marks jobs the crash caught mid-run as failed-restartable. An
-// identical cacheable spec POSTed while its twin is still in flight
-// coalesces onto the in-flight job (single-flight deduplication) instead
-// of running a second sweep.
+// identical spec POSTed while its twin is still in flight coalesces onto
+// the in-flight job (single-flight deduplication) instead of running a
+// second sweep. A job reaches a terminal status in exactly one function,
+// conclude (job.go), whichever path ends it.
 //
 // A recorded row has one in-memory form while its job runs and none after
 // it finishes. The sweep's record hook appends the period and the counts
@@ -176,6 +178,7 @@ type Server struct {
 	order    []string // insertion order, for listing
 	nextID   int
 	inflight map[string]*Job // cache key → non-terminal job, for single-flight dedup
+	counts   map[Status]int  // jobs per status: moved at enqueue, pickup and conclude
 
 	queue      chan *Job
 	baseCtx    context.Context
@@ -206,6 +209,7 @@ func New(cfg Config) *Server {
 		store:      cfg.Store,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
+		counts:     make(map[Status]int),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -244,21 +248,8 @@ func (s *Server) Close() {
 		for {
 			select {
 			case job := <-s.queue:
-				job.mu.Lock()
-				if job.status != StatusQueued {
-					job.mu.Unlock()
-					continue
-				}
-				job.status = StatusCancelled
-				job.errMsg = "service shut down before the job started"
-				job.finished = time.Now()
-				job.mu.Unlock()
-				job.traceAdd(obs.StageResponded)
-				job.completeStream()
-				s.journal(store.JobRecord{Op: store.OpAborted, ID: job.ID, Key: job.Key, Trace: job.traceID(),
-					Error: "service shut down before the job started", FinishedAt: time.Now().UnixNano()})
-				s.logCompletion(job)
-				s.dropInflight(job)
+				s.conclude(job, StatusQueued, outcome{status: StatusCancelled,
+					errMsg: "service shut down before the job started"})
 			default:
 				return
 			}
@@ -284,8 +275,8 @@ func (s *Server) job(id string) (*Job, bool) {
 }
 
 // Submit validates, compiles, and registers a job. Hits in the LRU or the
-// durable result store return an already-done job; an identical cacheable
-// spec still in flight returns the in-flight twin (single-flight
+// durable result store return an already-done job; an identical spec
+// still in flight returns the in-flight twin (single-flight
 // deduplication); everything else is enqueued. A full queue returns an
 // error that the HTTP layer maps to 503.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
@@ -320,25 +311,11 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		done:    make(chan struct{}),
 	}
 
-	if spec.cacheable() {
-		if blob, ok := s.lookupResult(key); ok {
-			job.status = StatusDone
-			job.result = blob
-			job.cached = true
-			job.started = job.created
-			job.finished = time.Now()
-			tr.Add(obs.StageResponded, job.finished)
-			close(job.done)
-			s.register(job)
-			s.met.submitted.Inc()
-			// One snapshot-style record, not a submitted/done pair: this is
-			// the hot path (no sweep runs), and each append is an fsync.
-			s.journal(store.JobRecord{Op: store.OpDone, ID: job.ID, Key: key,
-				Spec: specJSON(&spec), Cached: true, Trace: tr.ID,
-				SubmittedAt: job.created.UnixNano(), FinishedAt: job.finished.UnixNano()})
-			s.logCompletion(job)
-			return job, nil
-		}
+	if blob, ok := s.lookupResult(key); ok {
+		job.started = created
+		s.met.submitted.Inc()
+		s.conclude(job, StatusQueued, outcome{status: StatusDone, blob: blob, cached: true})
+		return job, nil
 	}
 
 	seeds := make([]int64, spec.Seeds)
@@ -351,24 +328,22 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 	// coalescing submitter must never be handed a job that a concurrent
 	// queue-full withdrawal is about to discard.
 	s.mu.Lock()
-	if spec.cacheable() {
-		if twin, ok := s.inflight[key]; ok {
-			// The twin may be a hair past finish() with its inflight entry
-			// not yet dropped; coalescing onto a terminal job would hand
-			// this submitter a cancelled/failed result it never asked to
-			// share. Only live twins coalesce — a dead one is overwritten
-			// below (its own dropInflight compares pointers, so it cannot
-			// remove our claim later).
-			twin.mu.Lock()
-			live := twin.status == StatusQueued || twin.status == StatusRunning
-			twin.mu.Unlock()
-			if live {
-				s.mu.Unlock()
-				s.met.coalesced.Inc()
-				s.log.Info("job coalesced onto in-flight twin",
-					"trace", tr.ID, "twin", twin.ID, "twin_trace", twin.traceID(), "key", key)
-				return twin, nil
-			}
+	if twin, ok := s.inflight[key]; ok {
+		// The twin may be a hair past its terminal transition with its
+		// inflight entry not yet dropped; coalescing onto a terminal job
+		// would hand this submitter a cancelled/failed result it never asked
+		// to share. Only live twins coalesce — a dead one is overwritten
+		// below (conclude compares pointers, so it cannot remove our claim
+		// later).
+		twin.mu.Lock()
+		live := twin.status == StatusQueued || twin.status == StatusRunning
+		twin.mu.Unlock()
+		if live {
+			s.mu.Unlock()
+			s.met.coalesced.Inc()
+			s.log.Info("job coalesced onto in-flight twin",
+				"trace", tr.ID, "twin", twin.ID, "twin_trace", twin.traceID(), "key", key)
+			return twin, nil
 		}
 	}
 	s.nextID++
@@ -383,9 +358,8 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 	}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
-	if spec.cacheable() {
-		s.inflight[key] = job
-	}
+	s.counts[StatusQueued]++
+	s.inflight[key] = job
 	s.mu.Unlock()
 
 	// Journal after the enqueue so a full queue leaves no ghost record.
@@ -409,12 +383,10 @@ var (
 	errShuttingDown = errors.New("service is shutting down")
 )
 
-// register assigns an ID and stores an already-terminal job (the
-// done-on-arrival cache-hit path; queued jobs register inside Submit's
-// enqueue critical section).
+// register assigns an ID to a job born terminal and enters it in the table
+// (conclude, for the submit-time hit; queued jobs register inside Submit's
+// enqueue critical section). Callers hold s.mu.
 func (s *Server) register(job *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.nextID++
 	job.ID = fmt.Sprintf("%sj%06d", s.cfg.JobIDPrefix, s.nextID)
 	s.jobs[job.ID] = job
@@ -498,8 +470,10 @@ func (s *Server) stats() Stats {
 		Store:              s.store.Stats(),
 	}
 	s.mu.Lock()
-	for _, id := range s.order {
-		st.Jobs[s.jobs[id].Snapshot(false).Status]++
+	for status, n := range s.counts {
+		if n > 0 {
+			st.Jobs[status] = n
+		}
 	}
 	s.mu.Unlock()
 	st.QueueDepth = len(s.queue)

@@ -591,40 +591,6 @@ func TestAsyncnetVirtualJobsAreCached(t *testing.T) {
 	}
 }
 
-// TestAsyncnetWallclockJobsSkipTheCache: wallclock mode schedules real
-// goroutines against real timers and remains the one uncacheable engine
-// configuration — every identical POST runs its own sweep.
-func TestAsyncnetWallclockJobsSkipTheCache(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1})
-	spec := JobSpec{
-		Source: epidemicSource, Engine: "asyncnet", Mode: ModeWallclock,
-		N: 60, Initial: map[string]int{"x": 50, "y": 10}, Periods: 2,
-	}
-	for i := 1; i <= 2; i++ {
-		resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit wallclock asyncnet %d: %d %s", i, resp.StatusCode, data)
-		}
-		st := waitStatus(t, ts.URL, decodeStatus(t, data).ID, StatusDone, 60*time.Second)
-		if st.Cached {
-			t.Fatal("wallclock asyncnet job served from cache")
-		}
-		if st.Mode != ModeWallclock {
-			t.Fatalf("wallclock job reports mode %q", st.Mode)
-		}
-		if n := srv.SweepsExecuted(); n != int64(i) {
-			t.Fatalf("after %d wallclock posts: %d sweeps", i, n)
-		}
-		total := 0
-		for _, c := range st.Result.Runs[0].Rows[len(st.Result.Runs[0].Rows)-1].Counts {
-			total += c
-		}
-		if total != 60 {
-			t.Fatalf("asyncnet final counts sum to %d", total)
-		}
-	}
-}
-
 // TestCloseFinishesQueuedJobs guards the graceful-shutdown path: jobs
 // still sitting in the queue when the server closes must reach a terminal
 // state (and close their streams) instead of staying "queued" forever.

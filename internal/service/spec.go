@@ -20,11 +20,9 @@ const (
 	EngineAsyncnet  = "asyncnet"
 )
 
-// Asyncnet execution modes accepted by JobSpec.Mode (asyncnet jobs only).
-const (
-	ModeVirtual   = string(asyncnet.ModeVirtual)
-	ModeWallclock = string(asyncnet.ModeWallclock)
-)
+// ModeVirtual is the asyncnet execution mode the service runs, and the only
+// value JobSpec.Mode accepts besides "" (asyncnet jobs only).
+const ModeVirtual = string(asyncnet.ModeVirtual)
 
 // EventSpec schedules one perturbation, applied before the Step of period
 // At (harness.Event semantics: At must lie in [0, periods)).
@@ -75,11 +73,12 @@ type JobSpec struct {
 	// Engine selects the simulation substrate: agent, sharded (agent with
 	// Shards ≥ 2), aggregate, or asyncnet. Default agent.
 	Engine string `json:"engine,omitempty"`
-	// Mode selects the asyncnet execution substrate: "virtual" (the
-	// default — the deterministic virtual-time discrete-event scheduler,
-	// whose results are cacheable) or "wallclock" (real goroutines and
-	// timers; nondeterministic, never cached). Only meaningful with
-	// engine "asyncnet".
+	// Mode names the asyncnet execution substrate: "virtual", also the
+	// default — the deterministic virtual-time discrete-event scheduler.
+	// It is the only one the service runs ("wallclock", the goroutine-and-
+	// timer oracle, is a 400: its output is no function of the spec), but
+	// the field stays and is hashed, so existing keys hold. Only
+	// meaningful with engine "asyncnet".
 	Mode string `json:"mode,omitempty"`
 	// N is the group size.
 	N int `json:"n"`
@@ -206,14 +205,17 @@ func (s *JobSpec) normalize(lim Limits) (*compiled, error) {
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want agent, sharded, aggregate, or asyncnet)", s.Engine)
 	}
-	if s.Engine == EngineAsyncnet {
-		mode, err := asyncnet.Mode(s.Mode).Normalize()
-		if err != nil {
-			return nil, err
+	switch {
+	case s.Engine != EngineAsyncnet:
+		if s.Mode != "" {
+			return nil, fmt.Errorf("mode %q is only meaningful for engine %q", s.Mode, EngineAsyncnet)
 		}
-		s.Mode = string(mode)
-	} else if s.Mode != "" {
-		return nil, fmt.Errorf("mode %q is only meaningful for engine %q", s.Mode, EngineAsyncnet)
+	case s.Mode == "" || s.Mode == ModeVirtual:
+		s.Mode = ModeVirtual
+	case s.Mode == string(asyncnet.ModeWallclock):
+		return nil, fmt.Errorf("mode %q is not served: its results are not a function of the spec; run it with odeproto -engine asyncnet -async-mode wallclock", s.Mode)
+	default:
+		return nil, fmt.Errorf("unknown mode %q (want %q)", s.Mode, ModeVirtual)
 	}
 	if len(s.Params) == 0 {
 		s.Params = nil
@@ -337,10 +339,9 @@ type cacheKeySpec struct {
 // of the canonical JSON encoding of everything that determines the job's
 // output. The shard count K is deliberately part of the key — output is
 // byte-identical for a fixed (seed, K) but different K are different RNG
-// streams. The asyncnet mode is part of the key for the same reason
-// (virtual and wallclock are different executions of the model; only the
-// virtual one is a function of the spec at all). Version 2 added the
-// mode field.
+// streams. The asyncnet mode stays in the key although only "virtual" is
+// served, so keys issued before wallclock mode left the service hold.
+// Version 2 added the mode field.
 func (s *JobSpec) cacheKey(comp *compiled) string {
 	ks := cacheKeySpec{
 		Version:     2,
@@ -367,14 +368,4 @@ func (s *JobSpec) cacheKey(comp *compiled) string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// cacheable reports whether the spec's results may be served from the
-// content-addressed cache. Only the deterministic engines qualify. Since
-// the virtual-time scheduler landed, that includes asyncnet in its
-// default "virtual" mode; the one remaining exception is wallclock-mode
-// asyncnet, which schedules real goroutines against wall-clock timers,
-// so its output is not a pure function of the spec.
-func (s *JobSpec) cacheable() bool {
-	return s.Engine != EngineAsyncnet || s.Mode != ModeWallclock
 }

@@ -170,7 +170,7 @@ func TestUnfinishedJobsStreamPartialRows(t *testing.T) {
 		checkStream(t, readStream(t, ts.URL, id), 1, 0, StatusCancelled)
 	})
 	t.Run("failed", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{Workers: 1, Store: failingStore{}})
+		srv, ts := newTestServer(t, Config{Workers: 1, Store: &recordingStore{Store: store.NewMemory(), failPut: true}})
 		id, release := queueBehindBlocker(t, ts.URL, smallSpec())
 		streamed := make(chan [][]byte)
 		go func() { streamed <- readStream(t, ts.URL, id) }()
@@ -241,19 +241,7 @@ func TestStatusRowsOnEveryPath(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) { check(t, ts.URL, fresh, false) })
 	t.Run("submit-time hit", func(t *testing.T) { check(t, ts.URL, submit(spec), false) })
 	t.Run("pickup-time hit", func(t *testing.T) {
-		// other is queued as a miss; its result reaches the cache — as a
-		// twin on another node sharing the store would put it there —
-		// before the worker picks it up.
-		id, release := queueBehindBlocker(t, ts.URL, other)
-		twin, tts := newTestServer(t, Config{Workers: 1, Store: store.NewMemory()})
-		resp, data := doJSON(t, http.MethodPost, tts.URL+"/v1/jobs", other)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("twin submit: %d %s", resp.StatusCode, data)
-		}
-		done := waitStatus(t, tts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
-		blob, _ := twin.cache.peek(done.CacheKey)
-		srv.cache.put(done.CacheKey, blob)
-		release()
+		id := pickupHit(t, srv, ts.URL, other)
 		st := waitStatus(t, ts.URL, id, StatusDone, 30*time.Second)
 		if !st.Cached || srv.SweepsExecuted() != 2 { // fresh and the blocker
 			t.Fatalf("cached = %v after %d sweeps: not a pickup-time hit", st.Cached, srv.SweepsExecuted())

@@ -34,10 +34,7 @@ func (s *Server) handleTraceSVG(w http.ResponseWriter, r *http.Request) {
 	// is still growing.
 	switch job.Snapshot(false).Status {
 	case StatusDone, StatusFailed, StatusCancelled:
-		etag := fmt.Sprintf("%q", fmt.Sprintf("t:%s:%s:%d", job.ID, job.trace.ID, len(spans)))
-		w.Header().Set("ETag", etag)
-		if ifNoneMatchHit(r, etag) {
-			w.WriteHeader(http.StatusNotModified)
+		if notModified(w, r, fmt.Sprintf("%q", fmt.Sprintf("t:%s:%s:%d", job.ID, job.trace.ID, len(spans)))) {
 			return
 		}
 	}

@@ -265,100 +265,10 @@ func resultPath(dir, key string) (string, error) {
 
 var tmpSeq atomic.Int64
 
-// PutResult durably stores a completed result blob under its content
-// address: written to a temp file, fsync'd, and renamed into place, so a
-// crash leaves either the whole blob or nothing, never a torn read for a
-// key the WAL says is done.
-func (s *FileStore) PutResult(key string, data []byte) error {
-	path, err := resultPath(s.dir, key)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := fmt.Sprintf("%s.tmp%d", path, tmpSeq.Add(1))
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.resultsWritten++
-	s.resultBytes += int64(len(data))
-	s.mu.Unlock()
-	return nil
-}
-
-// GetResult returns the stored blob for key, or ErrNotFound.
-func (s *FileStore) GetResult(key string) ([]byte, error) {
-	path, err := resultPath(s.dir, key)
-	if err != nil {
-		return nil, ErrNotFound
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// GetResultReader opens the stored blob for key as a stream, returning its
-// size so HTTP callers can set Content-Length without buffering the body.
-// The caller owns the Close.
-func (s *FileStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
-	path, err := resultPath(s.dir, key)
-	if err != nil {
-		return nil, 0, ErrNotFound
-	}
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, ErrNotFound
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	return f, fi.Size(), nil
-}
-
-// PutResultGzip stores the gzip variant of a result as a sibling blob at
-// <blob>.gz, with the same tmp+fsync+rename discipline as PutResult: the
-// sibling is only a cache, but a torn gzip stream served to a client is
-// still a corrupt response, so it gets the same atomicity.
-func (s *FileStore) PutResultGzip(key string, data []byte) error {
-	path, err := resultPath(s.dir, key)
-	if err != nil {
-		return err
-	}
-	path += ".gz"
+// writeAtomic publishes data at path: written to a temp file, fsync'd, and
+// renamed into place, so a crash leaves either the whole file or nothing,
+// never a torn read under a name a reader can open.
+func writeAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -388,15 +298,14 @@ func (s *FileStore) PutResultGzip(key string, data []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// GetResultGzip returns the stored gzip sibling for key, or ErrNotFound
-// when it was never persisted (callers then recompress from canonical
-// bytes).
-func (s *FileStore) GetResultGzip(key string) ([]byte, error) {
+// readBlob returns the file stored for key under the given suffix ("" for
+// the canonical blob, ".gz" for its sibling), or ErrNotFound.
+func (s *FileStore) readBlob(key, suffix string) ([]byte, error) {
 	path, err := resultPath(s.dir, key)
 	if err != nil {
 		return nil, ErrNotFound
 	}
-	data, err := os.ReadFile(path + ".gz")
+	data, err := os.ReadFile(path + suffix)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNotFound
 	}
@@ -405,6 +314,66 @@ func (s *FileStore) GetResultGzip(key string) ([]byte, error) {
 	}
 	return data, nil
 }
+
+// PutResult durably stores a completed result blob under its content
+// address (writeAtomic), so the WAL never names a key whose blob is torn.
+// Only canonical blobs count in ResultsWritten/ResultBytes.
+func (s *FileStore) PutResult(key string, data []byte) error {
+	path, err := resultPath(s.dir, key)
+	if err != nil {
+		return err
+	}
+	if err := writeAtomic(path, data); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.resultsWritten++
+	s.resultBytes += int64(len(data))
+	s.mu.Unlock()
+	return nil
+}
+
+// GetResult returns the stored blob for key, or ErrNotFound.
+func (s *FileStore) GetResult(key string) ([]byte, error) { return s.readBlob(key, "") }
+
+// GetResultReader opens the stored blob for key as a stream, returning its
+// size so HTTP callers can set Content-Length without buffering the body.
+// The caller owns the Close.
+func (s *FileStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
+	path, err := resultPath(s.dir, key)
+	if err != nil {
+		return nil, 0, ErrNotFound
+	}
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, ErrNotFound
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
+// PutResultGzip stores the gzip variant of a result as a sibling blob at
+// <blob>.gz, as atomically as the blob itself: the sibling is only a cache,
+// but a torn gzip stream served to a client is still a corrupt response.
+func (s *FileStore) PutResultGzip(key string, data []byte) error {
+	path, err := resultPath(s.dir, key)
+	if err != nil {
+		return err
+	}
+	return writeAtomic(path+".gz", data)
+}
+
+// GetResultGzip returns the stored gzip sibling for key, or ErrNotFound
+// when it was never persisted (callers then recompress from canonical
+// bytes).
+func (s *FileStore) GetResultGzip(key string) ([]byte, error) { return s.readBlob(key, ".gz") }
 
 // Recovered returns the jobs rebuilt from the WAL at Open time, in
 // first-submitted order.

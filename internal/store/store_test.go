@@ -256,6 +256,13 @@ func TestResultGzipSibling(t *testing.T) {
 	if !bytes.Equal(got, gz) {
 		t.Fatalf("gzip sibling = %q, want %q", got, gz)
 	}
+	// Only the canonical blob counts as a result written: the benchmark's
+	// fsyncs_per_op adds results_written to the WAL syncs, and siblings are
+	// a cache that comes and goes.
+	if st := s.Stats(); st.ResultsWritten != 1 || st.ResultBytes != int64(len(`{"states":[]}`)) {
+		t.Fatalf("after a blob and its sibling: results_written = %d, result_bytes = %d, want 1 and %d",
+			st.ResultsWritten, st.ResultBytes, len(`{"states":[]}`))
+	}
 	// The sibling lives at <blob>.gz, and writes leave no temp droppings.
 	path := filepath.Join(dir, "results", key[:2], key+".gz")
 	if _, err := os.Stat(path); err != nil {
