@@ -15,10 +15,13 @@
 // content-addressed blobs (internal/store), so a restarted daemon
 // recovers its job list, warms the result cache from disk, and serves
 // previously computed sweeps without re-simulating (see README.md
-// "Durability"). -wal-group-commit coalesces concurrent WAL appends
-// into shared fsyncs. While recovery runs, every endpoint — including
-// GET /v1/healthz — answers 503 {"status":"recovering"}, so cluster
-// probers don't route to a node that can't serve results yet.
+// "Durability"). -cache and -retain-jobs bound the daemon's memory (see
+// README.md "Memory model"): result bytes live only in the LRU, and
+// terminal jobs age out of the job table beyond -retain-jobs.
+// -wal-group-commit coalesces concurrent WAL appends into shared fsyncs.
+// While recovery runs, every endpoint — including GET /v1/healthz —
+// answers 503 {"status":"recovering"}, so cluster probers don't route to
+// a node that can't serve results yet.
 //
 // With -peers, the daemon joins a static cluster: every node runs the
 // identical peer list, any node accepts any request, and a
@@ -136,7 +139,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		addr           = fs.String("addr", ":8080", "HTTP listen address")
 		workers        = fs.Int("workers", 2, "jobs simulated concurrently")
 		queue          = fs.Int("queue", 64, "bounded job-queue depth (full queue = 503)")
-		cacheSize      = fs.Int("cache", 256, "content-addressed result cache capacity (results, LRU)")
+		cacheSize      = fs.Int("cache", 256, "in-memory result cache (LRU), the only holder of result bytes: at most this many results and this many × 256 KiB")
+		retainJobs     = fs.Int("retain-jobs", 65536, "terminal jobs kept in the job table and the store's index; older ones age out (410 Gone; results stay addressable by cache_key)")
 		sweepWorkers   = fs.Int("sweep-workers", 0, "harness worker-pool size per job sweep (0 = all cores)")
 		maxN           = fs.Int("max-n", 0, "per-job group-size limit (0 = service default)")
 		maxPeriods     = fs.Int("max-periods", 0, "per-job period limit (0 = service default)")
@@ -158,6 +162,12 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 
+	if *retainJobs <= *queue+*workers {
+		// Everything in flight can finish after the newest job does; with
+		// room for all of it the highest ID issued never ages out, so a
+		// compacted WAL always tells a restart where to continue numbering.
+		return fmt.Errorf("-retain-jobs %d must exceed -queue + -workers (%d)", *retainJobs, *queue+*workers)
+	}
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		return err
@@ -242,11 +252,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			return fail(fmt.Errorf("opening data dir %s: %w", *dataDir, err))
 		}
 		defer fst.Close() // after srv.Close below: shutdown journals queued-job cancellations
-		if *compactOnStart {
-			if err := fst.Compact(); err != nil {
-				return fail(fmt.Errorf("compacting WAL in %s: %w", *dataDir, err))
-			}
-		}
 		st := fst.Stats()
 		logger.Info("recovered store", "dir", *dataDir, "jobs", st.RecoveredJobs,
 			"wal_segments", st.WALSegments, "tail_truncations", st.TailTruncations)
@@ -257,6 +262,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Workers:           *workers,
 		QueueDepth:        *queue,
 		CacheSize:         *cacheSize,
+		RetainJobs:        *retainJobs,
 		SweepWorkers:      *sweepWorkers,
 		Limits:            service.Limits{MaxN: *maxN, MaxPeriods: *maxPeriods},
 		Store:             backend,
@@ -268,6 +274,13 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		SLO:               slo,
 	})
 	defer srv.Close()
+	if *compactOnStart && backend != nil {
+		// After recovery, which told the store to forget the terminal jobs
+		// past -retain-jobs: the rewrite drops them.
+		if err := backend.Compact(); err != nil {
+			return fail(fmt.Errorf("compacting WAL in %s: %w", *dataDir, err))
+		}
+	}
 
 	handler := http.Handler(srv.Handler())
 	if len(peerList) > 0 {
@@ -285,7 +298,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 
 	sw.swap(handler)
 	logger.Info("serving", "addr", ln.Addr().String(),
-		"workers", *workers, "queue", *queue, "cache", *cacheSize)
+		"workers", *workers, "queue", *queue, "cache", *cacheSize, "retain_jobs", *retainJobs)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

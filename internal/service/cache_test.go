@@ -1,25 +1,28 @@
 package service
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"odeproto/internal/obs"
 )
 
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2, &obs.Counter{}, &obs.Counter{})
+	c := newResultCache(2, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
 	r1 := newResultBlob("a", nil)
 	r2 := newResultBlob("b", nil)
 	r3 := newResultBlob("c", nil)
-	c.put("a", r1)
-	c.put("b", r2)
+	c.put(r1)
+	c.put(r2)
 	if got, ok := c.get("a"); !ok || got != r1 {
 		t.Fatal("a missing after insert")
 	}
 	// "b" is now least recently used; inserting "c" must evict it.
-	c.put("c", r3)
+	c.put(r3)
 	if _, ok := c.get("b"); ok {
 		t.Fatal("b not evicted")
 	}
@@ -36,6 +39,170 @@ func TestResultCacheLRU(t *testing.T) {
 	if st.Hits != 3 || st.Misses != 1 {
 		t.Fatalf("stats hits/misses = %d/%d", st.Hits, st.Misses)
 	}
+}
+
+// checkAccounting verifies the LRU's books: its byte total is the sum of
+// what its entries are accounted at, each entry is accounted at its blob's
+// size, and both bounds hold unless a single entry is all that is left.
+func checkAccounting(t *testing.T, c *resultCache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		if e.size != e.blob.size() {
+			t.Errorf("entry %s accounted at %d B, holds %d B", e.blob.key, e.size, e.blob.size())
+		}
+		if c.entries[e.blob.key] != el {
+			t.Errorf("entry %s is listed but not indexed", e.blob.key)
+		}
+		sum += e.size
+	}
+	if sum != c.bytes || len(c.entries) != c.order.Len() {
+		t.Errorf("cache accounts %d B over %d indexed entries; its %d listed entries hold %d B",
+			c.bytes, len(c.entries), c.order.Len(), sum)
+	}
+	if c.order.Len() > 1 && (c.order.Len() > c.max || c.bytes > c.maxBytes) {
+		t.Errorf("cache holds %d entries, %d B: bounds are %d entries, %d B", c.order.Len(), c.bytes, c.max, c.maxBytes)
+	}
+}
+
+// sizedBlob is a blob of n canonical bytes filled with the key's first byte.
+func sizedBlob(key string, n int) *resultBlob {
+	return newResultBlob(key, bytes.Repeat([]byte{key[0]}, n))
+}
+
+// grow gives b a gzip variant of n bytes the way resultGzip does, short of
+// the store round trip.
+func grow(c *resultCache, b *resultBlob, n int) {
+	b.gzOnce.Do(func() {
+		b.gzData = make([]byte, n)
+		b.gzLen.Store(int64(n))
+		c.resize(b)
+	})
+}
+
+// TestResultCacheByteBudget: the LRU accounts len(data)+len(gzData) per
+// entry against CacheSize × 256 KiB and evicts least recently used first
+// past it, the entry bound notwithstanding.
+func TestResultCacheByteBudget(t *testing.T) {
+	evictions := &obs.Counter{}
+	c := newResultCache(4, &obs.Counter{}, &obs.Counter{}, evictions)
+	if c.maxBytes != 4*256<<10 {
+		t.Fatalf("budget for 4 entries is %d B, want 1 MiB", c.maxBytes)
+	}
+	const third = 300 << 10
+	for _, key := range []string{"a", "b", "c"} {
+		c.put(sizedBlob(key, third))
+	}
+	if st := c.stats(); st.Size != 3 || st.Bytes != 3*third || st.MaxBytes != 1<<20 {
+		t.Fatalf("after three 300 KiB results: %+v", st)
+	}
+	c.peek("a") // b is now the oldest
+	c.put(sizedBlob("d", third))
+	if c.contains("b") || !c.contains("a") || evictions.Value() != 1 {
+		t.Fatalf("the fourth result must evict b alone: b=%v a=%v evictions=%d", c.contains("b"), c.contains("a"), evictions.Value())
+	}
+	checkAccounting(t, c)
+
+	// Replacing a key re-accounts it instead of adding to it.
+	c.put(sizedBlob("a", 10))
+	if st := c.stats(); st.Size != 3 || st.Bytes != 2*third+10 {
+		t.Fatalf("after replacing a with 10 B: %+v", st)
+	}
+	// The replaced blob is no longer resident: its growth is not the cache's.
+	checkAccounting(t, c)
+
+	// A gzip variant that appears after insertion is accounted, and can
+	// push older entries out.
+	d, _ := c.peek("d")
+	grow(c, d, 100<<10)
+	if st := c.stats(); st.Bytes != 2*third+10+100<<10 || st.Size != 3 {
+		t.Fatalf("after d grew a 100 KiB gzip variant: %+v", st)
+	}
+	grow(c, sizedBlob("zz", 1), 1<<20) // never inserted: not the cache's business
+	a, _ := c.peek("a")
+	grow(c, a, 400<<10) // 600 + 10 + 100 + 400 KiB > 1 MiB: c, the oldest, goes
+	if c.contains("c") || !c.contains("d") || !c.contains("a") {
+		t.Fatalf("a's gzip growth must evict c alone")
+	}
+	checkAccounting(t, c)
+}
+
+// TestResultCacheOversizeNewest: a result larger than the whole budget is
+// admitted as the only entry — readable until the next one arrives — and
+// then leaves like any other.
+func TestResultCacheOversizeNewest(t *testing.T) {
+	c := newResultCache(2, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
+	c.put(sizedBlob("a", 100))
+	c.put(sizedBlob("big", 1<<20)) // budget: 512 KiB
+	if st := c.stats(); st.Size != 1 || st.Bytes != 1<<20 || !c.contains("big") {
+		t.Fatalf("oversize newest entry: %+v", st)
+	}
+	c.put(sizedBlob("c", 100))
+	if st := c.stats(); st.Size != 1 || st.Bytes != 100 || c.contains("big") {
+		t.Fatalf("after the next result: %+v", st)
+	}
+	checkAccounting(t, c)
+}
+
+// TestResultCachePutOldest: warming places results behind the ones already
+// there and refuses the first that does not fit, leaving the cache as it
+// was.
+func TestResultCachePutOldest(t *testing.T) {
+	c := newResultCache(3, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
+	if !c.putOldest(sizedBlob("new", 300<<10)) || !c.putOldest(sizedBlob("old", 300<<10)) {
+		t.Fatal("two 300 KiB results fit a 768 KiB budget")
+	}
+	if c.putOldest(sizedBlob("older", 300<<10)) {
+		t.Fatal("a third does not")
+	}
+	if !c.putOldest(sizedBlob("new", 1)) {
+		t.Fatal("a key already warm counts as warm")
+	}
+	c.put(sizedBlob("x", 300<<10)) // over budget: the least recently used goes
+	if c.contains("old") || !c.contains("new") {
+		t.Fatal("putOldest must leave the later arrival least recently used")
+	}
+	checkAccounting(t, c)
+}
+
+// TestResultCacheEvictionUnderReaders: readers copy blobs out while writers
+// evict them and gzip variants appear. A reader that got a blob keeps
+// reading the same bytes after the eviction; the books balance at the end.
+// Run under -race.
+func TestResultCacheEvictionUnderReaders(t *testing.T) {
+	c := newResultCache(4, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(w int) { // writer: keeps replacing and evicting
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				c.put(sizedBlob(keys[(i+w)%len(keys)], 200<<10))
+			}
+		}(w)
+		go func(w int) { // reader: streams whatever is resident, slowly enough to be evicted under
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				key := keys[(i*3+w)%len(keys)]
+				blob, ok := c.peek(key)
+				if !ok {
+					continue
+				}
+				grow(c, blob, 50<<10)
+				n, err := io.Copy(io.Discard, bytes.NewReader(blob.data))
+				if err != nil || n != 200<<10 || blob.data[0] != key[0] || blob.data[n-1] != key[0] {
+					t.Errorf("reader of %s saw %d bytes starting %q (err %v)", key, n, blob.data[0], err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkAccounting(t, c)
 }
 
 func normalizeOrFatal(t *testing.T, spec JobSpec) (JobSpec, string) {

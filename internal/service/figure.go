@@ -14,15 +14,19 @@ import (
 // y-axis. Multi-seed jobs render run 0 (the full data is in the JSON
 // result).
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
+	job, ok := s.pathJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errNotFound)
 		return
 	}
-	st := s.snapshotJob(job, true)
-	if st.Status != StatusDone || st.resultRaw == nil {
+	st := job.snapshot(true)
+	if st.Status != StatusDone {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; figures render once it is done", st.ID, st.Status))
+		return
+	}
+	if st.resultRaw == nil {
+		writeError(w, http.StatusConflict,
+			fmt.Errorf("job %s is done but its result is no longer held; resubmit the spec to recompute it", st.ID))
 		return
 	}
 	// A done job's figure is a pure function of the job ID (the title) and

@@ -52,10 +52,16 @@ type JobResult struct {
 	Runs   []RunResult `json:"runs"`
 }
 
-// Job is one submitted sweep.
+// Job is one submitted sweep. It owns no result bytes: a done job's result
+// is resolved by Key — the LRU, then the store — each time someone reads it.
 type Job struct {
 	ID  string
 	Key string
+
+	// srv resolves Key; num is the number in ID (0 under a foreign prefix),
+	// the listing order. Both are fixed before the job is visible.
+	srv *Server
+	num int
 
 	mu       sync.Mutex
 	spec     JobSpec
@@ -63,7 +69,6 @@ type Job struct {
 	status   Status
 	errMsg   string
 	cached   bool
-	result   *resultBlob
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -133,7 +138,7 @@ type JobStatus struct {
 // recorded row count: the log's while one exists, what the recording rule
 // fixes for a finished result (whichever sweep produced it), and what a
 // cancelled or failed sweep had recorded when it stopped.
-func (j *Job) statusLocked(includeResult bool) JobStatus {
+func (j *Job) statusLocked() JobStatus {
 	rows := j.rows
 	switch {
 	case j.log != nil:
@@ -165,18 +170,24 @@ func (j *Job) statusLocked(includeResult bool) JobStatus {
 		t := j.finished
 		st.Finished = &t
 	}
-	if includeResult && j.status == StatusDone && j.result != nil {
-		st.resultRaw = j.result.data
-	}
 	return st
 }
 
-// snapshot returns the job's current wire status; a finished job's result
-// rides along as its canonical bytes only.
+// snapshot returns the job's current wire status. With includeResult a done
+// job's canonical bytes ride along, resolved by key outside the job's lock
+// (the fall-through may read the disk). A done job whose bytes nothing
+// holds any more — the memory backend past the LRU, a blob deleted from the
+// data dir — reports its status without them.
 func (j *Job) snapshot(includeResult bool) JobStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked(includeResult)
+	st := j.statusLocked()
+	j.mu.Unlock()
+	if includeResult && st.Status == StatusDone {
+		if blob, ok := j.srv.peekResult(j.Key); ok {
+			st.resultRaw = blob.data
+		}
+	}
+	return st
 }
 
 // Snapshot returns the job's current wire status for in-process callers:
@@ -200,9 +211,10 @@ func decodeResult(data []byte) (*JobResult, error) {
 	return res, nil
 }
 
-// outcome is how a job ends: its terminal status, with the result of a done
-// job or the error of a failed or cancelled one. cached marks a result that
-// was already in the cache or the store — durable before this job asked.
+// outcome is how a job ends: its terminal status, with the fresh result of
+// a done job or the error of a failed or cancelled one. cached marks a done
+// job answered by a result already in the cache or the store — durable
+// before this job asked, so there is no blob to persist.
 type outcome struct {
 	status Status
 	blob   *resultBlob
@@ -219,18 +231,19 @@ type outcome struct {
 // fsync'd, for the file backend) before anything calls the job done, so the
 // WAL never claims a result the disk does not hold; a result that cannot be
 // stored fails the job rather than silently losing the crash-recovery
-// guarantee. Then the state is set with one reading of the clock, the job
-// table's count moves and the single-flight claim goes, the row log is
-// closed — attached readers drain it and emit the terminal row — and
-// dropped, waiters on done are released, the one terminal record is
-// journaled with the finished instant just served, and the trace, the
-// metrics and the log line follow.
+// guarantee. The blob goes to the LRU, its only owner; the job keeps the
+// key. Then the state is set with one reading of the clock, the job table's
+// count moves and the single-flight claim goes, the row log is closed —
+// attached readers drain it and emit the terminal row — and dropped,
+// waiters on done are released, the one terminal record is journaled with
+// the finished instant just served, the job joins the ageing queue (retire),
+// and the trace, the metrics and the log line follow.
 func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	if out.status == StatusDone && !out.cached {
 		if err := s.store.PutResult(job.Key, out.blob.data); err != nil {
 			out = outcome{status: StatusFailed, errMsg: fmt.Sprintf("persisting result: %v", err)}
 		} else {
-			s.cache.put(job.Key, out.blob)
+			s.cache.put(out.blob)
 			job.traceAdd(obs.StagePersisted)
 		}
 	}
@@ -241,7 +254,7 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 		return false
 	}
 	finished := time.Now()
-	job.status, job.result, job.errMsg, job.cached = out.status, out.blob, out.errMsg, out.cached
+	job.status, job.errMsg, job.cached = out.status, out.errMsg, out.cached
 	job.finished = finished
 	job.cancel = nil
 	log := job.log
@@ -255,7 +268,8 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	born := job.ID == ""
 	s.mu.Lock()
 	if born {
-		s.register(job)
+		s.assignID(job)
+		s.jobs[job.ID] = job
 	} else {
 		s.counts[from]--
 	}
@@ -285,9 +299,42 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 		rec.Spec, rec.SubmittedAt = specJSON(&job.spec), job.created.UnixNano()
 	}
 	s.journal(rec)
+	s.retire(job)
 	job.traceAdd(obs.StageResponded)
 	s.logCompletion(job)
 	return true
+}
+
+// retire queues a terminal job for ageing out and ages out the
+// oldest-finished jobs beyond Config.RetainJobs, telling the store to forget
+// each. A job is queued only after its terminal record is journaled, so the
+// store forgets it after the worker's last record of it; Submit covers its
+// own, unordered, record.
+func (s *Server) retire(job *Job) {
+	s.mu.Lock()
+	s.terminal = append(s.terminal, job)
+	s.mu.Unlock()
+	for old := s.ageOut(); old != nil; old = s.ageOut() {
+		s.store.Forget(old.ID)
+		s.met.agedOut.Inc()
+	}
+}
+
+// ageOut takes the oldest-finished job out of the table if it holds more
+// than Config.RetainJobs terminal ones: from then on the ID answers 410,
+// and the result stays addressable by its key.
+func (s *Server) ageOut() *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.terminal) <= s.cfg.RetainJobs {
+		return nil
+	}
+	old := s.terminal[0]
+	s.terminal[0] = nil
+	s.terminal = s.terminal[1:]
+	delete(s.jobs, old.ID)
+	s.counts[old.status]-- // a terminal status never changes
+	return old
 }
 
 // initialCounts resolves the spec's initial populations against the
@@ -472,8 +519,8 @@ func (s *Server) runJob(job *Job) {
 	// miss). Stream readers already parked on this job's (empty) log wake at
 	// its close and, seeing a cached result, replay the blob.
 	var out outcome
-	if blob, ok := s.peekResult(job.Key); ok {
-		out = outcome{status: StatusDone, blob: blob, cached: true}
+	if _, ok := s.peekResult(job.Key); ok {
+		out = outcome{status: StatusDone, cached: true}
 	} else {
 		killed, err := s.execute(ctx, job, log)
 		switch {
@@ -493,9 +540,9 @@ func (s *Server) runJob(job *Job) {
 // stop at their next period boundary (harness.SweepContext semantics).
 // Terminal jobs return an error.
 func (s *Server) Cancel(id string) (JobStatus, error) {
-	job, ok := s.job(id)
-	if !ok {
-		return JobStatus{}, errNotFound
+	job, err := s.job(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	// If a worker picks the job up first the claim fails, and the job is
 	// cancelled as the running one it has become.
@@ -503,7 +550,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		return job.snapshot(false), nil
 	}
 	job.mu.Lock()
-	st, cancel := job.statusLocked(false), job.cancel
+	st, cancel := job.statusLocked(), job.cancel
 	job.mu.Unlock()
 	if st.Status != StatusRunning {
 		return st, fmt.Errorf("job %s is already %s", id, st.Status)

@@ -155,7 +155,7 @@ func pickupHit(t *testing.T, srv *Server, base string, spec JobSpec) string {
 	}
 	done := waitStatus(t, tts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
 	blob, _ := twin.cache.peek(done.CacheKey)
-	srv.cache.put(done.CacheKey, blob)
+	srv.cache.put(blob)
 	release()
 	return id
 }
@@ -457,8 +457,8 @@ func TestStatsJobCountsMatchTheTable(t *testing.T) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		counts := make(map[Status]int)
-		for _, id := range srv.order {
-			counts[srv.jobs[id].snapshot(false).Status]++
+		for _, job := range srv.jobs {
+			counts[job.snapshot(false).Status]++
 		}
 		return counts
 	}

@@ -11,20 +11,22 @@ import (
 // (Server.stats), so the JSON stats and the /metrics exposition cannot
 // disagree.
 type serviceMetrics struct {
-	submitted    *obs.Counter
-	coalesced    *obs.Counter
-	rejected     *obs.Counter
-	failed       *obs.Counter
-	sweeps       *obs.Counter
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	diskHits     *obs.Counter
-	storeErrs    *obs.Counter
-	encodesSaved *obs.Counter
-	bytesServed  *obs.Counter
-	queueWait    *obs.Histogram
-	jobDuration  *obs.Histogram
-	sweepLatency *obs.HistogramVec
+	submitted      *obs.Counter
+	coalesced      *obs.Counter
+	rejected       *obs.Counter
+	failed         *obs.Counter
+	sweeps         *obs.Counter
+	agedOut        *obs.Counter
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	cacheEvictions *obs.Counter
+	diskHits       *obs.Counter
+	storeErrs      *obs.Counter
+	encodesSaved   *obs.Counter
+	bytesServed    *obs.Counter
+	queueWait      *obs.Histogram
+	jobDuration    *obs.Histogram
+	sweepLatency   *obs.HistogramVec
 }
 
 func newServiceMetrics(r *obs.Registry) *serviceMetrics {
@@ -39,10 +41,14 @@ func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 			"Jobs that reached the failed state (the bad-event count for the error-rate SLO)."),
 		sweeps: r.Counter("odeproto_sweeps_executed_total",
 			"Sweeps actually simulated (cache hits do not count)."),
+		agedOut: r.Counter("odeproto_jobs_aged_out_total",
+			"Terminal jobs aged out of the job table since start, oldest finished first, beyond -retain-jobs."),
 		cacheHits: r.Counter("odeproto_cache_hits_total",
 			"Result-cache lookups answered from the in-memory LRU."),
 		cacheMisses: r.Counter("odeproto_cache_misses_total",
 			"Result-cache lookups that missed the LRU (disk hits also count here)."),
+		cacheEvictions: r.Counter("odeproto_cache_evictions_total",
+			"Results evicted from the in-memory LRU by its entry bound or its byte budget."),
 		diskHits: r.Counter("odeproto_result_disk_hits_total",
 			"LRU misses answered from the durable result store."),
 		storeErrs: r.Counter("odeproto_store_errors_total",
@@ -72,9 +78,19 @@ func (s *Server) registerGauges(r *obs.Registry) {
 	r.GaugeFunc("odeproto_queue_capacity",
 		"Capacity of the bounded job queue.",
 		func() float64 { return float64(s.cfg.QueueDepth) })
+	r.GaugeFunc("odeproto_jobs_resident",
+		"Jobs in the job table: every queued and running job plus at most -retain-jobs terminal ones.",
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.jobs))
+		})
 	r.GaugeFunc("odeproto_cache_size",
 		"Results currently held by the in-memory LRU.",
 		func() float64 { return float64(s.cache.stats().Size) })
+	r.GaugeFunc("odeproto_cache_bytes",
+		"Result bytes held by the in-memory LRU, gzip variants included; the budget is 256 KiB per unit of -cache.",
+		func() float64 { return float64(s.cache.stats().Bytes) })
 	r.GaugeFunc("odeproto_cache_capacity",
 		"Capacity of the in-memory result LRU.",
 		func() float64 { return float64(s.cfg.CacheSize) })

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -41,24 +42,35 @@ func (s *Server) lookupResult(key string) (*resultBlob, bool) {
 	if blob, ok := s.cache.get(key); ok {
 		return blob, true
 	}
-	return s.resultFromStore(key)
+	return s.diskResult(key)
 }
 
-// peekResult is lookupResult without touching the LRU hit/miss counters,
-// for the worker's at-pickup re-check (that lookup retries a miss Submit
-// already counted).
+// peekResult is lookupResult without touching the LRU hit/miss counters:
+// the worker's at-pickup re-check (that lookup retries a miss Submit
+// already counted) and every read of a done job's bytes (Job.snapshot,
+// stream replays).
 func (s *Server) peekResult(key string) (*resultBlob, bool) {
 	if blob, ok := s.cache.peek(key); ok {
 		return blob, true
 	}
-	return s.resultFromStore(key)
+	return s.diskResult(key)
 }
 
-// resultFromStore loads a stored blob's bytes into the LRU without
-// decoding them — a json.Valid scan is all they get, since the bytes are
-// spliced verbatim into response envelopes and must at least be
-// well-formed JSON.
-func (s *Server) resultFromStore(key string) (*resultBlob, bool) {
+// diskResult is the fall-through past the LRU: the stored blob, promoted to
+// most recently used and counted as a disk hit.
+func (s *Server) diskResult(key string) (*resultBlob, bool) {
+	blob, ok := s.loadResult(key)
+	if ok {
+		s.met.diskHits.Inc()
+		s.cache.put(blob)
+	}
+	return blob, ok
+}
+
+// loadResult reads a stored blob's bytes without decoding them — a
+// json.Valid scan is all they get, since the bytes are spliced verbatim
+// into response envelopes and must at least be well-formed JSON.
+func (s *Server) loadResult(key string) (*resultBlob, bool) {
 	data, err := s.store.GetResult(key)
 	if err != nil {
 		// A plain miss is normal; an I/O failure or a blob the WAL claims
@@ -74,10 +86,7 @@ func (s *Server) resultFromStore(key string) (*resultBlob, bool) {
 		s.log.Warn("result blob corrupt", "key", key)
 		return nil, false
 	}
-	s.met.diskHits.Inc()
-	blob := newResultBlob(key, data)
-	s.cache.put(key, blob)
-	return blob, true
+	return newResultBlob(key, data), true
 }
 
 // restartableErr marks jobs the WAL caught mid-run: the sweep died with
@@ -92,120 +101,124 @@ type restartableJob struct {
 	spec JobSpec
 }
 
-// recoverJobs rebuilds the job table from the store's replayed WAL: job
-// metadata and statuses return to /v1/jobs, the most recently finished
-// results warm the LRU from disk (up to its capacity), and jobs that were
-// queued or mid-run at crash time are concluded failed-restartable — a
-// journaled transition like any other, so the next recovery replays them
-// as plain failures. Jobs the WAL already shows terminal are restored as
-// journaled; nothing is written for them. It returns the interrupted jobs
-// whose specs survived in the WAL, so New can resubmit them under
-// Config.ResumeInterrupted. Runs once, from New, before the workers start.
+// recoverJobs rebuilds the job table from the store's replayed WAL. The
+// terminal jobs are trimmed to the newest Config.RetainJobs (the store is
+// told to forget the rest) and return to /v1/jobs as journaled, nothing
+// written for them; the most recently finished results warm the LRU from
+// disk, up to its bounds; and jobs that were queued or mid-run at crash time
+// are concluded failed-restartable — a journaled transition like any other,
+// so the next recovery replays them as plain failures. It returns the
+// interrupted jobs whose specs survived in the WAL, so New can resubmit
+// them under Config.ResumeInterrupted. Runs once, from New, before the
+// workers start.
 func (s *Server) recoverJobs() []restartableJob {
 	recovered := s.store.Recovered()
 	if len(recovered) == 0 {
 		return nil
 	}
-
-	// Choose which results to warm: newest finishers first, one load per
-	// distinct key, bounded by the cache capacity.
-	type finisher struct {
-		key        string
-		finishedAt int64
-	}
-	var finishers []finisher
+	// New IDs continue past every journaled one, retained or not, and the
+	// table takes terminal jobs oldest finished first: the order they age
+	// out in.
+	sort.SliceStable(recovered, func(i, j int) bool { return recovered[i].FinishedAt < recovered[j].FinishedAt })
+	var terminal, interrupted []store.RecoveredJob
 	for _, rj := range recovered {
-		if rj.Status == store.OpDone && rj.Key != "" {
-			finishers = append(finishers, finisher{rj.Key, rj.FinishedAt})
+		s.nextID = max(s.nextID, s.idNumber(rj.ID))
+		if rj.Interrupted {
+			interrupted = append(interrupted, rj)
+		} else {
+			terminal = append(terminal, rj)
 		}
 	}
-	sort.SliceStable(finishers, func(i, j int) bool { return finishers[i].finishedAt > finishers[j].finishedAt })
-	chosen := make([]string, 0, s.cfg.CacheSize)
+	if extra := len(terminal) - s.cfg.RetainJobs; extra > 0 {
+		for _, rj := range terminal[:extra] {
+			s.store.Forget(rj.ID)
+		}
+		terminal = terminal[extra:]
+	}
+
+	// Warm newest finishers first, one load per distinct key, each placed
+	// behind the last so the newest ends most recently used; stop at the
+	// first result the LRU's bounds have no room for. Warming loads bytes
+	// only — a json.Valid scan, no decode — so startup cost is I/O, and
+	// since jobs resolve their bytes by key, warm and cold differ only in
+	// latency.
 	seen := make(map[string]bool)
-	for _, f := range finishers {
-		if len(chosen) == s.cfg.CacheSize {
-			break
-		}
-		if !seen[f.key] {
-			seen[f.key] = true
-			chosen = append(chosen, f.key)
-		}
-	}
-	// Load oldest-first so the newest result ends most recently used.
-	// Warming loads bytes only — a json.Valid scan, no decode — so startup
-	// cost is I/O. Recovered jobs hold no blob themselves: reads resolve
-	// the key (snapshotJob), so warm and cold differ only in latency.
-	for i := len(chosen) - 1; i >= 0; i-- {
-		key := chosen[i]
-		data, err := s.store.GetResult(key)
-		if err != nil || !json.Valid(data) {
+	for i := len(terminal) - 1; i >= 0; i-- {
+		rj := terminal[i]
+		if rj.Status != store.OpDone || rj.Key == "" || seen[rj.Key] {
 			continue
 		}
-		s.cache.put(key, newResultBlob(key, data))
+		seen[rj.Key] = true
+		blob, ok := s.loadResult(rj.Key)
+		if !ok {
+			continue
+		}
+		if !s.cache.putOldest(blob) {
+			break
+		}
 		s.warmed++
 	}
 
-	maxID := 0
+	for _, rj := range terminal {
+		job, _ := s.restore(rj)
+		s.terminal = append(s.terminal, job)
+		close(job.done)
+	}
 	var restartable []restartableJob
-	for _, rj := range recovered {
-		job := &Job{ID: rj.ID, Key: rj.Key, status: StatusQueued, done: make(chan struct{})}
-		if obs.ValidTraceID(rj.Trace) {
-			// Rebuild an approximate trail from the journaled timestamps:
-			// the per-stage spans died with the previous process, but the
-			// ID (and thus cross-node correlation) survives.
-			job.trace = obs.NewTrace(rj.Trace, s.cfg.Node)
-			if rj.SubmittedAt != 0 {
-				job.trace.Add(obs.StageQueued, time.Unix(0, rj.SubmittedAt))
-			}
-			if rj.FinishedAt != 0 {
-				job.trace.Add(obs.StageResponded, time.Unix(0, rj.FinishedAt))
-			}
-		}
-		specOK := false
-		if len(rj.Spec) > 0 {
-			specOK = json.Unmarshal(rj.Spec, &job.spec) == nil
-		}
-		if rj.SubmittedAt != 0 {
-			job.created = time.Unix(0, rj.SubmittedAt)
-		}
-		if rj.StartedAt != 0 {
-			job.started = time.Unix(0, rj.StartedAt)
-		}
-		if rj.FinishedAt != 0 {
-			job.finished = time.Unix(0, rj.FinishedAt)
-		}
-		switch rj.Status {
-		case store.OpRunning:
-			job.status = StatusRunning
-		case store.OpDone:
-			job.status = StatusDone
-			job.cached = rj.Cached
-		case store.OpFailed:
-			job.status = StatusFailed
-			job.errMsg = rj.Error
-		case store.OpAborted:
-			job.status = StatusCancelled
-			job.errMsg = rj.Error
-		}
-		s.jobs[job.ID] = job
-		s.order = append(s.order, job.ID)
-		s.counts[job.status]++
-		if n := s.idNumber(job.ID); n > maxID {
-			maxID = n
-		}
-		if !rj.Interrupted {
-			close(job.done)
-			continue
-		}
+	for _, rj := range interrupted {
+		job, specOK := s.restore(rj)
 		s.conclude(job, job.status, outcome{status: StatusFailed, errMsg: restartableErr})
 		if specOK {
 			restartable = append(restartable, restartableJob{job: job, spec: job.spec})
 		}
 	}
-	s.nextID = maxID
-	s.log.Info("recovered jobs from store", "jobs", len(recovered),
+	s.log.Info("recovered jobs from store", "jobs", len(terminal)+len(interrupted),
 		"warmed_results", s.warmed, "restartable", len(restartable))
 	return restartable
+}
+
+// restore enters one replayed job in the table in its journaled state, and
+// reports whether its spec survived in the WAL.
+func (s *Server) restore(rj store.RecoveredJob) (*Job, bool) {
+	job := &Job{ID: rj.ID, Key: rj.Key, srv: s, num: s.idNumber(rj.ID), status: StatusQueued, done: make(chan struct{})}
+	if obs.ValidTraceID(rj.Trace) {
+		// Rebuild an approximate trail from the journaled timestamps:
+		// the per-stage spans died with the previous process, but the
+		// ID (and thus cross-node correlation) survives.
+		job.trace = obs.NewTrace(rj.Trace, s.cfg.Node)
+		if rj.SubmittedAt != 0 {
+			job.trace.Add(obs.StageQueued, time.Unix(0, rj.SubmittedAt))
+		}
+		if rj.FinishedAt != 0 {
+			job.trace.Add(obs.StageResponded, time.Unix(0, rj.FinishedAt))
+		}
+	}
+	specOK := len(rj.Spec) > 0 && json.Unmarshal(rj.Spec, &job.spec) == nil
+	if rj.SubmittedAt != 0 {
+		job.created = time.Unix(0, rj.SubmittedAt)
+	}
+	if rj.StartedAt != 0 {
+		job.started = time.Unix(0, rj.StartedAt)
+	}
+	if rj.FinishedAt != 0 {
+		job.finished = time.Unix(0, rj.FinishedAt)
+	}
+	switch rj.Status {
+	case store.OpRunning:
+		job.status = StatusRunning
+	case store.OpDone:
+		job.status = StatusDone
+		job.cached = rj.Cached
+	case store.OpFailed:
+		job.status = StatusFailed
+		job.errMsg = rj.Error
+	case store.OpAborted:
+		job.status = StatusCancelled
+		job.errMsg = rj.Error
+	}
+	s.jobs[job.ID] = job
+	s.counts[job.status]++
+	return job, specOK
 }
 
 // resumeInterrupted resubmits the jobs a crash caught queued or mid-run,
@@ -235,32 +248,18 @@ func (s *Server) resumeInterrupted(restartable []restartableJob) {
 
 // idNumber extracts the numeric suffix of a job ID ("j000042" → 42, or
 // "n1-j000042" → 42 under Config.JobIDPrefix "n1-") so post-recovery IDs
-// continue past the recovered ones. IDs journaled under a different
-// prefix (the node's cluster position changed across the restart) return
-// 0: they stay listed but cannot collide with newly issued IDs, which
-// carry the current prefix.
+// continue past the recovered ones and the listing orders by it. IDs
+// journaled under a different prefix (the node's cluster position changed
+// across the restart) return 0: they stay listed but cannot collide with
+// newly issued IDs, which carry the current prefix.
 func (s *Server) idNumber(id string) int {
-	rest, ok := strings.CutPrefix(id, s.cfg.JobIDPrefix)
+	rest, ok := strings.CutPrefix(id, s.cfg.JobIDPrefix+"j")
 	if !ok {
 		return 0
 	}
-	var n int
-	if _, err := fmt.Sscanf(rest, "j%d", &n); err != nil {
+	n, err := strconv.Atoi(rest)
+	if err != nil || n < 0 {
 		return 0
 	}
 	return n
-}
-
-// snapshotJob is the job's wire status plus the durable fall-through: a
-// done job recovered from the WAL holds no result of its own, so its bytes
-// are resolved by key — LRU, then the result store — whenever the status
-// page, a stream replay or the figure asks.
-func (s *Server) snapshotJob(job *Job, includeResult bool) JobStatus {
-	st := job.snapshot(includeResult)
-	if includeResult && st.Status == StatusDone && st.resultRaw == nil && job.Key != "" {
-		if blob, ok := s.peekResult(job.Key); ok {
-			st.resultRaw = blob.data
-		}
-	}
-	return st
 }

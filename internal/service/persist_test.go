@@ -278,6 +278,54 @@ func TestRecoveredColdJobsStreamTheirRows(t *testing.T) {
 	}
 }
 
+// TestWarmStopsAtTheByteBudget: startup warming loads the newest finishers
+// and stops at the LRU's byte budget, not only at its entry bound — with
+// four entries and 1 MiB, three ≈ 325 KB results are warmed, newest most
+// recently used, and a result that arrives next evicts the oldest of them.
+func TestWarmStopsAtTheByteBudget(t *testing.T) {
+	dir := t.TempDir()
+	fst := openFileStore(t, dir)
+	srv1 := New(Config{Workers: 1, Store: fst})
+	var keys []string
+	for seed := int64(1); seed <= 5; seed++ {
+		job, err := srv1.Submit(rowsJob(8000, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.done
+		keys = append(keys, job.Key)
+	}
+	srv1.Close()
+	if err := fst.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fst2 := openFileStore(t, dir)
+	defer fst2.Close()
+	srv2 := New(Config{Workers: 1, CacheSize: 4, Store: fst2})
+	defer srv2.Close()
+	st := srv2.stats()
+	if st.WarmedResults != 3 || st.Cache.Size != 3 || st.Cache.Bytes > st.Cache.MaxBytes || st.Cache.Bytes < 3*300<<10 {
+		t.Fatalf("warmed %d results into %+v, want the 3 that fit 1 MiB", st.WarmedResults, st.Cache)
+	}
+	for i, key := range keys {
+		if got, want := srv2.cache.contains(key), i >= 2; got != want {
+			t.Fatalf("result %d of 5 warm = %v, want the newest three", i+1, got)
+		}
+	}
+	if st.ResultDiskHits != 0 || st.StoreErrors != 0 {
+		t.Fatalf("warming counted %d disk hits, %d store errors", st.ResultDiskHits, st.StoreErrors)
+	}
+	job, err := srv2.Submit(rowsJob(8000, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.done
+	if srv2.cache.contains(keys[2]) || !srv2.cache.contains(keys[3]) || !srv2.cache.contains(keys[4]) {
+		t.Fatal("the next result must evict the oldest warmed one")
+	}
+}
+
 // TestAsyncnetVirtualResultSurvivesRestart is the durability half of the
 // virtual-asyncnet cacheability contract: a virtual-mode asyncnet result
 // is persisted like any other deterministic engine's, so a restarted
@@ -401,16 +449,16 @@ func TestResumeInterruptedRestartsJobs(t *testing.T) {
 	if got := srv.Stats().ResumedJobs; got != 1 {
 		t.Fatalf("resumed_jobs = %d, want 1", got)
 	}
-	orig, ok := srv.job("j000003")
-	if !ok {
+	orig, err := srv.job("j000003")
+	if err != nil {
 		t.Fatal("interrupted job not recovered")
 	}
 	st := orig.Snapshot(false)
 	if st.Status != StatusFailed || !strings.Contains(st.Error, "resubmitted as j000004") {
 		t.Fatalf("interrupted original recovered as %+v", st)
 	}
-	resub, ok := srv.job("j000004")
-	if !ok {
+	resub, err := srv.job("j000004")
+	if err != nil {
 		t.Fatal("resubmitted job not registered")
 	}
 	select {
@@ -489,8 +537,8 @@ func TestRecoveryMarksInterruptedJobs(t *testing.T) {
 
 	fst2 := openFileStore(t, dir)
 	srv := New(Config{Workers: 1, Store: fst2})
-	job, ok := srv.job("j000007")
-	if !ok {
+	job, err := srv.job("j000007")
+	if err != nil {
 		t.Fatal("interrupted job not recovered")
 	}
 	st := job.Snapshot(false)

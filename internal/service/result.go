@@ -10,54 +10,79 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"odeproto/internal/store"
 )
 
-// resultBlob is all that is kept of a finished result: the canonical JSON
-// bytes — the exact bytes store.PutResult holds — plus the gzip variant,
-// built at most once. Every read of a completed job serves from one of
-// the two: GET /v1/results/{key} copies data, GET /v1/jobs/{id} splices it
-// into the status envelope, stream replays copy row bodies out of it
-// (scanResult), Accept-Encoding: gzip copies the compressed variant.
-// Nothing decoded or rendered is memoized. Fields are immutable once
-// filled, so blobs are shared freely across jobs and handlers.
+// resultBlob is a finished result in memory: the canonical JSON bytes — the
+// exact bytes store.PutResult holds — plus the gzip variant, built at most
+// once. Every read of a completed job serves from one of the two: GET
+// /v1/results/{key} copies data, GET /v1/jobs/{id} splices it into the
+// status envelope, stream replays copy row bodies out of it (scanResult),
+// Accept-Encoding: gzip copies the compressed variant. Nothing decoded or
+// rendered is memoized. The LRU is the only structure that holds blobs; a
+// handler keeps the one it is serving alive for the length of the request.
 type resultBlob struct {
 	key  string
 	data []byte // canonical JSON encoding, as persisted
 
 	gzOnce sync.Once
 	gzData []byte
+	gzLen  atomic.Int64 // len(gzData) once built, for the LRU's accounting
 }
 
 // newResultBlob wraps canonical bytes: a fresh sweep's one encode
-// (encodeResult), or a stored blob the caller has checked with json.Valid.
+// (encodeResult), or a stored blob checked with json.Valid (loadResult).
 func newResultBlob(key string, data []byte) *resultBlob {
 	return &resultBlob{key: key, data: data}
+}
+
+// size is what the blob holds in bytes: the canonical encoding plus the
+// gzip variant, if it exists yet.
+func (b *resultBlob) size() int64 { return int64(len(b.data)) + b.gzLen.Load() }
+
+// gzipWriters recycles deflate states (≈ 800 KB each) across compressions.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// gzipBytes compresses data into an exactly sized buffer: the output is
+// collected in a pooled scratch buffer and copied out, so no growth slack
+// stays attached to a blob the LRU accounts by length.
+func gzipBytes(data []byte) []byte {
+	buf := scratch.Get().(*[]byte)
+	out := bytes.NewBuffer((*buf)[:0])
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(out)
+	// Writes into a bytes.Buffer cannot fail.
+	_, _ = zw.Write(data)
+	_ = zw.Close()
+	gzipWriters.Put(zw)
+	*buf = out.Bytes()
+	gz := bytes.Clone(*buf)
+	scratch.Put(buf)
+	return gz
 }
 
 // resultGzip returns blob's gzip variant, built at most once: a persisted
 // sibling blob is preferred (so restarts warm compressed serving without
 // recompressing), otherwise the canonical bytes are compressed here and
-// written back as the sibling, best-effort.
+// written back as the sibling, best-effort. The LRU re-accounts the blob at
+// its grown size.
 func (s *Server) resultGzip(b *resultBlob) []byte {
 	b.gzOnce.Do(func() {
-		if gz, err := s.store.GetResultGzip(b.key); err == nil {
-			b.gzData = gz
-			return
+		gz, err := s.store.GetResultGzip(b.key)
+		if err != nil {
+			gz = gzipBytes(b.data)
+			if err := s.store.PutResultGzip(b.key, gz); err != nil {
+				// The sibling is only a cache of the canonical bytes; a failed
+				// write costs future recompressions, not correctness.
+				s.met.storeErrs.Inc()
+				s.log.Warn("gzip sibling write failed", "key", b.key, "err", err)
+			}
 		}
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		// Writes into a bytes.Buffer cannot fail.
-		_, _ = zw.Write(b.data)
-		_ = zw.Close()
-		b.gzData = buf.Bytes()
-		if err := s.store.PutResultGzip(b.key, b.gzData); err != nil {
-			// The sibling is only a cache of the canonical bytes; a failed
-			// write costs future recompressions, not correctness.
-			s.met.storeErrs.Inc()
-			s.log.Warn("gzip sibling write failed", "key", b.key, "err", err)
-		}
+		b.gzData = gz
+		b.gzLen.Store(int64(len(gz)))
+		s.cache.resize(b)
 	})
 	return b.gzData
 }

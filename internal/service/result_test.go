@@ -64,7 +64,7 @@ func dropFromCache(srv *Server, key string) {
 	srv.cache.mu.Lock()
 	defer srv.cache.mu.Unlock()
 	if el, ok := srv.cache.entries[key]; ok {
-		srv.cache.order.Remove(el)
+		srv.cache.bytes -= srv.cache.order.Remove(el).(*cacheEntry).size
 		delete(srv.cache.entries, key)
 	}
 }
@@ -255,7 +255,16 @@ func TestResultGzipVariant(t *testing.T) {
 			t.Fatalf("%s: gzip body does not decompress to the canonical bytes", label)
 		}
 	}
+	if st := srv.cache.stats(); st.Bytes != int64(len(canonical)) {
+		t.Fatalf("LRU accounts %d B for one %d B result", st.Bytes, len(canonical))
+	}
 	check("cache-hit gzip")
+	// The variant built after insertion is on the LRU's books, exactly
+	// sized: no growth slack rides along uncounted.
+	blob, _ := srv.cache.peek(key)
+	if st := srv.cache.stats(); st.Bytes != int64(len(canonical)+len(blob.gzData)) || cap(blob.gzData) > len(blob.gzData)+len(blob.gzData)/8+64 {
+		t.Fatalf("LRU accounts %d B for %d canonical + %d gzip bytes (cap %d)", st.Bytes, len(canonical), len(blob.gzData), cap(blob.gzData))
+	}
 
 	// The first gzip request persisted the sibling; the disk path serves it
 	// without touching the identity blob.
@@ -379,7 +388,7 @@ func TestStatusSpliceBytesAndNoDecode(t *testing.T) {
 		return rec
 	}
 
-	st := srv.snapshotJob(job, true)
+	st := job.snapshot(true)
 	if len(st.resultRaw) < 50_000 || st.Result != nil {
 		t.Fatalf("HTTP-path snapshot carries %d raw bytes and decoded result %v", len(st.resultRaw), st.Result)
 	}
@@ -395,43 +404,112 @@ func TestStatusSpliceBytesAndNoDecode(t *testing.T) {
 	}
 }
 
-// TestFinishedJobKeepsOnlyItsBytes pins the finished-job memory bound: 40
-// done 5 000-row jobs retain, per job, the canonical result bytes plus a
-// small constant — no decoded rows, no rendered lines, no slabs.
+// TestDoneJobPastTheLRU pins the memory backend's contract: a result lives
+// exactly as long as the LRU holds it. A done job whose bytes are gone
+// answers its status without a result, replays only the terminal stream
+// row and 409s its figure; resubmitting the spec recomputes identical
+// bytes under the same key.
+func TestDoneJobPastTheLRU(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, CacheSize: 1, Store: store.NewMemory()})
+	first := runSmallJob(t, ts.URL)
+	_, original := rawGet(t, ts.URL+"/v1/results/"+first.CacheKey, nil)
+	other := smallSpec()
+	other.Seed = 99
+	resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", other)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
+	}
+	waitStatus(t, ts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second) // evicts the first result
+
+	resp, data = doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+first.ID, nil)
+	if st := decodeStatus(t, data); resp.StatusCode != http.StatusOK || st.Status != StatusDone || st.Result != nil || st.Rows != first.Rows {
+		t.Fatalf("status past the LRU: %d %s", resp.StatusCode, data)
+	}
+	if lines := readStream(t, ts.URL, first.ID); len(lines) != 1 || !bytes.Contains(lines[0], []byte(`"event":"done"`)) {
+		t.Fatalf("stream past the LRU: %d lines, want the terminal row alone: %s", len(lines), bytes.Join(lines, nil))
+	}
+	if resp, body := rawGet(t, ts.URL+"/v1/jobs/"+first.ID+"/figure.svg", nil); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("figure past the LRU: %d %s", resp.StatusCode, body)
+	}
+	if resp, _ := rawGet(t, ts.URL+"/v1/results/"+first.CacheKey, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("result by key past the LRU: %d", resp.StatusCode)
+	}
+
+	sweeps := srv.SweepsExecuted()
+	resp, data = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallSpec())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit: %d %s", resp.StatusCode, data)
+	}
+	again := waitStatus(t, ts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
+	_, recomputed := rawGet(t, ts.URL+"/v1/results/"+again.CacheKey, nil)
+	if again.CacheKey != first.CacheKey || !bytes.Equal(recomputed, original) || srv.SweepsExecuted() != sweeps+1 {
+		t.Fatalf("resubmission: key %s (want %s), %d bytes (want %d), %d sweeps (want %d)",
+			again.CacheKey, first.CacheKey, len(recomputed), len(original), srv.SweepsExecuted(), sweeps+1)
+	}
+	// The old job answers with the recomputed bytes too: it resolves its key.
+	_, data = doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+first.ID, nil)
+	if st := decodeStatus(t, data); st.Result == nil {
+		t.Fatalf("the first job's status once its key is resident again: %s", data)
+	}
+}
+
+// TestFinishedJobKeepsOnlyItsBytes pins the finished-job memory bound: a
+// done job holds its key, its spec and its stamps — a constant well under
+// 4 KB — and none of its result, whatever the result's size: the bytes
+// belong to the LRU (here one entry deep, so the heap holds one result
+// before and after) and, past it, to nobody.
 func TestFinishedJobKeepsOnlyItsBytes(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	defer srv.Close()
-	run := func(seed int64) int {
-		job, err := srv.Submit(rowsJob(5000, seed))
-		if err != nil {
-			t.Fatal(err)
+	for _, rows := range []int{500, 5000} {
+		srv := New(Config{Workers: 1, CacheSize: 1})
+		run := func(seed int64) int {
+			job, err := srv.Submit(rowsJob(rows, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-job.done
+			st := job.snapshot(true)
+			if st.Status != StatusDone || len(st.resultRaw) == 0 {
+				t.Fatalf("job %s: %s %s, %d result bytes", st.ID, st.Status, st.Error, len(st.resultRaw))
+			}
+			return len(st.resultRaw)
 		}
-		<-job.done
-		st := job.snapshot(true)
-		if st.Status != StatusDone {
-			t.Fatalf("job %s: %s %s", st.ID, st.Status, st.Error)
+		run(1000) // compile memo, metric series, pools and the LRU's one entry exist before the baseline
+		before := heapAfterGC()
+		const jobs = 40
+		canonical := 0
+		for seed := int64(1); seed <= jobs; seed++ {
+			canonical += run(seed)
 		}
-		return len(st.resultRaw)
+		after := heapAfterGC()
+		perJob := (float64(after) - float64(before)) / jobs
+		t.Logf("%d rows: retained %.0f B per finished job, canonical bytes %d B", rows, perJob, canonical/jobs)
+		if perJob > 4<<10 {
+			t.Fatalf("a finished %d-row job retains %.0f B; its %d canonical bytes are the LRU's to keep, not the job's",
+				rows, perJob, canonical/jobs)
+		}
+		if st := srv.snapshotOf(t, "j000001"); st.Status != StatusDone || st.resultRaw != nil {
+			t.Fatalf("with the memory backend a done job past the LRU answers without a result: got %s with %d bytes",
+				st.Status, len(st.resultRaw))
+		}
+		srv.Close()
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC() // the first cycle's sweep and pool clearing settle in the second
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+}
+
+// snapshotOf is the HTTP-path snapshot of the job with this ID.
+func (s *Server) snapshotOf(t *testing.T, id string) JobStatus {
+	t.Helper()
+	job, err := s.job(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run(1000) // compile memo, metric series and pools exist before the baseline
-	before := heap()
-	const jobs = 40
-	canonical := 0
-	for seed := int64(1); seed <= jobs; seed++ {
-		canonical += run(seed)
-	}
-	after := heap()
-	perJob, bound := float64(after-before)/jobs, 1.25*float64(canonical)/jobs+16<<10
-	t.Logf("retained %.0f B per finished job, canonical bytes %d B (%.2f×)", perJob, canonical/jobs, perJob*jobs/float64(canonical))
-	if after > before && perJob > bound {
-		t.Fatalf("a finished job retains %.0f B, more than 1.25 × its %d canonical bytes + 16 KB", perJob, canonical/jobs)
-	}
-	runtime.KeepAlive(srv)
+	return job.snapshot(true)
+}
+
+// heapAfterGC is the live heap once a collection has settled.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle's sweep and pool clearing settle in the second
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -32,22 +32,31 @@
 // allocation, no JSON — and live /stream readers render NDJSON from the
 // slabs' published prefix on their own goroutines, one write per wake-up.
 // At completion the canonical result bytes are produced once, straight
-// from the slabs (encode.go), and the slabs are dropped: a finished job
-// keeps those bytes — the buffer the blob store persists — plus a gzip
-// variant once one is asked for, and nothing decoded or rendered, so its
-// footprint is about the size of its result. The bytes back every later
-// response (result.go): GET /v1/results/{key} copies them, job statuses
-// splice them in verbatim, stream replays copy row bodies out of them.
-// The content address doubles as a strong ETag, so If-None-Match
-// revalidations answer 304 before any result-sized buffer is touched;
-// results evicted from the LRU stream from disk through the store's
-// reader without whole-blob buffering.
+// from the slabs (encode.go), and the slabs are dropped. Those bytes — the
+// buffer the blob store persists — plus a gzip variant once one is asked
+// for, and nothing decoded or rendered, back every later response
+// (result.go): GET /v1/results/{key} copies them, job statuses splice them
+// in verbatim, stream replays copy row bodies out of them. The content
+// address doubles as a strong ETag, so If-None-Match revalidations answer
+// 304 before any result-sized buffer is touched; results evicted from the
+// LRU stream from disk through the store's reader without whole-blob
+// buffering.
+//
+// Memory is a function of the flags, not of uptime. The LRU (cache.go) is
+// the only owner of result bytes and is bounded by entries and by bytes; a
+// finished job keeps its key and a small constant, and resolves its bytes
+// through the LRU and then the store whenever a status, a replay or a
+// figure asks — with the memory backend a result therefore lives exactly as
+// long as the LRU holds it, and a done job past that answers without one.
+// Terminal jobs age out of the table oldest-finished-first beyond
+// Config.RetainJobs (retire, job.go): the ID answers 410 Gone, the result
+// stays addressable by its key, and the store forgets the job too.
 //
 // Endpoints:
 //
 //	POST   /v1/compile             ODE source → taxonomy, actions, expected flow
 //	POST   /v1/jobs                enqueue a sweep (or answer it from cache/disk)
-//	GET    /v1/jobs                list job statuses
+//	GET    /v1/jobs                list job statuses by ID, a page at a time (?limit=, ?after=)
 //	GET    /v1/jobs/{id}           status + result
 //	DELETE /v1/jobs/{id}           cancel a queued or running job
 //	GET    /v1/jobs/{id}/stream    NDJSON per-period counts as the run progresses
@@ -85,9 +94,18 @@ type Config struct {
 	// beyond it are rejected with 429 and a Retry-After derived from the
 	// windowed p95 queue wait (admission control).
 	QueueDepth int
-	// CacheSize bounds the content-addressed result cache (default 256
-	// results, LRU eviction).
+	// CacheSize bounds the content-addressed result cache, the only holder
+	// of result bytes: at most CacheSize results and CacheSize × 256 KiB of
+	// them (default 256 results, 64 MiB), least recently used evicted first.
 	CacheSize int
+	// RetainJobs bounds the terminal jobs the table keeps (default 65 536):
+	// beyond it the oldest-finished job ages out — its ID answers 410 Gone,
+	// its result stays addressable by cache key, the store forgets it — and
+	// recovery restores only the newest RetainJobs. Queued and running jobs
+	// are never aged out. Keep it above QueueDepth + Workers: then the
+	// highest ID issued is always resident, and a compacted WAL can never
+	// lead a restart to issue an ID twice.
+	RetainJobs int
 	// SweepWorkers is the harness worker-pool size each job's sweep uses
 	// (0 = all cores).
 	SweepWorkers int
@@ -138,6 +156,9 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 256
 	}
+	if c.RetainJobs <= 0 {
+		c.RetainJobs = 65536
+	}
 	if c.Limits.MaxN == 0 {
 		c.Limits.MaxN = defaultLimits.MaxN
 	}
@@ -175,7 +196,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string // insertion order, for listing
+	terminal []*Job // terminal jobs, oldest finished first: the ageing queue (retire)
 	nextID   int
 	inflight map[string]*Job // cache key → non-terminal job, for single-flight dedup
 	counts   map[Status]int  // jobs per status: moved at enqueue, pickup and conclude
@@ -195,7 +216,11 @@ type Server struct {
 	resumed int // interrupted jobs auto-resubmitted at startup
 }
 
-var errNotFound = errors.New("job not found")
+var (
+	errNotFound = errors.New("job not found")
+	// errGone answers an ID this server issued whose job has aged out.
+	errGone = errors.New("job aged out of the job table (-retain-jobs); its result is still served by cache key")
+)
 
 // New builds a Server, recovers any state the configured store journaled
 // before a restart, and starts the worker pool. Call Close to stop it.
@@ -205,7 +230,7 @@ func New(cfg Config) *Server {
 	met := newServiceMetrics(cfg.Metrics)
 	s := &Server{
 		cfg:        cfg,
-		cache:      newResultCache(cfg.CacheSize, met.cacheHits, met.cacheMisses),
+		cache:      newResultCache(cfg.CacheSize, met.cacheHits, met.cacheMisses, met.cacheEvictions),
 		store:      cfg.Store,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
@@ -266,12 +291,50 @@ func (s *Server) SweepsExecuted() int64 { return s.met.sweeps.Value() }
 // supplied, or the private default).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// job looks up a job by ID.
-func (s *Server) job(id string) (*Job, bool) {
+// job looks up a job by ID: errGone for an ID this server issued and has
+// since aged out, errNotFound for any other stranger.
+func (s *Server) job(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if j, ok := s.jobs[id]; ok {
+		return j, nil
+	}
+	if n := s.idNumber(id); n > 0 && n <= s.nextID && s.jobID(n) == id {
+		return nil, errGone
+	}
+	return nil, errNotFound
+}
+
+// pathJob resolves the {id} of a /v1/jobs/{id}... request, answering 404 or
+// 410 itself when there is no such job.
+func (s *Server) pathJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	job, err := s.job(r.PathValue("id"))
+	if err != nil {
+		writeError(w, jobErrorStatus(err), err)
+		return nil, false
+	}
+	return job, true
+}
+
+// jobErrorStatus maps a job lookup's or a Cancel's error to its HTTP status.
+func jobErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, errNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, errGone):
+		return http.StatusGone
+	default:
+		return http.StatusConflict // Cancel on a job already terminal
+	}
+}
+
+// jobID formats the n-th job ID this server issues.
+func (s *Server) jobID(n int) string { return fmt.Sprintf("%sj%06d", s.cfg.JobIDPrefix, n) }
+
+// assignID gives job the next ID. Callers hold s.mu.
+func (s *Server) assignID(job *Job) {
+	s.nextID++
+	job.num, job.ID = s.nextID, s.jobID(s.nextID)
 }
 
 // Submit validates, compiles, and registers a job. Hits in the LRU or the
@@ -303,6 +366,7 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 
 	job := &Job{
 		Key:     key,
+		srv:     s,
 		spec:    spec,
 		comp:    comp,
 		status:  StatusQueued,
@@ -311,10 +375,10 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		done:    make(chan struct{}),
 	}
 
-	if blob, ok := s.lookupResult(key); ok {
+	if _, ok := s.lookupResult(key); ok {
 		job.started = created
 		s.met.submitted.Inc()
-		s.conclude(job, StatusQueued, outcome{status: StatusDone, blob: blob, cached: true})
+		s.conclude(job, StatusQueued, outcome{status: StatusDone, cached: true})
 		return job, nil
 	}
 
@@ -346,8 +410,7 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 			return twin, nil
 		}
 	}
-	s.nextID++
-	job.ID = fmt.Sprintf("%sj%06d", s.cfg.JobIDPrefix, s.nextID)
+	s.assignID(job)
 	select {
 	case s.queue <- job:
 	default:
@@ -357,7 +420,6 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		return nil, errQueueFull
 	}
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	s.counts[StatusQueued]++
 	s.inflight[key] = job
 	s.mu.Unlock()
@@ -371,6 +433,12 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		Spec: specJSON(&spec), Trace: tr.ID, SubmittedAt: job.created.UnixNano()})
 	s.log.Info("job queued", "trace", tr.ID, "job", job.ID, "key", key,
 		"engine", spec.Engine, "mode", spec.Mode, "n", spec.N, "periods", spec.Periods, "seeds", spec.Seeds)
+	// That record was appended in no order with the worker's: if the job has
+	// already finished and aged out, the store forgot it before learning of
+	// it again here.
+	if _, err := s.job(job.ID); err != nil {
+		s.store.Forget(job.ID)
+	}
 	return job, nil
 }
 
@@ -382,16 +450,6 @@ var (
 	// (retrying against this node cannot succeed).
 	errShuttingDown = errors.New("service is shutting down")
 )
-
-// register assigns an ID to a job born terminal and enters it in the table
-// (conclude, for the submit-time hit; queued jobs register inside Submit's
-// enqueue critical section). Callers hold s.mu.
-func (s *Server) register(job *Job) {
-	s.nextID++
-	job.ID = fmt.Sprintf("%sj%06d", s.cfg.JobIDPrefix, s.nextID)
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-}
 
 // RouteKey computes the content address Submit would file spec under —
 // the same normalize-and-hash pipeline, without enqueueing anything. A
@@ -614,29 +672,74 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, st)
 }
 
+// listLimit is the default and the largest page of GET /v1/jobs.
+const listLimit = 1000
+
+// before orders jobs for the listing: by the number in the ID, so j1000000
+// follows j999999, then by the ID itself (IDs recovered under another
+// node's prefix all carry number 0).
+func before(aNum int, aID string, bNum int, bID string) bool {
+	if aNum != bNum {
+		return aNum < bNum
+	}
+	return aID < bID
+}
+
+// handleList serves one page of the job table in ID order: up to ?limit=
+// jobs (default and at most 1000) after the ID in ?after=, with a Link
+// rel="next" header when more remain. The page is selected in one walk of
+// the table that keeps the limit+1 smallest IDs seen — nothing the size of
+// the table is copied or sorted — and snapshotted outside the table's lock.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	limit := listLimit
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q: want an integer from 1 to %d", v, listLimit))
+			return
+		}
+		limit = min(n, listLimit)
+	}
+	after := q.Get("after")
+	afterNum := s.idNumber(after)
+
+	page := make([]*Job, 0, limit+2)
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, len(ids))
-	for i, id := range ids {
-		jobs[i] = s.jobs[id]
+	for _, j := range s.jobs {
+		if after != "" && !before(afterNum, after, j.num, j.ID) {
+			continue
+		}
+		if len(page) > limit && !before(j.num, j.ID, page[limit].num, page[limit].ID) {
+			continue
+		}
+		at := sort.Search(len(page), func(i int) bool { return before(j.num, j.ID, page[i].num, page[i].ID) })
+		page = append(page, nil)
+		copy(page[at+1:], page[at:])
+		page[at] = j
+		page = page[:min(len(page), limit+1)]
 	}
 	s.mu.Unlock()
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Snapshot(false)
+
+	if len(page) > limit {
+		page = page[:limit]
+		q.Set("limit", strconv.Itoa(limit))
+		q.Set("after", page[limit-1].ID)
+		w.Header().Set("Link", fmt.Sprintf(`<%s?%s>; rel="next"`, r.URL.Path, q.Encode()))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]JobStatus, len(page))
+	for i, j := range page {
+		out[i] = j.snapshot(false)
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
+	job, ok := s.pathJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errNotFound)
 		return
 	}
-	st := s.snapshotJob(job, true)
+	st := job.snapshot(true)
 	data, err := marshalNoEscape(st)
 	if err == nil && len(st.resultRaw) > 0 {
 		// The envelope is reopened and the canonical buffer copied in as
@@ -651,14 +754,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Cancel(r.PathValue("id"))
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, st)
-	case errors.Is(err, errNotFound):
-		writeError(w, http.StatusNotFound, err)
-	default:
-		writeError(w, http.StatusConflict, err)
+	if err != nil {
+		writeError(w, jobErrorStatus(err), err)
+		return
 	}
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

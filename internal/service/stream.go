@@ -34,7 +34,7 @@ type StreamRow struct {
 // The log lives while its job is queued or running. The terminal
 // transition closes it and the job drops its pointer: readers already
 // attached finish from the headers they hold, later ones replay the
-// canonical result bytes.
+// canonical result bytes, resolved by the job's key.
 type rowLog struct {
 	states []ode.Var
 	seeds  []int64 // per run
@@ -169,9 +169,8 @@ func (sw *streamWriter) live(ctx context.Context, log *rowLog) bool {
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
+	job, ok := s.pathJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -191,15 +190,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// The job is terminal from here on. A result this reader did not watch
 	// being recorded — the job was already finished, or it was answered
-	// from the cache without a sweep — replays from the canonical bytes.
-	st := s.snapshotJob(job, true)
-	if st.Status == StatusDone && (log == nil || st.Cached) && len(st.resultRaw) > 0 {
-		err := scanResult(st.resultRaw, func(run int, seed int64, body []byte) {
-			out.buf = append(append(out.line(run, seed), body...), lineEnd...)
-		})
-		if err != nil {
-			s.met.storeErrs.Inc()
-			s.log.Warn("result blob is not a canonical result", "key", st.CacheKey, "err", err)
+	// from the cache without a sweep — replays from the canonical bytes,
+	// if anything still holds them.
+	st := job.snapshot(false)
+	if st.Status == StatusDone && (log == nil || st.Cached) {
+		if blob, ok := s.peekResult(job.Key); ok {
+			err := scanResult(blob.data, func(run int, seed int64, body []byte) {
+				out.buf = append(append(out.line(run, seed), body...), lineEnd...)
+			})
+			if err != nil {
+				s.met.storeErrs.Inc()
+				s.log.Warn("result blob is not a canonical result", "key", job.Key, "err", err)
+			}
 		}
 	}
 	out.buf = appendTerminalRow(out.buf, st.Status)

@@ -26,9 +26,8 @@ type TraceStatus struct {
 // handleTrace serves a job's lifecycle spans. Jobs recovered from WAL
 // records written before tracing existed have no trace and 404.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
+	job, ok := s.pathJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errNotFound)
 		return
 	}
 	if job.trace == nil {

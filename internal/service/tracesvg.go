@@ -15,9 +15,8 @@ import (
 // subtitle. The data is the same span list GET /v1/jobs/{id}/trace
 // serves as JSON.
 func (s *Server) handleTraceSVG(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.job(r.PathValue("id"))
+	job, ok := s.pathJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, errNotFound)
 		return
 	}
 	if job.trace == nil {

@@ -58,10 +58,14 @@ type FileStore struct {
 		err       error // sticky: a failed fsync poisons the journal
 	}
 
-	jobs  map[string]*RecoveredJob // merged state, kept current across appends
-	order []string                 // first-seen order, preserved across compaction
+	// jobs is the merged state of every job not forgotten, kept current
+	// across appends; order is their first-seen order, preserved across
+	// compaction, and may name forgotten IDs until Forget next prunes it.
+	jobs  map[string]*RecoveredJob
+	order []string
 
-	recovered []RecoveredJob // state snapshot taken at Open
+	recovered  []RecoveredJob // state snapshot taken at Open, until Recovered hands it over
+	nRecovered int
 
 	records        int64
 	resultsWritten int64
@@ -117,6 +121,7 @@ func Open(dir string, opts Options) (*FileStore, error) {
 		rj.Interrupted = opRank(rj.Status) < rankTerminal
 		s.recovered = append(s.recovered, rj)
 	}
+	s.nRecovered = len(s.recovered)
 	return s, nil
 }
 
@@ -375,10 +380,33 @@ func (s *FileStore) PutResultGzip(key string, data []byte) error {
 // bytes).
 func (s *FileStore) GetResultGzip(key string) ([]byte, error) { return s.readBlob(key, ".gz") }
 
-// Recovered returns the jobs rebuilt from the WAL at Open time, in
-// first-submitted order.
+// Recovered hands over the jobs rebuilt from the WAL at Open time, in
+// first-submitted order. The store keeps only their count: a second call
+// returns nil.
 func (s *FileStore) Recovered() []RecoveredJob {
-	return append([]RecoveredJob(nil), s.recovered...)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recovered := s.recovered
+	s.recovered = nil
+	return recovered
+}
+
+// Forget drops a job from the index, so Compact no longer rewrites it. Its
+// slot in order is reclaimed once forgotten IDs outnumber the indexed ones.
+func (s *FileStore) Forget(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.jobs, id)
+	if len(s.order) > 2*len(s.jobs)+16 {
+		live := s.order[:0]
+		for _, id := range s.order {
+			if s.jobs[id] != nil {
+				live = append(live, id)
+			}
+		}
+		clear(s.order[len(live):])
+		s.order = live
+	}
 }
 
 // Compact rewrites the WAL to one snapshot record per job, dropping every
@@ -389,9 +417,12 @@ func (s *FileStore) Compact() error {
 	if s.closed {
 		return errClosed
 	}
-	recs := make([]JobRecord, 0, len(s.order))
+	recs := make([]JobRecord, 0, len(s.jobs))
 	for _, id := range s.order {
 		j := s.jobs[id]
+		if j == nil {
+			continue // forgotten
+		}
 		recs = append(recs, JobRecord{
 			Op:          j.Status,
 			ID:          j.ID,
@@ -423,7 +454,8 @@ func (s *FileStore) Stats() Stats {
 		WALSyncs:        s.wal.syncs,
 		ResultsWritten:  s.resultsWritten,
 		ResultBytes:     s.resultBytes,
-		RecoveredJobs:   len(s.recovered),
+		RecoveredJobs:   s.nRecovered,
+		IndexedJobs:     len(s.jobs),
 		TailTruncations: s.wal.truncations,
 		Compactions:     s.compactions,
 	}

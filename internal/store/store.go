@@ -107,10 +107,13 @@ type Stats struct {
 	// WALSyncs counts append-path fsyncs. Without group commit it tracks
 	// RecordsAppended one-for-one; with it, one sync covers a batch, and
 	// the gap between the two counters is the coalescing win.
-	WALSyncs        int64 `json:"wal_syncs"`
-	ResultsWritten  int64 `json:"results_written"`
-	ResultBytes     int64 `json:"result_bytes"`
-	RecoveredJobs   int   `json:"recovered_jobs"`
+	WALSyncs       int64 `json:"wal_syncs"`
+	ResultsWritten int64 `json:"results_written"`
+	ResultBytes    int64 `json:"result_bytes"`
+	RecoveredJobs  int   `json:"recovered_jobs"`
+	// IndexedJobs counts the jobs the store still indexes — every one
+	// journaled and not forgotten — which is what a compaction rewrites.
+	IndexedJobs     int   `json:"indexed_jobs"`
 	TailTruncations int64 `json:"tail_truncations"`
 	Compactions     int64 `json:"compactions"`
 }
@@ -131,11 +134,16 @@ var errClosed = errors.New("store: closed")
 // the Close). PutResultGzip/GetResultGzip store and load the gzip variant
 // of a result as a sibling blob — a pure cache of the canonical bytes, so
 // writes may be best-effort and a missing sibling is simply recompressed.
-// Recovered returns the jobs rebuilt from the log at open time, in
-// first-submitted order. Compact rewrites the log to one record per job,
-// dropping superseded transitions.
+// Recovered hands over the jobs rebuilt from the log at open time, in
+// first-submitted order: the store keeps no copy, so only the first call
+// returns them. Forget drops a job from the store's index of live jobs —
+// the service calls it as a terminal job ages out of its table — so Compact
+// stops carrying it; the job's records stay in the log until then, and its
+// result blob stays where it is. Compact rewrites the log to one record per
+// job still indexed, dropping superseded transitions.
 type Store interface {
 	Append(rec JobRecord) error
+	Forget(id string)
 	PutResult(key string, data []byte) error
 	GetResult(key string) ([]byte, error)
 	GetResultReader(key string) (io.ReadCloser, int64, error)
@@ -147,9 +155,9 @@ type Store interface {
 	Close() error
 }
 
-// memory is the no-op backend preserving the service's historical
-// in-memory behavior: lifecycle records are counted and dropped, results
-// live only in the service's LRU, and a restart forgets everything.
+// memory is the no-op backend: lifecycle records are counted and dropped,
+// a result lives only as long as the service's LRU holds it, and a restart
+// forgets everything.
 type memory struct {
 	mu      sync.Mutex
 	records int64
@@ -164,6 +172,8 @@ func (m *memory) Append(rec JobRecord) error {
 	m.records++
 	return nil
 }
+
+func (m *memory) Forget(id string) {}
 
 func (m *memory) PutResult(key string, data []byte) error { return nil }
 

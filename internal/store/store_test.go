@@ -375,6 +375,67 @@ func TestCompactionDropsSupersededRecords(t *testing.T) {
 	}
 }
 
+// TestForgetBoundsTheIndex: a forgotten job stays in the WAL until the next
+// compaction and no longer — the index, its order list and what Compact
+// rewrites all follow Forget — while its result blob stays readable; and
+// Recovered hands its slice over once, leaving the store only the count.
+func TestForgetBoundsTheIndex(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	const jobs, keep = 200, 10
+	for i := 0; i < jobs; i++ {
+		id := fmt.Sprintf("j%06d", i+1)
+		for _, rec := range lifecycle(id, "abcd") {
+			if err := s.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i >= keep {
+			s.Forget(fmt.Sprintf("j%06d", i+1-keep))
+		}
+	}
+	s.Forget("j999999") // unknown IDs are ignored
+	if err := s.PutResult("abcd", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.IndexedJobs != keep {
+		t.Fatalf("index holds %d jobs after forgetting all but the last %d", st.IndexedJobs, keep)
+	}
+	s.mu.Lock()
+	slots := len(s.order)
+	s.mu.Unlock()
+	if slots > 2*keep+16 {
+		t.Fatalf("order list holds %d IDs for %d indexed jobs", slots, keep)
+	}
+	s.Close()
+
+	// Uncompacted, the WAL still replays every job.
+	s2 := mustOpen(t, dir, Options{})
+	if got := s2.Recovered(); len(got) != jobs {
+		t.Fatalf("recovered %d jobs from the uncompacted WAL, want %d", len(got), jobs)
+	}
+	if again := s2.Recovered(); again != nil || s2.Stats().RecoveredJobs != jobs {
+		t.Fatalf("second Recovered() = %d jobs, stats count %d: want nil and %d", len(again), s2.Stats().RecoveredJobs, jobs)
+	}
+	for i := 0; i < jobs-keep; i++ {
+		s2.Forget(fmt.Sprintf("j%06d", i+1))
+	}
+	if err := s2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+
+	s3 := mustOpen(t, dir, Options{})
+	defer s3.Close()
+	got := s3.Recovered()
+	if len(got) != keep || got[0].ID != fmt.Sprintf("j%06d", jobs-keep+1) || got[keep-1].Status != OpDone {
+		t.Fatalf("after forgetting and compacting, recovered %d jobs starting at %+v", len(got), got[0])
+	}
+	if data, err := s3.GetResult("abcd"); err != nil || string(data) != `{}` {
+		t.Fatalf("result of forgotten jobs: %q, %v", data, err)
+	}
+}
+
 // lastSegment returns the path of the highest-numbered WAL segment.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
@@ -589,10 +650,11 @@ func TestGroupCommitSerialAppendDurable(t *testing.T) {
 	}
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	if got := len(s2.Recovered()); got != 11 {
+	recovered := s2.Recovered()
+	if got := len(recovered); got != 11 {
 		t.Fatalf("recovered %d jobs, want 11", got)
 	}
-	if j := s2.Recovered()[0]; j.Status != OpDone {
+	if j := recovered[0]; j.Status != OpDone {
 		t.Fatalf("j000001 recovered as %s, want done", j.Status)
 	}
 }
