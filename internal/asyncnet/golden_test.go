@@ -1,0 +1,139 @@
+package asyncnet
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
+	"runtime"
+	"sort"
+	"testing"
+
+	"odeproto/internal/core"
+	"odeproto/internal/ode"
+)
+
+// The digests below pin the absolute output of the virtual-time scheduler
+// — the stream internal/service caches asyncnet jobs under. They were
+// generated from the code as it stood before asyncnet took its compiled
+// protocol table from internal/sim and must never be edited to make a
+// change pass: a mismatch means every persisted asyncnet result is stale.
+
+// hashOutcome folds a run's observable output into h: counts in state
+// order, transition tallies sorted by edge, and the message total.
+func hashOutcome(h hash.Hash, states []ode.Var, counts map[ode.Var]int, trans map[[2]ode.Var]int, sent int) {
+	for _, s := range states {
+		fmt.Fprintf(h, "%s=%d ", s, counts[s])
+	}
+	edges := make([][2]ode.Var, 0, len(trans))
+	for k := range trans {
+		edges = append(edges, k)
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i][0] != edges[j][0] {
+			return edges[i][0] < edges[j][0]
+		}
+		return edges[i][1] < edges[j][1]
+	})
+	for _, k := range edges {
+		fmt.Fprintf(h, "%s>%s:%d ", k[0], k[1], trans[k])
+	}
+	fmt.Fprintf(h, "sent=%d\n", sent)
+}
+
+// atGOMAXPROCS runs digest at GOMAXPROCS 1 and 4 and asserts both equal
+// want: a virtual run is a pure function of its Config.
+func atGOMAXPROCS(t *testing.T, want string, digest func(t *testing.T) string) {
+	t.Helper()
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := digest(t)
+		runtime.GOMAXPROCS(prev)
+		if got != want {
+			t.Errorf("GOMAXPROCS=%d: digest %s, want %s", procs, got, want)
+		}
+	}
+}
+
+func TestGoldenVirtualRun(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func(t *testing.T) Config
+		want string
+	}{
+		{
+			// Every message kind but tokens: SampleAny queries and replies,
+			// timeouts, Push converts, with drift, loss and delay on.
+			name: "sample-any+push",
+			cfg:  endemicConfig,
+			want: "2b459b86ad8feb0ea0f50908aed1641613520641c395dd9fd99ae0d313b9cd71",
+		},
+		{
+			name: "sample+flip",
+			cfg: func(t *testing.T) Config {
+				return Config{
+					N: 400,
+					Protocol: mustTranslate(t, "x' = -4*x*y + 0.5*z\ny' = 4*x*y - 0.5*y\nz' = 0.5*y - 0.5*z",
+						core.Options{}),
+					Initial: map[ode.Var]int{"x": 300, "y": 80, "z": 20},
+					Seed:    2004,
+					Periods: 40,
+				}
+			},
+			want: "238272c1c5431c402881029cba4dd4453ee866ba3a0ca478e6fa70e3f5a52bba",
+		},
+		{
+			// Token hops forwarded until the TTL expires, over a lossy net.
+			name: "token",
+			cfg: func(t *testing.T) Config {
+				return Config{
+					N:        500,
+					Protocol: mustTranslate(t, "x' = -y^2\ny' = y^2", core.Options{}),
+					Initial:  map[ode.Var]int{"x": 450, "y": 50},
+					Seed:     17,
+					Periods:  30,
+					DropProb: 0.1,
+					TokenTTL: 4,
+				}
+			},
+			want: "3d5cd3269aebac9d394719c10b9c4eff611819ba56475ced916c8d28dd048351",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			atGOMAXPROCS(t, tc.want, func(t *testing.T) string {
+				cfg := tc.cfg(t)
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				hashOutcome(h, cfg.Protocol.States, res.Counts, res.Transitions, res.MessagesSent)
+				return fmt.Sprintf("%x", h.Sum(nil))
+			})
+		})
+	}
+}
+
+// TestGoldenRunnerSegments pins the harness adapter's segment chain: each
+// segment's seed derives from (base seed, segment index) and its initial
+// population is the previous segment's final one, hashed after every
+// segment.
+func TestGoldenRunnerSegments(t *testing.T) {
+	const want = "2d7a7233e8dd21cbebfe09c44e301454798ecde5b7408aeceaa6ad572a4274e0"
+	atGOMAXPROCS(t, want, func(t *testing.T) string {
+		cfg := endemicConfig(t)
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, periods := range []int{5, 3, 1} {
+			r.Run(periods)
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+			hashOutcome(h, cfg.Protocol.States, r.Counts(), r.TransitionsTotal(), r.MessagesSent())
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	})
+}

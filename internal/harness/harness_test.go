@@ -136,6 +136,23 @@ func TestDeriveSeedDeterministicAndDistinct(t *testing.T) {
 	if harness.DeriveSeed(1, 0) == harness.DeriveSeed(2, 0) {
 		t.Fatal("different bases produced the same seed")
 	}
+	// Absolute values: every sharded stream, asyncnet segment and derived
+	// job seed hangs off this function, so moving it moves cached results.
+	for _, pin := range []struct {
+		base int64
+		idx  int
+		want int64
+	}{
+		{42, 0, -4767286540954276203},
+		{42, 1, 2949826092126892291},
+		{2004, 7, -8169361741465525273},
+		{-1, 3, 7862637804313477842},
+		{0, 0, -2152535657050944081},
+	} {
+		if got := harness.DeriveSeed(pin.base, pin.idx); got != pin.want {
+			t.Fatalf("DeriveSeed(%d, %d) = %d, want %d", pin.base, pin.idx, got, pin.want)
+		}
+	}
 }
 
 // --- Sweep semantics ---
