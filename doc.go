@@ -13,8 +13,8 @@
 // internal/asyncnet, whose asynchronous system model runs by default on
 // a deterministic virtual-time discrete-event scheduler with the
 // goroutine-per-process wallclock runtime kept as its validation oracle;
-// internal/churn, internal/membership,
-// internal/replica, internal/mt19937, internal/stats, internal/plot), and
+// internal/churn, internal/replica, internal/mt19937, internal/stats,
+// internal/plot), and
 // the engine-agnostic experiment harness that fans those experiments out
 // across cores deterministically and cancellably (internal/harness), and
 // the HTTP compile-and-simulate service that exposes the whole pipeline as

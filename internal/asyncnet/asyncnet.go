@@ -31,12 +31,12 @@ package asyncnet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"odeproto/internal/core"
 	"odeproto/internal/mt19937"
 	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 // Mode selects the asyncnet execution substrate.
@@ -140,18 +140,10 @@ type Result struct {
 
 // pendingInstance tracks one in-flight sampling action.
 type pendingInstance struct {
-	action  *compiled
+	action  *sim.Action
 	results []int16 // observed state per sample position; -2 = missing
 	waiting int
 	decided bool
-}
-
-type compiled struct {
-	kind    core.ActionKind
-	coin    float64
-	samples []int16
-	from    int16
-	to      int16
 }
 
 // process is one asynchronous protocol participant. The protocol logic
@@ -159,12 +151,11 @@ type compiled struct {
 // interface and its own rng, so the wallclock goroutine loop and the
 // virtual event loop drive the exact same code.
 type process struct {
-	id      int
-	cfg     *Config
-	tr      transport
-	rng     prng // per-process stream (wallclock) or the run's shared stream (virtual)
-	states  []ode.Var
-	actions [][]*compiled
+	id  int
+	cfg *Config
+	tr  transport
+	rng prng       // per-process stream (wallclock) or the run's shared stream (virtual)
+	tbl *sim.Table // the compiled protocol, shared by the whole group
 
 	state       int16
 	seq         int
@@ -205,7 +196,7 @@ func (p *process) transitionTo(to int16) {
 	if p.transitions == nil {
 		p.transitions = make(map[[2]ode.Var]int, 4)
 	}
-	p.transitions[[2]ode.Var{p.states[from], p.states[to]}]++
+	p.transitions[[2]ode.Var{p.tbl.States[from], p.tbl.States[to]}]++
 }
 
 func (p *process) randomPeer() int {
@@ -232,17 +223,19 @@ func (p *process) startOffset() time.Duration {
 
 // startPeriod launches this period's actions.
 func (p *process) startPeriod() {
-	for _, a := range p.actions[p.state] {
-		switch a.kind {
+	actions := p.tbl.Actions[p.state]
+	for i := range actions {
+		a := &actions[i]
+		switch a.Kind {
 		case core.Flip:
-			if p.rng.Float64() < a.coin {
-				p.transitionTo(a.to)
+			if p.rng.Float64() < a.Coin {
+				p.transitionTo(a.To)
 			}
 		case core.Push:
-			for range a.samples {
-				if a.coin >= 1 || p.rng.Float64() < a.coin {
+			for range a.Samples {
+				if a.Coin >= 1 || p.rng.Float64() < a.Coin {
 					p.tr.send(p.randomPeer(), message{
-						kind: msgConvert, from: int32(p.id), state: a.from, convertTo: a.to,
+						kind: msgConvert, from: int32(p.id), state: a.From, convertTo: a.To,
 					})
 				}
 			}
@@ -255,14 +248,14 @@ func (p *process) startPeriod() {
 			inst := p.seq
 			pi := &pendingInstance{
 				action:  a,
-				results: make([]int16, len(a.samples)),
-				waiting: len(a.samples),
+				results: make([]int16, len(a.Samples)),
+				waiting: len(a.Samples),
 			}
 			for i := range pi.results {
 				pi.results[i] = -2
 			}
 			p.pending[inst] = pi
-			for pos := range a.samples {
+			for pos := range a.Samples {
 				p.seq++
 				qseq := p.seq
 				p.queryRoute[qseq] = [2]int{inst, pos}
@@ -287,39 +280,39 @@ func (p *process) evaluate(inst int, pi *pendingInstance) {
 	// consecutive draws after its own (see startPeriod), so no extra
 	// bookkeeping is needed; a reply arriving after this finds no route
 	// and is ignored, exactly as before.
-	for i := range a.samples {
+	for i := range a.Samples {
 		delete(p.queryRoute, inst+1+i)
 	}
-	switch a.kind {
+	switch a.Kind {
 	case core.Sample, core.Token:
-		for i, want := range a.samples {
+		for i, want := range a.Samples {
 			if pi.results[i] != want {
 				return
 			}
 		}
-		if p.rng.Float64() >= a.coin {
+		if p.rng.Float64() >= a.Coin {
 			return
 		}
-		if a.kind == core.Sample {
-			if p.state == a.from {
-				p.transitionTo(a.to)
+		if a.Kind == core.Sample {
+			if p.state == a.From {
+				p.transitionTo(a.To)
 			}
 			return
 		}
 		p.tr.send(p.randomPeer(), message{
-			kind: msgToken, from: int32(p.id), state: a.from, convertTo: a.to,
+			kind: msgToken, from: int32(p.id), state: a.From, convertTo: a.To,
 			ttl: int16(p.cfg.TokenTTL),
 		})
 	case core.SampleAny:
 		hit := false
-		for i, want := range a.samples {
+		for i, want := range a.Samples {
 			if pi.results[i] == want {
 				hit = true
 				break
 			}
 		}
-		if hit && p.rng.Float64() < a.coin && p.state == a.from {
-			p.transitionTo(a.to)
+		if hit && p.rng.Float64() < a.Coin && p.state == a.From {
+			p.transitionTo(a.To)
 		}
 	}
 }
@@ -363,24 +356,21 @@ func (p *process) handle(m message) {
 	}
 }
 
-// validate applies defaults in place and compiles the protocol: the
-// per-state action tables and the initial state of each process id
-// (processes are laid out state by state, in protocol state order).
-func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, initial []int16, err error) {
+// validate applies defaults in place and compiles the protocol and the
+// initial population into the table the group executes from.
+func (cfg *Config) validate() (*sim.Table, error) {
 	if cfg.N < 2 {
-		return nil, nil, nil, fmt.Errorf("asyncnet: group size %d too small", cfg.N)
+		return nil, fmt.Errorf("asyncnet: group size %d too small", cfg.N)
 	}
-	if cfg.Protocol == nil {
-		return nil, nil, nil, fmt.Errorf("asyncnet: nil protocol")
-	}
-	if err := cfg.Protocol.Validate(); err != nil {
-		return nil, nil, nil, fmt.Errorf("asyncnet: %w", err)
+	tbl, err := sim.Compile(cfg.Protocol, cfg.Initial, cfg.N)
+	if err != nil {
+		return nil, fmt.Errorf("asyncnet: %w", err)
 	}
 	if cfg.Periods <= 0 {
-		return nil, nil, nil, fmt.Errorf("asyncnet: periods must be positive")
+		return nil, fmt.Errorf("asyncnet: periods must be positive")
 	}
 	if cfg.Mode, err = cfg.Mode.Normalize(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if cfg.BasePeriod <= 0 {
 		cfg.BasePeriod = 2 * time.Millisecond
@@ -389,7 +379,7 @@ func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, initial 
 		cfg.Drift = 0.1
 	}
 	if cfg.Drift < 0 || cfg.Drift >= 1 {
-		return nil, nil, nil, fmt.Errorf("asyncnet: drift %v outside [0,1)", cfg.Drift)
+		return nil, fmt.Errorf("asyncnet: drift %v outside [0,1)", cfg.Drift)
 	}
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = cfg.BasePeriod / 4
@@ -400,74 +390,29 @@ func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, initial 
 	if cfg.TokenTTL > math.MaxInt16 {
 		// The transport envelope carries the TTL as an int16; a larger
 		// bound would silently wrap and kill tokens after one hop.
-		return nil, nil, nil, fmt.Errorf("asyncnet: token TTL %d exceeds the transport bound %d", cfg.TokenTTL, math.MaxInt16)
+		return nil, fmt.Errorf("asyncnet: token TTL %d exceeds the transport bound %d", cfg.TokenTTL, math.MaxInt16)
 	}
-
-	states = cfg.Protocol.States
-	stateIdx := make(map[ode.Var]int, len(states))
-	for i, s := range states {
-		stateIdx[s] = i
-	}
-	actions = make([][]*compiled, len(states))
-	for _, a := range cfg.Protocol.Actions {
-		ca := &compiled{
-			kind: a.Kind,
-			coin: a.Coin,
-			from: int16(stateIdx[a.From]),
-			to:   int16(stateIdx[a.To]),
-		}
-		for _, s := range a.Samples {
-			ca.samples = append(ca.samples, int16(stateIdx[s]))
-		}
-		owner := stateIdx[a.Owner]
-		actions[owner] = append(actions[owner], ca)
-	}
-
-	total := 0
-	// Validate in sorted-key order so which bad entry the error names is
-	// deterministic, not map-iteration-ordered.
-	initialStates := make([]string, 0, len(cfg.Initial))
-	for s := range cfg.Initial {
-		initialStates = append(initialStates, string(s))
-	}
-	sort.Strings(initialStates)
-	for _, name := range initialStates {
-		s := ode.Var(name)
-		if _, ok := stateIdx[s]; !ok {
-			return nil, nil, nil, fmt.Errorf("asyncnet: initial state %q not in protocol", s)
-		}
-		total += cfg.Initial[s]
-	}
-	if total != cfg.N {
-		return nil, nil, nil, fmt.Errorf("asyncnet: initial counts sum to %d, want %d", total, cfg.N)
-	}
-	initial = make([]int16, 0, cfg.N)
-	for i, s := range states {
-		for j := 0; j < cfg.Initial[s]; j++ {
-			initial = append(initial, int16(i))
-		}
-	}
-	return states, actions, initial, nil
+	return tbl, nil
 }
 
 // buildProcesses lays the group out as one contiguous allocation (N
-// separate process allocations are measurable GC weight at scale); the
-// caller supplies the substrate (transport) and each process's rng
-// stream. The bookkeeping maps are allocated lazily — at scale most
-// processes spend whole runs in states with no sampling actions and no
-// transitions, and 3N empty maps would be more dead GC weight.
-func buildProcesses(cfg *Config, tr transport, rngFor func(i int) prng, states []ode.Var, actions [][]*compiled, initial []int16) []*process {
+// separate process allocations are measurable GC weight at scale), state
+// by state in protocol state order; the caller supplies the substrate
+// (transport) and each process's rng stream. The bookkeeping maps are
+// allocated lazily — at scale most processes spend whole runs in states
+// with no sampling actions and no transitions, and 3N empty maps would be
+// more dead GC weight.
+func buildProcesses(cfg *Config, tr transport, rngFor func(i int) prng, tbl *sim.Table) []*process {
 	backing := make([]process, cfg.N)
 	procs := make([]*process, cfg.N)
-	for i := range backing {
+	for i, state := range tbl.Layout(cfg.N) {
 		backing[i] = process{
-			id:      i,
-			cfg:     cfg,
-			tr:      tr,
-			rng:     rngFor(i),
-			states:  states,
-			actions: actions,
-			state:   initial[i],
+			id:    i,
+			cfg:   cfg,
+			tr:    tr,
+			rng:   rngFor(i),
+			tbl:   tbl,
+			state: state,
 		}
 		procs[i] = &backing[i]
 	}
@@ -498,12 +443,12 @@ func collectResult(states []ode.Var, procs []*process, sent int) *Result {
 // Result on any machine at any GOMAXPROCS. Wallclock-mode runs schedule
 // real goroutines and are not reproducible.
 func Run(cfg Config) (*Result, error) {
-	states, actions, initial, err := cfg.validate()
+	tbl, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Mode == ModeWallclock {
-		return runWallclock(&cfg, states, actions, initial), nil
+		return runWallclock(&cfg, tbl), nil
 	}
-	return runVirtual(&cfg, states, actions, initial), nil
+	return runVirtual(&cfg, tbl), nil
 }

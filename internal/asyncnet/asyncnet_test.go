@@ -7,6 +7,7 @@ import (
 	"odeproto/internal/core"
 	"odeproto/internal/endemic"
 	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 func mustTranslate(t *testing.T, src string, opts core.Options) *core.Protocol {
@@ -225,6 +226,41 @@ func TestValidationErrorDeterministic(t *testing.T) {
 		cfg := Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 8, "w": 1, "q": 1}}
 		if _, err := Run(cfg); err == nil || err.Error() != want {
 			t.Fatalf("run %d: err = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestInitialValidationIsShared: the agent engine, Run and NewRunner take
+// their initial population through one validator (sim.Compile), so each
+// fault is rejected by all three with the same text. The negative-count
+// case is the regression: Run used to pass {x: -5, y: 15} on its sum check
+// and silently simulate {x: 0, y: 10}.
+func TestInitialValidationIsShared(t *testing.T) {
+	proto := mustTranslate(t, "x' = -x*y\ny' = x*y", core.Options{})
+	for _, tc := range []struct {
+		initial map[ode.Var]int
+		want    string
+	}{
+		{map[ode.Var]int{"x": -5, "y": 15}, `negative initial count for "x"`},
+		{map[ode.Var]int{"x": 9, "q": 1}, `initial state "q" not in protocol`},
+		{map[ode.Var]int{"x": 3, "y": 3}, `initial counts sum to 6, want 10`},
+		// Sorted-key order decides which of several faults is named.
+		{map[ode.Var]int{"y": -1, "q": 1, "x": 10}, `initial state "q" not in protocol`},
+	} {
+		_, simErr := sim.New(sim.Config{N: 10, Protocol: proto, Initial: tc.initial})
+		_, runErr := Run(Config{N: 10, Protocol: proto, Periods: 1, Initial: tc.initial})
+		_, runnerErr := NewRunner(Config{N: 10, Protocol: proto, Initial: tc.initial})
+		for _, got := range []struct {
+			entry, prefix string
+			err           error
+		}{
+			{"sim.New", "sim: ", simErr},
+			{"asyncnet.Run", "asyncnet: ", runErr},
+			{"asyncnet.NewRunner", "asyncnet: ", runnerErr},
+		} {
+			if got.err == nil || got.err.Error() != got.prefix+tc.want {
+				t.Errorf("%s(%v): err = %v, want %q", got.entry, tc.initial, got.err, got.prefix+tc.want)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"odeproto/internal/harness"
 	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 // Runner adapts the asynchronous runtime to the harness.Runner interface,
@@ -39,28 +40,17 @@ type Runner struct {
 // NewRunner builds an asynchronous harness Runner. The config's Periods
 // field is ignored; periods are supplied per Run call.
 func NewRunner(cfg Config) (*Runner, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("asyncnet: nil protocol")
-	}
-	if err := cfg.Protocol.Validate(); err != nil {
-		return nil, fmt.Errorf("asyncnet: %w", err)
-	}
 	var err error
 	if cfg.Mode, err = cfg.Mode.Normalize(); err != nil {
 		return nil, err
 	}
-	total := 0
-	counts := make(map[ode.Var]int, len(cfg.Protocol.States))
-	for _, s := range cfg.Protocol.States {
-		c := cfg.Initial[s]
-		if c < 0 {
-			return nil, fmt.Errorf("asyncnet: negative initial count for %q", s)
-		}
-		counts[s] = c
-		total += c
+	tbl, err := sim.Compile(cfg.Protocol, cfg.Initial, cfg.N)
+	if err != nil {
+		return nil, fmt.Errorf("asyncnet: %w", err)
 	}
-	if total != cfg.N {
-		return nil, fmt.Errorf("asyncnet: initial counts sum to %d, want %d", total, cfg.N)
+	counts := make(map[ode.Var]int, len(tbl.States))
+	for i, s := range tbl.States {
+		counts[s] = tbl.Initial[i]
 	}
 	return &Runner{
 		cfg:         cfg,

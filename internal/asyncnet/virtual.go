@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"odeproto/internal/mt19937"
-	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 // event is one scheduled occurrence on the virtual timeline. Events are
@@ -89,10 +89,11 @@ type virtualRunner struct {
 	freeMsg []uint32
 	scratch []event // reusable scatter buffer for sortBucket
 
-	now      time.Duration
-	rng      prng   // shared stream: network and all processes
-	seqState uint64 // splitmix64 state for tie-break sequence numbers
-	sent     int
+	now     time.Duration
+	rng     prng  // shared stream: network and all processes
+	seqBase int64 // tie-break sequence: event n gets DeriveSeed(seqBase, n)
+	seqNext int
+	sent    int
 }
 
 const ringBuckets = 1024 // ring span = 1024 bucket widths ≥ 4× the horizon
@@ -114,16 +115,13 @@ func newVirtualRunner(cfg *Config) *virtualRunner {
 	}
 }
 
-// nextSeq advances the tie-break stream (the same splitmix64 finalizer as
-// harness.DeriveSeed, truncated to 32 bits — a collision only matters for
-// two events at the same virtual instant, where it still resolves to a
-// fixed, reproducible order).
+// nextSeq advances the tie-break stream (mt19937.DeriveSeed truncated to
+// 32 bits — a collision only matters for two events at the same virtual
+// instant, where it still resolves to a fixed, reproducible order).
 func (v *virtualRunner) nextSeq() uint32 {
-	v.seqState += 0x9E3779B97F4A7C15
-	z := v.seqState
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return uint32(z ^ (z >> 31))
+	seq := mt19937.DeriveSeed(v.seqBase, v.seqNext)
+	v.seqNext++
+	return uint32(seq)
 }
 
 // park files a delivery payload in the arena and returns its event ref.
@@ -399,19 +397,19 @@ func eventLess(a, b event) bool {
 // events are scheduled, message cascades are finite (a query begets one
 // reply, token forwards are TTL-bounded, converts are terminal), and
 // every event carries a bounded delay.
-func runVirtual(cfg *Config, states []ode.Var, actions [][]*compiled, initial []int16) *Result {
-	v := drainVirtual(cfg, states, actions, initial)
-	return collectResult(states, v.procs, v.sent)
+func runVirtual(cfg *Config, tbl *sim.Table) *Result {
+	v := drainVirtual(cfg, tbl)
+	return collectResult(tbl.States, v.procs, v.sent)
 }
 
 // drainVirtual builds the scheduler and runs it to quiescence, returning
 // it with the processes in their final states (split from runVirtual so
 // tests can inspect per-process bookkeeping after a drain).
-func drainVirtual(cfg *Config, states []ode.Var, actions [][]*compiled, initial []int16) *virtualRunner {
+func drainVirtual(cfg *Config, tbl *sim.Table) *virtualRunner {
 	v := newVirtualRunner(cfg)
 	v.rng = prng{mt19937.New(cfg.Seed)}
-	v.seqState = uint64(cfg.Seed) ^ 0x6A09E667F3BCC908 // sqrt(2) salt: distinct from the MT stream
-	v.procs = buildProcesses(cfg, v, func(int) prng { return v.rng }, states, actions, initial)
+	v.seqBase = cfg.Seed ^ 0x6A09E667F3BCC908 // sqrt(2) salt: distinct from the MT stream
+	v.procs = buildProcesses(cfg, v, func(int) prng { return v.rng }, tbl)
 
 	periodsLeft := make([]int32, cfg.N)
 	for i, p := range v.procs {

@@ -239,11 +239,11 @@ func TestQueryRoutesDoNotLeak(t *testing.T) {
 		Periods:  40,
 		DropProb: 0.5, // half of all queries/replies die in transit
 	}
-	states, actions, initial, err := (&cfg).validate()
+	tbl, err := (&cfg).validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := drainVirtual(&cfg, states, actions, initial)
+	v := drainVirtual(&cfg, tbl)
 	if v.sent == 0 {
 		t.Fatal("no messages sent; leak check would be vacuous")
 	}

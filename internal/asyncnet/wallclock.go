@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"odeproto/internal/mt19937"
-	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 // network is the wallclock transport: per-process inbox channels with
@@ -115,7 +115,7 @@ func (nw *network) runProcess(ctx context.Context, p *process, finished, ticking
 // as soon as the group is quiescent: every process has executed all its
 // periods and the in-flight message counter has drained — no fixed
 // post-run sleep, no nominal-duration watchdog.
-func runWallclock(cfg *Config, states []ode.Var, actions [][]*compiled, initial []int16) *Result {
+func runWallclock(cfg *Config, tbl *sim.Table) *Result {
 	root := mt19937.New(cfg.Seed)
 	nw := &network{
 		inboxes: make([]chan message, cfg.N),
@@ -124,11 +124,11 @@ func runWallclock(cfg *Config, states []ode.Var, actions [][]*compiled, initial 
 		rng:     prng{root.Split(0)},
 	}
 	for i := range nw.inboxes {
-		nw.inboxes[i] = make(chan message, 4*cfg.N/len(states)+64)
+		nw.inboxes[i] = make(chan message, 4*cfg.N/len(tbl.States)+64)
 	}
 	procs := buildProcesses(cfg, nw, func(i int) prng {
 		return prng{root.Split(uint64(i) + 1)}
-	}, states, actions, initial)
+	}, tbl)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var finished, ticking sync.WaitGroup
@@ -151,5 +151,5 @@ func runWallclock(cfg *Config, states []ode.Var, actions [][]*compiled, initial 
 	nw.mu.Lock()
 	sent := nw.sent
 	nw.mu.Unlock()
-	return collectResult(states, procs, sent)
+	return collectResult(tbl.States, procs, sent)
 }

@@ -32,6 +32,7 @@ package harness
 import (
 	"fmt"
 
+	"odeproto/internal/mt19937"
 	"odeproto/internal/ode"
 )
 
@@ -123,13 +124,6 @@ type ProcessLister interface {
 	ProcessesIn(s ode.Var) []int
 }
 
-// DeriveSeed deterministically derives the seed for job index idx from a
-// base seed, using a splitmix64 finalizer so consecutive indices yield
-// decorrelated streams. The derivation depends only on (base, idx), never
-// on scheduling order, which is what keeps parallel sweeps reproducible.
-func DeriveSeed(base int64, idx int) int64 {
-	z := uint64(base) + uint64(idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
+// DeriveSeed derives the seed for job index idx from a base seed
+// (mt19937.DeriveSeed, re-exported where sweeps are built).
+func DeriveSeed(base int64, idx int) int64 { return mt19937.DeriveSeed(base, idx) }

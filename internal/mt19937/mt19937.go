@@ -126,3 +126,17 @@ func (m *MT19937) Split(id uint64) *MT19937 {
 	child.SeedBySlice([]uint64{m.Uint64(), id, 0x9E3779B97F4A7C15})
 	return child
 }
+
+// DeriveSeed deterministically derives the idx-th seed from a base seed:
+// output idx of the splitmix64 generator started at base, so consecutive
+// indices yield decorrelated streams. It is the one derivation behind
+// harness job seeds, the agent engine's shard streams, asyncnet segment
+// seeds and the virtual scheduler's tie-break sequence; it depends only on
+// (base, idx), never on scheduling order, which is what keeps parallel
+// execution reproducible.
+func DeriveSeed(base int64, idx int) int64 {
+	z := uint64(base) + uint64(idx+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return int64(z ^ (z >> 31))
+}

@@ -1,9 +1,8 @@
 // Package sim provides the simulation substrate the paper's evaluation
 // (§5) runs on: an agent-based synchronous-round engine that executes a
 // compiled protocol over N simulated processes (the paper tops out at
-// 100,000 hosts; the sharded execution path in shard.go takes the same
-// engine to millions), and a fast aggregate (count-based) engine for
-// large sweeps.
+// 100,000 hosts; sharded execution takes the same engine to millions), and
+// a fast aggregate (count-based) engine for large sweeps.
 //
 // The agent engine reproduces the paper's experimental environment —
 // "multiple instances running synchronously over a simulated network, all
@@ -12,13 +11,34 @@
 // connection attempt, crash-stop and crash-recovery process failures,
 // massive correlated failures (Figures 5 and 12), and trace-driven churn
 // (Figures 9 and 10).
+//
+// One interpreter (Engine.runActions) executes every agent period. It is
+// parameterised by an execution context — an index range, a Mersenne
+// Twister stream and accumulators — and runs in one of two modes, chosen
+// from Config.Shards:
+//
+//   - Inline (Shards ≤ 1): a single context spans [0, N) on the engine's
+//     main stream and its accumulators are the engine's own, so every
+//     effect is immediate — a pushed process moves, a token is delivered
+//     and OnTransition fires at the point in the period where the action
+//     fired. A hook may therefore observe and perturb the engine (freeze a
+//     process, say) mid-period, and later actions of the period see it.
+//
+//   - Deferred (Shards = K > 1): K contexts own contiguous ranges, each on
+//     its own derived stream, and run in parallel. Effects inside a
+//     context's own range are immediate; pushes landing outside it, all
+//     tokens and all hook calls are recorded and applied at a serial
+//     barrier (shard.go).
+//
+// The two modes are different, equally valid simulations of the same
+// protocol — mean-field drift is identical, the random streams are not —
+// and each is byte-reproducible from (Seed, Shards).
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"odeproto/internal/core"
 	"odeproto/internal/mt19937"
@@ -59,14 +79,12 @@ type Config struct {
 	// O(log N) exercises exactly that reduction (see the view-size
 	// ablation bench). Zero keeps full membership.
 	ViewSize int
-	// Shards partitions the N processes into this many contiguous shards,
-	// each with its own deterministically derived Mersenne Twister stream,
-	// and runs every period's action phase in parallel across the shards.
-	// Results depend only on (Seed, Shards), never on the worker count or
-	// scheduling, so a fixed K is reproducible on any machine. 0 and 1 both
-	// select the original single-stream serial engine, bit-identical to the
-	// pre-sharding implementation. See shard.go for the barrier semantics
-	// of cross-shard pushes and tokens at K > 1.
+	// Shards selects the execution mode described in the package comment:
+	// 0 and 1 run the period inline on the main stream, K > 1 partitions
+	// the processes into K contiguous shards with their own derived
+	// streams and runs the action phase in parallel. Results depend only
+	// on (Seed, Shards), never on the worker count or scheduling, and
+	// different shard counts are different streams.
 	Shards int
 	// ShardWorkers bounds the worker pool that executes the shards when
 	// Shards > 1; 0 picks min(Shards, GOMAXPROCS). It is a throughput knob
@@ -80,11 +98,9 @@ type Config struct {
 
 // Engine is an agent-based synchronous-round simulator.
 type Engine struct {
-	cfg      Config
-	states   []ode.Var
-	stateIdx map[ode.Var]int
-	actions  [][]compiledAction // actions per state index
-	rng      *rand.Rand
+	cfg Config
+	tbl *Table
+	rng *rand.Rand // main stream: views, KillFraction, Rand; the inline period too
 
 	state    []int16 // current state per process, -1 = down
 	snapshot []int16 // state at period start
@@ -93,9 +109,20 @@ type Engine struct {
 	alive    int
 	period   int
 
-	transitions map[[2]ode.Var]int // last period's transition counts
-	messages    int                // last period's connection attempts
-	tokensLost  int                // last period's dropped tokens
+	// transitions tallies the last period's transitions densely: entry
+	// from·S + to for S states.
+	transitions []int
+
+	// inline is the context whose accumulators are the engine's own and
+	// whose effects apply immediately: it runs the whole period when
+	// Shards ≤ 1 (on the main stream) and the barrier when Shards > 1 (on
+	// the barrier stream). Its messages and tokensLost are the period's
+	// totals.
+	inline execContext
+	// shards are the deferred contexts of Shards > 1 (empty otherwise);
+	// see shard.go.
+	shards       []execContext
+	shardWorkers int
 
 	// tokenPool holds, per target state, a shuffled list of candidate
 	// processes for directed token delivery, built lazily once per period
@@ -113,130 +140,78 @@ type Engine struct {
 	// actions (they still answer contacts). Models the paper's
 	// "chronically averse" heterogeneous hosts (§5.1).
 	frozen []bool
-
-	// Sharded execution state (Config.Shards > 1); see shard.go.
-	shards       []shardState
-	barrierRng   *rand.Rand // resolves cross-shard intents at the barrier
-	shardWorkers int
 }
 
-type compiledAction struct {
-	kind    core.ActionKind
-	coin    float64
-	samples []int16
-	from    int16
-	to      int16
+// execContext is what the interpreter runs against: the range of
+// processes whose actions it executes, the stream it draws from, and where
+// its bookkeeping goes.
+type execContext struct {
+	lo, hi int // owned process range [lo, hi)
+	rng    *rand.Rand
+
+	counts      []int // per-state population (inline) or delta (deferred)
+	transitions []int // dense from·S + to tallies
+	messages    int
+	tokensLost  int
+
+	// deferred marks a shard of a K > 1 engine: effects outside [lo, hi)
+	// are recorded below instead of applied, for the barrier to resolve.
+	deferred bool
+	pushes   []pushIntent
+	tokens   []tokenIntent
+	hooks    []hookEvent // recorded only when Config.OnTransition != nil
 }
 
 // New builds an engine. The protocol must validate and the initial counts
-// must sum to N.
+// must sum to N minus InitiallyDown.
 func New(cfg Config) (*Engine, error) {
 	if cfg.N <= 1 {
 		// N = 1 would make pickPeer's rng.Intn(N-1) panic: every contact
 		// action needs at least one peer other than self to sample.
 		return nil, fmt.Errorf("sim: group size %d too small (peer sampling needs N >= 2)", cfg.N)
 	}
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("sim: nil protocol")
-	}
-	if err := cfg.Protocol.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: invalid protocol: %w", err)
-	}
 	if cfg.MessageLoss < 0 || cfg.MessageLoss >= 1 {
 		return nil, fmt.Errorf("sim: message loss %v outside [0,1)", cfg.MessageLoss)
 	}
-	e := &Engine{
-		cfg:      cfg,
-		states:   cfg.Protocol.States,
-		stateIdx: make(map[ode.Var]int, len(cfg.Protocol.States)),
-		rng:      rand.New(mt19937.New(cfg.Seed)),
-	}
-	for i, s := range e.states {
-		e.stateIdx[s] = i
-	}
-	e.actions = make([][]compiledAction, len(e.states))
-	for _, a := range cfg.Protocol.Actions {
-		ca := compiledAction{
-			kind: a.Kind,
-			coin: a.Coin,
-			from: int16(e.stateIdx[a.From]),
-			to:   int16(e.stateIdx[a.To]),
-		}
-		for _, s := range a.Samples {
-			ca.samples = append(ca.samples, int16(e.stateIdx[s]))
-		}
-		owner := e.stateIdx[a.Owner]
-		e.actions[owner] = append(e.actions[owner], ca)
-	}
-
 	if cfg.InitiallyDown < 0 || cfg.InitiallyDown >= cfg.N {
 		return nil, fmt.Errorf("sim: InitiallyDown %d outside [0, N)", cfg.InitiallyDown)
 	}
-	up := cfg.N - cfg.InitiallyDown
-	total := 0
-	// Validate in sorted-key order so which bad entry the error names is
-	// deterministic, not map-iteration-ordered.
-	initialStates := make([]string, 0, len(cfg.Initial))
-	for s := range cfg.Initial {
-		initialStates = append(initialStates, string(s))
-	}
-	sort.Strings(initialStates)
-	for _, name := range initialStates {
-		s := ode.Var(name)
-		c := cfg.Initial[s]
-		if _, ok := e.stateIdx[s]; !ok {
-			return nil, fmt.Errorf("sim: initial state %q not in protocol", s)
-		}
-		if c < 0 {
-			return nil, fmt.Errorf("sim: negative initial count for %q", s)
-		}
-		total += c
-	}
-	if total != up {
-		return nil, fmt.Errorf("sim: initial counts sum to %d, want %d (N minus InitiallyDown)", total, up)
-	}
-
-	e.state = make([]int16, cfg.N)
-	e.snapshot = make([]int16, cfg.N)
-	e.moved = make([]bool, cfg.N)
-	e.counts = make([]int, len(e.states))
-	idx := 0
-	for _, s := range e.states { // deterministic layout in state order
-		c := cfg.Initial[s]
-		si := int16(e.stateIdx[s])
-		for i := 0; i < c; i++ {
-			e.state[idx] = si
-			idx++
-		}
-		e.counts[e.stateIdx[s]] = c
-	}
-	for ; idx < cfg.N; idx++ {
-		e.state[idx] = -1
-	}
-	e.alive = up
-	e.transitions = make(map[[2]ode.Var]int)
-	e.frozen = make([]bool, cfg.N)
-	e.tokenPool = make([][]int, len(e.states))
-	e.tokenCursor = make([]int, len(e.states))
-	e.tokenBuilt = make([]bool, len(e.states))
-
 	if cfg.Shards < 0 || cfg.Shards > cfg.N {
 		return nil, fmt.Errorf("sim: shard count %d outside [0, N = %d]", cfg.Shards, cfg.N)
 	}
+	if cfg.ViewSize >= cfg.N {
+		return nil, fmt.Errorf("sim: view size %d must be below N = %d", cfg.ViewSize, cfg.N)
+	}
+	tbl, err := Compile(cfg.Protocol, cfg.Initial, cfg.N-cfg.InitiallyDown)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	states := len(tbl.States)
+	e := &Engine{
+		cfg:         cfg,
+		tbl:         tbl,
+		rng:         rand.New(mt19937.New(cfg.Seed)),
+		state:       tbl.Layout(cfg.N), // deterministic layout in state order
+		snapshot:    make([]int16, cfg.N),
+		moved:       make([]bool, cfg.N),
+		counts:      append([]int(nil), tbl.Initial...),
+		alive:       cfg.N - cfg.InitiallyDown,
+		transitions: make([]int, states*states),
+		frozen:      make([]bool, cfg.N),
+		tokenPool:   make([][]int, states),
+		tokenCursor: make([]int, states),
+		tokenBuilt:  make([]bool, states),
+	}
+	e.inline = execContext{lo: 0, hi: cfg.N, rng: e.rng, counts: e.counts, transitions: e.transitions}
 	if cfg.Shards > 1 {
 		e.initShards()
 	}
 
 	if cfg.ViewSize > 0 {
-		if cfg.ViewSize >= cfg.N {
-			return nil, fmt.Errorf("sim: view size %d must be below N = %d", cfg.ViewSize, cfg.N)
-		}
 		e.views = make([]int32, cfg.N*cfg.ViewSize)
 		seen := make(map[int32]bool, cfg.ViewSize)
 		for p := 0; p < cfg.N; p++ {
-			for k := range seen {
-				delete(seen, k)
-			}
+			clear(seen)
 			row := e.views[p*cfg.ViewSize : (p+1)*cfg.ViewSize]
 			for i := 0; i < cfg.ViewSize; {
 				t := int32(e.rng.Intn(cfg.N))
@@ -263,7 +238,7 @@ func (e *Engine) Alive() int { return e.alive }
 
 // Count returns the number of alive processes in the given state.
 func (e *Engine) Count(s ode.Var) int {
-	i, ok := e.stateIdx[s]
+	i, ok := e.tbl.Index[s]
 	if !ok {
 		return 0
 	}
@@ -272,8 +247,8 @@ func (e *Engine) Count(s ode.Var) int {
 
 // Counts returns the alive count of every state.
 func (e *Engine) Counts() map[ode.Var]int {
-	out := make(map[ode.Var]int, len(e.states))
-	for i, s := range e.states {
+	out := make(map[ode.Var]int, len(e.tbl.States))
+	for i, s := range e.tbl.States {
 		out[s] = e.counts[i]
 	}
 	return out
@@ -281,14 +256,14 @@ func (e *Engine) Counts() map[ode.Var]int {
 
 // Fractions returns state occupancy as fractions of alive processes.
 func (e *Engine) Fractions() map[ode.Var]float64 {
-	out := make(map[ode.Var]float64, len(e.states))
+	out := make(map[ode.Var]float64, len(e.tbl.States))
 	if e.alive == 0 {
-		for _, s := range e.states {
+		for _, s := range e.tbl.States {
 			out[s] = 0
 		}
 		return out
 	}
-	for i, s := range e.states {
+	for i, s := range e.tbl.States {
 		out[s] = float64(e.counts[i]) / float64(e.alive)
 	}
 	return out
@@ -299,12 +274,12 @@ func (e *Engine) StateOf(p int) ode.Var {
 	if e.state[p] < 0 {
 		return Down
 	}
-	return e.states[e.state[p]]
+	return e.tbl.States[e.state[p]]
 }
 
 // ProcessesIn returns the indices of alive processes currently in state s.
 func (e *Engine) ProcessesIn(s ode.Var) []int {
-	si, ok := e.stateIdx[s]
+	si, ok := e.tbl.Index[s]
 	if !ok {
 		return nil
 	}
@@ -321,18 +296,26 @@ func (e *Engine) ProcessesIn(s ode.Var) []int {
 }
 
 // TransitionsLastPeriod returns the per-edge transition counts of the most
-// recent period. The map is reused across periods; callers must not retain
-// it.
-func (e *Engine) TransitionsLastPeriod() map[[2]ode.Var]int { return e.transitions }
+// recent period: a fresh map holding the edges that fired.
+func (e *Engine) TransitionsLastPeriod() map[[2]ode.Var]int {
+	out := make(map[[2]ode.Var]int)
+	states := e.tbl.States
+	for i, c := range e.transitions {
+		if c != 0 {
+			out[[2]ode.Var{states[i/len(states)], states[i%len(states)]}] = c
+		}
+	}
+	return out
+}
 
 // MessagesLastPeriod returns the number of connection attempts (sampling
 // contacts, push contacts, and token hops) of the most recent period — the
 // §3 message-complexity measure, observed.
-func (e *Engine) MessagesLastPeriod() int { return e.messages }
+func (e *Engine) MessagesLastPeriod() int { return e.inline.messages }
 
 // TokensLostLastPeriod returns tokens dropped in the most recent period
 // (no process in the target state, or TTL expiry).
-func (e *Engine) TokensLostLastPeriod() int { return e.tokensLost }
+func (e *Engine) TokensLostLastPeriod() int { return e.inline.tokensLost }
 
 // Freeze pins process p in its current state: it executes no actions and
 // cannot be moved by pushes or tokens, but remains alive and keeps
@@ -391,7 +374,7 @@ func (e *Engine) Revive(p int, s ode.Var) error {
 	if e.state[p] >= 0 {
 		return fmt.Errorf("sim: process %d is already alive", p)
 	}
-	si, ok := e.stateIdx[s]
+	si, ok := e.tbl.Index[s]
 	if !ok {
 		return fmt.Errorf("sim: unknown state %q", s)
 	}
@@ -404,84 +387,95 @@ func (e *Engine) Revive(p int, s ode.Var) error {
 // pickPeer draws a uniform contact target for self: from the whole group
 // under maximal membership, or from self's partial view when ViewSize is
 // configured.
-func (e *Engine) pickPeer(self int) int {
+func (e *Engine) pickPeer(cx *execContext, self int) int {
 	if e.views != nil {
 		k := e.cfg.ViewSize
-		return int(e.views[self*k+e.rng.Intn(k)])
+		return int(e.views[self*k+cx.rng.Intn(k)])
 	}
-	t := e.rng.Intn(e.cfg.N - 1)
+	t := cx.rng.Intn(e.cfg.N - 1)
 	if t >= self {
 		t++
 	}
 	return t
 }
 
-// sampleTarget picks a contact target other than self. Crashed targets
+// samplePeer contacts a target other than self and returns it with the
+// state index observed, or -1 when nothing was observed. Crashed targets
 // are legitimate picks (the connection is simply fruitless, as in the
-// paper's massive-failure analysis). A message-loss coin may also void the
-// attempt. It returns the observed state index, or -1 when nothing was
-// observed.
-func (e *Engine) sampleTarget(self int) int16 {
-	e.messages++
-	t := e.pickPeer(self)
-	if e.cfg.MessageLoss > 0 && e.rng.Float64() < e.cfg.MessageLoss {
-		return -1
-	}
-	return e.snapshot[t]
-}
-
-// samplePeer is like sampleTarget but also returns the peer index (used by
-// Push, which mutates the peer).
-func (e *Engine) samplePeer(self int) (int, int16) {
-	e.messages++
-	t := e.pickPeer(self)
-	if e.cfg.MessageLoss > 0 && e.rng.Float64() < e.cfg.MessageLoss {
+// paper's massive-failure analysis), and a message-loss coin may void the
+// attempt. Observations read the period-start snapshot.
+func (e *Engine) samplePeer(cx *execContext, self int) (int, int16) {
+	cx.messages++
+	t := e.pickPeer(cx, self)
+	if e.cfg.MessageLoss > 0 && cx.rng.Float64() < e.cfg.MessageLoss {
 		return t, -1
 	}
 	return t, e.snapshot[t]
 }
 
-// transition moves process p from state index `from` to `to`, firing the
-// hook.
-func (e *Engine) transition(p int, from, to int16) {
-	e.state[p] = to
-	e.counts[from]--
-	e.counts[to]++
-	e.moved[p] = true
-	key := [2]ode.Var{e.states[from], e.states[to]}
-	e.transitions[key]++
-	if e.cfg.OnTransition != nil {
-		e.cfg.OnTransition(p, e.states[from], e.states[to], e.period)
+// sampleTarget is samplePeer for actions that only need the observation.
+func (e *Engine) sampleTarget(cx *execContext, self int) int16 {
+	_, observed := e.samplePeer(cx, self)
+	return observed
+}
+
+// sampledAll contacts one target per entry of a.Samples, in order, and
+// reports whether each was observed in the wanted state; it stops at the
+// first mismatch, as the One-Time-Sampling action does.
+func (e *Engine) sampledAll(cx *execContext, self int, a *Action) bool {
+	for _, want := range a.Samples {
+		if e.sampleTarget(cx, self) != want {
+			return false
+		}
 	}
+	return true
+}
+
+// transition moves process p from state index `from` to `to`. The hook
+// fires here when the context is inline and at the barrier otherwise.
+func (e *Engine) transition(cx *execContext, p int, from, to int16) {
+	e.state[p] = to
+	e.moved[p] = true
+	cx.counts[from]--
+	cx.counts[to]++
+	cx.transitions[int(from)*len(e.tbl.States)+int(to)]++
+	if e.cfg.OnTransition == nil {
+		return
+	}
+	if cx.deferred {
+		cx.hooks = append(cx.hooks, hookEvent{proc: p, from: from, to: to})
+		return
+	}
+	e.cfg.OnTransition(p, e.tbl.States[from], e.tbl.States[to], e.period)
 }
 
 // deliverToken routes a token targeting state `from`; on success some
-// process in that state transitions to `to`. All randomness is drawn from
-// rng — the serial engine passes its main stream, the sharded barrier its
-// dedicated barrier stream.
-func (e *Engine) deliverToken(rng *rand.Rand, from, to int16) {
+// process in that state transitions to `to`. Delivery needs the live state
+// of the whole group, so only the inline context delivers.
+func (e *Engine) deliverToken(from, to int16) {
+	cx := &e.inline
 	if e.cfg.TokenTTL > 0 {
 		// Random-walk delivery: hop until a matching process is found or
 		// the TTL expires. Each hop is a connection attempt.
 		for ttl := e.cfg.TokenTTL; ttl > 0; ttl-- {
-			e.messages++
-			t := rng.Intn(e.cfg.N)
-			if e.cfg.MessageLoss > 0 && rng.Float64() < e.cfg.MessageLoss {
+			cx.messages++
+			t := cx.rng.Intn(e.cfg.N)
+			if e.cfg.MessageLoss > 0 && cx.rng.Float64() < e.cfg.MessageLoss {
 				continue
 			}
 			if e.state[t] == from && !e.moved[t] && !e.frozen[t] {
-				e.transition(t, from, to)
+				e.transition(cx, t, from, to)
 				return
 			}
 		}
-		e.tokensLost++
+		cx.tokensLost++
 		return
 	}
 	// Directed delivery via membership: pick uniformly among current
 	// holders of the state. §6 allows maintaining this knowledge through a
 	// membership protocol; the engine models it as an oracle. The shuffled
 	// candidate pool is built once per period per target state.
-	e.messages++
+	cx.messages++
 	if !e.tokenBuilt[from] {
 		pool := e.tokenPool[from][:0]
 		for p, st := range e.state {
@@ -489,7 +483,7 @@ func (e *Engine) deliverToken(rng *rand.Rand, from, to int16) {
 				pool = append(pool, p)
 			}
 		}
-		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		cx.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		e.tokenPool[from] = pool
 		e.tokenCursor[from] = 0
 		e.tokenBuilt[from] = true
@@ -503,11 +497,11 @@ func (e *Engine) deliverToken(rng *rand.Rand, from, to int16) {
 		// built (e.g. by an OnTransition hook mid-period) must not be moved
 		// by a token, just as a process that moved since cannot be.
 		if e.state[p] == from && !e.moved[p] && !e.frozen[p] {
-			e.transition(p, from, to)
+			e.transition(cx, p, from, to)
 			return
 		}
 	}
-	e.tokensLost++
+	cx.tokensLost++
 }
 
 // Step executes one protocol period: every alive process runs the actions
@@ -516,92 +510,96 @@ func (e *Engine) deliverToken(rng *rand.Rand, from, to int16) {
 // analysis assumption that variables change continuously on period scale).
 // A process transitions at most once per period; the first firing action
 // wins.
-//
-// With Config.Shards > 1 the period runs on the sharded parallel path
-// (stepSharded in shard.go); otherwise the original single-stream serial
-// loop below runs, bit-identical to the pre-sharding engine.
 func (e *Engine) Step() {
-	if len(e.shards) > 1 {
-		e.stepSharded()
-		return
-	}
 	copy(e.snapshot, e.state)
-	for k := range e.transitions {
-		delete(e.transitions, k)
+	clear(e.transitions)
+	clear(e.tokenBuilt)
+	clear(e.moved)
+	e.inline.messages, e.inline.tokensLost = 0, 0
+	if len(e.shards) == 0 {
+		e.runActions(&e.inline)
+	} else {
+		e.runShards()
+		e.barrier()
 	}
-	e.messages = 0
-	e.tokensLost = 0
-	for i := range e.tokenBuilt {
-		e.tokenBuilt[i] = false
-	}
-	for p := range e.moved {
-		e.moved[p] = false
-	}
+	e.period++
+}
 
-	for p := 0; p < e.cfg.N; p++ {
+// runActions is the action interpreter: it executes the period's actions
+// for the processes cx owns. It may read the snapshot, views and frozen
+// flags of any process; it writes state/moved only inside [cx.lo, cx.hi)
+// and otherwise only cx's own accumulators, which is what lets deferred
+// contexts run in parallel.
+func (e *Engine) runActions(cx *execContext) {
+	for p := cx.lo; p < cx.hi; p++ {
 		si := e.snapshot[p]
 		if si < 0 || e.frozen[p] {
 			continue
 		}
-		for _, a := range e.actions[si] {
-			if e.moved[p] && a.kind != core.Push && a.kind != core.Token {
+		actions := e.tbl.Actions[si]
+		for i := range actions {
+			a := &actions[i]
+			if e.moved[p] && a.Kind != core.Push && a.Kind != core.Token {
 				// Owner already transitioned this period; push/token
 				// actions still run because they move other processes.
 				continue
 			}
-			switch a.kind {
+			switch a.Kind {
 			case core.Flip:
-				if e.rng.Float64() < a.coin {
-					e.transition(p, si, a.to)
+				if cx.rng.Float64() < a.Coin {
+					e.transition(cx, p, si, a.To)
 				}
 			case core.Sample:
-				ok := true
-				for _, want := range a.samples {
-					if e.sampleTarget(p) != want {
-						ok = false
-						break
-					}
+				if e.sampledAll(cx, p, a) && cx.rng.Float64() < a.Coin {
+					e.transition(cx, p, si, a.To)
 				}
-				if ok && e.rng.Float64() < a.coin {
-					e.transition(p, si, a.to)
+			case core.Token:
+				if e.sampledAll(cx, p, a) && cx.rng.Float64() < a.Coin {
+					if cx.deferred {
+						cx.tokens = append(cx.tokens, tokenIntent{from: a.From, to: a.To})
+					} else {
+						e.deliverToken(a.From, a.To)
+					}
 				}
 			case core.SampleAny:
 				// All len(samples) contacts are attempted, as in the
 				// paper's action (iii); the process fires if any target
 				// matches.
 				hit := false
-				for _, want := range a.samples {
-					if e.sampleTarget(p) == want {
+				for _, want := range a.Samples {
+					if e.sampleTarget(cx, p) == want {
 						hit = true
 					}
 				}
-				if hit && e.rng.Float64() < a.coin {
-					e.transition(p, si, a.to)
+				if hit && cx.rng.Float64() < a.Coin {
+					e.transition(cx, p, si, a.To)
 				}
 			case core.Push:
-				for range a.samples {
-					t, observed := e.samplePeer(p)
-					if observed == a.from && e.state[t] == a.from && !e.moved[t] && !e.frozen[t] {
-						if a.coin >= 1 || e.rng.Float64() < a.coin {
-							e.transition(t, a.from, a.to)
+				for range a.Samples {
+					t, observed := e.samplePeer(cx, p)
+					if observed != a.From || e.frozen[t] {
+						continue
+					}
+					if cx.lo <= t && t < cx.hi {
+						// The target's live state is this context's to
+						// read and write: land the push now.
+						if e.state[t] == a.From && !e.moved[t] {
+							if a.Coin >= 1 || cx.rng.Float64() < a.Coin {
+								e.transition(cx, t, a.From, a.To)
+							}
 						}
+					} else if a.Coin >= 1 || cx.rng.Float64() < a.Coin {
+						// The target belongs to another shard, so the coin
+						// is drawn against the snapshot observation
+						// (keeping this stream's consumption independent of
+						// the other shards) and the landing re-checked at
+						// the barrier.
+						cx.pushes = append(cx.pushes, pushIntent{target: t, from: a.From, to: a.To})
 					}
-				}
-			case core.Token:
-				ok := true
-				for _, want := range a.samples {
-					if e.sampleTarget(p) != want {
-						ok = false
-						break
-					}
-				}
-				if ok && e.rng.Float64() < a.coin {
-					e.deliverToken(e.rng, a.from, a.to)
 				}
 			}
 		}
 	}
-	e.period++
 }
 
 // Run executes the given number of periods.

@@ -35,18 +35,10 @@ func goldenProto(t *testing.T, src string, params map[string]float64) *core.Prot
 	return proto
 }
 
-// traceEngine is what a per-period trace reads; *sim.Engine implements it.
-type traceEngine interface {
-	Count(ode.Var) int
-	MessagesLastPeriod() int
-	TokensLostLastPeriod() int
-	TransitionsLastPeriod() map[[2]ode.Var]int
-}
-
 // hashPeriod folds one period's observable output into h: counts in state
 // order, the message and lost-token counters, and the transition tallies
 // sorted by edge.
-func hashPeriod(h hash.Hash, states []ode.Var, e traceEngine) {
+func hashPeriod(h hash.Hash, states []ode.Var, e *sim.Engine) {
 	for _, s := range states {
 		fmt.Fprintf(h, "%s=%d ", s, e.Count(s))
 	}

@@ -5,29 +5,28 @@ import (
 	"runtime"
 	"sync"
 
-	"odeproto/internal/core"
 	"odeproto/internal/mt19937"
-	"odeproto/internal/ode"
 )
 
-// Sharded execution (Config.Shards = K > 1).
+// Sharded execution (Config.Shards = K > 1): the deferred mode of the
+// interpreter in engine.go.
 //
 // The N processes are partitioned into K contiguous shards. Each shard
 // owns a Mersenne Twister stream derived from (Config.Seed, shard index)
-// with the same splitmix64 finalizer the harness uses for job seeds, so
-// the K streams are decorrelated and depend only on the configuration —
-// never on scheduling. A period then runs in two phases:
+// with mt19937.DeriveSeed, so the K streams are decorrelated and depend
+// only on the configuration — never on scheduling. A period then runs in
+// two phases:
 //
-//  1. Action phase, parallel across a worker pool: every shard walks its
-//     own processes against the shared period-start snapshot. Observations
-//     (sampling contacts) read the snapshot, which is immutable during the
-//     phase, so any process may be observed. Mutations are confined to
-//     shard-owned memory: a shard writes state/moved only for its own
-//     index range and accumulates counts, transition tallies, and message
-//     counters in shard-local buffers. Effects that would cross a shard
-//     boundary — a Push landing on another shard's process, or a token
-//     (whose candidate pool spans the whole group) — are recorded as
-//     intents instead of applied.
+//  1. Action phase, parallel across a worker pool: every shard runs the
+//     interpreter over its own processes against the shared period-start
+//     snapshot. Observations (sampling contacts) read the snapshot, which
+//     is immutable during the phase, so any process may be observed.
+//     Mutations are confined to shard-owned memory: a shard writes
+//     state/moved only for its own index range and accumulates count
+//     deltas, transition tallies, and message counters in its own context.
+//     Effects that would cross a shard boundary — a Push landing on
+//     another shard's process, or a token (whose candidate pool spans the
+//     whole group) — are recorded as intents instead of applied.
 //
 //  2. Barrier, serial: shard accumulators merge in shard order, buffered
 //     cross-shard pushes are re-checked against the live state and
@@ -40,27 +39,10 @@ import (
 // serial order, the result for a given (Seed, Shards) is byte-identical at
 // any ShardWorkers value — the same contract harness.Sweep gives jobs.
 //
-// K > 1 is a slightly different (equally valid) simulation of the same
-// protocol than the serial engine, not a reordering of it: intra-shard
-// pushes see in-period state as before, while cross-shard pushes draw
-// their coin against the snapshot and are applied at the barrier, and all
-// tokens resolve at the barrier. Mean-field drift is unchanged; pinned
+// Intra-shard pushes see in-period state as an inline period does, while
+// cross-shard pushes draw their coin against the snapshot and are applied
+// at the barrier, and all tokens resolve at the barrier; pinned
 // expectations must be regenerated per K.
-
-// shardState is one shard's private execution state and accumulators.
-type shardState struct {
-	lo, hi int // owned process range [lo, hi)
-	rng    *rand.Rand
-
-	countsDelta []int
-	transitions map[[2]int16]int
-	messages    int
-	tokensLost  int
-
-	pushes []pushIntent
-	tokens []tokenIntent
-	hooks  []hookEvent // recorded only when Config.OnTransition != nil
-}
 
 // pushIntent is a Push that fired against a process of another shard; the
 // coin has already been drawn, eligibility is re-checked at the barrier.
@@ -80,110 +62,79 @@ type hookEvent struct {
 	from, to int16
 }
 
-// deriveSeed is the splitmix64 finalizer the harness uses for job seeds
-// (harness.DeriveSeed), duplicated here so the sim package stays free of a
-// harness dependency while shard streams follow the same derivation.
-func deriveSeed(base int64, idx int) int64 {
-	z := uint64(base) + uint64(idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
-// initShards builds the K shard states, their derived RNG streams, and
-// the barrier stream (derived with index K, one past the last shard).
+// initShards builds the K shard contexts on their derived streams and
+// moves the inline context onto the barrier stream (derived with index K,
+// one past the last shard).
 func (e *Engine) initShards() {
 	k := e.cfg.Shards
 	size := (e.cfg.N + k - 1) / k
-	e.shards = make([]shardState, k)
-	for s := 0; s < k; s++ {
-		lo := s * size
-		if lo > e.cfg.N {
-			lo = e.cfg.N
-		}
-		hi := lo + size
-		if hi > e.cfg.N {
-			hi = e.cfg.N
-		}
-		e.shards[s] = shardState{
+	states := len(e.tbl.States)
+	e.shards = make([]execContext, k)
+	for s := range e.shards {
+		lo := min(s*size, e.cfg.N)
+		e.shards[s] = execContext{
 			lo:          lo,
-			hi:          hi,
-			rng:         rand.New(mt19937.New(deriveSeed(e.cfg.Seed, s))),
-			countsDelta: make([]int, len(e.states)),
-			transitions: make(map[[2]int16]int),
+			hi:          min(lo+size, e.cfg.N),
+			rng:         rand.New(mt19937.New(mt19937.DeriveSeed(e.cfg.Seed, s))),
+			counts:      make([]int, states),
+			transitions: make([]int, states*states),
+			deferred:    true,
 		}
 	}
-	e.barrierRng = rand.New(mt19937.New(deriveSeed(e.cfg.Seed, k)))
+	e.inline.rng = rand.New(mt19937.New(mt19937.DeriveSeed(e.cfg.Seed, k)))
 	w := e.cfg.ShardWorkers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > k {
-		w = k
-	}
-	e.shardWorkers = w
+	e.shardWorkers = min(w, k)
 }
 
-// stepSharded executes one protocol period on the sharded path.
-func (e *Engine) stepSharded() {
-	copy(e.snapshot, e.state)
-	for k := range e.transitions {
-		delete(e.transitions, k)
-	}
-	e.messages = 0
-	e.tokensLost = 0
-	for i := range e.tokenBuilt {
-		e.tokenBuilt[i] = false
-	}
-	for p := range e.moved {
-		e.moved[p] = false
-	}
-
-	// Phase 1: the action phase fans the shards across the worker pool.
-	// Shards are independent, so which worker runs which shard (and in
-	// what order) cannot affect the outcome.
+// runShards is phase 1: the action phase fans the shards across the worker
+// pool. Shards are independent, so which worker runs which shard (and in
+// what order) cannot affect the outcome.
+func (e *Engine) runShards() {
 	if e.shardWorkers <= 1 {
 		for s := range e.shards {
-			e.runShard(&e.shards[s])
+			e.runActions(&e.shards[s])
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(e.shardWorkers)
-		for w := 0; w < e.shardWorkers; w++ {
-			go func() {
-				defer wg.Done()
-				for s := range idx {
-					e.runShard(&e.shards[s])
-				}
-			}()
-		}
-		for s := range e.shards {
-			idx <- s
-		}
-		close(idx)
-		wg.Wait()
+		return
 	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(e.shardWorkers)
+	for w := 0; w < e.shardWorkers; w++ {
+		go func() {
+			defer wg.Done()
+			for s := range idx {
+				e.runActions(&e.shards[s])
+			}
+		}()
+	}
+	for s := range e.shards {
+		idx <- s
+	}
+	close(idx)
+	wg.Wait()
+}
 
-	// Phase 2, barrier: merge shard accumulators and replay hooks in
-	// shard order.
+// barrier is phase 2: it folds what the shards accumulated and recorded
+// into the engine, through the inline context.
+func (e *Engine) barrier() {
+	// Merge shard accumulators and replay hooks in shard order.
 	for s := range e.shards {
 		sh := &e.shards[s]
-		for i, d := range sh.countsDelta {
+		for i, d := range sh.counts {
 			e.counts[i] += d
-			sh.countsDelta[i] = 0
 		}
-		for key, c := range sh.transitions {
-			e.transitions[[2]ode.Var{e.states[key[0]], e.states[key[1]]}] += c
-			delete(sh.transitions, key)
+		for i, c := range sh.transitions {
+			e.transitions[i] += c
 		}
-		e.messages += sh.messages
-		e.tokensLost += sh.tokensLost
-		sh.messages, sh.tokensLost = 0, 0
-		if e.cfg.OnTransition != nil {
-			for _, h := range sh.hooks {
-				e.cfg.OnTransition(h.proc, e.states[h.from], e.states[h.to], e.period)
-			}
+		e.inline.messages += sh.messages
+		clear(sh.counts)
+		clear(sh.transitions)
+		sh.messages = 0
+		for _, h := range sh.hooks {
+			e.cfg.OnTransition(h.proc, e.tbl.States[h.from], e.tbl.States[h.to], e.period)
 		}
 		sh.hooks = sh.hooks[:0]
 	}
@@ -195,7 +146,7 @@ func (e *Engine) stepSharded() {
 		sh := &e.shards[s]
 		for _, pi := range sh.pushes {
 			if e.state[pi.target] == pi.from && !e.moved[pi.target] && !e.frozen[pi.target] {
-				e.transition(pi.target, pi.from, pi.to)
+				e.transition(&e.inline, pi.target, pi.from, pi.to)
 			}
 		}
 		sh.pushes = sh.pushes[:0]
@@ -206,135 +157,8 @@ func (e *Engine) stepSharded() {
 	for s := range e.shards {
 		sh := &e.shards[s]
 		for _, ti := range sh.tokens {
-			e.deliverToken(e.barrierRng, ti.from, ti.to)
+			e.deliverToken(ti.from, ti.to)
 		}
 		sh.tokens = sh.tokens[:0]
 	}
-	e.period++
-}
-
-// runShard executes the action phase for one shard. It may read the
-// snapshot, views, frozen flags, and its own range of state/moved; it may
-// write only its own range and its shard-local accumulators.
-func (e *Engine) runShard(sh *shardState) {
-	for p := sh.lo; p < sh.hi; p++ {
-		si := e.snapshot[p]
-		if si < 0 || e.frozen[p] {
-			continue
-		}
-		for _, a := range e.actions[si] {
-			if e.moved[p] && a.kind != core.Push && a.kind != core.Token {
-				continue
-			}
-			switch a.kind {
-			case core.Flip:
-				if sh.rng.Float64() < a.coin {
-					e.shardTransition(sh, p, si, a.to)
-				}
-			case core.Sample:
-				ok := true
-				for _, want := range a.samples {
-					if e.shardSampleTarget(sh, p) != want {
-						ok = false
-						break
-					}
-				}
-				if ok && sh.rng.Float64() < a.coin {
-					e.shardTransition(sh, p, si, a.to)
-				}
-			case core.SampleAny:
-				hit := false
-				for _, want := range a.samples {
-					if e.shardSampleTarget(sh, p) == want {
-						hit = true
-					}
-				}
-				if hit && sh.rng.Float64() < a.coin {
-					e.shardTransition(sh, p, si, a.to)
-				}
-			case core.Push:
-				for range a.samples {
-					t, observed := e.shardSamplePeer(sh, p)
-					if observed != a.from || e.frozen[t] {
-						continue
-					}
-					if sh.lo <= t && t < sh.hi {
-						// Intra-shard: live checks are race-free, apply
-						// immediately as the serial engine would.
-						if e.state[t] == a.from && !e.moved[t] {
-							if a.coin >= 1 || sh.rng.Float64() < a.coin {
-								e.shardTransition(sh, t, a.from, a.to)
-							}
-						}
-					} else {
-						// Cross-shard: the target's live state belongs to
-						// another shard, so the coin is drawn against the
-						// snapshot observation (keeping this stream's
-						// consumption shard-deterministic) and the landing
-						// re-checked at the barrier.
-						if a.coin >= 1 || sh.rng.Float64() < a.coin {
-							sh.pushes = append(sh.pushes, pushIntent{target: t, from: a.from, to: a.to})
-						}
-					}
-				}
-			case core.Token:
-				ok := true
-				for _, want := range a.samples {
-					if e.shardSampleTarget(sh, p) != want {
-						ok = false
-						break
-					}
-				}
-				if ok && sh.rng.Float64() < a.coin {
-					sh.tokens = append(sh.tokens, tokenIntent{from: a.from, to: a.to})
-				}
-			}
-		}
-	}
-}
-
-// shardTransition moves shard-owned process p between states, buffering
-// the bookkeeping in the shard accumulators.
-func (e *Engine) shardTransition(sh *shardState, p int, from, to int16) {
-	e.state[p] = to
-	sh.countsDelta[from]--
-	sh.countsDelta[to]++
-	e.moved[p] = true
-	sh.transitions[[2]int16{from, to}]++
-	if e.cfg.OnTransition != nil {
-		sh.hooks = append(sh.hooks, hookEvent{proc: p, from: from, to: to})
-	}
-}
-
-// shardPickPeer is pickPeer on the shard's stream.
-func (e *Engine) shardPickPeer(sh *shardState, self int) int {
-	if e.views != nil {
-		k := e.cfg.ViewSize
-		return int(e.views[self*k+sh.rng.Intn(k)])
-	}
-	t := sh.rng.Intn(e.cfg.N - 1)
-	if t >= self {
-		t++
-	}
-	return t
-}
-
-// shardSampleTarget is sampleTarget on the shard's stream and counters.
-func (e *Engine) shardSampleTarget(sh *shardState, self int) int16 {
-	sh.messages++
-	t := e.shardPickPeer(sh, self)
-	if e.cfg.MessageLoss > 0 && sh.rng.Float64() < e.cfg.MessageLoss {
-		return -1
-	}
-	return e.snapshot[t]
-}
-
-// shardSamplePeer is samplePeer on the shard's stream and counters.
-func (e *Engine) shardSamplePeer(sh *shardState, self int) (int, int16) {
-	sh.messages++
-	t := e.shardPickPeer(sh, self)
-	if e.cfg.MessageLoss > 0 && sh.rng.Float64() < e.cfg.MessageLoss {
-		return t, -1
-	}
-	return t, e.snapshot[t]
 }
