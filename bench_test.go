@@ -604,9 +604,9 @@ func BenchmarkClusterCacheHit(b *testing.B) {
 
 // --- persistence benchmarks ---
 
-// BenchmarkStoreAppend measures the durable job journal's append path —
-// frame, CRC, write, fsync — the per-transition overhead every submitted
-// job pays three times (submitted/running/terminal).
+// BenchmarkStoreAppend measures the durable job journal's synced append
+// path — frame, CRC, write, fsync — which an accepted job pays once, for its
+// submitted record (a failed or cancelled one again for its terminal record).
 func BenchmarkStoreAppend(b *testing.B) {
 	st, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {

@@ -227,17 +227,20 @@ type outcome struct {
 // nothing, when the job had already left from: a queued job is contended by
 // Cancel, a worker's pickup and Close's drain, and exactly one of them wins.
 //
-// The order is the durability contract. A fresh result is persisted (and
-// fsync'd, for the file backend) before anything calls the job done, so the
+// The order is the durability contract: two commit points per job, stated in
+// internal/store's package comment. A fresh result is persisted (fsync'd and
+// renamed, for the file backend) before anything calls the job done, so the
 // WAL never claims a result the disk does not hold; a result that cannot be
 // stored fails the job rather than silently losing the crash-recovery
 // guarantee. The blob goes to the LRU, its only owner; the job keeps the
 // key. Then the state is set with one reading of the clock, the job table's
 // count moves and the single-flight claim goes, the row log is closed —
-// attached readers drain it and emit the terminal row — and dropped,
-// waiters on done are released, the one terminal record is journaled with
-// the finished instant just served, the job joins the ageing queue (retire),
-// and the trace, the metrics and the log line follow.
+// attached readers drain it and emit the terminal row — and dropped, the one
+// terminal record is journaled with the pickup instant and the finished
+// instant just served — synced, unless it is the done record of an accepted
+// job, which the blob already proves — the job joins the ageing queue
+// (retire), waiters on done are released to a journal and a table that have
+// caught up, and the trace, the metrics and the log line follow.
 func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	if out.status == StatusDone && !out.cached {
 		if err := s.store.PutResult(job.Key, out.blob.data); err != nil {
@@ -253,7 +256,7 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 		job.mu.Unlock()
 		return false
 	}
-	finished := time.Now()
+	started, finished := job.started, time.Now()
 	job.status, job.errMsg, job.cached = out.status, out.errMsg, out.cached
 	job.finished = finished
 	job.cancel = nil
@@ -281,7 +284,6 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	if log != nil {
 		log.wake(true)
 	}
-	close(job.done)
 
 	rec := store.JobRecord{ID: job.ID, Key: job.Key, Trace: job.traceID(), Error: out.errMsg, Cached: out.cached,
 		FinishedAt: finished.UnixNano()}
@@ -294,12 +296,15 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 		rec.Op = store.OpAborted
 	}
 	if born {
-		// One snapshot-style record, not a submitted/done pair: no sweep
-		// runs on that path, and each append is an fsync.
+		// One snapshot-style record, not a submitted/done pair: it is all
+		// the journal holds of this job.
 		rec.Spec, rec.SubmittedAt = specJSON(&job.spec), job.created.UnixNano()
+	} else if !started.IsZero() {
+		rec.StartedAt = started.UnixNano()
 	}
-	s.journal(rec)
+	s.journal(rec, born || out.status != StatusDone)
 	s.retire(job)
+	close(job.done)
 	job.traceAdd(obs.StageResponded)
 	s.logCompletion(job)
 	return true
@@ -487,8 +492,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob takes one queued job through pickup, the sweep and conclude,
-// journaling the pickup on the way.
+// runJob takes one queued job through pickup, the sweep and conclude. The
+// pickup is not journaled: the terminal record carries its instant.
 func (s *Server) runJob(job *Job) {
 	job.mu.Lock()
 	if job.status != StatusQueued {
@@ -507,11 +512,6 @@ func (s *Server) runJob(job *Job) {
 	s.counts[StatusRunning]++
 	s.mu.Unlock()
 	s.met.queueWait.ObserveTraced(job.started.Sub(job.created).Seconds(), job.traceID())
-	// Every worker record stamps the key: if a crash loses the submitter
-	// and its OpSubmitted append raced, the recovered job still knows its
-	// content address and can reload its persisted result.
-	s.journal(store.JobRecord{Op: store.OpRunning, ID: job.ID, Key: job.Key, Trace: job.traceID(),
-		StartedAt: job.started.UnixNano()})
 
 	// A twin job submitted earlier may have populated the cache — or a
 	// previous process the result store — between submission and pickup;

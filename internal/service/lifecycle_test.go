@@ -17,24 +17,38 @@ import (
 	"odeproto/internal/store"
 )
 
-// recordingStore wraps a Store, keeping every journaled record and counting
-// each read of result bytes: GetResult and GetResultGzip calls, and Reads
-// on an opened reader (the open itself reads nothing). With failPut set it
-// refuses result blobs.
+// recordingStore wraps a Store, keeping every journaled record — with
+// whether it was appended synced — and counting each read of result bytes:
+// GetResult and GetResultGzip calls, and Reads on an opened reader (the open
+// itself reads nothing). With failPut set it refuses result blobs.
 type recordingStore struct {
 	store.Store
 	failPut bool
 
 	mu    sync.Mutex
-	recs  []store.JobRecord
+	recs  []journaled
 	reads int
 }
 
-func (r *recordingStore) Append(rec store.JobRecord) error {
+type journaled struct {
+	store.JobRecord
+	synced bool
+}
+
+func (r *recordingStore) record(rec store.JobRecord, synced bool) {
 	r.mu.Lock()
-	r.recs = append(r.recs, rec)
+	r.recs = append(r.recs, journaled{rec, synced})
 	r.mu.Unlock()
+}
+
+func (r *recordingStore) Append(rec store.JobRecord) error {
+	r.record(rec, true)
 	return r.Store.Append(rec)
+}
+
+func (r *recordingStore) AppendUnsynced(rec store.JobRecord) error {
+	r.record(rec, false)
+	return r.Store.AppendUnsynced(rec)
 }
 
 func (r *recordingStore) PutResult(key string, data []byte) error {
@@ -80,31 +94,28 @@ func (c countedReader) Read(p []byte) (int, error) {
 
 // records returns the records journaled for one job, in lifecycle order
 // (a submitter's and a worker's appends may land in either order).
-func (r *recordingStore) records(id string) []store.JobRecord {
+func (r *recordingStore) records(id string) []journaled {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rank := map[store.Op]int{store.OpSubmitted: 0, store.OpRunning: 1}
-	var out []store.JobRecord
+	var out []journaled
 	for _, rec := range r.recs {
 		if rec.ID == id {
 			out = append(out, rec)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rank[out[i].Op]
-		rj, jok := rank[out[j].Op]
-		return iok && (!jok || ri < rj)
+		return out[i].Op == store.OpSubmitted && out[j].Op != store.OpSubmitted
 	})
 	return out
 }
 
 // awaitTerminal blocks until id's terminal record is journaled — a moment
 // after its terminal status shows — and returns the job's records.
-func (r *recordingStore) awaitTerminal(t *testing.T, id string) []store.JobRecord {
+func (r *recordingStore) awaitTerminal(t *testing.T, id string) []journaled {
 	t.Helper()
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
 		recs := r.records(id)
-		if n := len(recs); n > 0 && recs[n-1].Op != store.OpSubmitted && recs[n-1].Op != store.OpRunning {
+		if n := len(recs); n > 0 && recs[n-1].Op != store.OpSubmitted {
 			return recs
 		}
 		if time.Now().After(deadline) {
@@ -141,13 +152,10 @@ lines:
 	return false
 }
 
-// pickupHit queues spec behind a blocker on srv, lets a twin server on a
-// store of its own compute the result, plants the blob in srv's cache — as
-// a twin on another node sharing the store would — and releases the
-// blocker: the worker answers the job from the cache at pickup.
-func pickupHit(t *testing.T, srv *Server, base string, spec JobSpec) string {
+// twinResult computes spec's result on a server and a store of its own — as
+// a twin on another node would — and returns the blob.
+func twinResult(t *testing.T, spec JobSpec) *resultBlob {
 	t.Helper()
-	id, release := queueBehindBlocker(t, base, spec)
 	twin, tts := newTestServer(t, Config{Workers: 1, Store: store.NewMemory()})
 	resp, data := doJSON(t, http.MethodPost, tts.URL+"/v1/jobs", spec)
 	if resp.StatusCode != http.StatusAccepted {
@@ -155,19 +163,32 @@ func pickupHit(t *testing.T, srv *Server, base string, spec JobSpec) string {
 	}
 	done := waitStatus(t, tts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
 	blob, _ := twin.cache.peek(done.CacheKey)
-	srv.cache.put(blob)
+	return blob
+}
+
+// pickupHit queues spec behind a blocker on srv, lets a twin compute the
+// result, plants the blob in srv's cache — as a twin sharing the store would
+// — and releases the blocker: the worker answers the job from the cache at
+// pickup.
+func pickupHit(t *testing.T, srv *Server, base string, spec JobSpec) string {
+	t.Helper()
+	id, release := queueBehindBlocker(t, base, spec)
+	srv.cache.put(twinResult(t, spec))
 	release()
 	return id
 }
 
-// TestWALRecordsPinned: the records each path journals are, field for
-// field, the ones the commit before the single terminal transition wrote.
-// read-mix writes 50 B an op, all of it submit-hit records, so one added
-// field there is a disk_bytes_per_op regression; the benchmark's fsync
-// count is one per record. Timestamps are zeroed and the random trace ID
-// replaced (set to 1 and "T": omitempty would hide a zeroed field, and
-// which fields a record carries is the point); everything else is compared
-// as journaled.
+// TestWALRecordsPinned: the records each path journals, field for field, and
+// which of them are fsync'd. A fresh sweep journals its two commit-point
+// witnesses — submitted, synced, and done, unsynced, carrying the pickup
+// instant no running record holds any more — and a pickup-time hit the same
+// pair. read-mix writes 50 B an op, all of it submit-hit records, so one
+// added field there is a disk_bytes_per_op regression: that record is
+// byte-identical to the one the single terminal transition first wrote, and
+// synced, being all the journal holds of its job. Timestamps are zeroed and
+// the random trace ID replaced (set to 1 and "T": omitempty would hide a
+// zeroed field, and which fields a record carries is the point); everything
+// else is compared as journaled.
 func TestWALRecordsPinned(t *testing.T) {
 	rec := &recordingStore{Store: store.NewMemory()}
 	srv, ts := newTestServer(t, Config{Workers: 1, Store: rec})
@@ -207,11 +228,15 @@ func TestWALRecordsPinned(t *testing.T) {
 					*ts = 1
 				}
 			}
-			data, err := json.Marshal(r)
+			data, err := json.Marshal(r.JobRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, string(data))
+			class := "unsynced "
+			if r.synced {
+				class = "synced "
+			}
+			got = append(got, class+string(data))
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("job %s journaled\n%s\nwant\n%s", id, strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -219,20 +244,19 @@ func TestWALRecordsPinned(t *testing.T) {
 	}
 }
 
-// The goldens were printed by this test at the parent commit.
+// goldenHit's record was printed by this test at the commit that introduced
+// the single terminal transition, and has not changed since.
 var (
 	goldenFresh = []string{
-		`{"op":"submitted","id":"j000001","key":"13f66eb1a366e5cb82e708558f42b3b86ef88007b5ea08ae19071e085abb4e26","spec":{"source":"x' = -x*y\ny' = x*y\n","slack":"z","engine":"agent","n":400,"initial":{"x":380,"y":20},"periods":3,"seed":7,"seeds":1,"shards":1,"record_every":1},"submitted_at":1,"trace":"T"}`,
-		`{"op":"running","id":"j000001","key":"13f66eb1a366e5cb82e708558f42b3b86ef88007b5ea08ae19071e085abb4e26","started_at":1,"trace":"T"}`,
-		`{"op":"done","id":"j000001","key":"13f66eb1a366e5cb82e708558f42b3b86ef88007b5ea08ae19071e085abb4e26","finished_at":1,"trace":"T"}`,
+		`synced {"op":"submitted","id":"j000001","key":"13f66eb1a366e5cb82e708558f42b3b86ef88007b5ea08ae19071e085abb4e26","spec":{"source":"x' = -x*y\ny' = x*y\n","slack":"z","engine":"agent","n":400,"initial":{"x":380,"y":20},"periods":3,"seed":7,"seeds":1,"shards":1,"record_every":1},"submitted_at":1,"trace":"T"}`,
+		`unsynced {"op":"done","id":"j000001","key":"13f66eb1a366e5cb82e708558f42b3b86ef88007b5ea08ae19071e085abb4e26","started_at":1,"finished_at":1,"trace":"T"}`,
 	}
 	goldenHit = []string{
-		`{"op":"done","id":"j000002","key":"13f66eb1a366e5cb82e708558f42b3b86ef88007b5ea08ae19071e085abb4e26","spec":{"source":"x' = -x*y\ny' = x*y\n","slack":"z","engine":"agent","n":400,"initial":{"x":380,"y":20},"periods":3,"seed":7,"seeds":1,"shards":1,"record_every":1},"cached":true,"submitted_at":1,"finished_at":1,"trace":"T"}`,
+		`synced {"op":"done","id":"j000002","key":"13f66eb1a366e5cb82e708558f42b3b86ef88007b5ea08ae19071e085abb4e26","spec":{"source":"x' = -x*y\ny' = x*y\n","slack":"z","engine":"agent","n":400,"initial":{"x":380,"y":20},"periods":3,"seed":7,"seeds":1,"shards":1,"record_every":1},"cached":true,"submitted_at":1,"finished_at":1,"trace":"T"}`,
 	}
 	goldenPickup = []string{
-		`{"op":"submitted","id":"j000004","key":"f28713ffe168326cef122098fd39ca06c6d72449c434f670b4e41ae29b4b8b26","spec":{"source":"x' = -x*y\ny' = x*y\n","slack":"z","engine":"agent","n":400,"initial":{"x":380,"y":20},"periods":3,"seed":8,"seeds":1,"shards":1,"record_every":1},"submitted_at":1,"trace":"T"}`,
-		`{"op":"running","id":"j000004","key":"f28713ffe168326cef122098fd39ca06c6d72449c434f670b4e41ae29b4b8b26","started_at":1,"trace":"T"}`,
-		`{"op":"done","id":"j000004","key":"f28713ffe168326cef122098fd39ca06c6d72449c434f670b4e41ae29b4b8b26","cached":true,"finished_at":1,"trace":"T"}`,
+		`synced {"op":"submitted","id":"j000004","key":"f28713ffe168326cef122098fd39ca06c6d72449c434f670b4e41ae29b4b8b26","spec":{"source":"x' = -x*y\ny' = x*y\n","slack":"z","engine":"agent","n":400,"initial":{"x":380,"y":20},"periods":3,"seed":8,"seeds":1,"shards":1,"record_every":1},"submitted_at":1,"trace":"T"}`,
+		`unsynced {"op":"done","id":"j000004","key":"f28713ffe168326cef122098fd39ca06c6d72449c434f670b4e41ae29b4b8b26","cached":true,"started_at":1,"finished_at":1,"trace":"T"}`,
 	}
 )
 
@@ -274,25 +298,28 @@ func TestEveryTerminalPath(t *testing.T) {
 	queued := slowSpec()
 	queued.Seed = 2
 
+	// synced is the durability class of the row's terminal record: only the
+	// done record of an accepted job — its blob proves it — goes unsynced.
 	rows := []struct {
 		name   string
 		want   Status
 		cached bool
+		synced bool
 		errHas string
 		run    func(t *testing.T) ended
 	}{
-		{"fresh done", StatusDone, false, "", func(t *testing.T) ended {
+		{"fresh done", StatusDone, false, false, "", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			e.id = submit(t, e, smallSpec(), http.StatusAccepted)
 			return e
 		}},
-		{"persist failure", StatusFailed, false, "persisting result", func(t *testing.T) ended {
+		{"persist failure", StatusFailed, false, true, "persisting result", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			e.rec.failPut = true
 			e.id = submit(t, e, smallSpec(), http.StatusAccepted)
 			return e
 		}},
-		{"sweep error", StatusFailed, false, "unknown engine", func(t *testing.T) ended {
+		{"sweep error", StatusFailed, false, true, "unknown engine", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			id, release := queueBehindBlocker(t, e.base, smallSpec())
 			// No validated spec fails its sweep; break this one while it waits.
@@ -304,20 +331,20 @@ func TestEveryTerminalPath(t *testing.T) {
 			e.id = id
 			return e
 		}},
-		{"running cancel", StatusCancelled, false, "job cancelled", func(t *testing.T) ended {
+		{"running cancel", StatusCancelled, false, true, "job cancelled", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			e.id = submit(t, e, slowSpec(), http.StatusAccepted)
 			waitStatus(t, e.base, e.id, StatusRunning, 30*time.Second)
 			cancel(t, e, e.id)
 			return e
 		}},
-		{"queued cancel", StatusCancelled, false, "before it started", func(t *testing.T) ended {
+		{"queued cancel", StatusCancelled, false, true, "before it started", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			e.id, _ = queueBehindBlocker(t, e.base, queued)
 			cancel(t, e, e.id)
 			return e
 		}},
-		{"shutdown drain", StatusCancelled, false, "shut down before the job started", func(t *testing.T) ended {
+		{"shutdown drain", StatusCancelled, false, true, "shut down before the job started", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			// A worker that outlives the cancellation may still pick the job
 			// up; with the workers gone first, Close finds it in the queue.
@@ -327,18 +354,18 @@ func TestEveryTerminalPath(t *testing.T) {
 			e.srv.Close()
 			return e
 		}},
-		{"submit-time hit", StatusDone, true, "", func(t *testing.T) ended {
+		{"submit-time hit", StatusDone, true, true, "", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			waitStatus(t, e.base, submit(t, e, smallSpec(), http.StatusAccepted), StatusDone, 30*time.Second)
 			e.id = submit(t, e, smallSpec(), http.StatusOK)
 			return e
 		}},
-		{"pickup-time hit", StatusDone, true, "", func(t *testing.T) ended {
+		{"pickup-time hit", StatusDone, true, false, "", func(t *testing.T) ended {
 			e := boot(t, store.NewMemory())
 			e.id = pickupHit(t, e.srv, e.base, smallSpec())
 			return e
 		}},
-		{"interrupted at recovery", StatusFailed, false, "interrupted by daemon restart", func(t *testing.T) ended {
+		{"interrupted at recovery", StatusFailed, false, true, "interrupted by daemon restart", func(t *testing.T) ended {
 			dir := t.TempDir()
 			fst := openFileStore(t, dir)
 			specData, err := json.Marshal(smallSpec())
@@ -410,7 +437,7 @@ func TestEveryTerminalPath(t *testing.T) {
 
 			// One terminal record, naming the key, the trace and the instant
 			// the status page serves.
-			var terminal []store.JobRecord
+			var terminal []journaled
 			for _, r := range e.rec.records(e.id) {
 				if r.Op == store.OpDone || r.Op == store.OpFailed || r.Op == store.OpAborted {
 					terminal = append(terminal, r)
@@ -421,8 +448,9 @@ func TestEveryTerminalPath(t *testing.T) {
 				t.Fatalf("%d terminal records journaled, want 1: %+v", len(terminal), terminal)
 			}
 			if r := terminal[0]; r.Op != wantOp || r.Key != st.CacheKey || r.Key == "" || r.Trace != st.Trace || r.Trace == "" ||
-				r.FinishedAt != st.Finished.UnixNano() || r.Cached != row.cached || r.Error != st.Error {
-				t.Errorf("terminal record %+v does not match the served status (finished %d)", r, st.Finished.UnixNano())
+				r.FinishedAt != st.Finished.UnixNano() || r.Cached != row.cached || r.Error != st.Error || r.synced != row.synced {
+				t.Errorf("terminal record %+v does not match the served status (finished %d) or its durability class (synced %v)",
+					r, st.Finished.UnixNano(), row.synced)
 			}
 
 			// The single-flight claim is released.

@@ -13,12 +13,17 @@ import (
 	"odeproto/internal/store"
 )
 
-// journal appends one lifecycle record to the durable store. Journaling is
-// best-effort — a failed append is counted in /v1/stats rather than
-// failing the request — but result persistence is not (see conclude: a
-// result that cannot be stored fails its job instead of claiming done).
-func (s *Server) journal(rec store.JobRecord) {
-	if err := s.store.Append(rec); err != nil {
+// journal appends one lifecycle record to the durable store: durable on
+// return if synced, with the log's next flush if not. Journaling is
+// best-effort — a failed append is counted in /v1/stats rather than failing
+// the request — but result persistence is not (see conclude: a result that
+// cannot be stored fails its job instead of claiming done).
+func (s *Server) journal(rec store.JobRecord, synced bool) {
+	appendRec := s.store.Append
+	if !synced {
+		appendRec = s.store.AppendUnsynced
+	}
+	if err := appendRec(rec); err != nil {
 		s.met.storeErrs.Inc()
 		s.log.Warn("wal append failed", "job", rec.ID, "op", string(rec.Op), "trace", rec.Trace, "err", err)
 	}
@@ -105,12 +110,15 @@ type restartableJob struct {
 // terminal jobs are trimmed to the newest Config.RetainJobs (the store is
 // told to forget the rest) and return to /v1/jobs as journaled, nothing
 // written for them; the most recently finished results warm the LRU from
-// disk, up to its bounds; and jobs that were queued or mid-run at crash time
-// are concluded failed-restartable — a journaled transition like any other,
-// so the next recovery replays them as plain failures. It returns the
-// interrupted jobs whose specs survived in the WAL, so New can resubmit
-// them under Config.ResumeInterrupted. Runs once, from New, before the
-// workers start.
+// disk, up to its bounds; and jobs whose log ends before a terminal record
+// are concluded — a journaled transition like any other, so the next
+// recovery replays them as plain terminal jobs. One whose result blob is on
+// disk lost only its done record: the blob is the commit point
+// (internal/store's package comment), so it is done, cached — answered by a
+// result already stored. The rest were queued or mid-run and are
+// failed-restartable; it returns those whose specs survived in the WAL, so
+// New can resubmit them under Config.ResumeInterrupted. Runs once, from New,
+// before the workers start.
 func (s *Server) recoverJobs() []restartableJob {
 	recovered := s.store.Recovered()
 	if len(recovered) == 0 {
@@ -167,6 +175,10 @@ func (s *Server) recoverJobs() []restartableJob {
 	var restartable []restartableJob
 	for _, rj := range interrupted {
 		job, specOK := s.restore(rj)
+		if _, ok := s.loadResult(rj.Key); ok {
+			s.conclude(job, job.status, outcome{status: StatusDone, cached: true})
+			continue
+		}
 		s.conclude(job, job.status, outcome{status: StatusFailed, errMsg: restartableErr})
 		if specOK {
 			restartable = append(restartable, restartableJob{job: job, spec: job.spec})

@@ -15,12 +15,13 @@
 // is not offered here (odeproto -async-mode wallclock runs it), so every
 // done job has a content address.
 //
-// Durability is pluggable (internal/store): job lifecycle transitions are
-// journaled to the configured Store and completed results are written as
-// content-addressed blobs before their job is marked done, so with the
-// file backend a restarted daemon recovers its job list, warms the LRU
-// from disk, serves previously computed results without re-simulating,
-// and marks jobs the crash caught mid-run as failed-restartable. An
+// Durability is pluggable (internal/store, whose package comment states the
+// contract): job lifecycle transitions are journaled to the configured
+// Store and completed results are written as content-addressed blobs before
+// their job is marked done, so with the file backend a restarted daemon
+// recovers its job list, warms the LRU from disk, serves previously
+// computed results without re-simulating, and marks jobs the crash caught
+// before their result was stored as failed-restartable. An
 // identical spec POSTed while its twin is still in flight coalesces onto
 // the in-flight job (single-flight deduplication) instead of running a
 // second sweep. A job reaches a terminal status in exactly one function,
@@ -425,12 +426,12 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 	s.mu.Unlock()
 
 	// Journal after the enqueue so a full queue leaves no ghost record.
-	// The worker's own records may interleave before this one; WAL replay
-	// merges by rank, and the worker stamps the key on every record, so
-	// even a crash that loses this append leaves the result reachable.
+	// The worker's terminal record may land before this one; WAL replay
+	// merges by rank, and that record stamps the key too, so even a crash
+	// that loses this append leaves the result reachable.
 	s.met.submitted.Inc()
 	s.journal(store.JobRecord{Op: store.OpSubmitted, ID: job.ID, Key: key,
-		Spec: specJSON(&spec), Trace: tr.ID, SubmittedAt: job.created.UnixNano()})
+		Spec: specJSON(&spec), Trace: tr.ID, SubmittedAt: job.created.UnixNano()}, true)
 	s.log.Info("job queued", "trace", tr.ID, "job", job.ID, "key", key,
 		"engine", spec.Engine, "mode", spec.Mode, "n", spec.N, "periods", spec.Periods, "seeds", spec.Seeds)
 	// That record was appended in no order with the worker's: if the job has

@@ -173,29 +173,53 @@ func (s *FileStore) Append(rec JobRecord) error {
 	if opRank(rec.Op) < 0 {
 		return fmt.Errorf("store: unknown op %q", rec.Op)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errClosed
+	gen, err := s.write(rec)
+	if err != nil {
+		return err
 	}
-	if !s.gc.enabled {
-		defer s.mu.Unlock()
-		if err := s.wal.append(rec); err != nil {
-			return err
-		}
-		s.apply(rec)
-		s.records++
-		return nil
+	if s.gc.enabled {
+		return s.groupSync(gen)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wal.syncOpenSegment()
+}
+
+// AppendUnsynced journals a done record without an fsync of its own: durable
+// once anything next syncs the open segment — an Append (its fsync, or its
+// group-commit round, covers every record written before it), a rotation or
+// Close.
+func (s *FileStore) AppendUnsynced(rec JobRecord) error {
+	if err := checkUnsynced(rec); err != nil {
+		return err
+	}
+	_, err := s.write(rec)
+	return err
+}
+
+// write frames rec into the open segment and merges it into the index,
+// returning its write generation; nothing is forced to disk.
+func (s *FileStore) write(rec JobRecord) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, errClosed
 	}
 	gen, err := s.wal.appendNoSync(rec)
 	if err != nil {
-		s.mu.Unlock()
-		return err
+		return 0, err
 	}
 	s.apply(rec)
 	s.records++
-	s.mu.Unlock()
-	return s.groupSync(gen)
+	return gen, nil
+}
+
+// SyncedTail names the open WAL segment and its length at the last fsync: a
+// power loss now would discard the bytes beyond it. For tests that do.
+func (s *FileStore) SyncedTail() (segment string, size int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return segName(s.wal.segIndex), s.wal.syncedSize
 }
 
 // groupSync blocks until a completed fsync covers write generation gen.
@@ -452,6 +476,7 @@ func (s *FileStore) Stats() Stats {
 		WALSegments:     s.wal.segments,
 		WALBytes:        s.wal.totalBytes,
 		WALSyncs:        s.wal.syncs,
+		UnsyncedRecords: s.wal.unsynced,
 		ResultsWritten:  s.resultsWritten,
 		ResultBytes:     s.resultBytes,
 		RecoveredJobs:   s.nRecovered,

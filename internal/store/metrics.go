@@ -13,6 +13,9 @@ func RegisterMetrics(r *obs.Registry, s Store) {
 	r.CounterFunc("odeproto_wal_syncs_total",
 		"Append-path WAL fsyncs (with group commit one sync covers a batch).",
 		func() int64 { return s.Stats().WALSyncs })
+	r.GaugeFunc("odeproto_wal_unsynced_records",
+		"WAL records written since the last fsync: what a power loss would cost right now.",
+		func() float64 { return float64(s.Stats().UnsyncedRecords) })
 	r.GaugeFunc("odeproto_wal_segments",
 		"WAL segments currently on disk.",
 		func() float64 { return float64(s.Stats().WALSegments) })

@@ -6,24 +6,35 @@
 // CRC-checksummed append-only WAL and writes results as fsync'd blobs
 // under results/<prefix>/<key>.
 //
-// The file store's recovery contract: Open replays every WAL segment in
-// order, merging each job's records into its latest state. A torn or
-// corrupted record truncates its segment at the last good byte instead of
-// failing startup — the tail of an append-only log is the only place a
-// crash can leave bytes in doubt, and a checksummed frame makes the cut
-// point unambiguous. Jobs whose log ends before a terminal record were
-// mid-run at crash time and are surfaced with Interrupted set so the
-// service can mark them failed-restartable.
+// The durability contract is two commit points per job, and the file store
+// fsyncs exactly those. A job is accepted once its submitted record is
+// fsync'd (Append, before the client's 202) and finished once its result
+// blob is fsync'd and renamed into place (PutResult, before anyone can see
+// it done). Results are immutable blobs keyed by the SHA-256 cache key of
+// the spec that produced them, so the second point needs no coordination:
+// rewriting the same key writes the same bytes. Every other record is an
+// index over those two facts. The done record of an accepted job only
+// repeats what its blob proves, so it is written without a flush of its own
+// (AppendUnsynced) and rides the next one; a failed or aborted record, and
+// the single done record of a job answered from the cache at submission, are
+// the only evidence of what they say and are fsync'd like a submitted one.
 //
-// Results are immutable blobs keyed by the SHA-256 cache key of the spec
-// that produced them, so durability needs no coordination: a blob is
-// written (fsync + atomic rename) before the WAL records its job as done,
-// and rewriting the same key writes the same bytes.
+// The recovery contract: Open replays every WAL segment in order, merging
+// each job's records into its latest state. A torn or corrupted record
+// truncates its segment at the last good byte instead of failing startup —
+// the tail of an append-only log is the only place a crash can leave bytes
+// in doubt, and a checksummed frame makes the cut point unambiguous. Jobs
+// whose log ends before a terminal record are surfaced with Interrupted
+// set: the service concludes each one done if its key's blob is on disk —
+// the done record was lost, the commit point was not — and
+// failed-restartable otherwise. (Older logs also hold a running record per
+// pickup; it replays as one more non-terminal state.)
 package store
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 )
@@ -104,13 +115,15 @@ type Stats struct {
 	RecordsAppended int64  `json:"records_appended"`
 	WALSegments     int    `json:"wal_segments"`
 	WALBytes        int64  `json:"wal_bytes"`
-	// WALSyncs counts append-path fsyncs. Without group commit it tracks
-	// RecordsAppended one-for-one; with it, one sync covers a batch, and
-	// the gap between the two counters is the coalescing win.
-	WALSyncs       int64 `json:"wal_syncs"`
-	ResultsWritten int64 `json:"results_written"`
-	ResultBytes    int64 `json:"result_bytes"`
-	RecoveredJobs  int   `json:"recovered_jobs"`
+	// WALSyncs counts append-path fsyncs: one per Append, or per batch of
+	// them under group commit; AppendUnsynced adds a record and no sync.
+	WALSyncs int64 `json:"wal_syncs"`
+	// UnsyncedRecords counts the records written since the last fsync: what
+	// a power loss would cost right now. Zero after Close.
+	UnsyncedRecords int64 `json:"unsynced_records"`
+	ResultsWritten  int64 `json:"results_written"`
+	ResultBytes     int64 `json:"result_bytes"`
+	RecoveredJobs   int   `json:"recovered_jobs"`
 	// IndexedJobs counts the jobs the store still indexes — every one
 	// journaled and not forgotten — which is what a compaction rewrites.
 	IndexedJobs     int   `json:"indexed_jobs"`
@@ -123,17 +136,29 @@ var ErrNotFound = errors.New("store: result not found")
 
 var errClosed = errors.New("store: closed")
 
+// checkUnsynced admits the one record that may skip its fsync: a done record
+// naming the blob that proves it.
+func checkUnsynced(rec JobRecord) error {
+	if rec.Op != OpDone || rec.ID == "" || rec.Key == "" {
+		return fmt.Errorf("store: only a done record with a job id and a result key may be appended unsynced, not %q (id %q, key %q)", rec.Op, rec.ID, rec.Key)
+	}
+	return nil
+}
+
 // Store persists job lifecycle records and completed results.
 //
-// Append journals one lifecycle transition. PutResult durably stores a
-// completed result under its content address — implementations must not
-// return until the blob survives a crash (the service only marks a job
-// done afterwards). GetResult returns the stored blob or ErrNotFound;
-// GetResultReader returns the same bytes as a stream plus their size, so
-// large blobs can be served without buffering them in memory (callers own
-// the Close). PutResultGzip/GetResultGzip store and load the gzip variant
-// of a result as a sibling blob — a pure cache of the canonical bytes, so
-// writes may be best-effort and a missing sibling is simply recompressed.
+// Append journals one lifecycle transition, durable on return;
+// AppendUnsynced accepts only a done record naming its result's key, and
+// leaves it to the log's next flush (the package comment says why). PutResult
+// durably stores a completed result under its content address —
+// implementations must not return until the blob survives a crash (the
+// service only marks a job done afterwards). GetResult returns the stored
+// blob or ErrNotFound; GetResultReader returns the same bytes as a stream
+// plus their size, so large blobs can be served without buffering them in
+// memory (callers own the Close). PutResultGzip/GetResultGzip store and load
+// the gzip variant of a result as a sibling blob — a pure cache of the
+// canonical bytes, so writes may be best-effort and a missing sibling is
+// simply recompressed.
 // Recovered hands over the jobs rebuilt from the log at open time, in
 // first-submitted order: the store keeps no copy, so only the first call
 // returns them. Forget drops a job from the store's index of live jobs —
@@ -143,6 +168,7 @@ var errClosed = errors.New("store: closed")
 // job still indexed, dropping superseded transitions.
 type Store interface {
 	Append(rec JobRecord) error
+	AppendUnsynced(rec JobRecord) error
 	Forget(id string)
 	PutResult(key string, data []byte) error
 	GetResult(key string) ([]byte, error)
@@ -171,6 +197,13 @@ func (m *memory) Append(rec JobRecord) error {
 	defer m.mu.Unlock()
 	m.records++
 	return nil
+}
+
+func (m *memory) AppendUnsynced(rec JobRecord) error {
+	if err := checkUnsynced(rec); err != nil {
+		return err
+	}
+	return m.Append(rec)
 }
 
 func (m *memory) Forget(id string) {}

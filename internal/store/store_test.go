@@ -658,3 +658,214 @@ func TestGroupCommitSerialAppendDurable(t *testing.T) {
 		t.Fatalf("j000001 recovered as %s, want done", j.Status)
 	}
 }
+
+// TestAppendUnsyncedOnlyDone: the unsynced append is for the one record a
+// result blob already proves — on both backends it refuses every other op,
+// and a done record that names no key.
+func TestAppendUnsyncedOnlyDone(t *testing.T) {
+	fs := mustOpen(t, t.TempDir(), Options{})
+	defer fs.Close()
+	for name, s := range map[string]Store{"file": fs, "memory": NewMemory()} {
+		for _, rec := range []JobRecord{
+			{Op: OpSubmitted, ID: "j000001", Key: "abcd"},
+			{Op: OpRunning, ID: "j000001", Key: "abcd"},
+			{Op: OpFailed, ID: "j000001", Key: "abcd", Error: "boom"},
+			{Op: OpAborted, ID: "j000001", Key: "abcd"},
+			{Op: "resubmitted", ID: "j000001", Key: "abcd"},
+			{Op: OpDone, ID: "j000001"},
+			{Op: OpDone, Key: "abcd"},
+		} {
+			if err := s.AppendUnsynced(rec); err == nil {
+				t.Errorf("%s: unsynced append accepted %+v", name, rec)
+			}
+		}
+		if err := s.AppendUnsynced(JobRecord{Op: OpDone, ID: "j000001", Key: "abcd", FinishedAt: 1}); err != nil {
+			t.Errorf("%s: unsynced append of a done record: %v", name, err)
+		}
+		if st := s.Stats(); st.RecordsAppended != 1 || st.WALSyncs != 0 {
+			t.Errorf("%s: after one unsynced append and seven refusals: %+v", name, st)
+		}
+	}
+}
+
+// walLen is the open segment's length on disk.
+func walLen(t *testing.T, s *FileStore, dir string) int64 {
+	t.Helper()
+	seg, _ := s.SyncedTail()
+	info, err := os.Stat(filepath.Join(dir, "wal", seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// TestAppendUnsyncedRidesTheNextSync: unsynced records are written and
+// indexed at once, cost no fsync, and become durable with the next synced
+// append, with a rotation, and with Close — with and without group commit.
+// SyncedTail marks how much of the open segment a power loss would keep.
+func TestAppendUnsyncedRidesTheNextSync(t *testing.T) {
+	done := func(i int) JobRecord {
+		return JobRecord{Op: OpDone, ID: fmt.Sprintf("j%06d", i), Key: "abcd", StartedAt: 1, FinishedAt: int64(i)}
+	}
+	for _, opts := range []Options{{}, {GroupCommit: true}} {
+		t.Run(fmt.Sprintf("group=%v", opts.GroupCommit), func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, opts)
+			if err := s.Append(JobRecord{Op: OpSubmitted, ID: "j000001", Key: "abcd", SubmittedAt: 1}); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats()
+			_, synced := s.SyncedTail()
+			if synced != walLen(t, s, dir) || before.UnsyncedRecords != 0 {
+				t.Fatalf("after a synced append: synced to %d of %d bytes, %d records unsynced", synced, walLen(t, s, dir), before.UnsyncedRecords)
+			}
+
+			// Two unsynced records and one Append: one fsync covers all three.
+			for i := 1; i <= 2; i++ {
+				if err := s.AppendUnsynced(done(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mid := s.Stats()
+			if _, tail := s.SyncedTail(); tail != synced || mid.UnsyncedRecords != 2 || mid.WALSyncs != before.WALSyncs ||
+				mid.RecordsAppended != before.RecordsAppended+2 || mid.WALBytes != walLen(t, s, dir) || mid.IndexedJobs != 2 {
+				t.Fatalf("after two unsynced appends: synced tail %d (was %d), stats %+v", tail, synced, mid)
+			}
+			if err := s.Append(JobRecord{Op: OpSubmitted, ID: "j000002", Key: "abcd", SubmittedAt: 2}); err != nil {
+				t.Fatal(err)
+			}
+			after := s.Stats()
+			if _, tail := s.SyncedTail(); tail != walLen(t, s, dir) || after.UnsyncedRecords != 0 || after.WALSyncs != before.WALSyncs+1 {
+				t.Fatalf("two unsynced records and one Append moved wal_syncs %d -> %d, synced tail %d of %d, %d unsynced",
+					before.WALSyncs, after.WALSyncs, tail, walLen(t, s, dir), after.UnsyncedRecords)
+			}
+
+			// One more, left for Close to flush.
+			if err := s.AppendUnsynced(done(3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.UnsyncedRecords != 0 {
+				t.Fatalf("%d records unsynced after Close", st.UnsyncedRecords)
+			}
+			if err := s.AppendUnsynced(done(4)); err == nil {
+				t.Fatal("unsynced append after Close succeeded")
+			}
+
+			s2 := mustOpen(t, dir, Options{SegmentBytes: 256})
+			got := s2.Recovered()
+			if len(got) != 3 {
+				t.Fatalf("recovered %d jobs, want 3", len(got))
+			}
+			for i, rj := range got {
+				if rj.Status != OpDone || rj.FinishedAt != int64(i+1) || rj.Interrupted {
+					t.Fatalf("recovered[%d] = %+v, want done at %d", i, rj, i+1)
+				}
+			}
+
+			// Unsynced appends rotate like any other, and a rotation syncs
+			// the segment it closes: only the open one can hold a tail.
+			for i := 4; i <= 12; i++ {
+				if err := s2.AppendUnsynced(done(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := s2.Stats()
+			if st.WALSegments < 3 || st.WALSyncs != 0 || st.UnsyncedRecords < 1 || st.UnsyncedRecords > 3 {
+				t.Fatalf("after nine unsynced appends over 256-byte segments: %+v", st)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s3 := mustOpen(t, dir, Options{})
+			defer s3.Close()
+			if got := s3.Recovered(); len(got) != 12 || got[11].FinishedAt != 12 {
+				t.Fatalf("recovered %d jobs after rotations, want 12", len(got))
+			}
+		})
+	}
+}
+
+// TestGroupCommitCoversUnsynced: under group commit an unsynced record needs
+// no round of its own — whichever round next fsyncs covers it — while
+// concurrent synced appenders still coalesce around it.
+func TestGroupCommitCoversUnsynced(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{GroupCommit: true, GroupCommitWait: 200 * time.Microsecond})
+	const writers, each = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := fmt.Sprintf("j%03d%03d", w, i)
+				if err := s.AppendUnsynced(JobRecord{Op: OpDone, ID: id, Key: "abcd", FinishedAt: 2}); err != nil {
+					t.Errorf("unsynced append %s: %v", id, err)
+				}
+				if err := s.Append(JobRecord{Op: OpSubmitted, ID: id, Key: "abcd", SubmittedAt: 1}); err != nil {
+					t.Errorf("append %s: %v", id, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.RecordsAppended != 2*writers*each || st.UnsyncedRecords != 0 || st.WALSyncs > writers*each {
+		t.Fatalf("after %d unsynced + %d synced appends: %+v", writers*each, writers*each, st)
+	}
+	// Each writer's last call was an Append, and an Append returns only once
+	// an fsync covers everything written before it.
+	if _, tail := s.SyncedTail(); tail != walLen(t, s, dir) {
+		t.Fatalf("every writer's last Append returned, yet the segment is synced to %d of %d bytes", tail, walLen(t, s, dir))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	got := s2.Recovered()
+	if len(got) != writers*each {
+		t.Fatalf("recovered %d jobs, want %d", len(got), writers*each)
+	}
+	for _, rj := range got {
+		if rj.Status != OpDone {
+			t.Fatalf("%s recovered as %s, want done", rj.ID, rj.Status)
+		}
+	}
+}
+
+// TestLegacyRunningRecordsReplay: data dirs written before the pickup stopped
+// being journaled hold a running record per job (and bench/probe.go still
+// writes one). It stays a legal op: it appends, replays, and ranks between
+// submitted and terminal.
+func TestLegacyRunningRecordsReplay(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for _, rec := range []JobRecord{
+		{Op: OpSubmitted, ID: "j000001", Key: "aaaa", SubmittedAt: 100},
+		{Op: OpRunning, ID: "j000001", Key: "aaaa", StartedAt: 200},
+		{Op: OpDone, ID: "j000001", Key: "aaaa", FinishedAt: 300},
+		{Op: OpRunning, ID: "j000002", Key: "bbbb", StartedAt: 500},
+		{Op: OpSubmitted, ID: "j000002", Key: "bbbb", SubmittedAt: 400},
+	} {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	got := s2.Recovered()
+	if len(got) != 2 {
+		t.Fatalf("recovered %d jobs, want 2", len(got))
+	}
+	if j := got[0]; j.Status != OpDone || j.StartedAt != 200 || j.Interrupted {
+		t.Fatalf("j000001 = %+v", j)
+	}
+	if j := got[1]; j.Status != OpRunning || j.StartedAt != 500 || j.SubmittedAt != 400 || !j.Interrupted {
+		t.Fatalf("j000002 = %+v", j)
+	}
+}

@@ -36,12 +36,20 @@ type wal struct {
 	totalBytes  int64 // live bytes across all segments
 	truncations int64
 
-	// writeGen numbers appends; syncs counts append-path fsyncs. With
-	// group commit the two diverge: one fsync covers a whole batch of
-	// generations. Both are guarded by the owning store's mutex.
-	writeGen int64
-	syncs    int64
+	// writeGen numbers appends; syncs counts append-path fsyncs. The two
+	// diverge: one fsync covers every generation written before it, a
+	// group-commit batch and unsynced records alike. unsynced counts the
+	// records written to the open segment since its last fsync and
+	// syncedSize is its length at that fsync: what a power loss would cost,
+	// and where it would cut. All are guarded by the owning store's mutex.
+	writeGen   int64
+	syncs      int64
+	unsynced   int64
+	syncedSize int64
 }
+
+// markSynced records that everything written so far is on disk.
+func (w *wal) markSynced() { w.unsynced, w.syncedSize = 0, w.size }
 
 func segName(index int) string { return fmt.Sprintf("%08d.wal", index) }
 
@@ -92,6 +100,7 @@ func openWAL(dir string, segBytes int64) (*wal, []JobRecord, error) {
 			return nil, nil, err
 		}
 		w.segIndex, w.f, w.size = last, f, info.Size()
+		w.markSynced()
 	}
 	return w, recs, nil
 }
@@ -168,17 +177,9 @@ func (w *wal) rotate(index int) error {
 		return err
 	}
 	w.segIndex, w.f, w.size = index, f, 0
+	w.markSynced()
 	w.segments++
 	return syncDir(w.dir)
-}
-
-// append frames, writes, and fsyncs one record, rotating first when the
-// open segment would exceed the size bound.
-func (w *wal) append(rec JobRecord) error {
-	if _, err := w.appendNoSync(rec); err != nil {
-		return err
-	}
-	return w.syncOpenSegment()
 }
 
 // appendNoSync frames and writes one record without forcing it to disk,
@@ -208,6 +209,7 @@ func (w *wal) appendNoSync(rec JobRecord) (int64, error) {
 	w.size += int64(len(buf))
 	w.totalBytes += int64(len(buf))
 	w.writeGen++
+	w.unsynced++
 	return w.writeGen, nil
 }
 
@@ -223,6 +225,7 @@ func (w *wal) syncOpenSegment() error {
 		return err
 	}
 	w.syncs++
+	w.markSynced()
 	return nil
 }
 
@@ -290,6 +293,7 @@ func (w *wal) compact(recs []JobRecord) error {
 		return err
 	}
 	w.segIndex, w.f, w.size = newIndex, nf, size
+	w.markSynced()
 	w.segments = 1
 	w.totalBytes = size
 	return nil
@@ -300,6 +304,9 @@ func (w *wal) close() error {
 		return nil
 	}
 	err := w.f.Sync()
+	if err == nil {
+		w.markSynced()
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
