@@ -266,11 +266,11 @@ func TestTraceSpansAndIDs(t *testing.T) {
 		t.Fatal("ValidTraceID accepted junk")
 	}
 	inherited := NewTraceID()
-	tr := NewTrace(inherited, "n0")
+	tr := NewTrace(inherited, "n0", 5)
 	if tr.ID != inherited {
 		t.Fatalf("valid inherited ID replaced: %s", tr.ID)
 	}
-	tr2 := NewTrace("../../etc/passwd", "n0")
+	tr2 := NewTrace("../../etc/passwd", "n0", 1)
 	if tr2.ID == "../../etc/passwd" || !ValidTraceID(tr2.ID) {
 		t.Fatalf("malformed header ID not re-minted: %q", tr2.ID)
 	}
@@ -284,5 +284,24 @@ func TestTraceSpansAndIDs(t *testing.T) {
 	}
 	if !spans[3].At.Equal(base.Add(3 * time.Second)) {
 		t.Fatalf("span timestamp lost: %v", spans[3].At)
+	}
+}
+
+// TestTraceAllocatesItsSpansOnce: a job keeps its trace for as long as it is
+// listed, so a lifecycle costs the Trace and one backing array of exactly its
+// stages — not the 1 → 2 → 4 → 8 regrowth of an empty slice, which left four
+// allocations and room for eight spans behind five.
+func TestTraceAllocatesItsSpansOnce(t *testing.T) {
+	id, now := NewTraceID(), time.Unix(1700000000, 0)
+	stages := []string{StageQueued, StageCompiled, StageSwept, StagePersisted, StageResponded}
+	var tr *Trace
+	allocs := testing.AllocsPerRun(100, func() {
+		tr = NewTrace(id, "n0", len(stages))
+		for _, st := range stages {
+			tr.Add(st, now)
+		}
+	})
+	if allocs != 2 || len(tr.spans) != len(stages) || cap(tr.spans) != len(stages) {
+		t.Fatalf("a %d-stage trace: %v allocations (want 2), %d spans in room for %d", len(stages), allocs, len(tr.spans), cap(tr.spans))
 	}
 }

@@ -66,13 +66,15 @@ type Trace struct {
 	spans []Span
 }
 
-// NewTrace starts a trace. If id is empty or malformed a fresh ID is
+// NewTrace starts a trace with room for exactly stages spans: a job keeps its
+// trace for as long as it is listed, so the backing array is allocated once,
+// at the size the lifecycle fills. If id is empty or malformed a fresh ID is
 // minted; node names the daemon recording the spans.
-func NewTrace(id, node string) *Trace {
+func NewTrace(id, node string, stages int) *Trace {
 	if !ValidTraceID(id) {
 		id = NewTraceID()
 	}
-	return &Trace{ID: id, Node: node}
+	return &Trace{ID: id, Node: node, spans: make([]Span, 0, stages)}
 }
 
 // Add records a stage at time now.

@@ -52,8 +52,10 @@ type JobResult struct {
 	Runs   []RunResult `json:"runs"`
 }
 
-// Job is one submitted sweep. It owns no result bytes: a done job's result
-// is resolved by Key — the LRU, then the store — each time someone reads it.
+// Job is one submitted sweep, in two lifetimes: the fields declared here are
+// the row a status renders while the job is in the table; what only a queued
+// or running job needs is the embedded liveJob, which settle drops whole. It
+// owns no result bytes: each read resolves Key, in the LRU and then the store.
 type Job struct {
 	ID  string
 	Key string
@@ -63,27 +65,65 @@ type Job struct {
 	srv *Server
 	num int
 
-	mu       sync.Mutex
-	spec     JobSpec
-	comp     *compiled
+	mu sync.Mutex
+	*liveJob
+	shown    specShown
 	status   Status
 	errMsg   string
 	cached   bool
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	cancel   context.CancelFunc
 
 	// trace is the job's lifecycle trail (internally synchronized; nil
 	// only for jobs recovered from WAL records that predate tracing).
 	trace *obs.Trace
 
-	// log holds the rows recorded so far while the job is queued or
-	// running; the terminal transition drops it (conclude), keeping only
-	// how many rows it held. Jobs born terminal never have one.
-	log  *rowLog
-	rows int
+	rows int // recorded rows of a terminal job (settle)
 	done chan struct{}
+}
+
+// liveJob is what a job holds only until it is terminal: the full spec, the
+// compiled protocol (otherwise the compile memo's alone), the rows recorded
+// so far — jobs born terminal never have a log — and the sweep's cancel.
+type liveJob struct {
+	spec   JobSpec
+	comp   *compiled
+	log    *rowLog
+	cancel context.CancelFunc
+}
+
+// concluded is the live part of every terminal job: nothing, shared and never
+// written. A late reader of job.log or job.cancel finds nil, not a panic.
+var concluded = new(liveJob)
+
+// specShown is what a status renders of a job's spec, all a terminal job keeps
+// of it. Mode is the asyncnet mode ("virtual"), empty for the other engines.
+type specShown struct {
+	Engine  string `json:"engine"`
+	Mode    string `json:"mode,omitempty"`
+	N       int    `json:"n"`
+	Periods int    `json:"periods"`
+	Seeds   int    `json:"seeds"`
+	Shards  int    `json:"shards,omitempty"`
+}
+
+func (s *JobSpec) shown() specShown {
+	return specShown{Engine: s.Engine, Mode: s.Mode, N: s.N, Periods: s.Periods, Seeds: s.Seeds, Shards: s.Shards}
+}
+
+// settle fixes a terminal job's row count — the recording rule's for a done
+// job (whichever sweep produced the result), what the sweep had recorded for
+// a cancelled or failed one — and drops the live part in one assignment, so
+// no field added to it later can outlive the sweep. Callers hold j.mu.
+func (j *Job) settle() {
+	switch {
+	case j.status == StatusDone:
+		j.rows = j.spec.recordedRows()
+	case j.log != nil:
+		j.rows = j.log.rows()
+	}
+	j.liveJob = concluded
 }
 
 // traceID returns the job's trace ID, or "" for pre-trace recovered jobs.
@@ -110,15 +150,8 @@ type JobStatus struct {
 	CacheKey string `json:"cache_key"`
 	// Cached reports that the result was served from the content-addressed
 	// cache without running a sweep.
-	Cached bool   `json:"cached"`
-	Engine string `json:"engine"`
-	// Mode is the asyncnet execution mode ("virtual"); empty for the other
-	// engines.
-	Mode     string     `json:"mode,omitempty"`
-	N        int        `json:"n"`
-	Periods  int        `json:"periods"`
-	Seeds    int        `json:"seeds"`
-	Shards   int        `json:"shards,omitempty"`
+	Cached bool `json:"cached"`
+	specShown
 	Rows     int        `json:"rows"`
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
@@ -135,32 +168,22 @@ type JobStatus struct {
 }
 
 // statusLocked assembles the wire status; callers hold j.mu. Rows is the
-// recorded row count: the log's while one exists, what the recording rule
-// fixes for a finished result (whichever sweep produced it), and what a
-// cancelled or failed sweep had recorded when it stopped.
+// recorded row count: the log's while one exists, the settled one after.
 func (j *Job) statusLocked() JobStatus {
 	rows := j.rows
-	switch {
-	case j.log != nil:
+	if j.log != nil {
 		rows = j.log.rows()
-	case j.status == StatusDone:
-		rows = j.spec.recordedRows()
 	}
 	st := JobStatus{
-		ID:       j.ID,
-		Status:   j.status,
-		Error:    j.errMsg,
-		CacheKey: j.Key,
-		Cached:   j.cached,
-		Engine:   j.spec.Engine,
-		Mode:     j.spec.Mode,
-		N:        j.spec.N,
-		Periods:  j.spec.Periods,
-		Seeds:    j.spec.Seeds,
-		Shards:   j.spec.Shards,
-		Rows:     rows,
-		Created:  j.created,
-		Trace:    j.traceID(),
+		ID:        j.ID,
+		Status:    j.status,
+		Error:     j.errMsg,
+		CacheKey:  j.Key,
+		Cached:    j.cached,
+		specShown: j.shown,
+		Rows:      rows,
+		Created:   j.created,
+		Trace:     j.traceID(),
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -233,14 +256,15 @@ type outcome struct {
 // WAL never claims a result the disk does not hold; a result that cannot be
 // stored fails the job rather than silently losing the crash-recovery
 // guarantee. The blob goes to the LRU, its only owner; the job keeps the
-// key. Then the state is set with one reading of the clock, the job table's
-// count moves and the single-flight claim goes, the row log is closed —
-// attached readers drain it and emit the terminal row — and dropped, the one
-// terminal record is journaled with the pickup instant and the finished
-// instant just served — synced, unless it is the done record of an accepted
-// job, which the blob already proves — the job joins the ageing queue
-// (retire), waiters on done are released to a journal and a table that have
-// caught up, and the trace, the metrics and the log line follow.
+// key. Then the state is set with one reading of the clock and the job's
+// live part is dropped (settle), the job table's count moves and the
+// single-flight claim goes, the row log is closed — attached readers drain it
+// and emit the terminal row — the one terminal record is journaled with the
+// pickup instant and the finished instant just served — synced, unless it is
+// the done record of an accepted job, which the blob already proves — the job
+// joins the ageing queue (retire), waiters on done are released to a journal
+// and a table that have caught up, and the trace, the metrics and the log
+// line follow.
 func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	if out.status == StatusDone && !out.cached {
 		if err := s.store.PutResult(job.Key, out.blob.data); err != nil {
@@ -259,11 +283,8 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	started, finished := job.started, time.Now()
 	job.status, job.errMsg, job.cached = out.status, out.errMsg, out.cached
 	job.finished = finished
-	job.cancel = nil
-	log := job.log
-	if log != nil {
-		job.log, job.rows = nil, log.rows()
-	}
+	live := job.liveJob
+	job.settle()
 	job.mu.Unlock()
 
 	// A submit-time hit arrives unregistered and enters the table already
@@ -281,8 +302,8 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 		delete(s.inflight, job.Key)
 	}
 	s.mu.Unlock()
-	if log != nil {
-		log.wake(true)
+	if live.log != nil {
+		live.log.wake(true)
 	}
 
 	rec := store.JobRecord{ID: job.ID, Key: job.Key, Trace: job.traceID(), Error: out.errMsg, Cached: out.cached,
@@ -298,7 +319,7 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	if born {
 		// One snapshot-style record, not a submitted/done pair: it is all
 		// the journal holds of this job.
-		rec.Spec, rec.SubmittedAt = specJSON(&job.spec), job.created.UnixNano()
+		rec.Spec, rec.SubmittedAt = specJSON(&live.spec), job.created.UnixNano()
 	} else if !started.IsZero() {
 		rec.StartedAt = started.UnixNano()
 	}
@@ -440,15 +461,10 @@ func buildSweep(spec *JobSpec, comp *compiled, log *rowLog) ([]harness.Job, erro
 }
 
 // execute runs the sweep for a job that missed the cache, recording into
-// log. It returns each run's crash-stop total, or ctx's error if the job
+// its log. It returns each run's crash-stop total, or ctx's error if the job
 // was cancelled mid-flight.
-func (s *Server) execute(ctx context.Context, job *Job, log *rowLog) ([]int, error) {
-	job.mu.Lock()
-	spec := job.spec
-	comp := job.comp
-	job.mu.Unlock()
-
-	jobs, err := buildSweep(&spec, comp, log)
+func (s *Server) execute(ctx context.Context, job *Job, live *liveJob) ([]int, error) {
+	jobs, err := buildSweep(&live.spec, live.comp, live.log)
 	if err != nil {
 		return nil, err
 	}
@@ -459,7 +475,7 @@ func (s *Server) execute(ctx context.Context, job *Job, log *rowLog) ([]int, err
 		// contract); the service supplies it for latency observation.
 		Now: time.Now,
 		OnJobDone: func(i int, res harness.Result, start, end time.Time) {
-			s.observeSweepLatency(spec.Engine, spec.Mode, job.traceID(), end.Sub(start))
+			s.observeSweepLatency(job.shown.Engine, job.shown.Mode, job.traceID(), end.Sub(start))
 		},
 	}
 	results, err := harness.SweepContext(ctx, jobs, opts)
@@ -505,7 +521,7 @@ func (s *Server) runJob(job *Job) {
 	job.status = StatusRunning
 	job.started = time.Now()
 	job.cancel = cancel
-	log := job.log
+	live := job.liveJob
 	job.mu.Unlock()
 	s.mu.Lock()
 	s.counts[StatusQueued]--
@@ -522,11 +538,11 @@ func (s *Server) runJob(job *Job) {
 	if _, ok := s.peekResult(job.Key); ok {
 		out = outcome{status: StatusDone, cached: true}
 	} else {
-		killed, err := s.execute(ctx, job, log)
+		killed, err := s.execute(ctx, job, live)
 		switch {
 		case err == nil:
 			job.traceAdd(obs.StageSwept)
-			out = outcome{status: StatusDone, blob: newResultBlob(job.Key, encodeResult(log, killed))}
+			out = outcome{status: StatusDone, blob: newResultBlob(job.Key, encodeResult(live.log, killed))}
 		case ctx.Err() != nil:
 			out = outcome{status: StatusCancelled, errMsg: "job cancelled"}
 		default:

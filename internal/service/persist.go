@@ -169,19 +169,21 @@ func (s *Server) recoverJobs() []restartableJob {
 
 	for _, rj := range terminal {
 		job, _ := s.restore(rj)
+		job.settle()
 		s.terminal = append(s.terminal, job)
 		close(job.done)
 	}
 	var restartable []restartableJob
 	for _, rj := range interrupted {
 		job, specOK := s.restore(rj)
+		spec := job.spec // conclude drops it
 		if _, ok := s.loadResult(rj.Key); ok {
 			s.conclude(job, job.status, outcome{status: StatusDone, cached: true})
 			continue
 		}
 		s.conclude(job, job.status, outcome{status: StatusFailed, errMsg: restartableErr})
 		if specOK {
-			restartable = append(restartable, restartableJob{job: job, spec: job.spec})
+			restartable = append(restartable, restartableJob{job: job, spec: spec})
 		}
 	}
 	s.log.Info("recovered jobs from store", "jobs", len(terminal)+len(interrupted),
@@ -189,15 +191,16 @@ func (s *Server) recoverJobs() []restartableJob {
 	return restartable
 }
 
-// restore enters one replayed job in the table in its journaled state, and
-// reports whether its spec survived in the WAL.
+// restore enters one replayed job in the table in its journaled state, live
+// part included, and reports whether its spec survived in the WAL.
 func (s *Server) restore(rj store.RecoveredJob) (*Job, bool) {
-	job := &Job{ID: rj.ID, Key: rj.Key, srv: s, num: s.idNumber(rj.ID), status: StatusQueued, done: make(chan struct{})}
+	job := &Job{ID: rj.ID, Key: rj.Key, srv: s, num: s.idNumber(rj.ID), liveJob: new(liveJob), status: StatusQueued,
+		done: make(chan struct{})}
 	if obs.ValidTraceID(rj.Trace) {
 		// Rebuild an approximate trail from the journaled timestamps:
 		// the per-stage spans died with the previous process, but the
 		// ID (and thus cross-node correlation) survives.
-		job.trace = obs.NewTrace(rj.Trace, s.cfg.Node)
+		job.trace = obs.NewTrace(rj.Trace, s.cfg.Node, 2)
 		if rj.SubmittedAt != 0 {
 			job.trace.Add(obs.StageQueued, time.Unix(0, rj.SubmittedAt))
 		}
@@ -206,6 +209,7 @@ func (s *Server) restore(rj store.RecoveredJob) (*Job, bool) {
 		}
 	}
 	specOK := len(rj.Spec) > 0 && json.Unmarshal(rj.Spec, &job.spec) == nil
+	job.shown = job.spec.shown()
 	if rj.SubmittedAt != 0 {
 		job.created = time.Unix(0, rj.SubmittedAt)
 	}

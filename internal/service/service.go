@@ -45,13 +45,13 @@
 //
 // Memory is a function of the flags, not of uptime. The LRU (cache.go) is
 // the only owner of result bytes and is bounded by entries and by bytes; a
-// finished job keeps its key and a small constant, and resolves its bytes
-// through the LRU and then the store whenever a status, a replay or a
-// figure asks — with the memory backend a result therefore lives exactly as
-// long as the LRU holds it, and a done job past that answers without one.
-// Terminal jobs age out of the table oldest-finished-first beyond
-// Config.RetainJobs (retire, job.go): the ID answers 410 Gone, the result
-// stays addressable by its key, and the store forgets the job too.
+// terminal job is a row (key, stamps, the spec scalars a status shows; spec
+// and compiled protocol go with the sweep, Job.settle) that resolves its
+// bytes by key whenever a status, a replay or a figure asks: with the memory
+// backend a result lives as long as the LRU holds it, no longer. Terminal
+// jobs age out of the table oldest-finished-first beyond Config.RetainJobs
+// (retire, job.go): the ID answers 410 Gone, the result stays addressable by
+// its key, and the store forgets the job too.
 //
 // Endpoints:
 //
@@ -355,7 +355,7 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 	if s.closed.Load() {
 		return nil, errShuttingDown
 	}
-	tr := obs.NewTrace(traceID, s.cfg.Node)
+	tr := obs.NewTrace(traceID, s.cfg.Node, 5) // queued, compiled, swept, persisted, responded
 	created := time.Now()
 	tr.Add(obs.StageQueued, created)
 	comp, err := spec.normalize(s.cfg.Limits)
@@ -368,8 +368,8 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 	job := &Job{
 		Key:     key,
 		srv:     s,
-		spec:    spec,
-		comp:    comp,
+		liveJob: &liveJob{spec: spec, comp: comp},
+		shown:   spec.shown(),
 		status:  StatusQueued,
 		created: created,
 		trace:   tr,

@@ -11,15 +11,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"odeproto/internal/store"
 )
 
-// soakSpec is the i-th distinct tiny job of the soak.
+// soakSpec is the i-th distinct tiny job of the soak: a contact rate of its
+// own, so each compiles a protocol no other job shares.
 func soakSpec(i int) JobSpec {
-	return JobSpec{Source: epidemicSource, Engine: EngineAggregate, N: 100,
-		Initial: map[string]int{"x": 90, "y": 10}, Periods: 4, Seed: int64(i + 1)}
+	return JobSpec{Source: "x' = -b*x*y\ny' = b*x*y", Params: map[string]float64{"b": 0.5 + 0.5*float64(i+1)/8192},
+		Engine: EngineAggregate, N: 100, Initial: map[string]int{"x": 90, "y": 10}, Periods: 4, Seed: int64(i + 1)}
 }
 
 // TestSoakMemoryIsAFunctionOfTheFlags submits far more jobs than the table
@@ -60,9 +60,16 @@ func soak(t *testing.T, dir string) {
 	}
 	srv, ts := newTestServer(t, cfg)
 
+	// No waiting is needed once every submitter has seen its job done:
+	// conclude releases the waiters on job.done last, after the terminal
+	// record is journaled and the job retired, so the table and the store's
+	// index have already caught up.
 	bounds := func(when string) {
 		t.Helper()
-		st, resident := atRest(srv, retain)
+		st, resident := srv.stats(), 0
+		for _, n := range st.Jobs {
+			resident += n
+		}
 		if resident > retain {
 			t.Fatalf("%s: %d jobs resident, want at most %d", when, resident, retain)
 		}
@@ -133,13 +140,14 @@ func soak(t *testing.T, dir string) {
 
 	run(1, jobs/5)
 	bounds("after a fifth of the run")
-	early := heapAfterGC()
+	early := heapSansMemo()
 	run(jobs/5, jobs)
 	bounds("at the end")
-	late := heapAfterGC()
-	// 4 000 more jobs and 400 more duplicates went by. At the parent each
-	// left its Job, its spec and its blob behind (≈ 1.6 KB here, megabytes
-	// of real results); what may still grow now is bounded bookkeeping.
+	late := heapSansMemo()
+	// 4 000 more jobs and 400 more duplicates went by, each with a compiled
+	// protocol of its own. Before the table was bounded each left its Job, its
+	// spec, its protocol and its blob behind; what may still grow now is
+	// bounded bookkeeping (the compile memo is emptied at both readings).
 	grown := int64(late) - int64(early)
 	t.Logf("post-GC heap %d B after %d jobs, %d B after %d (%+d B)", early, jobs/5, late, jobs, grown)
 	if grown > 512<<10 {
@@ -243,22 +251,6 @@ func soak(t *testing.T, dir string) {
 	}
 }
 
-// atRest returns the server's stats and resident job count once no worker
-// is still concluding: a waiter on job.done is released before the worker
-// journals the terminal record and retires the job, so the table and the
-// store's index may run a job or two over want for a moment.
-func atRest(srv *Server, want int) (Stats, int) {
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		st, resident := srv.stats(), 0
-		for _, n := range st.Jobs {
-			resident += n
-		}
-		if (resident <= want && st.Store.IndexedJobs <= want) || time.Now().After(deadline) {
-			return st, resident
-		}
-	}
-}
-
 // TestListPages: GET /v1/jobs serves the table a page at a time in numeric
 // ID order — j1000000 after j999999, where the string sort put it first —
 // with a Link rel="next" while more remain, and only what is resident.
@@ -275,7 +267,6 @@ func TestListPages(t *testing.T) {
 		<-job.done
 	}
 	// j999990 … j999994 have aged out; 25 remain, j999995 … j1000019.
-	atRest(srv, 25)
 	var got []string
 	url := ts.URL + "/v1/jobs?limit=10"
 	for pages := 0; url != ""; pages++ {
