@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -669,6 +670,21 @@ func BenchmarkStoreAppendGroupCommit(b *testing.B) {
 	benchStoreAppendParallel(b, store.Options{GroupCommit: true})
 }
 
+// benchResultBlob renders the canonical bytes of a one-run result of the given
+// number of rows.
+func benchResultBlob(b *testing.B, seed int64, rows int) []byte {
+	b.Helper()
+	res := service.JobResult{States: []string{"x", "y"}, Runs: []service.RunResult{{Seed: seed}}}
+	for p := 0; p < rows; p++ {
+		res.Runs[0].Rows = append(res.Runs[0].Rows, service.PeriodRow{Period: p, Counts: []int{400 - p, p}})
+	}
+	blob, err := json.Marshal(&res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return blob
+}
+
 // benchStoreDir builds a data dir holding jobs completed lifecycles and
 // their content-addressed result blobs.
 func benchStoreDir(b *testing.B, jobs, rowsPerResult int) string {
@@ -680,14 +696,7 @@ func benchStoreDir(b *testing.B, jobs, rowsPerResult int) string {
 	}
 	defer st.Close()
 	for i := 0; i < jobs; i++ {
-		res := service.JobResult{States: []string{"x", "y"}, Runs: []service.RunResult{{Seed: int64(i + 1)}}}
-		for p := 0; p < rowsPerResult; p++ {
-			res.Runs[0].Rows = append(res.Runs[0].Rows, service.PeriodRow{Period: p, Counts: []int{400 - p, p}})
-		}
-		blob, err := json.Marshal(&res)
-		if err != nil {
-			b.Fatal(err)
-		}
+		blob := benchResultBlob(b, int64(i+1), rowsPerResult)
 		key := fmt.Sprintf("%064x", i+1)
 		id := fmt.Sprintf("j%06d", i+1)
 		if err := st.PutResult(key, blob); err != nil {
@@ -748,6 +757,58 @@ func BenchmarkCacheWarmFromDisk(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*jobs/b.Elapsed().Seconds(), "results_warmed/s")
+}
+
+// BenchmarkStorePutResult measures the second commit point of a job with a
+// 20 000-row result: deflate, write, fsync, rename, directory fsync.
+// stored-B/op is what reached the disk for the raw-B/op handed in.
+func BenchmarkStorePutResult(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	blob := benchResultBlob(b, 1, 20000)
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.PutResult(fmt.Sprintf("%064x", i+1), blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	stats := st.Stats()
+	b.ReportMetric(float64(stats.ResultBytes)/float64(b.N), "stored-B/op")
+	b.ReportMetric(float64(stats.ResultRawBytes)/float64(b.N), "raw-B/op")
+}
+
+// BenchmarkStoreGetResultReader measures the disk path of an identity GET
+// past the LRU: open the stored member and inflate it to EOF, trailer check
+// included.
+func BenchmarkStoreGetResultReader(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	blob := benchResultBlob(b, 1, 20000)
+	key := fmt.Sprintf("%064x", 1)
+	if err := st.PutResult(key, blob); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc, size, err := st.GetResultReader(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, rc)
+		_ = rc.Close()
+		if err != nil || n != size || n != int64(len(blob)) {
+			b.Fatalf("streamed %d of %d declared bytes (blob %d): %v", n, size, len(blob), err)
+		}
+	}
 }
 
 // --- ablation and substrate benchmarks ---

@@ -72,14 +72,16 @@ func (s *Server) diskResult(key string) (*resultBlob, bool) {
 	return blob, ok
 }
 
-// loadResult reads a stored blob's bytes without decoding them — a
-// json.Valid scan is all they get, since the bytes are spliced verbatim
-// into response envelopes and must at least be well-formed JSON.
+// loadResult reads a stored blob's bytes without decoding them — the store
+// has checked a compressed blob against its trailer, and a json.Valid scan is
+// all they get here, since the bytes are spliced verbatim into response
+// envelopes and must at least be well-formed JSON.
 func (s *Server) loadResult(key string) (*resultBlob, bool) {
 	data, err := s.store.GetResult(key)
 	if err != nil {
-		// A plain miss is normal; an I/O failure or a blob the WAL claims
-		// exists but cannot be read is a store fault worth counting.
+		// A plain miss is normal; an I/O failure, or a blob the WAL claims
+		// exists but that cannot be read or fails its checksum, is a store
+		// fault worth counting.
 		if !errors.Is(err, store.ErrNotFound) {
 			s.met.storeErrs.Inc()
 			s.log.Warn("result blob unreadable", "key", key, "err", err)
@@ -147,9 +149,9 @@ func (s *Server) recoverJobs() []restartableJob {
 	// Warm newest finishers first, one load per distinct key, each placed
 	// behind the last so the newest ends most recently used; stop at the
 	// first result the LRU's bounds have no room for. Warming loads bytes
-	// only — a json.Valid scan, no decode — so startup cost is I/O, and
-	// since jobs resolve their bytes by key, warm and cold differ only in
-	// latency.
+	// only — an inflate and a json.Valid scan, no decode — so startup cost
+	// is I/O, and since jobs resolve their bytes by key, warm and cold differ
+	// only in latency.
 	seen := make(map[string]bool)
 	for i := len(terminal) - 1; i >= 0; i-- {
 		rj := terminal[i]

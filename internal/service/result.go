@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -42,43 +41,15 @@ func newResultBlob(key string, data []byte) *resultBlob {
 // gzip variant, if it exists yet.
 func (b *resultBlob) size() int64 { return int64(len(b.data)) + b.gzLen.Load() }
 
-// gzipWriters recycles deflate states (≈ 800 KB each) across compressions.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
-
-// gzipBytes compresses data into an exactly sized buffer: the output is
-// collected in a pooled scratch buffer and copied out, so no growth slack
-// stays attached to a blob the LRU accounts by length.
-func gzipBytes(data []byte) []byte {
-	buf := scratch.Get().(*[]byte)
-	out := bytes.NewBuffer((*buf)[:0])
-	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(out)
-	// Writes into a bytes.Buffer cannot fail.
-	_, _ = zw.Write(data)
-	_ = zw.Close()
-	gzipWriters.Put(zw)
-	*buf = out.Bytes()
-	gz := bytes.Clone(*buf)
-	scratch.Put(buf)
-	return gz
-}
-
-// resultGzip returns blob's gzip variant, built at most once: a persisted
-// sibling blob is preferred (so restarts warm compressed serving without
-// recompressing), otherwise the canonical bytes are compressed here and
-// written back as the sibling, best-effort. The LRU re-accounts the blob at
-// its grown size.
+// resultGzip returns blob's gzip variant, built at most once: the store's
+// own bytes when the blob is stored compressed, otherwise (memory backend,
+// sub-block blobs) the canonical bytes deflated here; nothing is written.
+// The LRU re-accounts the blob at its grown size.
 func (s *Server) resultGzip(b *resultBlob) []byte {
 	b.gzOnce.Do(func() {
 		gz, err := s.store.GetResultGzip(b.key)
 		if err != nil {
-			gz = gzipBytes(b.data)
-			if err := s.store.PutResultGzip(b.key, gz); err != nil {
-				// The sibling is only a cache of the canonical bytes; a failed
-				// write costs future recompressions, not correctness.
-				s.met.storeErrs.Inc()
-				s.log.Warn("gzip sibling write failed", "key", b.key, "err", err)
-			}
+			gz = store.Deflate(b.data)
 		}
 		b.gzData = gz
 		b.gzLen.Store(int64(len(gz)))
@@ -153,10 +124,14 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 // matching If-None-Match with 304, and only then pick the body — gzip when
 // the client asked for it, with an exact Content-Length. An LRU blob is
 // copied from memory and builds its gzip variant at most once; past the LRU
-// gzip comes from the persisted sibling blob and identity streams through
-// the store's reader, never buffering a whole blob just to forward it. No
-// JSON is encoded on this path, ever; the encodes-saved counter records
-// each LRU request the old per-request marshal would have paid.
+// gzip is the stored member as it lies (identity if the blob holds none) and
+// identity streams through the store's reader, inflating as it goes, never
+// buffering a whole blob just to forward it. No JSON is encoded on this
+// path, ever; the encodes-saved counter records each LRU request the old
+// per-request marshal would have paid. A copy that fails tears the
+// connection rather than close it cleanly on a short body: a damaged blob
+// surfaces there, as the inflating reader's error, and since that reader
+// withholds a member's tail until the trailer checks out, short it is.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	blob, cached := s.cache.peek(key)
@@ -185,7 +160,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var body io.Reader = rc // past the LRU, identity streams from the store
+	src := readErr{Reader: rc} // past the LRU, identity streams from the store
+	var body io.Reader = &src
 	if cached {
 		body, size = bytes.NewReader(blob.data), int64(len(blob.data))
 	}
@@ -194,8 +170,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		if cached {
 			gz = s.resultGzip(blob)
 		} else {
-			// The sibling is only ever written after PutResult succeeded;
-			// without one the identity bytes go out.
+			// A blob with no gzip form goes out as identity.
 			gz, _ = s.store.GetResultGzip(key)
 		}
 		if len(gz) > 0 {
@@ -206,14 +181,36 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.FormatInt(size, 10))
 	w.WriteHeader(http.StatusOK)
-	n, _ := io.Copy(w, body)
+	n, err := io.Copy(w, body)
 	s.met.bytesServed.Add(n)
+	if err != nil {
+		if src.err != nil {
+			s.met.storeErrs.Inc()
+			s.log.Warn("result blob failed mid-body", "key", key, "offset", n, "err", src.err)
+		}
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// readErr remembers the error its reader failed with, so a failed copy can
+// tell a damaged blob from a client that hung up.
+type readErr struct {
+	io.Reader
+	err error
+}
+
+func (r *readErr) Read(p []byte) (n int, err error) {
+	if n, err = r.Reader.Read(p); err != nil && err != io.EOF {
+		r.err = err
+	}
+	return n, err
 }
 
 // HasResult reports whether this node can serve GET /v1/results/{key}
 // locally, from the LRU or the durable store, without reading any result
-// bytes. The cluster router probes substitutes with it instead of
-// replaying the whole request into a buffering recorder.
+// bytes (or building an inflater: the store's reader takes one at its first
+// Read). The cluster router probes substitutes with it instead of replaying
+// the whole request into a buffering recorder.
 func (s *Server) HasResult(key string) bool {
 	if s.cache.contains(key) {
 		return true

@@ -5,8 +5,10 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -69,14 +71,28 @@ func dropFromCache(srv *Server, key string) {
 	}
 }
 
-// runSmallJob submits smallSpec and returns its terminal status.
-func runSmallJob(t *testing.T, base string) JobStatus {
+// largeSpec is smallSpec run long enough that its result outgrows one 4 KiB
+// block, so the file store holds it as a gzip member.
+func largeSpec() JobSpec {
+	spec := smallSpec()
+	spec.Engine, spec.Periods = EngineAggregate, 600
+	return spec
+}
+
+// runJob submits spec and returns its terminal status.
+func runJob(t *testing.T, base string, spec JobSpec) JobStatus {
 	t.Helper()
-	resp, data := doJSON(t, http.MethodPost, base+"/v1/jobs", smallSpec())
+	resp, data := doJSON(t, http.MethodPost, base+"/v1/jobs", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, data)
 	}
 	return waitStatus(t, base, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
+}
+
+// runSmallJob submits smallSpec and returns its terminal status.
+func runSmallJob(t *testing.T, base string) JobStatus {
+	t.Helper()
+	return runJob(t, base, smallSpec())
 }
 
 // TestResultBytesIdenticalAcrossPaths pins the encode-once contract: the
@@ -180,8 +196,8 @@ func TestResultConditionalGet(t *testing.T) {
 }
 
 // TestColdRevalidationReadsNothing: a conditional GET of a key the LRU does
-// not hold answers 304 from the store's open alone — no blob, no gzip
-// sibling and no byte of the reader is read, whatever encoding the client
+// not hold answers 304 from the store's open alone — no blob, no stored
+// gzip member and no byte of the reader is read, whatever encoding the client
 // accepts — and a key the store does not hold is still a 404 (the cluster
 // router's failover keys on it).
 func TestColdRevalidationReadsNothing(t *testing.T) {
@@ -189,12 +205,10 @@ func TestColdRevalidationReadsNothing(t *testing.T) {
 	t.Cleanup(func() { fst.Close() }) // after the server cleanup below
 	rec := &recordingStore{Store: fst}
 	srv, ts := newTestServer(t, Config{Workers: 1, Store: rec})
-	key := runSmallJob(t, ts.URL).CacheKey
+	// Stored compressed, so a gzip revalidation has something it could read
+	// and an identity one something it could inflate.
+	key := runJob(t, ts.URL, largeSpec()).CacheKey
 	etag := `"` + key + `"`
-	// The sibling exists, so a gzip revalidation has something it could read.
-	if resp, _ := rawGet(t, ts.URL+"/v1/results/"+key, map[string]string{"Accept-Encoding": "gzip"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("gzip GET: %d", resp.StatusCode)
-	}
 	dropFromCache(srv, key)
 
 	for _, enc := range []string{"identity", "gzip"} {
@@ -212,6 +226,13 @@ func TestColdRevalidationReadsNothing(t *testing.T) {
 			t.Errorf("cold revalidation (%s) read result bytes %d times before answering 304", enc, reads)
 		}
 	}
+	// The router's probe is the same open: true, and nothing read or inflated.
+	rec.mu.Lock()
+	rec.reads = 0
+	rec.mu.Unlock()
+	if has := srv.HasResult(key); !has || rec.reads != 0 {
+		t.Errorf("HasResult = %v after %d reads of result bytes, want true after none", has, rec.reads)
+	}
 	for _, enc := range []string{"identity", "gzip"} {
 		resp, _ := rawGet(t, ts.URL+"/v1/results/"+strings.Repeat("ab", 32), map[string]string{"If-None-Match": "*", "Accept-Encoding": enc})
 		if resp.StatusCode != http.StatusNotFound {
@@ -220,64 +241,121 @@ func TestColdRevalidationReadsNothing(t *testing.T) {
 	}
 }
 
-// TestResultGzipVariant: Accept-Encoding: gzip serves a compressed body
-// that decompresses to exactly the canonical bytes — from the in-memory
-// variant on a cache hit, and from the persisted sibling blob once the
-// entry has left the LRU. q=0 opts back out.
+// resultFiles lists every file under dir's results tree, by path from dir.
+func resultFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(filepath.Join(dir, "results"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, dir)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestResultGzipVariant pins where gzip bodies come from: the service writes
+// no sibling. A result above one block is stored as a gzip member, and both
+// the LRU's gzip variant and the disk path's gzip answer are that member,
+// byte for byte, with an exact Content-Length; a result that fits one block
+// is stored as is, deflated in memory for the LRU's variant, and past the LRU
+// a gzip request gets identity.
 func TestResultGzipVariant(t *testing.T) {
-	srv, base := newFileBackedServer(t, Config{Workers: 1})
-	done := runSmallJob(t, base)
-	key := done.CacheKey
+	dir := t.TempDir()
+	fst := openFileStore(t, dir)
+	t.Cleanup(func() { fst.Close() }) // after the server cleanup below
+	srv, ts := newTestServer(t, Config{Workers: 1, Store: fst})
+	base := ts.URL
 
-	_, canonical := rawGet(t, base+"/v1/results/"+key, nil)
+	for _, row := range []struct {
+		name       string
+		spec       JobSpec
+		compressed bool
+	}{
+		{"above one block", largeSpec(), true},
+		{"within one block", smallSpec(), false},
+	} {
+		key := runJob(t, base, row.spec).CacheKey
+		_, canonical := rawGet(t, base+"/v1/results/"+key, nil)
+		if (len(canonical) > 4096) != row.compressed {
+			t.Fatalf("%s: the result is %d B", row.name, len(canonical))
+		}
+		stored := resultFiles(t, dir)[filepath.Join("/results", key[:2], key)]
+		if row.compressed == bytes.Equal(stored, canonical) {
+			t.Fatalf("%s: %d B result stored in %d B", row.name, len(canonical), len(stored))
+		}
 
-	check := func(label string) {
-		t.Helper()
-		resp, body := rawGet(t, base+"/v1/results/"+key, map[string]string{"Accept-Encoding": "gzip"})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", label, resp.StatusCode)
+		// check GETs with Accept-Encoding: gzip and returns the wire bytes
+		// of a gzip answer, nil for an identity one.
+		check := func(label string) []byte {
+			t.Helper()
+			resp, body := rawGet(t, base+"/v1/results/"+key, map[string]string{"Accept-Encoding": "gzip"})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s, %s: status %d", row.name, label, resp.StatusCode)
+			}
+			if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+				t.Fatalf("%s, %s: Content-Length = %q for %d wire bytes", row.name, label, got, len(body))
+			}
+			if resp.Header.Get("Content-Encoding") != "gzip" {
+				if !bytes.Equal(body, canonical) {
+					t.Fatalf("%s, %s: identity answer differs from the canonical bytes", row.name, label)
+				}
+				return nil
+			}
+			zr, err := gzip.NewReader(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", row.name, label, err)
+			}
+			plain, err := io.ReadAll(zr)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", row.name, label, err)
+			}
+			if !bytes.Equal(plain, canonical) {
+				t.Fatalf("%s, %s: gzip body does not decompress to the canonical bytes", row.name, label)
+			}
+			return body
 		}
-		if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
-			t.Fatalf("%s: Content-Encoding = %q", label, got)
+		before := srv.cache.stats().Bytes
+		hot := check("cache hit")
+		if hot == nil || row.compressed != bytes.Equal(hot, stored) {
+			t.Fatalf("%s: cache-hit gzip is %d B, the file %d B: want the stored member iff there is one", row.name, len(hot), len(stored))
 		}
-		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
-			t.Fatalf("%s: Content-Length = %q for %d wire bytes", label, got, len(body))
+		// The variant built after insertion is on the LRU's books, exactly
+		// sized: no growth slack rides along uncounted.
+		blob, _ := srv.cache.peek(key)
+		if st := srv.cache.stats(); st.Bytes != before+int64(len(blob.gzData)) || cap(blob.gzData) > len(blob.gzData)+len(blob.gzData)/8+64 {
+			t.Fatalf("%s: LRU grew %d B for a %d B gzip variant (cap %d)", row.name, st.Bytes-before, len(blob.gzData), cap(blob.gzData))
 		}
-		zr, err := gzip.NewReader(bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+
+		dropFromCache(srv, key)
+		cold := check("past the LRU")
+		if row.compressed != bytes.Equal(cold, stored) || !row.compressed && cold != nil {
+			t.Fatalf("%s: past the LRU a gzip request got %d gzip bytes, the file holds %d", row.name, len(cold), len(stored))
 		}
-		plain, err := io.ReadAll(zr)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+		if resp, body := rawGet(t, base+"/v1/results/"+key, nil); resp.Header.Get("Content-Length") != strconv.Itoa(len(canonical)) || !bytes.Equal(body, canonical) {
+			t.Fatalf("%s: identity past the LRU: Content-Length %q, %d B, want the %d canonical bytes", row.name, resp.Header.Get("Content-Length"), len(body), len(canonical))
 		}
-		if !bytes.Equal(plain, canonical) {
-			t.Fatalf("%s: gzip body does not decompress to the canonical bytes", label)
+
+		// An explicit q=0 refuses gzip: identity bytes come back.
+		resp, body := rawGet(t, base+"/v1/results/"+key, map[string]string{"Accept-Encoding": "gzip;q=0"})
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
+			t.Fatalf("%s, q=0: status %d, Content-Encoding %q", row.name, resp.StatusCode, resp.Header.Get("Content-Encoding"))
+		}
+		if !bytes.Equal(body, canonical) {
+			t.Fatalf("%s: q=0 response differs from the canonical bytes", row.name)
 		}
 	}
-	if st := srv.cache.stats(); st.Bytes != int64(len(canonical)) {
-		t.Fatalf("LRU accounts %d B for one %d B result", st.Bytes, len(canonical))
+	// One file per result: no request wrote anything.
+	if files := resultFiles(t, dir); len(files) != 2 {
+		t.Fatalf("the results tree holds %d files, want the two blobs", len(files))
 	}
-	check("cache-hit gzip")
-	// The variant built after insertion is on the LRU's books, exactly
-	// sized: no growth slack rides along uncounted.
-	blob, _ := srv.cache.peek(key)
-	if st := srv.cache.stats(); st.Bytes != int64(len(canonical)+len(blob.gzData)) || cap(blob.gzData) > len(blob.gzData)+len(blob.gzData)/8+64 {
-		t.Fatalf("LRU accounts %d B for %d canonical + %d gzip bytes (cap %d)", st.Bytes, len(canonical), len(blob.gzData), cap(blob.gzData))
-	}
-
-	// The first gzip request persisted the sibling; the disk path serves it
-	// without touching the identity blob.
-	dropFromCache(srv, key)
-	check("sibling gzip")
-
-	// An explicit q=0 refuses gzip: identity bytes come back.
-	resp, body := rawGet(t, base+"/v1/results/"+key, map[string]string{"Accept-Encoding": "gzip;q=0"})
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "" {
-		t.Fatalf("q=0: status %d, Content-Encoding %q", resp.StatusCode, resp.Header.Get("Content-Encoding"))
-	}
-	if !bytes.Equal(body, canonical) {
-		t.Fatal("q=0 response differs from the canonical bytes")
+	if errs := srv.Stats().StoreErrors; errs != 0 {
+		t.Fatalf("%d store errors", errs)
 	}
 }
 

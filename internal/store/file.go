@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -70,6 +72,7 @@ type FileStore struct {
 	records        int64
 	resultsWritten int64
 	resultBytes    int64
+	resultRawBytes int64
 	compactions    int64
 	closed         bool
 }
@@ -327,70 +330,100 @@ func writeAtomic(path string, data []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// readBlob returns the file stored for key under the given suffix ("" for
-// the canonical blob, ".gz" for its sibling), or ErrNotFound.
-func (s *FileStore) readBlob(key, suffix string) ([]byte, error) {
+// openBlob opens key's blob, or ErrNotFound, and sniffs its format: canonical
+// JSON starts with '{', a gzip member with 1f 8b. The caller owns the Close.
+func (s *FileStore) openBlob(key string) (f *os.File, size int64, gz bool, err error) {
 	path, err := resultPath(s.dir, key)
 	if err != nil {
-		return nil, ErrNotFound
+		return nil, 0, false, ErrNotFound
 	}
-	data, err := os.ReadFile(path + suffix)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrNotFound
+	if f, err = os.Open(path); errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, false, ErrNotFound
+	} else if err != nil {
+		return nil, 0, false, err
 	}
-	if err != nil {
-		return nil, err
+	var magic [2]byte
+	fi, err := f.Stat()
+	if err == nil {
+		_, err = f.ReadAt(magic[:], 0)
 	}
-	return data, nil
+	if err != nil && err != io.EOF { // a blob shorter than the magic is not a member
+		_ = f.Close()
+		return nil, 0, false, err
+	}
+	return f, fi.Size(), magic == [2]byte{0x1f, 0x8b}, nil
 }
 
-// PutResult durably stores a completed result blob under its content
-// address (writeAtomic), so the WAL never names a key whose blob is torn.
-// Only canonical blobs count in ResultsWritten/ResultBytes.
+// PutResult durably stores a completed result under its content address
+// (writeAtomic), so the WAL never names a key whose blob is torn: as one gzip
+// member, or as is when it fits one block. ResultBytes counts what reached
+// the disk, ResultRawBytes what was handed in.
 func (s *FileStore) PutResult(key string, data []byte) error {
 	path, err := resultPath(s.dir, key)
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(path, data); err != nil {
+	stored := data
+	if len(data) > blockBytes {
+		stored = Deflate(data)
+	}
+	if err := writeAtomic(path, stored); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.resultsWritten++
-	s.resultBytes += int64(len(data))
+	s.resultBytes += int64(len(stored))
+	s.resultRawBytes += int64(len(data))
 	s.mu.Unlock()
 	return nil
 }
 
-// GetResult returns the stored blob for key, or ErrNotFound.
-func (s *FileStore) GetResult(key string) ([]byte, error) { return s.readBlob(key, "") }
-
-// GetResultReader opens the stored blob for key as a stream, returning its
-// size so HTTP callers can set Content-Length without buffering the body.
-// The caller owns the Close.
-func (s *FileStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
-	path, err := resultPath(s.dir, key)
+// GetResult returns the canonical bytes stored for key, or ErrNotFound; a
+// compressed blob that fails its CRC-32 or length check is an error.
+func (s *FileStore) GetResult(key string) ([]byte, error) {
+	rc, size, err := s.GetResultReader(key)
 	if err != nil {
-		return nil, 0, ErrNotFound
+		return nil, err
 	}
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, ErrNotFound
+	defer func() { _ = rc.Close() }()
+	// Reading to EOF is what verifies the trailer; sized not to regrow.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(rc); err != nil {
+		return nil, fmt.Errorf("store: reading result %s: %w", key, err)
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	return f, fi.Size(), nil
+	return buf.Bytes(), nil
 }
 
-// PutResultGzip stores the gzip variant of a result as a sibling blob at
-// <blob>.gz, as atomically as the blob itself: the sibling is only a cache,
-// but a torn gzip stream served to a client is still a corrupt response.
+// GetResultReader opens the canonical bytes stored for key as a stream,
+// inflating a compressed blob as it is read, and returns their length so
+// HTTP callers can set Content-Length without buffering the body. The
+// caller owns the Close.
+func (s *FileStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
+	f, size, gz, err := s.openBlob(key)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !gz {
+		return f, size, nil
+	}
+	// The member's trailer ends in its inflated length (modulo 4 GiB; results
+	// are bounded far below). A damaged one must not size a buffer: deflate
+	// reaches 1032:1 at best.
+	var tail [4]byte
+	_, err = f.ReadAt(tail[:], max(size-4, 0))
+	n := int64(binary.LittleEndian.Uint32(tail[:]))
+	if err == nil && n > 1032*size {
+		err = fmt.Errorf("a %d-byte member cannot inflate to %d", size, n)
+	}
+	if err != nil {
+		_ = f.Close()
+		return nil, 0, fmt.Errorf("store: result %s: gzip trailer: %w", key, err)
+	}
+	return &blobReader{f: f}, n, nil
+}
+
+// PutResultGzip stores gzip bytes as the sibling <blob>.gz, where daemons that
+// stored blobs uncompressed kept them. Only the benchmark's probe calls it.
 func (s *FileStore) PutResultGzip(key string, data []byte) error {
 	path, err := resultPath(s.dir, key)
 	if err != nil {
@@ -399,10 +432,26 @@ func (s *FileStore) PutResultGzip(key string, data []byte) error {
 	return writeAtomic(path+".gz", data)
 }
 
-// GetResultGzip returns the stored gzip sibling for key, or ErrNotFound
-// when it was never persisted (callers then recompress from canonical
-// bytes).
-func (s *FileStore) GetResultGzip(key string) ([]byte, error) { return s.readBlob(key, ".gz") }
+// GetResultGzip returns a gzip encoding of key's result without compressing
+// anything, or ErrNotFound: a compressed blob's own bytes, unverified (the
+// client's inflate checks the trailer), or an identity blob's old sibling.
+func (s *FileStore) GetResultGzip(key string) ([]byte, error) {
+	f, size, gz, err := s.openBlob(key)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = f.Close() }()
+	if gz {
+		data := make([]byte, size)
+		_, err := io.ReadFull(f, data)
+		return data, err
+	}
+	data, err := os.ReadFile(f.Name() + ".gz")
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, ErrNotFound
+	}
+	return data, err
+}
 
 // Recovered hands over the jobs rebuilt from the WAL at Open time, in
 // first-submitted order. The store keeps only their count: a second call
@@ -479,6 +528,7 @@ func (s *FileStore) Stats() Stats {
 		UnsyncedRecords: s.wal.unsynced,
 		ResultsWritten:  s.resultsWritten,
 		ResultBytes:     s.resultBytes,
+		ResultRawBytes:  s.resultRawBytes,
 		RecoveredJobs:   s.nRecovered,
 		IndexedJobs:     len(s.jobs),
 		TailTruncations: s.wal.truncations,

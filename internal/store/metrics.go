@@ -32,8 +32,11 @@ func RegisterMetrics(r *obs.Registry, s Store) {
 		"Result blobs durably written to the content-addressed store.",
 		func() int64 { return s.Stats().ResultsWritten })
 	r.CounterFunc("odeproto_store_result_bytes_total",
-		"Cumulative bytes of result blobs written.",
+		"Cumulative bytes of result blobs written to disk (compressed where the store compresses).",
 		func() int64 { return s.Stats().ResultBytes })
+	r.CounterFunc("odeproto_store_result_raw_bytes_total",
+		"Cumulative canonical bytes of the result blobs written.",
+		func() int64 { return s.Stats().ResultRawBytes })
 	r.GaugeFunc("odeproto_store_recovered_jobs",
 		"Jobs rebuilt from the WAL at the last open.",
 		func() float64 { return float64(s.Stats().RecoveredJobs) })

@@ -29,6 +29,19 @@
 // the done record was lost, the commit point was not — and
 // failed-restartable otherwise. (Older logs also hold a running record per
 // pickup; it replays as one more non-terminal state.)
+//
+// The blob format: one file per result, told apart by its first bytes. A
+// result's canonical JSON starts with '{' and is stored as is when it fits
+// one 4 KiB filesystem block: compressing it frees no disk block and would
+// cost every small job a deflate state. Anything larger is one gzip member
+// (1f 8b, BestSpeed — a population trajectory deflates ≈ 10×), made durable
+// exactly like the bytes it replaces and served to gzip clients as it lies.
+// Identity blobs of any size and the <blob>.gz siblings older daemons kept
+// are read where they are, never rewritten. A member ends in the CRC-32 and
+// length of what it inflates to, and every read that inflates runs to EOF,
+// so bit rot or truncation in a compressed blob is a read error, not a
+// result. That detects accidents in the stored bytes and nothing more: it
+// does not tie them to their key, and covers no identity blob.
 package store
 
 import (
@@ -122,8 +135,11 @@ type Stats struct {
 	// a power loss would cost right now. Zero after Close.
 	UnsyncedRecords int64 `json:"unsynced_records"`
 	ResultsWritten  int64 `json:"results_written"`
-	ResultBytes     int64 `json:"result_bytes"`
-	RecoveredJobs   int   `json:"recovered_jobs"`
+	// ResultBytes counts blob bytes as written to disk, ResultRawBytes the
+	// canonical bytes they encode: their ratio is the compression achieved.
+	ResultBytes    int64 `json:"result_bytes"`
+	ResultRawBytes int64 `json:"result_raw_bytes"`
+	RecoveredJobs  int   `json:"recovered_jobs"`
 	// IndexedJobs counts the jobs the store still indexes — every one
 	// journaled and not forgotten — which is what a compaction rewrites.
 	IndexedJobs     int   `json:"indexed_jobs"`
@@ -155,10 +171,9 @@ func checkUnsynced(rec JobRecord) error {
 // service only marks a job done afterwards). GetResult returns the stored
 // blob or ErrNotFound; GetResultReader returns the same bytes as a stream
 // plus their size, so large blobs can be served without buffering them in
-// memory (callers own the Close). PutResultGzip/GetResultGzip store and load
-// the gzip variant of a result as a sibling blob — a pure cache of the
-// canonical bytes, so writes may be best-effort and a missing sibling is
-// simply recompressed.
+// memory (callers own the Close). GetResultGzip returns a gzip encoding of
+// the result if the backend holds one — it never compresses — and
+// ErrNotFound otherwise: callers then Deflate the canonical bytes.
 // Recovered hands over the jobs rebuilt from the log at open time, in
 // first-submitted order: the store keeps no copy, so only the first call
 // returns them. Forget drops a job from the store's index of live jobs —
@@ -173,7 +188,6 @@ type Store interface {
 	PutResult(key string, data []byte) error
 	GetResult(key string) ([]byte, error)
 	GetResultReader(key string) (io.ReadCloser, int64, error)
-	PutResultGzip(key string, data []byte) error
 	GetResultGzip(key string) ([]byte, error)
 	Recovered() []RecoveredJob
 	Compact() error
@@ -215,8 +229,6 @@ func (m *memory) GetResult(key string) ([]byte, error) { return nil, ErrNotFound
 func (m *memory) GetResultReader(key string) (io.ReadCloser, int64, error) {
 	return nil, 0, ErrNotFound
 }
-
-func (m *memory) PutResultGzip(key string, data []byte) error { return nil }
 
 func (m *memory) GetResultGzip(key string) ([]byte, error) { return nil, ErrNotFound }
 

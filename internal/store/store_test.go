@@ -230,50 +230,81 @@ func TestResultReaderStreams(t *testing.T) {
 	}
 }
 
-// TestResultGzipSibling pins the compressed-variant contract: the gzip
-// sibling lands atomically next to the canonical blob, reads back
-// verbatim, and its absence is ErrNotFound (callers rebuild lazily).
+// TestResultGzipSibling pins where a gzip encoding comes from now that the
+// store produces no sibling: a blob above one block is a gzip member, and
+// GetResultGzip hands back the file as it lies; a blob that fits one block is
+// stored as is and has none (callers deflate the canonical bytes themselves).
+// PutResultGzip survives on *FileStore for the benchmark's probe and old
+// directories: a sibling beside an identity blob is still read.
 func TestResultGzipSibling(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
 	defer s.Close()
 
-	key := "00112233445566770011223344556677001122334455667700112233445566ff"
-	if _, err := s.GetResultGzip(key); err != ErrNotFound {
+	big := "00112233445566770011223344556677001122334455667700112233445566ff"
+	small := "00112233445566770011223344556677001122334455667700112233445566ee"
+	if _, err := s.GetResultGzip(big); err != ErrNotFound {
 		t.Fatalf("missing gzip err = %v, want ErrNotFound", err)
 	}
-	if err := s.PutResult(key, []byte(`{"states":[]}`)); err != nil {
+	canonical := trajectory(400)
+	if len(canonical) <= blockBytes {
+		t.Fatalf("the large blob is only %d B", len(canonical))
+	}
+	if err := s.PutResult(big, canonical); err != nil {
 		t.Fatal(err)
 	}
-	gz := []byte("\x1f\x8b-pretend-gzip-bytes")
-	if err := s.PutResultGzip(key, gz); err != nil {
+	if err := s.PutResult(small, []byte(`{"states":[]}`)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetResultGzip(key)
+
+	member, err := s.GetResultGzip(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, gz) {
-		t.Fatalf("gzip sibling = %q, want %q", got, gz)
+	onDisk, err := os.ReadFile(filepath.Join(dir, "results", big[:2], big))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Only the canonical blob counts as a result written: the benchmark's
-	// fsyncs_per_op adds results_written to the WAL syncs, and siblings are
-	// a cache that comes and goes.
-	if st := s.Stats(); st.ResultsWritten != 1 || st.ResultBytes != int64(len(`{"states":[]}`)) {
-		t.Fatalf("after a blob and its sibling: results_written = %d, result_bytes = %d, want 1 and %d",
-			st.ResultsWritten, st.ResultBytes, len(`{"states":[]}`))
+	if !bytes.Equal(member, onDisk) || cap(member) != len(member) {
+		t.Fatalf("GetResultGzip returned %d B (cap %d), the file holds %d B: want the stored member, exactly sized", len(member), cap(member), len(onDisk))
 	}
-	// The sibling lives at <blob>.gz, and writes leave no temp droppings.
-	path := filepath.Join(dir, "results", key[:2], key+".gz")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("gzip sibling not at %s: %v", path, err)
+	if got := gunzip(t, member); !bytes.Equal(got, canonical) {
+		t.Fatal("the stored member does not inflate to the canonical bytes")
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "results", key[:2]))
+	if _, err := s.GetResultGzip(small); err != ErrNotFound {
+		t.Fatalf("sub-block blob: gzip err = %v, want ErrNotFound", err)
+	}
+	// One file per result, no sibling, no temp droppings; and both writes
+	// count, at the size that reached the disk.
+	entries, err := os.ReadDir(filepath.Join(dir, "results", big[:2]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 2 {
-		t.Fatalf("result dir holds %d entries, want blob + sibling", len(entries))
+		t.Fatalf("result dir holds %d entries, want the two blobs", len(entries))
+	}
+	raw := int64(len(canonical) + len(`{"states":[]}`))
+	if st := s.Stats(); st.ResultsWritten != 2 || st.ResultBytes != int64(len(onDisk)+len(`{"states":[]}`)) || st.ResultRawBytes != raw {
+		t.Fatalf("results_written = %d, result_bytes = %d, result_raw_bytes = %d, want 2, %d on disk, %d raw",
+			st.ResultsWritten, st.ResultBytes, st.ResultRawBytes, len(onDisk)+len(`{"states":[]}`), raw)
+	}
+
+	// A sibling written the old way is served for an identity blob, counts
+	// as no result written, and never shadows a compressed blob's own bytes.
+	gz := Deflate([]byte(`{"states":[]}`))
+	for _, key := range []string{small, big} {
+		if err := s.PutResultGzip(key, gz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := s.GetResultGzip(small); err != nil || !bytes.Equal(got, gz) {
+		t.Fatalf("identity blob with a sibling: %d B, err %v, want the sibling's %d B", len(got), err, len(gz))
+	}
+	if got, err := s.GetResultGzip(big); err != nil || !bytes.Equal(got, onDisk) {
+		t.Fatalf("compressed blob with a sibling: %d B, err %v, want its own %d B", len(got), err, len(onDisk))
+	}
+	if st := s.Stats(); st.ResultsWritten != 2 {
+		t.Fatalf("siblings moved results_written to %d", st.ResultsWritten)
 	}
 	// Bad keys are rejected on both sides.
 	if err := s.PutResultGzip("abcd/efgh", gz); err == nil {
@@ -283,12 +314,8 @@ func TestResultGzipSibling(t *testing.T) {
 		t.Fatalf("bad-key gzip err = %v, want ErrNotFound", err)
 	}
 
-	// Memory backend: best-effort no-op write, nothing to read back.
-	m := NewMemory()
-	if err := m.PutResultGzip(key, gz); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.GetResultGzip(key); err != ErrNotFound {
+	// Memory backend: nothing to read back.
+	if _, err := NewMemory().GetResultGzip(big); err != ErrNotFound {
 		t.Fatalf("memory gzip err = %v, want ErrNotFound", err)
 	}
 }
