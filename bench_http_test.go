@@ -9,6 +9,7 @@
 package odeproto_test
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"odeproto/internal/obs"
 	"odeproto/internal/service"
 )
 
@@ -99,6 +101,27 @@ func setupResultPlane(b *testing.B) (http.Handler, *service.Server, service.JobS
 	return handler, srv, st
 }
 
+// metricValue reads a label-less family from the registry srv records into,
+// as GET /metrics renders it.
+func metricValue(b *testing.B, srv *service.Server, name string) float64 {
+	b.Helper()
+	var buf bytes.Buffer
+	if err := srv.Metrics().Render(&buf); err != nil {
+		b.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if fam, ok := fams[name]; ok {
+		if v, ok := fam.Value(name, nil); ok {
+			return v
+		}
+	}
+	b.Fatalf("the registry has no %s", name)
+	return 0
+}
+
 // handlerGet drives one GET through the handler with optional headers.
 func handlerGet(b *testing.B, handler http.Handler, path string, hdr map[string]string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -116,7 +139,7 @@ func handlerGet(b *testing.B, handler http.Handler, path string, hdr map[string]
 func BenchmarkResultGetHot(b *testing.B) {
 	handler, srv, st := setupResultPlane(b)
 	path := "/v1/results/" + st.CacheKey
-	before := srv.Stats().ResultEncodesSaved
+	before := metricValue(b, srv, "odeproto_result_encodes_saved_total")
 	var bytesOut int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -127,8 +150,8 @@ func BenchmarkResultGetHot(b *testing.B) {
 		bytesOut = rec.Body.Len()
 	}
 	b.StopTimer()
-	if advanced := srv.Stats().ResultEncodesSaved - before; advanced < int64(b.N) {
-		b.Fatalf("hot path re-encoded: encodes_saved advanced %d for %d GETs", advanced, b.N)
+	if advanced := metricValue(b, srv, "odeproto_result_encodes_saved_total") - before; advanced < float64(b.N) {
+		b.Fatalf("hot path re-encoded: encodes_saved advanced %g for %d GETs", advanced, b.N)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	b.ReportMetric(float64(bytesOut), "body_bytes")

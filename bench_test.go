@@ -626,12 +626,11 @@ func BenchmarkStoreAppend(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "appends/s")
 }
 
-// benchStoreAppendParallel measures the journal under concurrent
-// appenders — the submit-path load a cluster front-end fans onto one node
-// — with and without group commit. The fsyncs metric shows the
-// coalescing: per-append without group commit, per-batch with it.
-func benchStoreAppendParallel(b *testing.B, opts store.Options) {
-	st, err := store.Open(b.TempDir(), opts)
+// BenchmarkStoreAppendParallel measures the journal under concurrent
+// appenders — the submit-path load a cluster front-end fans onto one node.
+// Every append pays its own fsync; the fsyncs metric shows it.
+func BenchmarkStoreAppendParallel(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -654,20 +653,6 @@ func benchStoreAppendParallel(b *testing.B, opts store.Options) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "appends/s")
 	b.ReportMetric(float64(st.Stats().WALSyncs), "fsyncs")
-}
-
-// BenchmarkStoreAppendParallel is the contended baseline: every append
-// pays its own fsync.
-func BenchmarkStoreAppendParallel(b *testing.B) {
-	benchStoreAppendParallel(b, store.Options{})
-}
-
-// BenchmarkStoreAppendGroupCommit is the same contended load with
-// Options.GroupCommit: concurrent appenders coalesce into one fsync per
-// batch, so appends/s should beat the parallel baseline by roughly the
-// achieved batch size.
-func BenchmarkStoreAppendGroupCommit(b *testing.B) {
-	benchStoreAppendParallel(b, store.Options{GroupCommit: true})
 }
 
 // benchResultBlob renders the canonical bytes of a one-run result of the given
@@ -749,8 +734,8 @@ func BenchmarkCacheWarmFromDisk(b *testing.B) {
 			b.Fatal(err)
 		}
 		srv := service.New(service.Config{Workers: 1, CacheSize: jobs, Store: st})
-		if got := srv.Stats().WarmedResults; got != jobs {
-			b.Fatalf("warmed %d results, want %d", got, jobs)
+		if got := metricValue(b, srv, "odeproto_warmed_results"); got != jobs {
+			b.Fatalf("warmed %g results, want %d", got, jobs)
 		}
 		srv.Close()
 		st.Close()

@@ -54,7 +54,7 @@ func run(args []string) error {
 		params    = fs.String("params", "", "comma-separated parameter values, e.g. beta=4,gamma=1")
 		pFlag     = fs.Float64("p", 0, "normalizing constant p (0 = auto)")
 		failure   = fs.Float64("f", 0, "compensated connection failure rate")
-		rewriteIt = fs.Bool("rewrite", true, "rewrite non-mappable systems (§7) before translating")
+		rewriteIt = fs.Bool("rewrite", true, "rewrite non-mappable systems (§7) and expand constant terms (§6) before translating")
 		slack     = fs.String("slack", "z", "slack variable name used by rewriting")
 		analyze   = fs.Bool("analyze", false, "locate and classify equilibria")
 		simulate  = fs.Int("simulate", 0, "simulate the protocol over this many processes")
@@ -95,9 +95,9 @@ func run(args []string) error {
 	cls := sys.Classify()
 	fmt.Printf("taxonomy: %s\n", cls)
 
-	if !cls.Mappable() {
+	if rewrite.Needed(sys) {
 		if !*rewriteIt {
-			return fmt.Errorf("system is not mappable and -rewrite=false")
+			return fmt.Errorf("system needs the §7 rewrite or the §6 expansion of a constant, and -rewrite=false")
 		}
 		rewritten, err := rewrite.MakeMappable(sys, ode.Var(*slack))
 		if err != nil {

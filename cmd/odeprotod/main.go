@@ -18,7 +18,6 @@
 // "Durability"). -cache and -retain-jobs bound the daemon's memory (see
 // README.md "Memory model"): result bytes live only in the LRU, and
 // terminal jobs age out of the job table beyond -retain-jobs.
-// -wal-group-commit coalesces concurrent WAL appends into shared fsyncs.
 // While recovery runs, every endpoint — including GET /v1/healthz —
 // answers 503 {"status":"recovering"}, so cluster probers don't route to
 // a node that can't serve results yet.
@@ -146,7 +145,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		maxPeriods     = fs.Int("max-periods", 0, "per-job period limit (0 = service default)")
 		dataDir        = fs.String("data", "", "durable data directory: WAL-journaled jobs + persisted results (empty = in-memory only)")
 		walSegBytes    = fs.Int64("wal-segment-bytes", 0, "rotate WAL segments beyond this size (0 = store default, 4 MiB)")
-		walGroupCommit = fs.Bool("wal-group-commit", false, "coalesce concurrent WAL appends into shared fsyncs (with -data)")
 		compactOnStart = fs.Bool("compact-on-start", false, "compact the WAL after recovery, dropping superseded records")
 		resumeInterr   = fs.Bool("resume-interrupted", false, "resubmit jobs the previous process left queued or mid-run (specs are recovered from the WAL)")
 		peersFlag      = fs.String("peers", "", "comma-separated static cluster peer list (host:port, this node included); every node must be started with the identical list")
@@ -247,7 +245,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 
 	var backend store.Store
 	if *dataDir != "" {
-		fst, err := store.Open(*dataDir, store.Options{SegmentBytes: *walSegBytes, GroupCommit: *walGroupCommit})
+		fst, err := store.Open(*dataDir, store.Options{SegmentBytes: *walSegBytes})
 		if err != nil {
 			return fail(fmt.Errorf("opening data dir %s: %w", *dataDir, err))
 		}
@@ -293,7 +291,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		}
 		defer router.Close()
 		handler = router
-		logger.Info("joined cluster ring", "self", self, "job_id_prefix", idPrefix, "peers", len(peerList))
 	}
 
 	sw.swap(handler)

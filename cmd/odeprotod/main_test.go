@@ -109,6 +109,37 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
+// scrape fetches and parses base's /metrics.
+func scrape(t *testing.T, base string) map[string]*obs.MetricFamily {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s/metrics: %d %v", base, resp.StatusCode, err)
+	}
+	fams, err := obs.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s serves a malformed exposition: %v\n%s", base, err, body)
+	}
+	return fams
+}
+
+// sample reads one series of a scrape, failing the test if it is absent.
+func sample(t *testing.T, fams map[string]*obs.MetricFamily, name string, labels map[string]string) float64 {
+	t.Helper()
+	if fam, ok := fams[name]; ok {
+		if v, ok := fam.Value(name, labels); ok {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s%v", name, labels)
+	return 0
+}
+
 func pollDone(t *testing.T, base, id string, timeout time.Duration) service.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -244,12 +275,8 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// The identical second POST must be a pure cache hit: answered done
 	// on arrival, same bytes, and the sweep run counter stays at 1.
-	var stats service.Stats
-	if code := getJSON(t, base+"/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
-	}
-	if stats.SweepsExecuted != 1 {
-		t.Fatalf("sweeps executed before the duplicate POST: %d, want 1", stats.SweepsExecuted)
+	if n := sample(t, scrape(t, base), "odeproto_sweeps_executed_total", nil); n != 1 {
+		t.Fatalf("sweeps executed before the duplicate POST: %g, want 1", n)
 	}
 
 	code, body = postJSON(t, base+"/v1/jobs", spec)
@@ -275,14 +302,12 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatal("cached result bytes differ from the original result")
 	}
 
-	if code := getJSON(t, base+"/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
+	fams := scrape(t, base)
+	if n := sample(t, fams, "odeproto_sweeps_executed_total", nil); n != 1 {
+		t.Fatalf("duplicate POST executed a sweep (counter %g)", n)
 	}
-	if stats.SweepsExecuted != 1 {
-		t.Fatalf("duplicate POST executed a sweep (counter %d)", stats.SweepsExecuted)
-	}
-	if stats.Cache.Hits < 1 {
-		t.Fatalf("cache reported no hits: %+v", stats.Cache)
+	if n := sample(t, fams, "odeproto_cache_hits_total", nil); n < 1 {
+		t.Fatalf("cache reported %g hits", n)
 	}
 }
 
@@ -445,24 +470,22 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal("/v1/results body not byte-identical across the restart")
 	}
 
-	var stats service.Stats
-	if code := getJSON(t, base2+"/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats after restart: %d", code)
+	fams := scrape(t, base2)
+	if n := sample(t, fams, "odeproto_sweeps_executed_total", nil); n != 0 {
+		t.Fatalf("restarted daemon executed %g sweeps serving a persisted result", n)
 	}
-	if stats.SweepsExecuted != 0 {
-		t.Fatalf("restarted daemon executed %d sweeps serving a persisted result", stats.SweepsExecuted)
+	if n := sample(t, fams, "odeproto_store_recovered_jobs", nil); n < 1 {
+		t.Fatalf("the file store recovered %g jobs after the restart", n)
 	}
-	if stats.Store.Backend != "file" || stats.Store.RecoveredJobs < 1 {
-		t.Fatalf("store stats after restart: %+v", stats.Store)
+	if n := sample(t, fams, "odeproto_wal_tail_truncations_total", nil); n != 1 {
+		t.Fatalf("tail truncations = %g, want 1 (the injected torn record)", n)
 	}
-	if stats.Store.TailTruncations != 1 {
-		t.Fatalf("tail truncations = %d, want 1 (the injected torn record)", stats.Store.TailTruncations)
+	compactions, segments := sample(t, fams, "odeproto_wal_compactions_total", nil), sample(t, fams, "odeproto_wal_segments", nil)
+	if compactions != 1 || segments != 1 {
+		t.Fatalf("-compact-on-start did not compact: %g compactions, %g segments", compactions, segments)
 	}
-	if stats.Store.Compactions != 1 || stats.Store.WALSegments != 1 {
-		t.Fatalf("-compact-on-start did not compact: %+v", stats.Store)
-	}
-	if stats.ResumedJobs != 0 {
-		t.Fatalf("resumed_jobs = %d for a cleanly finished job", stats.ResumedJobs)
+	if n := sample(t, fams, "odeproto_resumed_jobs", nil); n != 0 {
+		t.Fatalf("resumed_jobs = %g for a cleanly finished job", n)
 	}
 }
 
@@ -495,24 +518,21 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Nodes started first probed peers that weren't listening yet; wait
 	// for a probe round to mark everyone up before asserting on health.
-	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(50 * time.Millisecond) {
-		allUp := true
-		for _, base := range bases {
-			var stats struct {
-				Cluster struct {
-					Peers []struct {
-						Alive bool `json:"alive"`
-					} `json:"peers"`
-				} `json:"cluster"`
-			}
-			if code := getJSON(t, base+"/v1/stats", &stats); code != http.StatusOK {
-				t.Fatalf("stats: %d", code)
-			}
-			for _, p := range stats.Cluster.Peers {
-				allUp = allUp && p.Alive
+	allUp := func(base string) bool {
+		fams := scrape(t, base)
+		for _, addr := range addrs {
+			if sample(t, fams, "odeproto_cluster_peer_alive", map[string]string{"peer": addr}) != 1 {
+				return false
 			}
 		}
-		if allUp {
+		return true
+	}
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		up := true
+		for _, base := range bases {
+			up = up && allUp(base)
+		}
+		if up {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -547,7 +567,6 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	var first []byte
-	var sweeps int64
 	wantETag := `"` + key + `"`
 	for i, base := range bases {
 		resp, err := http.Get(base + "/v1/results/" + key)
@@ -590,39 +609,16 @@ func TestClusterEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusNotModified || len(notModifiedBody) != 0 {
 			t.Fatalf("conditional GET via node %d: %d with %d bytes, want bodiless 304", i, resp.StatusCode, len(notModifiedBody))
 		}
-
-		var stats struct {
-			SweepsExecuted int64 `json:"sweeps_executed"`
-			Cluster        struct {
-				Self  string `json:"self"`
-				Ring  string `json:"ring"`
-				Peers []struct {
-					Alive bool `json:"alive"`
-				} `json:"peers"`
-			} `json:"cluster"`
+		if !allUp(base) {
+			t.Fatalf("node %d sees a peer down", i)
 		}
-		if code := getJSON(t, base+"/v1/stats", &stats); code != http.StatusOK {
-			t.Fatalf("stats via node %d: %d", i, code)
-		}
-		if stats.Cluster.Self == "" || len(stats.Cluster.Peers) != len(addrs) {
-			t.Fatalf("node %d stats carry no cluster section: %+v", i, stats.Cluster)
-		}
-		for pi, p := range stats.Cluster.Peers {
-			if !p.Alive {
-				t.Fatalf("node %d sees peer %d down: %+v", i, pi, stats.Cluster)
-			}
-		}
-		sweeps += stats.SweepsExecuted
-	}
-	if sweeps != 1 {
-		t.Fatalf("cluster executed %d sweeps for one spec, want 1", sweeps)
 	}
 
 	// Scrape /metrics on all three nodes: the exposition must parse, the
 	// histograms must be well-formed, every required family must be
-	// present, and the sweep counter must agree with the JSON stats
-	// (exactly one execution cluster-wide). CI's cluster-e2e step runs
-	// this test, so a malformed or incomplete exposition fails the build.
+	// present, and the sweep counters must sum to exactly one execution
+	// cluster-wide. CI's cluster-e2e step runs this test, so a malformed or
+	// incomplete exposition fails the build.
 	required := []string{
 		"odeproto_jobs_submitted_total",
 		"odeproto_jobs_coalesced_total",
@@ -651,19 +647,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	var metricSweeps float64
 	exemplarTraces := make(map[string]struct{})
 	for i, base := range bases {
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /metrics via node %d: %d %v", i, resp.StatusCode, err)
-		}
-		fams, err := obs.ParseExposition(bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("node %d serves a malformed exposition: %v\n%s", i, err, body)
-		}
+		fams := scrape(t, base)
 		for _, name := range required {
 			if _, ok := fams[name]; !ok {
 				t.Errorf("node %d /metrics lacks required family %s", i, name)
@@ -683,15 +667,13 @@ func TestClusterEndToEnd(t *testing.T) {
 				}
 			}
 		}
-		if v, ok := fams["odeproto_sweeps_executed_total"].Value("odeproto_sweeps_executed_total", nil); ok {
-			metricSweeps += v
-		}
-		if v, ok := fams["odeproto_metrics_render_errors_total"].Value("odeproto_metrics_render_errors_total", nil); !ok || v != 0 {
+		metricSweeps += sample(t, fams, "odeproto_sweeps_executed_total", nil)
+		if v := sample(t, fams, "odeproto_metrics_render_errors_total", nil); v != 0 {
 			t.Errorf("node %d reports %g render errors", i, v)
 		}
 	}
-	if metricSweeps != float64(sweeps) {
-		t.Fatalf("/metrics counts %g sweeps cluster-wide, /v1/stats counted %d", metricSweeps, sweeps)
+	if metricSweeps != 1 {
+		t.Fatalf("cluster executed %g sweeps for one spec, want 1", metricSweeps)
 	}
 
 	// Every exemplar scraped anywhere in the cluster must resolve: its

@@ -11,11 +11,12 @@
 //	ẇ = +0.15 − 0.1·w
 //
 // The constant term −0.15 contains no variable at all, so §6's recipe
-// applies: rewrite −c as −c·(a + w) (rewrite.ExpandConstants, using
-// Σ fractions = 1). After combining like terms the −0.15·a part maps to
-// Flipping, and a residual −0.05·w in a's equation — a term without a —
-// maps to Tokenizing: a worker flips a coin and, on heads, sends a token
-// that converts some available process to a worker.
+// applies: rewrite −c as −c·(a + w), using Σ fractions = 1 (rewrite.Needed
+// says so, and rewrite.MakeMappable does it). After combining like terms
+// the −0.15·a part maps to Flipping, and a residual −0.05·w in a's
+// equation — a term without a — maps to Tokenizing: a worker flips a coin
+// and, on heads, sends a token that converts some available process to a
+// worker.
 //
 // Because demand (0.15) exceeds retirement (0.1·w ≤ 0.1), the pool
 // saturates: every process ends up a worker and further recruitment
@@ -52,20 +53,16 @@ w' = 0.15 - 0.1*w
 	cls := system.Classify()
 	fmt.Println("taxonomy:", cls)
 
-	if !cls.Mappable() {
-		// Not needed for this system (it is already complete), but this is
-		// the general path for raw equations.
+	// The system is already complete; its constant term is what needs the
+	// rewrite (−c → −c·Σv), which is also the general path for raw equations.
+	if rewrite.Needed(system) {
 		system, err = rewrite.MakeMappable(system, "s")
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("after §7 rewriting:")
+		fmt.Println("after rewriting:")
 		fmt.Println(system)
 	}
-	// The constant term needs the §6 expansion before translation.
-	system = rewrite.ExpandConstants(system)
-	fmt.Println("after constant expansion (−c → −c·Σv):")
-	fmt.Println(system)
 	if cls.NeedsTokenizing() {
 		fmt.Println("note: translation will use Tokenizing (§6)")
 	}

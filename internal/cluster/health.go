@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,46 +20,15 @@ const (
 // but falls back to trying them anyway when every candidate is down —
 // a stale verdict must never turn a routable request into an error.
 type peerState struct {
-	addr string
-
-	mu       sync.Mutex
-	alive    bool
-	lastErr  string
-	lastSeen time.Time // last successful probe or forward
-}
-
-func (p *peerState) isAlive() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.alive
-}
-
-// markUp/markDown report whether the verdict changed, so the router can
-// log and gauge only the transitions (outside the peer mutex).
-func (p *peerState) markUp() bool {
-	p.mu.Lock()
-	was := p.alive
-	p.alive = true
-	p.lastErr = ""
-	p.lastSeen = time.Now()
-	p.mu.Unlock()
-	return !was
-}
-
-func (p *peerState) markDown(err error) bool {
-	p.mu.Lock()
-	was := p.alive
-	p.alive = false
-	p.lastErr = err.Error()
-	p.mu.Unlock()
-	return was
+	addr  string
+	alive atomic.Bool
 }
 
 // markPeerDown records a failed forward or probe: peer state, the
 // liveness gauge, and — on the alive→down transition only — a log line.
 func (rt *Router) markPeerDown(i int, err error) {
 	p := rt.peers[i]
-	if p.markDown(err) {
+	if p.alive.Swap(false) {
 		rt.met.peerAlive.With(p.addr).Set(0)
 		rt.log.Warn("peer down", "peer", p.addr, "err", err)
 	}
@@ -69,20 +38,10 @@ func (rt *Router) markPeerDown(i int, err error) {
 // peer).
 func (rt *Router) markPeerUp(i int) {
 	p := rt.peers[i]
-	if p.markUp() {
+	if !p.alive.Swap(true) {
 		rt.met.peerAlive.With(p.addr).Set(1)
 		rt.log.Info("peer up", "peer", p.addr)
 	}
-}
-
-// PeerStatus is one peer's row in the cluster section of /v1/stats.
-type PeerStatus struct {
-	Addr  string `json:"addr"`
-	Self  bool   `json:"self,omitempty"`
-	Alive bool   `json:"alive"`
-	// LastError is the most recent probe/forward failure; cleared when
-	// the peer comes back.
-	LastError string `json:"last_error,omitempty"`
 }
 
 // probeLoop polls every remote peer's /v1/healthz until stop is closed.

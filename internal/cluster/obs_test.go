@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -215,5 +216,175 @@ func TestClusterTraceAndMetrics(t *testing.T) {
 	}
 	if !sawTrace {
 		t.Errorf("no forward latency bucket carries exemplar trace_id %s or %s", st.Trace, stHit.Trace)
+	}
+}
+
+// TestMetricsCarryEveryStatsField: the JSON counter endpoint is gone, and
+// every field it served is on /metrics or in a log line. After a cache miss
+// and a hit through the key's owner, each former field's family is exposed,
+// the counts are the ones the two submissions make, the histograms and the
+// trace record the one real run, and GET /v1/stats answers 404 from the
+// service mux and from the router in front of it.
+func TestMetricsCarryEveryStatsField(t *testing.T) {
+	n := startTestCluster(t, 2)[0]
+	seed := int64(0)
+	for s := int64(1); s < 1000 && seed == 0; s++ {
+		if n.rt.ring.owner(specKey(t, n.svc, s)) == 0 {
+			seed = s
+		}
+	}
+	if seed == 0 {
+		t.Fatal("no seed routes to node 0")
+	}
+
+	// Miss: the first submission runs a sweep.
+	data, err := json.Marshal(testSpec(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(n.base()+"/v1/jobs", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first service.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&first)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", resp.StatusCode, err)
+	}
+	if tid := resp.Header.Get(obs.TraceHeader); !obs.ValidTraceID(tid) {
+		t.Fatalf("submit response carries no valid %s header: %q", obs.TraceHeader, tid)
+	}
+	pollDone(t, n.base(), first.ID, time.Minute)
+
+	// Hit: the identical spec is answered done-on-arrival.
+	if code, body := postJSON(t, n.base()+"/v1/jobs", testSpec(seed)); code != http.StatusOK {
+		t.Fatalf("duplicate submit: %d %s", code, body)
+	}
+
+	// Former field → the family that carries it now. Not listed, because
+	// they are configuration a log line prints: workers ("serving"),
+	// store.backend (whether -data is set), cluster.self and cluster.ring
+	// ("joined cluster ring"), cluster.vnodes (64, which no flag sets) and
+	// a peer's last_error ("peer down").
+	fams := scrapeNode(t, n)
+	for field, family := range map[string]string{
+		"jobs":                    "odeproto_jobs_resident", // by status
+		"queue_depth":             "odeproto_queue_depth",
+		"queue_capacity":          "odeproto_queue_capacity",
+		"sweeps_executed":         "odeproto_sweeps_executed_total",
+		"coalesced_jobs":          "odeproto_jobs_coalesced_total",
+		"rejected_jobs":           "odeproto_jobs_rejected_total",
+		"cache.size":              "odeproto_cache_size",
+		"cache.max":               "odeproto_cache_capacity",
+		"cache.max_bytes":         "odeproto_cache_capacity", // × 256 KiB
+		"cache.bytes":             "odeproto_cache_bytes",
+		"cache.hits":              "odeproto_cache_hits_total",
+		"cache.misses":            "odeproto_cache_misses_total",
+		"result_disk_hits":        "odeproto_result_disk_hits_total",
+		"warmed_results":          "odeproto_warmed_results",
+		"resumed_jobs":            "odeproto_resumed_jobs",
+		"store_errors":            "odeproto_store_errors_total",
+		"result_encodes_saved":    "odeproto_result_encodes_saved_total",
+		"result_bytes_served":     "odeproto_result_bytes_served_total",
+		"store.records_appended":  "odeproto_wal_records_total",
+		"store.wal_segments":      "odeproto_wal_segments",
+		"store.wal_bytes":         "odeproto_wal_bytes",
+		"store.wal_syncs":         "odeproto_wal_syncs_total",
+		"store.unsynced_records":  "odeproto_wal_unsynced_records",
+		"store.results_written":   "odeproto_store_results_written_total",
+		"store.result_bytes":      "odeproto_store_result_bytes_total",
+		"store.result_raw_bytes":  "odeproto_store_result_raw_bytes_total",
+		"store.recovered_jobs":    "odeproto_store_recovered_jobs",
+		"store.indexed_jobs":      "odeproto_jobs_resident", // the store forgets what the table retires
+		"store.tail_truncations":  "odeproto_wal_tail_truncations_total",
+		"store.compactions":       "odeproto_wal_compactions_total",
+		"cluster.peers":           "odeproto_cluster_peer_alive", // by peer
+		"cluster.owner_local":     "odeproto_cluster_owner_local_total",
+		"cluster.forwarded":       "odeproto_cluster_forwarded_total",
+		"cluster.retried":         "odeproto_cluster_retried_total",
+		"cluster.ring_mismatches": "odeproto_cluster_ring_mismatches_total",
+		"cluster.probe_failures":  "odeproto_cluster_probe_failures_total",
+	} {
+		if fam, ok := fams[family]; !ok || len(fam.Samples) == 0 {
+			t.Errorf("%s: /metrics serves no %s", field, family)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		labels map[string]string
+		want   float64
+	}{
+		{"odeproto_jobs_submitted_total", nil, 2},
+		{"odeproto_sweeps_executed_total", nil, 1},
+		{"odeproto_jobs_resident", map[string]string{"status": "done"}, 2},
+		{"odeproto_jobs_resident", map[string]string{"status": "queued"}, 0},
+		{"odeproto_jobs_resident", map[string]string{"status": "running"}, 0},
+		{"odeproto_jobs_resident", map[string]string{"status": "failed"}, 0},
+		{"odeproto_jobs_resident", map[string]string{"status": "cancelled"}, 0},
+		{"odeproto_cache_hits_total", nil, 1},
+		{"odeproto_cache_misses_total", nil, 1},
+		{"odeproto_cache_size", nil, 1},
+		{"odeproto_cluster_owner_local_total", nil, 2},
+		{"odeproto_cluster_peer_alive", map[string]string{"peer": n.addr}, 1},
+	} {
+		if got := metricValue(fams, c.name, c.labels); got != c.want {
+			t.Errorf("%s%v = %g, want %g", c.name, c.labels, got, c.want)
+		}
+	}
+	if logs := n.logs.String(); !strings.Contains(logs, `"joined cluster ring"`) || !strings.Contains(logs, n.rt.fp) {
+		t.Errorf("no joined-cluster-ring line naming ring %s in the log:\n%s", n.rt.fp, logs)
+	}
+
+	// The histograms recorded the one real run: queue wait once (the hit
+	// never queued), sweep latency once under the normalized engine+mode
+	// labels, both with monotone cumulative buckets.
+	for _, h := range []string{"odeproto_queue_wait_seconds", "odeproto_sweep_latency_seconds"} {
+		fam, ok := fams[h]
+		if !ok {
+			t.Fatalf("histogram %s not exposed", h)
+		}
+		if _, err := obs.CheckHistogram(fam); err != nil {
+			t.Errorf("%s: %v", h, err)
+		}
+	}
+	if got := metricValue(fams, "odeproto_queue_wait_seconds_count", nil); got != 1 {
+		t.Errorf("queue_wait count = %g, want 1", got)
+	}
+	if got := metricValue(fams, "odeproto_sweep_latency_seconds_count", map[string]string{"engine": "agent", "mode": ""}); got != 1 {
+		t.Errorf("sweep_latency{engine=agent} count = %g, want 1", got)
+	}
+
+	// The trace endpoint reports every lifecycle span of the real run, in
+	// submission order; a job that never existed has no trace.
+	code, body := getBody(t, n.base()+"/v1/jobs/"+first.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("trace: %d %s", code, body)
+	}
+	var tr service.TraceStatus
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{obs.StageQueued, obs.StageCompiled, obs.StageSwept, obs.StagePersisted, obs.StageResponded}
+	if !obs.ValidTraceID(tr.Trace) || len(tr.Spans) != len(want) {
+		t.Fatalf("trace %s spans = %+v, want stages %v", tr.Trace, tr.Spans, want)
+	}
+	for i, sp := range tr.Spans {
+		if sp.Stage != want[i] || i > 0 && sp.ElapsedMS < tr.Spans[i-1].ElapsedMS {
+			t.Fatalf("span %d = %q at %v ms, want %q in monotone order (all: %+v)", i, sp.Stage, sp.ElapsedMS, want[i], tr.Spans)
+		}
+	}
+	if code, _ := getBody(t, n.base()+"/v1/jobs/zzz/trace"); code != http.StatusNotFound {
+		t.Fatalf("trace of unknown job: %d", code)
+	}
+
+	// The endpoint itself is gone, from both muxes.
+	if code, body := getBody(t, n.base()+"/v1/stats"); code != http.StatusNotFound {
+		t.Errorf("GET /v1/stats through the router: %d %s, want 404", code, body)
+	}
+	rec := httptest.NewRecorder()
+	n.svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET /v1/stats on the service mux: %d %s, want 404", rec.Code, rec.Body)
 	}
 }

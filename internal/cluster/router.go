@@ -63,8 +63,8 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// clusterMetrics is every counter the router maintains; the /v1/stats
-// cluster section reads these same values back.
+// clusterMetrics is every counter the router maintains, rendered at GET
+// /metrics with the local service's.
 type clusterMetrics struct {
 	ownerLocal     *obs.Counter
 	forwarded      *obs.Counter
@@ -104,7 +104,6 @@ type Router struct {
 	self        int
 	selfAddr    string
 	fp          string
-	vnodes      int
 	local       http.Handler
 	svc         *service.Server
 	client      *http.Client // forwards: pooled, no overall deadline
@@ -118,7 +117,7 @@ type Router struct {
 
 	// met holds the routing counters (owner-local, forwarded, retried,
 	// ring-mismatch, probe-failure) and the per-peer liveness gauge in
-	// the obs registry; Stats() reads the same values back.
+	// the obs registry.
 	met *clusterMetrics
 	log *slog.Logger
 }
@@ -185,7 +184,6 @@ func New(cfg Config) (*Router, error) {
 		self:          self,
 		selfAddr:      nodes[self],
 		fp:            fingerprint(nodes, vnodes),
-		vnodes:        vnodes,
 		local:         cfg.Service.Handler(),
 		svc:           cfg.Service,
 		client:        &http.Client{Transport: transport},
@@ -197,9 +195,12 @@ func New(cfg Config) (*Router, error) {
 		log:           logger,
 	}
 	for i, n := range nodes {
-		rt.peers[i] = &peerState{addr: n, alive: true}
+		rt.peers[i] = &peerState{addr: n}
+		rt.peers[i].alive.Store(true)
 		rt.met.peerAlive.With(n).Set(1) // presumed alive until a probe says otherwise
 	}
+	logger.Info("joined cluster ring", "self", rt.selfAddr, "ring", rt.fp,
+		"job_id_prefix", rt.JobIDPrefix(), "peers", len(nodes))
 	rt.probeWG.Add(1)
 	go rt.probeLoop()
 	return rt, nil
@@ -265,9 +266,8 @@ func jobIDNode(id string) (int, bool) {
 
 // ServeHTTP routes one request: forwarded requests are served locally
 // after a fingerprint check, job submissions and result fetches route by
-// content address, job-ID endpoints route by the ID's node prefix, stats
-// get the cluster section attached, and everything else (compile, list,
-// healthz) is local.
+// content address, job-ID endpoints route by the ID's node prefix, and
+// everything else (compile, list, metrics, healthz) is local.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if fp := r.Header.Get(headerForwarded); fp != "" {
 		if fp != rt.fp {
@@ -293,8 +293,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.routeResult(w, r, strings.TrimPrefix(path, "/v1/results/"))
 	case strings.HasPrefix(path, "/v1/jobs/"):
 		rt.routeJob(w, r, strings.TrimPrefix(path, "/v1/jobs/"))
-	case r.Method == http.MethodGet && path == "/v1/stats":
-		rt.handleStats(w)
 	default:
 		rt.local.ServeHTTP(w, r)
 	}
@@ -357,7 +355,7 @@ func (rt *Router) routeByKey(w http.ResponseWriter, r *http.Request, key string,
 	order := rt.ring.successors(key)
 	candidates := make([]int, 0, len(order))
 	for _, n := range order {
-		if n == rt.self || rt.peers[n].isAlive() {
+		if n == rt.self || rt.peers[n].alive.Load() {
 			candidates = append(candidates, n)
 		}
 	}
@@ -528,53 +526,6 @@ func (rt *Router) addrList(nodes []int) string {
 		addrs[i] = rt.peers[n].addr
 	}
 	return strings.Join(addrs, ", ")
-}
-
-// Stats is the cluster section attached to /v1/stats.
-type Stats struct {
-	Self   string       `json:"self"`
-	Ring   string       `json:"ring"` // fingerprint; must match on every node
-	VNodes int          `json:"vnodes"`
-	Peers  []PeerStatus `json:"peers"`
-	// OwnerLocal counts key-routed requests this node owned and served
-	// itself; Forwarded counts requests proxied to another node; Retried
-	// counts attempts that fell through to a ring successor because a
-	// preferred node was down or unreachable.
-	OwnerLocal     int64 `json:"owner_local"`
-	Forwarded      int64 `json:"forwarded"`
-	Retried        int64 `json:"retried"`
-	RingMismatches int64 `json:"ring_mismatches"`
-	ProbeFailures  int64 `json:"probe_failures"`
-}
-
-// Stats snapshots the router counters and peer health. The counters are
-// read back from the obs registry — the same values /metrics renders.
-func (rt *Router) Stats() Stats {
-	st := Stats{
-		Self:           rt.selfAddr,
-		Ring:           rt.fp,
-		VNodes:         rt.vnodes,
-		Peers:          make([]PeerStatus, len(rt.peers)),
-		OwnerLocal:     rt.met.ownerLocal.Value(),
-		Forwarded:      rt.met.forwarded.Value(),
-		Retried:        rt.met.retried.Value(),
-		RingMismatches: rt.met.ringMismatches.Value(),
-		ProbeFailures:  rt.met.probeFailures.Value(),
-	}
-	for i, p := range rt.peers {
-		p.mu.Lock()
-		st.Peers[i] = PeerStatus{Addr: p.addr, Self: i == rt.self, Alive: p.alive, LastError: p.lastErr}
-		p.mu.Unlock()
-	}
-	return st
-}
-
-// handleStats wraps the local service stats with the cluster section.
-func (rt *Router) handleStats(w http.ResponseWriter) {
-	writeJSON(w, http.StatusOK, struct {
-		service.Stats
-		Cluster Stats `json:"cluster"`
-	}{rt.svc.Stats(), rt.Stats()})
 }
 
 // writeJSON buffers the encoded body so router-originated responses carry

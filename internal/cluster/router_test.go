@@ -240,22 +240,13 @@ func TestClusterSingleExecution(t *testing.T) {
 		}
 	}
 
-	// Stats carry the cluster section; a non-owner forwarded something.
-	var stats struct {
-		Cluster Stats `json:"cluster"`
+	// A non-owner forwarded something, and sees every peer.
+	fams := scrapeNode(t, nodes[(owner+1)%3])
+	if n := metricValue(fams, "odeproto_cluster_forwarded_total", nil); n < 1 {
+		t.Fatalf("non-owner reports %g forwards", n)
 	}
-	code, body := getBody(t, nodes[(owner+1)%3].base()+"/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
-	}
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cluster.Forwarded < 1 {
-		t.Fatalf("non-owner reports no forwards: %+v", stats.Cluster)
-	}
-	if len(stats.Cluster.Peers) != 3 {
-		t.Fatalf("stats peers: %+v", stats.Cluster.Peers)
+	if peers := len(fams["odeproto_cluster_peer_alive"].Samples); peers != 3 {
+		t.Fatalf("odeproto_cluster_peer_alive has %d peers, want 3", peers)
 	}
 }
 
@@ -292,7 +283,7 @@ func TestClusterOwnerDownFailover(t *testing.T) {
 	for i, n := range nodes {
 		if i != owner {
 			sweeps += n.svc.SweepsExecuted()
-			retried += n.rt.Stats().Retried
+			retried += n.rt.met.retried.Value()
 		}
 	}
 	if sweeps != 1 {
@@ -499,8 +490,8 @@ func TestClusterRingMismatch(t *testing.T) {
 	if !strings.Contains(string(body), "ring mismatch") || !strings.Contains(string(body), "-peers") {
 		t.Fatalf("502 body does not diagnose the misconfiguration: %s", body)
 	}
-	if nodeB.rt.Stats().RingMismatches != 1 {
-		t.Fatalf("B counted %d ring mismatches, want 1", nodeB.rt.Stats().RingMismatches)
+	if n := nodeB.rt.met.ringMismatches.Value(); n != 1 {
+		t.Fatalf("B counted %d ring mismatches, want 1", n)
 	}
 	// Nobody ran the job.
 	if nodeA.svc.SweepsExecuted()+nodeB.svc.SweepsExecuted() != 0 {

@@ -21,9 +21,8 @@
 //     so scrapes from different nodes aggregate.
 //
 // Every metric reads back (Counter.Value, Gauge.Value, Histogram
-// snapshots), which is what lets /v1/stats be a thin view over the same
-// registry /metrics renders: the two surfaces cannot disagree because
-// there is only one set of numbers.
+// snapshots), so in-process callers — the SLO evaluator, tests — read the
+// same numbers GET /metrics renders, the daemon's one counter surface.
 //
 // # Cardinality rules
 //

@@ -17,7 +17,8 @@
 //   - ReduceOrderLinear: rewrite a linear equation of order k in one
 //     variable into a first-order system by introducing variables for the
 //     higher derivatives (the paper's ẍ + ẋ = x example).
-//   - MakeMappable: the Complete → Homogenize pipeline with verification.
+//   - MakeMappable: the Complete → Homogenize pipeline with verification;
+//     Needed says which systems must go through it.
 package rewrite
 
 import (
@@ -343,11 +344,31 @@ func SplitForPartition(s *ode.System) *ode.System {
 	return out
 }
 
+// hasConstant reports whether any equation of s has a degree-0 term.
+func hasConstant(s *ode.System) bool {
+	for _, v := range s.Vars() {
+		eq, _ := s.Equation(v)
+		for _, t := range eq.Terms {
+			if t.Degree() == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Needed reports whether s must go through MakeMappable before it can be
+// translated: it is not mappable (§2), or it has a constant term, which maps
+// only once §6 expands it to c·Σv.
+func Needed(s *ode.System) bool {
+	return !s.Classify().Mappable() || hasConstant(s)
+}
+
 // MakeMappable runs the standard rewriting pipeline — Complete with the
 // given slack variable (skipped when the system is already complete),
-// then Homogenize, then SplitForPartition — and verifies the result is
-// completely partitionable. It returns an error describing the first
-// obstruction otherwise.
+// then Homogenize, then ExpandConstants if a constant survived it, then
+// SplitForPartition — and verifies the result is completely partitionable.
+// It returns an error describing the first obstruction otherwise.
 func MakeMappable(s *ode.System, slack ode.Var) (*ode.System, error) {
 	cur := s.Clone()
 	if !cur.IsComplete() {
@@ -358,6 +379,10 @@ func MakeMappable(s *ode.System, slack ode.Var) (*ode.System, error) {
 		cur = completed
 	}
 	cur = Homogenize(cur)
+	if hasConstant(cur) {
+		// Only a degree-0 system keeps one: there is no degree to raise it to.
+		cur = ExpandConstants(cur)
+	}
 	cur = SplitForPartition(cur)
 	if !cur.IsComplete() {
 		return nil, fmt.Errorf("rewrite: system is not complete after rewriting (defect %v)", cur.CompletenessDefect())

@@ -155,6 +155,54 @@ func TestExpandConstants(t *testing.T) {
 	}
 }
 
+// TestMakeMappableExpandsConstants: a constant term needs the rewrite even
+// in a system classified mappable. Homogenize already raises constants in a
+// system of degree ≥ 1; in a degree-0 one MakeMappable expands them (§6),
+// and either way what comes out has none, agrees on the simplex and
+// partitions.
+func TestMakeMappableExpandsConstants(t *testing.T) {
+	for _, c := range []struct {
+		src             string
+		needed, degree0 bool
+	}{
+		{"x' = -x*y\ny' = x*y", false, false},
+		{"x' = 3*x - 3*x^2 - 6*x*y\ny' = 3*y - 3*y^2", true, false}, // not complete
+		{"a' = -0.15 + 0.1*w\nw' = 0.15 - 0.1*w", true, false},      // examples/custom-ode's pool
+		{"a' = -0.5 + a*b\nb' = 0.5 - a*b", true, false},
+		{"a' = 1\nb' = -1", true, true},
+	} {
+		s := mustParse(t, c.src, nil)
+		if got := Needed(s); got != c.needed {
+			t.Errorf("Needed(%q) = %v, want %v", c.src, got, c.needed)
+		}
+		if !c.needed {
+			continue
+		}
+		if survived := hasConstant(Homogenize(s)); survived != c.degree0 {
+			t.Errorf("%q: a constant survived Homogenize: %v, want %v", c.src, survived, c.degree0)
+		}
+		m, err := MakeMappable(s, "z")
+		if err != nil {
+			t.Fatalf("%q: %v", c.src, err)
+		}
+		if hasConstant(m) || !m.IsCompletelyPartitionable() {
+			t.Fatalf("%q rewrote to\n%v", c.src, m)
+		}
+		// On the simplex (the slack, if any, at 0) the rewrite is an identity.
+		vars := s.Vars()
+		p := map[ode.Var]float64{"z": 0}
+		for i, v := range vars {
+			p[v] = float64(2*(i+1)) / float64(len(vars)*(len(vars)+1))
+		}
+		got, want := m.PointFromVec(m.Eval(p)), s.PointFromVec(s.Eval(p))
+		for _, v := range vars {
+			if math.Abs(got[v]-want[v]) > 1e-12 {
+				t.Errorf("%q: rewritten %s' = %v at %v, want %v", c.src, v, got[v], p, want[v])
+			}
+		}
+	}
+}
+
 func TestHomogenizePreservesValuesOnSimplex(t *testing.T) {
 	src := `
 x' = 3*x - 3*x^2 - 6*x*y

@@ -56,7 +56,7 @@ func TestDamagedBlobAbortsResponse(t *testing.T) {
 				t.Fatal(err)
 			}
 			dropFromCache(srv, key)
-			errs := srv.Stats().StoreErrors
+			errs := srv.met.storeErrs.Value()
 
 			req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/results/"+key, nil)
 			if err != nil {
@@ -75,7 +75,7 @@ func TestDamagedBlobAbortsResponse(t *testing.T) {
 					t.Fatal("the whole canonical body arrived from a damaged blob")
 				}
 			}
-			if got := srv.Stats().StoreErrors; got != errs+1 {
+			if got := srv.met.storeErrs.Value(); got != errs+1 {
 				t.Fatalf("store errors moved by %d, want 1", got-errs)
 			}
 		})
@@ -109,9 +109,9 @@ func TestCorruptCompressedBlobIsRefused(t *testing.T) {
 			}
 
 			dropFromCache(srv, key)
-			errs := srv.Stats().StoreErrors
-			if _, ok := srv.loadResult(key); ok || srv.Stats().StoreErrors != errs+1 {
-				t.Fatalf("LRU miss loaded the damaged blob: %v, store errors +%d", ok, srv.Stats().StoreErrors-errs)
+			errs := srv.met.storeErrs.Value()
+			if _, ok := srv.loadResult(key); ok || srv.met.storeErrs.Value() != errs+1 {
+				t.Fatalf("LRU miss loaded the damaged blob: %v, store errors +%d", ok, srv.met.storeErrs.Value()-errs)
 			}
 			// A second job that finished — its blob is this one — and lost its
 			// done record.
@@ -128,8 +128,8 @@ func TestCorruptCompressedBlobIsRefused(t *testing.T) {
 			fst2 := openFileStore(t, dir)
 			t.Cleanup(func() { fst2.Close() }) // after the server cleanup below
 			srv2, ts2 := newTestServer(t, Config{Workers: 1, Store: fst2})
-			if st := srv2.Stats(); st.WarmedResults != 0 || st.StoreErrors < 2 {
-				t.Fatalf("restart warmed %d results with %d store errors, want none warmed and one error each from the warm and the heal", st.WarmedResults, st.StoreErrors)
+			if warmed, errs := srv2.warmed, srv2.met.storeErrs.Value(); warmed != 0 || errs < 2 {
+				t.Fatalf("restart warmed %d results with %d store errors, want none warmed and one error each from the warm and the heal", warmed, errs)
 			}
 			_, data := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/j000009", nil)
 			if st := decodeStatus(t, data); st.Status != StatusFailed || st.Error != restartableErr {
@@ -212,8 +212,8 @@ func TestOldDataDirServesUnchanged(t *testing.T) {
 	fst2 := openFileStore(t, dir)
 	t.Cleanup(func() { fst2.Close() }) // after the server cleanup below
 	srv, ts := newTestServer(t, Config{Workers: 1, Store: fst2})
-	if st := srv.Stats(); st.WarmedResults != 1 || st.StoreErrors != 0 {
-		t.Fatalf("old directory: warmed %d results with %d store errors, want 1 and 0", st.WarmedResults, st.StoreErrors)
+	if warmed, errs := srv.warmed, srv.met.storeErrs.Value(); warmed != 1 || errs != 0 {
+		t.Fatalf("old directory: warmed %d results with %d store errors, want 1 and 0", warmed, errs)
 	}
 	_, data := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j000002", nil)
 	if st := decodeStatus(t, data); st.Status != StatusDone || !st.Cached {

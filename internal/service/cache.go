@@ -31,8 +31,7 @@ type resultCache struct {
 	entries  map[string]*list.Element
 
 	// The counters live in the obs registry (odeproto_cache_hits_total,
-	// _misses_total, _evictions_total); the stats() snapshot reads the same
-	// ones.
+	// _misses_total, _evictions_total).
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
@@ -160,19 +159,9 @@ func (c *resultCache) evict() {
 	}
 }
 
-// CacheStats is the cache section of GET /v1/stats.
-type CacheStats struct {
-	Size     int   `json:"size"`
-	Max      int   `json:"max"`
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"max_bytes"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-}
-
-func (c *resultCache) stats() CacheStats {
+// usage reports the entries and the bytes the LRU holds.
+func (c *resultCache) usage() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Size: c.order.Len(), Max: c.max, Bytes: c.bytes, MaxBytes: c.maxBytes,
-		Hits: c.hits.Value(), Misses: c.misses.Value()}
+	return c.order.Len(), c.bytes
 }

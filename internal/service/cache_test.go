@@ -12,7 +12,8 @@ import (
 )
 
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
+	hits, misses := &obs.Counter{}, &obs.Counter{}
+	c := newResultCache(2, hits, misses, &obs.Counter{})
 	r1 := newResultBlob("a", nil)
 	r2 := newResultBlob("b", nil)
 	r3 := newResultBlob("c", nil)
@@ -32,12 +33,11 @@ func TestResultCacheLRU(t *testing.T) {
 	if _, ok := c.get("c"); !ok {
 		t.Fatal("c missing")
 	}
-	st := c.stats()
-	if st.Size != 2 || st.Max != 2 {
-		t.Fatalf("stats size/max = %d/%d", st.Size, st.Max)
+	if n, _ := c.usage(); n != 2 || c.max != 2 {
+		t.Fatalf("size/max = %d/%d", n, c.max)
 	}
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("stats hits/misses = %d/%d", st.Hits, st.Misses)
+	if hits.Value() != 3 || misses.Value() != 1 {
+		t.Fatalf("hits/misses = %d/%d", hits.Value(), misses.Value())
 	}
 }
 
@@ -96,8 +96,8 @@ func TestResultCacheByteBudget(t *testing.T) {
 	for _, key := range []string{"a", "b", "c"} {
 		c.put(sizedBlob(key, third))
 	}
-	if st := c.stats(); st.Size != 3 || st.Bytes != 3*third || st.MaxBytes != 1<<20 {
-		t.Fatalf("after three 300 KiB results: %+v", st)
+	if n, b := c.usage(); n != 3 || b != 3*third || c.maxBytes != 1<<20 {
+		t.Fatalf("after three 300 KiB results: %d entries, %d of %d B", n, b, c.maxBytes)
 	}
 	c.peek("a") // b is now the oldest
 	c.put(sizedBlob("d", third))
@@ -108,8 +108,8 @@ func TestResultCacheByteBudget(t *testing.T) {
 
 	// Replacing a key re-accounts it instead of adding to it.
 	c.put(sizedBlob("a", 10))
-	if st := c.stats(); st.Size != 3 || st.Bytes != 2*third+10 {
-		t.Fatalf("after replacing a with 10 B: %+v", st)
+	if n, b := c.usage(); n != 3 || b != 2*third+10 {
+		t.Fatalf("after replacing a with 10 B: %d entries, %d B", n, b)
 	}
 	// The replaced blob is no longer resident: its growth is not the cache's.
 	checkAccounting(t, c)
@@ -118,8 +118,8 @@ func TestResultCacheByteBudget(t *testing.T) {
 	// push older entries out.
 	d, _ := c.peek("d")
 	grow(c, d, 100<<10)
-	if st := c.stats(); st.Bytes != 2*third+10+100<<10 || st.Size != 3 {
-		t.Fatalf("after d grew a 100 KiB gzip variant: %+v", st)
+	if n, b := c.usage(); b != 2*third+10+100<<10 || n != 3 {
+		t.Fatalf("after d grew a 100 KiB gzip variant: %d entries, %d B", n, b)
 	}
 	grow(c, sizedBlob("zz", 1), 1<<20) // never inserted: not the cache's business
 	a, _ := c.peek("a")
@@ -137,12 +137,12 @@ func TestResultCacheOversizeNewest(t *testing.T) {
 	c := newResultCache(2, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
 	c.put(sizedBlob("a", 100))
 	c.put(sizedBlob("big", 1<<20)) // budget: 512 KiB
-	if st := c.stats(); st.Size != 1 || st.Bytes != 1<<20 || !c.contains("big") {
-		t.Fatalf("oversize newest entry: %+v", st)
+	if n, b := c.usage(); n != 1 || b != 1<<20 || !c.contains("big") {
+		t.Fatalf("oversize newest entry: %d entries, %d B", n, b)
 	}
 	c.put(sizedBlob("c", 100))
-	if st := c.stats(); st.Size != 1 || st.Bytes != 100 || c.contains("big") {
-		t.Fatalf("after the next result: %+v", st)
+	if n, b := c.usage(); n != 1 || b != 100 || c.contains("big") {
+		t.Fatalf("after the next result: %d entries, %d B", n, b)
 	}
 	checkAccounting(t, c)
 }

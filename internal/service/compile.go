@@ -23,8 +23,9 @@ type CompileRequest struct {
 	P float64 `json:"p,omitempty"`
 	// FailureRate is the compensated per-connection failure rate f.
 	FailureRate float64 `json:"failure_rate,omitempty"`
-	// NoRewrite disables the §7 rewriting pipeline; non-mappable systems
-	// then fail instead of being completed/homogenized/split.
+	// NoRewrite disables the §7 rewriting pipeline; non-mappable systems and
+	// constant terms then fail instead of being completed/homogenized/split
+	// and expanded (§6).
 	NoRewrite bool `json:"no_rewrite,omitempty"`
 	// Slack names the slack variable introduced by rewriting (default "z").
 	Slack string `json:"slack,omitempty"`
@@ -157,9 +158,9 @@ func compilePipelineUncached(req CompileRequest) (*compiled, error) {
 		return nil, err
 	}
 	out := &compiled{input: sys, taxonomy: sys.Classify(), final: sys}
-	if !out.taxonomy.Mappable() {
+	if rewrite.Needed(sys) {
 		if req.NoRewrite {
-			return nil, fmt.Errorf("system is not mappable (%s) and rewriting is disabled", out.taxonomy)
+			return nil, fmt.Errorf("system (%s) needs the §7 rewrite or the §6 expansion of a constant c into c·Σx, and rewriting is disabled", out.taxonomy)
 		}
 		rewritten, err := rewrite.MakeMappable(sys, ode.Var(slack))
 		if err != nil {

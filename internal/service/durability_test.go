@@ -71,7 +71,7 @@ func TestRecoveryHealsFinishedJobs(t *testing.T) {
 			if len(terminal) != 1 {
 				t.Fatalf("recovery journaled %d records for the job, want one terminal record: %+v", len(terminal), terminal)
 			}
-			resumed := srv.Stats().ResumedJobs
+			resumed := srv.resumed
 
 			if !row.healed {
 				if st.Status != StatusFailed || st.Error == "" || st.Result != nil || terminal[0].Op != store.OpFailed || !terminal[0].synced || resumed != 1 {
@@ -262,10 +262,10 @@ func TestPowerLossKeepsEveryPromise(t *testing.T) {
 		results[st.CacheKey] = served{resp.Header.Get("ETag"), body}
 	}
 
-	// Both surfaces say what the power loss is about to cost.
+	// The store and /metrics say what the power loss is about to cost.
 	gauge := sampleValue(t, scrapeMetrics(t, ts.URL), "odeproto_wal_unsynced_records", nil)
-	if n := srv.Stats().Store.UnsyncedRecords; n != 2 || gauge != 2 {
-		t.Fatalf("/v1/stats counts %d unsynced records and /metrics %v, want the swept and the pickup job's done records", n, gauge)
+	if n := fst.Stats().UnsyncedRecords; n != 2 || gauge != 2 {
+		t.Fatalf("the store counts %d unsynced records and /metrics %v, want the swept and the pickup job's done records", n, gauge)
 	}
 	for _, cut := range []bool{true, false} {
 		t.Run(fmt.Sprintf("cut=%v", cut), func(t *testing.T) {

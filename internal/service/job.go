@@ -295,9 +295,9 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 		s.assignID(job)
 		s.jobs[job.ID] = job
 	} else {
-		s.counts[from]--
+		s.met.resident[from].Add(-1)
 	}
-	s.counts[out.status]++
+	s.met.resident[out.status].Add(1)
 	if s.inflight[job.Key] == job {
 		delete(s.inflight, job.Key)
 	}
@@ -359,7 +359,7 @@ func (s *Server) ageOut() *Job {
 	s.terminal[0] = nil
 	s.terminal = s.terminal[1:]
 	delete(s.jobs, old.ID)
-	s.counts[old.status]-- // a terminal status never changes
+	s.met.resident[old.status].Add(-1) // a terminal status never changes
 	return old
 }
 
@@ -524,8 +524,8 @@ func (s *Server) runJob(job *Job) {
 	live := job.liveJob
 	job.mu.Unlock()
 	s.mu.Lock()
-	s.counts[StatusQueued]--
-	s.counts[StatusRunning]++
+	s.met.resident[StatusQueued].Add(-1)
+	s.met.resident[StatusRunning].Add(1)
 	s.mu.Unlock()
 	s.met.queueWait.ObserveTraced(job.started.Sub(job.created).Seconds(), job.traceID())
 

@@ -463,7 +463,7 @@ func TestEveryTerminalPath(t *testing.T) {
 			// The latency histogram sees done and failed jobs, the failure
 			// counter failed ones, and a cancellation neither. Every other job
 			// on the row's server is done, cancelled or still running.
-			jobs := e.srv.stats().Jobs
+			jobs := residentJobs(e.srv)
 			fams := scrapeMetrics(t, e.base)
 			if got, want := sampleValue(t, fams, "odeproto_job_duration_seconds_count", nil), float64(jobs[StatusDone]+jobs[StatusFailed]); got != want {
 				t.Errorf("job_duration observed %v jobs, want %v (%v)", got, want, jobs)
@@ -475,10 +475,22 @@ func TestEveryTerminalPath(t *testing.T) {
 	}
 }
 
-// TestStatsJobCountsMatchTheTable: /v1/stats reports the per-status counts
-// the service keeps as jobs move, and they are what walking the table
-// gives — after jobs have been enqueued, picked up, finished every way
-// there is, and recovered.
+// residentJobs reads odeproto_jobs_resident by status, leaving out the
+// statuses no job is in.
+func residentJobs(srv *Server) map[Status]int {
+	out := make(map[Status]int)
+	for st, g := range srv.met.resident {
+		if n := int(g.Value()); n != 0 {
+			out[st] = n
+		}
+	}
+	return out
+}
+
+// TestStatsJobCountsMatchTheTable: odeproto_jobs_resident{status} holds the
+// per-status counts the service keeps as jobs move, and they are what
+// walking the table gives — after jobs have been enqueued, picked up,
+// finished every way there is, and recovered.
 func TestStatsJobCountsMatchTheTable(t *testing.T) {
 	dir := t.TempDir()
 	walk := func(srv *Server) map[Status]int {
@@ -492,14 +504,14 @@ func TestStatsJobCountsMatchTheTable(t *testing.T) {
 	}
 	check := func(srv *Server, want map[Status]int) {
 		t.Helper()
-		got, err := json.Marshal(srv.stats().Jobs)
+		got, err := json.Marshal(residentJobs(srv))
 		if err != nil {
 			t.Fatal(err)
 		}
 		walked, _ := json.Marshal(walk(srv))
 		wanted, _ := json.Marshal(want)
 		if string(got) != string(walked) || string(got) != string(wanted) {
-			t.Fatalf("stats.jobs = %s, walking the table gives %s, want %s", got, walked, wanted)
+			t.Fatalf("odeproto_jobs_resident = %s, walking the table gives %s, want %s", got, walked, wanted)
 		}
 	}
 	run := func(srv *Server, spec JobSpec) *Job {
@@ -530,7 +542,7 @@ func TestStatsJobCountsMatchTheTable(t *testing.T) {
 	if _, err := srv1.Submit(seeded(3)); err != nil { // queued behind it: drained at Close
 		t.Fatal(err)
 	}
-	for srv1.stats().Jobs[StatusRunning] != 1 {
+	for residentJobs(srv1)[StatusRunning] != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	check(srv1, map[Status]int{StatusDone: 2, StatusFailed: 1, StatusRunning: 1, StatusQueued: 1})

@@ -7,10 +7,11 @@ import (
 )
 
 // serviceMetrics is every counter the service maintains, held in the
-// shared obs registry. /v1/stats reads these same values back
-// (Server.stats), so the JSON stats and the /metrics exposition cannot
-// disagree.
+// shared obs registry that GET /metrics renders.
 type serviceMetrics struct {
+	// resident is odeproto_jobs_resident by status, moved under Server.mu
+	// wherever a job enters, changes status in, or leaves the table.
+	resident       map[Status]*obs.Gauge
 	submitted      *obs.Counter
 	coalesced      *obs.Counter
 	rejected       *obs.Counter
@@ -30,7 +31,15 @@ type serviceMetrics struct {
 }
 
 func newServiceMetrics(r *obs.Registry) *serviceMetrics {
+	vec := r.GaugeVec("odeproto_jobs_resident",
+		"Jobs in the job table by status: every queued and running job plus at most -retain-jobs terminal ones.",
+		"status")
+	resident := make(map[Status]*obs.Gauge)
+	for _, st := range []Status{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled} {
+		resident[st] = vec.With(string(st))
+	}
 	return &serviceMetrics{
+		resident: resident,
 		submitted: r.Counter("odeproto_jobs_submitted_total",
 			"Jobs accepted by submit (including cache hits; excluding coalesced twins and rejections)."),
 		coalesced: r.Counter("odeproto_jobs_coalesced_total",
@@ -78,19 +87,12 @@ func (s *Server) registerGauges(r *obs.Registry) {
 	r.GaugeFunc("odeproto_queue_capacity",
 		"Capacity of the bounded job queue.",
 		func() float64 { return float64(s.cfg.QueueDepth) })
-	r.GaugeFunc("odeproto_jobs_resident",
-		"Jobs in the job table: every queued and running job plus at most -retain-jobs terminal ones.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.jobs))
-		})
 	r.GaugeFunc("odeproto_cache_size",
 		"Results currently held by the in-memory LRU.",
-		func() float64 { return float64(s.cache.stats().Size) })
+		func() float64 { n, _ := s.cache.usage(); return float64(n) })
 	r.GaugeFunc("odeproto_cache_bytes",
 		"Result bytes held by the in-memory LRU, gzip variants included; the budget is 256 KiB per unit of -cache.",
-		func() float64 { return float64(s.cache.stats().Bytes) })
+		func() float64 { _, b := s.cache.usage(); return float64(b) })
 	r.GaugeFunc("odeproto_cache_capacity",
 		"Capacity of the in-memory result LRU.",
 		func() float64 { return float64(s.cfg.CacheSize) })

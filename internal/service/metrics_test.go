@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"odeproto/internal/obs"
 )
@@ -42,123 +40,4 @@ func sampleValue(t *testing.T, fams map[string]*obs.MetricFamily, name string, l
 		t.Fatalf("no sample %s%v in family %s", name, labels, fam.Name)
 	}
 	return v
-}
-
-// TestStatsMetricsOneSource pins the flight recorder's one-source-of-
-// truth contract: every counter in the GET /v1/stats JSON is the same
-// registry value GET /metrics renders, observed here across a cache miss
-// (real sweep) and a cache hit (answered on arrival).
-func TestStatsMetricsOneSource(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-
-	// Miss: the first submission runs a sweep.
-	resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallSpec())
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, data)
-	}
-	if tid := resp.Header.Get(obs.TraceHeader); !obs.ValidTraceID(tid) {
-		t.Fatalf("submit response carries no valid %s header: %q", obs.TraceHeader, tid)
-	}
-	first := decodeStatus(t, data)
-	waitStatus(t, ts.URL, first.ID, StatusDone, 30*time.Second)
-
-	// Hit: the identical spec is answered done-on-arrival.
-	resp, data = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallSpec())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("duplicate submit: %d %s", resp.StatusCode, data)
-	}
-
-	fams := scrapeMetrics(t, ts.URL)
-	resp, data = doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d %s", resp.StatusCode, data)
-	}
-	var st Stats
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-
-	// Counters the JSON view must read back from the registry verbatim.
-	for _, tc := range []struct {
-		metric string
-		json   float64
-	}{
-		{"odeproto_sweeps_executed_total", float64(st.SweepsExecuted)},
-		{"odeproto_jobs_coalesced_total", float64(st.CoalescedJobs)},
-		{"odeproto_cache_hits_total", float64(st.Cache.Hits)},
-		{"odeproto_cache_misses_total", float64(st.Cache.Misses)},
-		{"odeproto_result_disk_hits_total", float64(st.ResultDiskHits)},
-		{"odeproto_store_errors_total", float64(st.StoreErrors)},
-		{"odeproto_queue_depth", float64(st.QueueDepth)},
-		{"odeproto_queue_capacity", float64(st.QueueCapacity)},
-		{"odeproto_cache_size", float64(st.Cache.Size)},
-		{"odeproto_cache_capacity", float64(st.Cache.Max)},
-		{"odeproto_warmed_results", float64(st.WarmedResults)},
-		{"odeproto_resumed_jobs", float64(st.ResumedJobs)},
-	} {
-		if got := sampleValue(t, fams, tc.metric, nil); got != tc.json {
-			t.Errorf("%s = %g, /v1/stats says %g", tc.metric, got, tc.json)
-		}
-	}
-	if got := sampleValue(t, fams, "odeproto_jobs_submitted_total", nil); got != 2 {
-		t.Errorf("jobs_submitted_total = %g after two submissions", got)
-	}
-	if st.SweepsExecuted != 1 {
-		t.Errorf("sweeps_executed = %d (hit re-ran the sweep?)", st.SweepsExecuted)
-	}
-	if st.Cache.Hits < 1 || st.Cache.Misses < 1 {
-		t.Errorf("cache hits/misses = %d/%d, want at least one of each", st.Cache.Hits, st.Cache.Misses)
-	}
-
-	// The histograms recorded the one real run: queue wait once (the hit
-	// never queued), sweep latency once under the normalized engine+mode
-	// labels, both with monotone cumulative buckets.
-	for _, h := range []string{"odeproto_queue_wait_seconds", "odeproto_sweep_latency_seconds"} {
-		fam, ok := fams[h]
-		if !ok {
-			t.Fatalf("histogram %s not exposed", h)
-		}
-		if _, err := obs.CheckHistogram(fam); err != nil {
-			t.Errorf("%s: %v", h, err)
-		}
-	}
-	if got := sampleValue(t, fams, "odeproto_queue_wait_seconds_count", nil); got != 1 {
-		t.Errorf("queue_wait count = %g, want 1", got)
-	}
-	latLabels := map[string]string{"engine": "agent", "mode": ""}
-	if got := sampleValue(t, fams, "odeproto_sweep_latency_seconds_count", latLabels); got != 1 {
-		t.Errorf("sweep_latency{engine=agent} count = %g, want 1", got)
-	}
-
-	// The trace endpoint reports every lifecycle span of the real run, in
-	// submission order.
-	resp, data = doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+first.ID+"/trace", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace: %d %s", resp.StatusCode, data)
-	}
-	var tr TraceStatus
-	if err := json.Unmarshal(data, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if !obs.ValidTraceID(tr.Trace) {
-		t.Fatalf("trace endpoint returned invalid trace ID %q", tr.Trace)
-	}
-	want := []string{obs.StageQueued, obs.StageCompiled, obs.StageSwept, obs.StagePersisted, obs.StageResponded}
-	if len(tr.Spans) != len(want) {
-		t.Fatalf("trace spans = %+v, want stages %v", tr.Spans, want)
-	}
-	for i, sp := range tr.Spans {
-		if sp.Stage != want[i] {
-			t.Fatalf("span %d = %q, want %q (all: %+v)", i, sp.Stage, want[i], tr.Spans)
-		}
-		if i > 0 && sp.ElapsedMS < tr.Spans[i-1].ElapsedMS {
-			t.Fatalf("span offsets not monotone: %+v", tr.Spans)
-		}
-	}
-
-	// A job that never existed — and one whose recovery predates tracing —
-	// both 404 rather than fabricate spans.
-	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/zzz/trace", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("trace of unknown job: %d", resp.StatusCode)
-	}
 }

@@ -15,9 +15,10 @@ import (
 
 // journal appends one lifecycle record to the durable store: durable on
 // return if synced, with the log's next flush if not. Journaling is
-// best-effort — a failed append is counted in /v1/stats rather than failing
-// the request — but result persistence is not (see conclude: a result that
-// cannot be stored fails its job instead of claiming done).
+// best-effort — a failed append is counted in odeproto_store_errors_total
+// rather than failing the request — but result persistence is not (see
+// conclude: a result that cannot be stored fails its job instead of
+// claiming done).
 func (s *Server) journal(rec store.JobRecord, synced bool) {
 	appendRec := s.store.Append
 	if !synced {
@@ -235,7 +236,7 @@ func (s *Server) restore(rj store.RecoveredJob) (*Job, bool) {
 		job.errMsg = rj.Error
 	}
 	s.jobs[job.ID] = job
-	s.counts[job.status]++
+	s.met.resident[job.status].Add(1)
 	return job, specOK
 }
 

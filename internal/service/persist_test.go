@@ -49,12 +49,12 @@ func TestSingleFlightCoalescesQueuedTwin(t *testing.T) {
 			t.Fatalf("duplicate submit %d returned job %s, want the in-flight twin %s", i, dup.ID, first.ID)
 		}
 	}
-	if n := srv.stats().CoalescedJobs; n != 5 {
+	if n := srv.met.coalesced.Value(); n != 5 {
 		t.Fatalf("coalesced_jobs = %d, want 5", n)
 	}
 	// Exactly one registered job per distinct spec.
-	if got := len(srv.stats().Jobs); got == 0 {
-		t.Fatal("stats lost the jobs map")
+	if got := len(residentJobs(srv)); got == 0 {
+		t.Fatal("odeproto_jobs_resident counts no job")
 	}
 	srv.mu.Lock()
 	registered := len(srv.jobs)
@@ -228,12 +228,11 @@ func TestFileBackendPersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("recovered stream has %d rows, want 26", got)
 	}
 
-	stats := srv2.stats()
-	if stats.Store.Backend != "file" || stats.Store.RecoveredJobs != 1 {
-		t.Fatalf("store stats %+v", stats.Store)
+	if st := fst2.Stats(); st.RecoveredJobs != 1 {
+		t.Fatalf("store stats %+v", st)
 	}
-	if stats.WarmedResults != 1 {
-		t.Fatalf("warmed_results = %d, want 1", stats.WarmedResults)
+	if srv2.warmed != 1 {
+		t.Fatalf("warmed_results = %d, want 1", srv2.warmed)
 	}
 }
 
@@ -265,7 +264,7 @@ func TestRecoveredColdJobsStreamTheirRows(t *testing.T) {
 	fst2 := openFileStore(t, dir)
 	t.Cleanup(func() { fst2.Close() }) // after the server cleanup below
 	srv2, ts := newTestServer(t, Config{Workers: 1, CacheSize: 1, Store: fst2})
-	if w := srv2.stats().WarmedResults; w != 1 {
+	if w := srv2.warmed; w != 1 {
 		t.Fatalf("warmed_results = %d with -cache 1, want 1", w)
 	}
 	for round := 0; round < 2; round++ { // each replay evicts the previous job's blob
@@ -304,17 +303,16 @@ func TestWarmStopsAtTheByteBudget(t *testing.T) {
 	defer fst2.Close()
 	srv2 := New(Config{Workers: 1, CacheSize: 4, Store: fst2})
 	defer srv2.Close()
-	st := srv2.stats()
-	if st.WarmedResults != 3 || st.Cache.Size != 3 || st.Cache.Bytes > st.Cache.MaxBytes || st.Cache.Bytes < 3*300<<10 {
-		t.Fatalf("warmed %d results into %+v, want the 3 that fit 1 MiB", st.WarmedResults, st.Cache)
+	if n, b := srv2.cache.usage(); srv2.warmed != 3 || n != 3 || b > srv2.cache.maxBytes || b < 3*300<<10 {
+		t.Fatalf("warmed %d results into %d entries, %d of %d B, want the 3 that fit 1 MiB", srv2.warmed, n, b, srv2.cache.maxBytes)
 	}
 	for i, key := range keys {
 		if got, want := srv2.cache.contains(key), i >= 2; got != want {
 			t.Fatalf("result %d of 5 warm = %v, want the newest three", i+1, got)
 		}
 	}
-	if st.ResultDiskHits != 0 || st.StoreErrors != 0 {
-		t.Fatalf("warming counted %d disk hits, %d store errors", st.ResultDiskHits, st.StoreErrors)
+	if hits, errs := srv2.met.diskHits.Value(), srv2.met.storeErrs.Value(); hits != 0 || errs != 0 {
+		t.Fatalf("warming counted %d disk hits, %d store errors", hits, errs)
 	}
 	job, err := srv2.Submit(rowsJob(8000, 6))
 	if err != nil {
@@ -419,7 +417,7 @@ func TestFinishedInstantSurvivesRestart(t *testing.T) {
 // TestResumeInterruptedRestartsJobs: with Config.ResumeInterrupted, a job
 // the crash caught mid-run is resubmitted by the recovering daemon itself
 // — the replacement runs to done, the original stays failed with an error
-// naming it, and the stats count the resume.
+// naming it, and odeproto_resumed_jobs counts the resume.
 func TestResumeInterruptedRestartsJobs(t *testing.T) {
 	dir := t.TempDir()
 	fst := openFileStore(t, dir)
@@ -446,7 +444,7 @@ func TestResumeInterruptedRestartsJobs(t *testing.T) {
 	srv := New(Config{Workers: 1, Store: fst2, ResumeInterrupted: true})
 	defer srv.Close()
 
-	if got := srv.Stats().ResumedJobs; got != 1 {
+	if got := srv.resumed; got != 1 {
 		t.Fatalf("resumed_jobs = %d, want 1", got)
 	}
 	orig, err := srv.job("j000003")
@@ -501,12 +499,11 @@ func TestResumeInterruptedOffLeavesJobsFailed(t *testing.T) {
 	defer fst2.Close()
 	srv := New(Config{Workers: 1, Store: fst2})
 	defer srv.Close()
-	if got := srv.Stats().ResumedJobs; got != 0 {
+	if got := srv.resumed; got != 0 {
 		t.Fatalf("resumed_jobs = %d without the flag", got)
 	}
-	st := srv.Stats()
-	if st.Jobs[StatusFailed] != 1 || st.Jobs[StatusQueued] != 0 {
-		t.Fatalf("job table after recovery without the flag: %+v", st.Jobs)
+	if jobs := residentJobs(srv); jobs[StatusFailed] != 1 || jobs[StatusQueued] != 0 {
+		t.Fatalf("job table after recovery without the flag: %+v", jobs)
 	}
 }
 

@@ -320,7 +320,7 @@ func TestResultGzipVariant(t *testing.T) {
 			}
 			return body
 		}
-		before := srv.cache.stats().Bytes
+		_, before := srv.cache.usage()
 		hot := check("cache hit")
 		if hot == nil || row.compressed != bytes.Equal(hot, stored) {
 			t.Fatalf("%s: cache-hit gzip is %d B, the file %d B: want the stored member iff there is one", row.name, len(hot), len(stored))
@@ -328,8 +328,8 @@ func TestResultGzipVariant(t *testing.T) {
 		// The variant built after insertion is on the LRU's books, exactly
 		// sized: no growth slack rides along uncounted.
 		blob, _ := srv.cache.peek(key)
-		if st := srv.cache.stats(); st.Bytes != before+int64(len(blob.gzData)) || cap(blob.gzData) > len(blob.gzData)+len(blob.gzData)/8+64 {
-			t.Fatalf("%s: LRU grew %d B for a %d B gzip variant (cap %d)", row.name, st.Bytes-before, len(blob.gzData), cap(blob.gzData))
+		if _, after := srv.cache.usage(); after != before+int64(len(blob.gzData)) || cap(blob.gzData) > len(blob.gzData)+len(blob.gzData)/8+64 {
+			t.Fatalf("%s: LRU grew %d B for a %d B gzip variant (cap %d)", row.name, after-before, len(blob.gzData), cap(blob.gzData))
 		}
 
 		dropFromCache(srv, key)
@@ -354,7 +354,7 @@ func TestResultGzipVariant(t *testing.T) {
 	if files := resultFiles(t, dir); len(files) != 2 {
 		t.Fatalf("the results tree holds %d files, want the two blobs", len(files))
 	}
-	if errs := srv.Stats().StoreErrors; errs != 0 {
+	if errs := srv.met.storeErrs.Value(); errs != 0 {
 		t.Fatalf("%d store errors", errs)
 	}
 }
@@ -369,7 +369,7 @@ func TestResultEncodeOnceCounter(t *testing.T) {
 	done := runSmallJob(t, base)
 	key := done.CacheKey
 
-	before := srv.Stats().ResultEncodesSaved
+	before := srv.met.encodesSaved.Value()
 	const hot = 5
 	for i := 0; i < hot; i++ {
 		resp, _ := rawGet(t, base+"/v1/results/"+key, nil)
@@ -385,11 +385,11 @@ func TestResultEncodeOnceCounter(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status GET: %d", resp.StatusCode)
 	}
-	after := srv.Stats().ResultEncodesSaved
+	after := srv.met.encodesSaved.Value()
 	if got, want := after-before, int64(hot+2); got != want {
 		t.Fatalf("result_encodes_saved advanced by %d, want %d (5 hot GETs + 1 conditional + 1 splice)", got, want)
 	}
-	if served := srv.Stats().ResultBytesServed; served <= 0 {
+	if served := srv.met.bytesServed.Value(); served <= 0 {
 		t.Fatalf("result_bytes_served = %d, want > 0", served)
 	}
 }

@@ -65,7 +65,6 @@
 //	GET    /v1/jobs/{id}/trace.svg   lifecycle waterfall (internal/plot)
 //	GET    /v1/slo                 burn-rate SLO states + windowed latency quantiles
 //	GET    /v1/results/{key}       fetch a persisted result by cache key
-//	GET    /v1/stats               cache/queue/worker/store counters
 //	GET    /v1/healthz             liveness
 package service
 
@@ -129,9 +128,9 @@ type Config struct {
 	// empty and keep the historical format. Recovery strips the same
 	// prefix when continuing the ID sequence past recovered jobs.
 	JobIDPrefix string
-	// Metrics is the obs registry every service counter lives in —
-	// /v1/stats reads the same values /metrics renders. nil gets a
-	// private registry (the metrics still exist, just unscraped).
+	// Metrics is the obs registry every service counter lives in, rendered
+	// at GET /metrics. nil gets a private registry (the metrics still
+	// exist, just unscraped).
 	Metrics *obs.Registry
 	// Logger receives the structured serving-path log (submissions,
 	// completions with their trace, store faults). nil discards.
@@ -200,7 +199,6 @@ type Server struct {
 	terminal []*Job // terminal jobs, oldest finished first: the ageing queue (retire)
 	nextID   int
 	inflight map[string]*Job // cache key → non-terminal job, for single-flight dedup
-	counts   map[Status]int  // jobs per status: moved at enqueue, pickup and conclude
 
 	queue      chan *Job
 	baseCtx    context.Context
@@ -235,7 +233,6 @@ func New(cfg Config) *Server {
 		store:      cfg.Store,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
-		counts:     make(map[Status]int),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -421,7 +418,7 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		return nil, errQueueFull
 	}
 	s.jobs[job.ID] = job
-	s.counts[StatusQueued]++
+	s.met.resident[StatusQueued].Add(1)
 	s.inflight[key] = job
 	s.mu.Unlock()
 
@@ -466,79 +463,6 @@ func (s *Server) RouteKey(spec JobSpec) (string, error) {
 	return spec.cacheKey(comp), nil
 }
 
-// Stats is the body of GET /v1/stats.
-type Stats struct {
-	Jobs           map[Status]int `json:"jobs"`
-	QueueDepth     int            `json:"queue_depth"`
-	QueueCapacity  int            `json:"queue_capacity"`
-	Workers        int            `json:"workers"`
-	SweepsExecuted int64          `json:"sweeps_executed"`
-	// CoalescedJobs counts submissions answered by returning an identical
-	// in-flight job (single-flight deduplication).
-	CoalescedJobs int64 `json:"coalesced_jobs"`
-	// RejectedJobs counts submissions rejected with 429 because the
-	// bounded queue was full (admission control).
-	RejectedJobs int64      `json:"rejected_jobs"`
-	Cache        CacheStats `json:"cache"`
-	// ResultDiskHits counts LRU misses answered from the durable result
-	// store (each also appears in the cache miss counter).
-	ResultDiskHits int64 `json:"result_disk_hits"`
-	// WarmedResults counts results loaded from disk into the LRU at
-	// startup.
-	WarmedResults int `json:"warmed_results"`
-	// ResumedJobs counts interrupted jobs the daemon resubmitted itself
-	// at startup (Config.ResumeInterrupted / odeprotod -resume-interrupted).
-	ResumedJobs int `json:"resumed_jobs"`
-	// StoreErrors counts store faults the service absorbed: failed WAL
-	// appends (journaling is best-effort) and result blobs that exist but
-	// cannot be read or decoded.
-	StoreErrors int64 `json:"store_errors"`
-	// ResultEncodesSaved counts result reads served from the encode-once
-	// canonical bytes — cache-hit result GETs (304s included) and job
-	// statuses spliced from the shared buffer — each one a JSON marshal
-	// the pre-encode-once service would have paid per request.
-	ResultEncodesSaved int64 `json:"result_encodes_saved"`
-	// ResultBytesServed counts result payload bytes written to clients by
-	// the result data plane (compressed size for gzip responses).
-	ResultBytesServed int64       `json:"result_bytes_served"`
-	Store             store.Stats `json:"store"`
-}
-
-// Stats returns a snapshot of the service counters (the body of GET
-// /v1/stats).
-func (s *Server) Stats() Stats { return s.stats() }
-
-// stats assembles the /v1/stats body as a thin view over the obs
-// registry: every counter below is the same Counter /metrics renders, so
-// the two surfaces cannot disagree.
-func (s *Server) stats() Stats {
-	st := Stats{
-		Jobs:               make(map[Status]int),
-		QueueCapacity:      s.cfg.QueueDepth,
-		Workers:            s.cfg.Workers,
-		SweepsExecuted:     s.met.sweeps.Value(),
-		CoalescedJobs:      s.met.coalesced.Value(),
-		RejectedJobs:       s.met.rejected.Value(),
-		Cache:              s.cache.stats(),
-		ResultDiskHits:     s.met.diskHits.Value(),
-		WarmedResults:      s.warmed,
-		ResumedJobs:        s.resumed,
-		StoreErrors:        s.met.storeErrs.Value(),
-		ResultEncodesSaved: s.met.encodesSaved.Value(),
-		ResultBytesServed:  s.met.bytesServed.Value(),
-		Store:              s.store.Stats(),
-	}
-	s.mu.Lock()
-	for status, n := range s.counts {
-		if n > 0 {
-			st.Jobs[status] = n
-		}
-	}
-	s.mu.Unlock()
-	st.QueueDepth = len(s.queue)
-	return st
-}
-
 // inputError marks validation/compile failures (HTTP 400).
 type inputError struct{ err error }
 
@@ -559,7 +483,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace.svg", s.handleTraceSVG)
 	mux.HandleFunc("GET /v1/slo", s.handleSLO)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -760,8 +683,4 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.stats())
 }

@@ -148,6 +148,25 @@ func TestCompileEndpoint(t *testing.T) {
 		t.Fatalf("rewritten LV protocol has states %v, want 3", cr.Protocol.States)
 	}
 
+	// A constant term takes the rewrite too (§6: c → c·Σx), though the
+	// system is classified mappable: it compiles and runs — and without the
+	// rewrite the 400 names the expansion, not a Go function.
+	pool := CompileRequest{Source: "a' = -0.15 + 0.1*w\nw' = 0.15 - 0.1*w\n"}
+	resp, data = doJSON(t, http.MethodPost, ts.URL+"/v1/compile", pool)
+	if err := json.Unmarshal(data, &cr); err != nil || resp.StatusCode != http.StatusOK || !cr.Rewritten {
+		t.Fatalf("compile pool: %d %s", resp.StatusCode, data)
+	}
+	resp, data = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobSpec{Source: pool.Source, N: 400, Periods: 10})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit pool: %d %s", resp.StatusCode, data)
+	}
+	waitStatus(t, ts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
+	pool.NoRewrite = true
+	resp, data = doJSON(t, http.MethodPost, ts.URL+"/v1/compile", pool)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "§6") || strings.Contains(string(data), "ExpandConstants") {
+		t.Fatalf("compile pool without rewriting: %d %s, want a 400 naming the §6 expansion", resp.StatusCode, data)
+	}
+
 	// Compile failures are input errors.
 	for _, bad := range []CompileRequest{
 		{},
@@ -299,8 +318,7 @@ func slowSpec() JobSpec {
 }
 
 func TestCancelRunningAndQueuedJobs(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
-	_ = srv
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 
 	resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", slowSpec())
 	if resp.StatusCode != http.StatusAccepted {
@@ -343,13 +361,8 @@ func TestCancelRunningAndQueuedJobs(t *testing.T) {
 		t.Fatalf("double cancel: status %d", resp.StatusCode)
 	}
 	// A cancelled job's partial result never reaches the cache.
-	resp, data = doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-	var stats Stats
-	if err := json.Unmarshal(data, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cache.Size != 0 {
-		t.Fatalf("cache size %d after cancellations, want 0", stats.Cache.Size)
+	if n := sampleValue(t, scrapeMetrics(t, ts.URL), "odeproto_cache_size", nil); n != 0 {
+		t.Fatalf("cache size %g after cancellations, want 0", n)
 	}
 }
 
@@ -381,7 +394,7 @@ func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 	if err != nil || retry < 1 {
 		t.Fatalf("Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
 	}
-	if got := srv.Stats().RejectedJobs; got != 1 {
+	if got := srv.met.rejected.Value(); got != 1 {
 		t.Fatalf("rejected_jobs = %d, want 1", got)
 	}
 	// The rejected job must not linger in the job list.
@@ -519,25 +532,15 @@ func TestStatsAndHealth(t *testing.T) {
 	waitStatus(t, ts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
 	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallSpec()) // cache hit
 
-	resp, data = doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d %s", resp.StatusCode, data)
+	fams := scrapeMetrics(t, ts.URL)
+	if n := sampleValue(t, fams, "odeproto_jobs_resident", map[string]string{"status": "done"}); n != 2 {
+		t.Fatalf("done jobs = %g, want 2", n)
 	}
-	var st Stats
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
+	if n := sampleValue(t, fams, "odeproto_sweeps_executed_total", nil); n != 1 || srv.SweepsExecuted() != 1 {
+		t.Fatalf("sweeps executed = %g, want 1", n)
 	}
-	if st.Jobs[StatusDone] != 2 {
-		t.Fatalf("stats done jobs = %d, want 2", st.Jobs[StatusDone])
-	}
-	if st.SweepsExecuted != 1 || srv.SweepsExecuted() != 1 {
-		t.Fatalf("sweeps executed = %d, want 1", st.SweepsExecuted)
-	}
-	if st.Cache.Hits < 1 || st.Cache.Size != 1 {
-		t.Fatalf("cache stats %+v", st.Cache)
-	}
-	if st.Workers != 1 {
-		t.Fatalf("stats workers = %d", st.Workers)
+	if hits, size := sampleValue(t, fams, "odeproto_cache_hits_total", nil), sampleValue(t, fams, "odeproto_cache_size", nil); hits < 1 || size != 1 {
+		t.Fatalf("cache hits %g, size %g", hits, size)
 	}
 }
 
@@ -634,8 +637,8 @@ func TestWorkerCacheRecheckDoesNotDoubleCountMisses(t *testing.T) {
 		t.Fatalf("submit: %d %s", resp.StatusCode, data)
 	}
 	waitStatus(t, ts.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
-	if st := srv.cache.stats(); st.Misses != 1 {
-		t.Fatalf("one executed job recorded %d misses, want 1", st.Misses)
+	if n := srv.met.cacheMisses.Value(); n != 1 {
+		t.Fatalf("one executed job recorded %d misses, want 1", n)
 	}
 }
 

@@ -66,18 +66,18 @@ func soak(t *testing.T, dir string) {
 	// index have already caught up.
 	bounds := func(when string) {
 		t.Helper()
-		st, resident := srv.stats(), 0
-		for _, n := range st.Jobs {
+		resident := 0
+		for _, n := range residentJobs(srv) {
 			resident += n
 		}
 		if resident > retain {
 			t.Fatalf("%s: %d jobs resident, want at most %d", when, resident, retain)
 		}
-		if st.Cache.Size > cacheSize || st.Cache.Bytes > st.Cache.MaxBytes || st.Cache.MaxBytes != cacheSize*cacheBytesPerEntry {
-			t.Fatalf("%s: cache outside its bounds: %+v", when, st.Cache)
+		if n, b := srv.cache.usage(); n > cacheSize || b > srv.cache.maxBytes || srv.cache.maxBytes != cacheSize*cacheBytesPerEntry {
+			t.Fatalf("%s: cache outside its bounds: %d entries, %d of %d B", when, n, b, srv.cache.maxBytes)
 		}
-		if fst != nil && st.Store.IndexedJobs > retain {
-			t.Fatalf("%s: the file store indexes %d jobs, want at most %d", when, st.Store.IndexedJobs, retain)
+		if fst != nil && fst.Stats().IndexedJobs > retain {
+			t.Fatalf("%s: the file store indexes %d jobs, want at most %d", when, fst.Stats().IndexedJobs, retain)
 		}
 	}
 
@@ -153,19 +153,27 @@ func soak(t *testing.T, dir string) {
 	if grown > 512<<10 {
 		t.Fatalf("post-GC heap grew %d B over the last four fifths of the run (%d → %d): something still scales with uptime", grown, early, late)
 	}
-	st := srv.stats()
-	if got := st.Jobs[StatusDone]; got != retain {
-		t.Fatalf("a quiescent table holds %d done jobs, want exactly RetainJobs = %d (%v)", got, retain, st.Jobs)
+	if table := residentJobs(srv); table[StatusDone] != retain || len(table) != 1 {
+		t.Fatalf("a quiescent table holds %v, want exactly RetainJobs = %d done jobs", table, retain)
 	}
 	issued := jobs + jobs/10
 	fams := scrapeMetrics(t, ts.URL)
+	_, cacheBytes := srv.cache.usage()
 	for name, want := range map[string]float64{
-		"odeproto_jobs_resident":       retain,
 		"odeproto_jobs_aged_out_total": float64(issued - retain),
-		"odeproto_cache_bytes":         float64(st.Cache.Bytes),
+		"odeproto_cache_bytes":         float64(cacheBytes),
 	} {
 		if got := sampleValue(t, fams, name, nil); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	for _, status := range []Status{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled} {
+		want := 0.0
+		if status == StatusDone {
+			want = retain
+		}
+		if got := sampleValue(t, fams, "odeproto_jobs_resident", map[string]string{"status": string(status)}); got != want {
+			t.Errorf("odeproto_jobs_resident{status=%q} = %v, want %v", status, got, want)
 		}
 	}
 	if got := sampleValue(t, fams, "odeproto_cache_evictions_total", nil); got < float64(jobs-cacheSize) {
@@ -211,15 +219,15 @@ func soak(t *testing.T, dir string) {
 	defer fst2.Close()
 	srv2 := New(Config{Workers: 2, RetainJobs: retain, CacheSize: cacheSize, Store: fst2})
 	defer srv2.Close()
-	st2 := srv2.stats()
-	if st2.Store.RecoveredJobs != issued {
-		t.Fatalf("the uncompacted WAL replays %d jobs, want all %d", st2.Store.RecoveredJobs, issued)
+	st2 := fst2.Stats()
+	if st2.RecoveredJobs != issued {
+		t.Fatalf("the uncompacted WAL replays %d jobs, want all %d", st2.RecoveredJobs, issued)
 	}
-	if got := st2.Jobs[StatusDone]; got != retain || st2.Store.IndexedJobs != retain {
-		t.Fatalf("after the restart: %d done jobs in the table, %d in the store's index, want %d and %d", got, st2.Store.IndexedJobs, retain, retain)
+	if got := residentJobs(srv2)[StatusDone]; got != retain || st2.IndexedJobs != retain {
+		t.Fatalf("after the restart: %d done jobs in the table, %d in the store's index, want %d and %d", got, st2.IndexedJobs, retain, retain)
 	}
-	if st2.Cache.Size > cacheSize || st2.Cache.Bytes > st2.Cache.MaxBytes || st2.WarmedResults != st2.Cache.Size {
-		t.Fatalf("after the restart: warmed %d results into %+v", st2.WarmedResults, st2.Cache)
+	if n, b := srv2.cache.usage(); n > cacheSize || b > srv2.cache.maxBytes || srv2.warmed != n {
+		t.Fatalf("after the restart: warmed %d results into %d entries, %d of %d B", srv2.warmed, n, b, srv2.cache.maxBytes)
 	}
 	newest := fmt.Sprintf("j%06d", issued)
 	if _, err := srv2.job(newest); err != nil {

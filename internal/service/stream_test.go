@@ -142,6 +142,10 @@ func TestUnfinishedJobsStreamPartialRows(t *testing.T) {
 		id := decodeStatus(t, data).ID
 		streamed := make(chan [][]byte)
 		go func() { streamed <- readStream(t, ts.URL, id) }()
+		// The reader must be attached before the cancel: one arriving after
+		// it replays only the terminal row.
+		job, _ := srv.job(id)
+		parkedReaders(t, job, 1)
 		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
 			if _, data := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil); decodeStatus(t, data).Rows >= 5 {
 				break
@@ -159,7 +163,6 @@ func TestUnfinishedJobsStreamPartialRows(t *testing.T) {
 			t.Fatalf("cancelled job reports %d rows", st.Rows)
 		}
 		checkStream(t, lines, 1, st.Rows, StatusCancelled)
-		job, _ := srv.job(id)
 		job.mu.Lock()
 		held := job.log
 		job.mu.Unlock()

@@ -221,10 +221,10 @@ func TestTheorem1RandomSystems(t *testing.T) {
 		})
 	}
 	// What the pipeline cannot map is part of the contract too, so the count
-	// is pinned: seed 7011 draws a' = 1, b' = −1, complete as written and of
-	// degree 0, so Homogenize has no higher-degree term to raise the
-	// constants to and Translate refuses them.
-	if rejected != 1 {
-		t.Errorf("%d of %d systems rejected, want 1", rejected, theoremSystems)
+	// is pinned: none. Seed 7011 draws a' = 1, b' = −1, complete as written
+	// and of degree 0, so Homogenize has no higher-degree term to raise the
+	// constants to; MakeMappable expands them (§6) instead.
+	if rejected != 0 {
+		t.Errorf("%d of %d systems rejected, want 0", rejected, theoremSystems)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Options configures the file backend.
@@ -19,25 +18,9 @@ type Options struct {
 	// SegmentBytes rotates the WAL to a new segment beyond this size
 	// (default 4 MiB).
 	SegmentBytes int64
-	// GroupCommit coalesces concurrent Append callers into one fsync:
-	// each caller writes its record under the store lock, then waits for
-	// a sync round that covers it — one caller leads the round, everyone
-	// whose write preceded the round's fsync returns together. Appends/s
-	// under concurrency then scale with the batch size instead of paying
-	// one disk flush each; a lone appender pays GroupCommitWait of extra
-	// latency, which is why the mode is opt-in.
-	GroupCommit bool
-	// GroupCommitWait is how long a group-commit leader lingers before
-	// fsyncing so concurrent appenders can join its batch. Default 50µs;
-	// negative disables the linger entirely (the fsync duration itself is
-	// then the only batching window). Only meaningful with GroupCommit.
-	GroupCommitWait time.Duration
 }
 
-const (
-	defaultSegmentBytes    = 4 << 20
-	defaultGroupCommitWait = 50 * time.Microsecond
-)
+const defaultSegmentBytes = 4 << 20
 
 // FileStore is the durable backend: a segmented WAL under <dir>/wal plus
 // content-addressed result blobs under <dir>/results/<prefix>/<key>.
@@ -46,19 +29,6 @@ type FileStore struct {
 	dir  string
 	wal  *wal
 	lock *os.File // flock'd LOCK file guarding the dir against a second process
-
-	// gc is the group-commit coordinator (Options.GroupCommit). Its state
-	// is guarded by gc.mu, never s.mu: waiters must block without holding
-	// the store lock, or the batch they are waiting for could never form.
-	gc struct {
-		enabled   bool
-		wait      time.Duration
-		mu        sync.Mutex
-		cond      *sync.Cond
-		syncing   bool  // a leader is mid-round
-		syncedGen int64 // generations covered by a completed fsync
-		err       error // sticky: a failed fsync poisons the journal
-	}
 
 	// jobs is the merged state of every job not forgotten, kept current
 	// across appends; order is their first-seen order, preserved across
@@ -103,18 +73,6 @@ func Open(dir string, opts Options) (*FileStore, error) {
 		return nil, err
 	}
 	s := &FileStore{dir: dir, wal: w, lock: lock, jobs: make(map[string]*RecoveredJob)}
-	if opts.GroupCommit {
-		s.gc.enabled = true
-		switch {
-		case opts.GroupCommitWait > 0:
-			s.gc.wait = opts.GroupCommitWait
-		case opts.GroupCommitWait < 0:
-			s.gc.wait = 0 // explicit no-linger: the fsync itself is the batching window
-		default:
-			s.gc.wait = defaultGroupCommitWait
-		}
-		s.gc.cond = sync.NewCond(&s.gc.mu)
-	}
 	for _, rec := range recs {
 		s.apply(rec)
 	}
@@ -167,8 +125,7 @@ func (s *FileStore) apply(rec JobRecord) {
 }
 
 // Append journals one lifecycle transition: framed, CRC'd, written, and
-// durable — fsync'd, or covered by a group-commit round (Options.
-// GroupCommit) — before returning.
+// fsync'd before returning.
 func (s *FileStore) Append(rec JobRecord) error {
 	if rec.ID == "" {
 		return fmt.Errorf("store: record without a job id")
@@ -176,12 +133,8 @@ func (s *FileStore) Append(rec JobRecord) error {
 	if opRank(rec.Op) < 0 {
 		return fmt.Errorf("store: unknown op %q", rec.Op)
 	}
-	gen, err := s.write(rec)
-	if err != nil {
+	if err := s.write(rec); err != nil {
 		return err
-	}
-	if s.gc.enabled {
-		return s.groupSync(gen)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,32 +142,29 @@ func (s *FileStore) Append(rec JobRecord) error {
 }
 
 // AppendUnsynced journals a done record without an fsync of its own: durable
-// once anything next syncs the open segment — an Append (its fsync, or its
-// group-commit round, covers every record written before it), a rotation or
-// Close.
+// once anything next syncs the open segment — an Append (its fsync covers
+// every record written before it), a rotation or Close.
 func (s *FileStore) AppendUnsynced(rec JobRecord) error {
 	if err := checkUnsynced(rec); err != nil {
 		return err
 	}
-	_, err := s.write(rec)
-	return err
+	return s.write(rec)
 }
 
-// write frames rec into the open segment and merges it into the index,
-// returning its write generation; nothing is forced to disk.
-func (s *FileStore) write(rec JobRecord) (int64, error) {
+// write frames rec into the open segment and merges it into the index;
+// nothing is forced to disk.
+func (s *FileStore) write(rec JobRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, errClosed
+		return errClosed
 	}
-	gen, err := s.wal.appendNoSync(rec)
-	if err != nil {
-		return 0, err
+	if err := s.wal.appendNoSync(rec); err != nil {
+		return err
 	}
 	s.apply(rec)
 	s.records++
-	return gen, nil
+	return nil
 }
 
 // SyncedTail names the open WAL segment and its length at the last fsync: a
@@ -223,61 +173,6 @@ func (s *FileStore) SyncedTail() (segment string, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return segName(s.wal.segIndex), s.wal.syncedSize
-}
-
-// groupSync blocks until a completed fsync covers write generation gen.
-// The first caller to find no round in flight leads one: it lingers for
-// the configured wait so concurrent appenders can write records that the
-// single fsync will then cover, flushes the open segment, and wakes every
-// waiter. A failed fsync leaves the covered generations unknowable (the
-// kernel may have dropped any subset of the dirty pages), so the error is
-// sticky: every current waiter and all future appends fail rather than
-// pretend the journal is still trustworthy.
-func (s *FileStore) groupSync(gen int64) error {
-	g := &s.gc
-	g.mu.Lock()
-	for {
-		if g.err != nil {
-			err := g.err
-			g.mu.Unlock()
-			return err
-		}
-		if g.syncedGen >= gen {
-			g.mu.Unlock()
-			return nil
-		}
-		if !g.syncing {
-			break
-		}
-		g.cond.Wait()
-	}
-	g.syncing = true
-	g.mu.Unlock()
-
-	if g.wait > 0 {
-		time.Sleep(g.wait)
-	}
-
-	// The fsync itself runs under the store lock so it cannot race a
-	// rotation or Close swapping the open segment out from under it; both
-	// of those sync before closing, so a segment this round misses is
-	// durable anyway (syncOpenSegment's no-open-segment case).
-	s.mu.Lock()
-	target := s.wal.writeGen
-	err := s.wal.syncOpenSegment()
-	s.mu.Unlock()
-
-	g.mu.Lock()
-	g.syncing = false
-	if err != nil {
-		g.err = fmt.Errorf("store: group-commit fsync: %w", err)
-		err = g.err
-	} else {
-		g.syncedGen = target // target >= gen: our write preceded the round
-	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	return err
 }
 
 // resultPath maps a cache key to its blob path, refusing anything that is
@@ -520,7 +415,6 @@ func (s *FileStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Backend:         "file",
 		RecordsAppended: s.records,
 		WALSegments:     s.wal.segments,
 		WALBytes:        s.wal.totalBytes,

@@ -3,15 +3,14 @@ package store
 import "odeproto/internal/obs"
 
 // RegisterMetrics exposes a store's counters in the obs registry as
-// scrape-time-sampled families over Stats(). The store already maintains
-// these numbers for /v1/stats; sampling the same snapshot at scrape time
-// keeps one source of truth instead of double bookkeeping.
+// scrape-time-sampled families over Stats(): the store keeps the numbers,
+// the scrape reads them, and nothing is counted twice.
 func RegisterMetrics(r *obs.Registry, s Store) {
 	r.CounterFunc("odeproto_wal_records_total",
 		"Job lifecycle records appended to the WAL.",
 		func() int64 { return s.Stats().RecordsAppended })
 	r.CounterFunc("odeproto_wal_syncs_total",
-		"Append-path WAL fsyncs (with group commit one sync covers a batch).",
+		"Append-path WAL fsyncs: one per synced append.",
 		func() int64 { return s.Stats().WALSyncs })
 	r.GaugeFunc("odeproto_wal_unsynced_records",
 		"WAL records written since the last fsync: what a power loss would cost right now.",

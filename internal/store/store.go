@@ -122,29 +122,28 @@ type RecoveredJob struct {
 	Interrupted bool
 }
 
-// Stats is the store section of the service's /v1/stats.
+// Stats is a snapshot of a store's counters, which RegisterMetrics exposes.
 type Stats struct {
-	Backend         string `json:"backend"`
-	RecordsAppended int64  `json:"records_appended"`
-	WALSegments     int    `json:"wal_segments"`
-	WALBytes        int64  `json:"wal_bytes"`
-	// WALSyncs counts append-path fsyncs: one per Append, or per batch of
-	// them under group commit; AppendUnsynced adds a record and no sync.
-	WALSyncs int64 `json:"wal_syncs"`
+	RecordsAppended int64
+	WALSegments     int
+	WALBytes        int64
+	// WALSyncs counts append-path fsyncs: one per Append; AppendUnsynced
+	// adds a record and no sync.
+	WALSyncs int64
 	// UnsyncedRecords counts the records written since the last fsync: what
 	// a power loss would cost right now. Zero after Close.
-	UnsyncedRecords int64 `json:"unsynced_records"`
-	ResultsWritten  int64 `json:"results_written"`
+	UnsyncedRecords int64
+	ResultsWritten  int64
 	// ResultBytes counts blob bytes as written to disk, ResultRawBytes the
 	// canonical bytes they encode: their ratio is the compression achieved.
-	ResultBytes    int64 `json:"result_bytes"`
-	ResultRawBytes int64 `json:"result_raw_bytes"`
-	RecoveredJobs  int   `json:"recovered_jobs"`
+	ResultBytes    int64
+	ResultRawBytes int64
+	RecoveredJobs  int
 	// IndexedJobs counts the jobs the store still indexes — every one
 	// journaled and not forgotten — which is what a compaction rewrites.
-	IndexedJobs     int   `json:"indexed_jobs"`
-	TailTruncations int64 `json:"tail_truncations"`
-	Compactions     int64 `json:"compactions"`
+	IndexedJobs     int
+	TailTruncations int64
+	Compactions     int64
 }
 
 // ErrNotFound reports a result key with no stored blob.
@@ -239,7 +238,7 @@ func (m *memory) Compact() error { return nil }
 func (m *memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{Backend: "memory", RecordsAppended: m.records}
+	return Stats{RecordsAppended: m.records}
 }
 
 func (m *memory) Close() error { return nil }

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *FileStore {
@@ -45,7 +44,7 @@ func TestMemoryStoreIsNoop(t *testing.T) {
 		t.Fatalf("memory Recovered = %v, want nil", got)
 	}
 	st := m.Stats()
-	if st.Backend != "memory" || st.RecordsAppended != 1 {
+	if st.RecordsAppended != 1 {
 		t.Fatalf("memory stats %+v", st)
 	}
 	if err := m.Close(); err != nil {
@@ -107,7 +106,7 @@ func TestFileStoreAppendRecover(t *testing.T) {
 	if j3.Status != OpFailed || j3.Error != "boom" || j3.Interrupted {
 		t.Fatalf("j3 = %+v", j3)
 	}
-	if st := s2.Stats(); st.Backend != "file" || st.RecoveredJobs != 3 || st.TailTruncations != 0 {
+	if st := s2.Stats(); st.RecoveredJobs != 3 || st.TailTruncations != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -601,13 +600,12 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrentAppends drives many goroutines through the
-// group-commit append path and verifies every record is durable (all
-// replay after reopen) while the fsync count stays below one-per-append —
-// the coalescing the mode exists for.
-func TestGroupCommitConcurrentAppends(t *testing.T) {
+// TestConcurrentAppendsEachSync drives many goroutines through Append and
+// verifies every record is durable (all replay after reopen) and that each
+// one paid exactly one fsync of its own.
+func TestConcurrentAppendsEachSync(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{GroupCommit: true, GroupCommitWait: 500 * time.Microsecond})
+	s := mustOpen(t, dir, Options{})
 	const (
 		writers = 8
 		each    = 25
@@ -632,11 +630,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.RecordsAppended != writers*each {
-		t.Fatalf("records appended = %d, want %d", st.RecordsAppended, writers*each)
-	}
-	if st.WALSyncs >= st.RecordsAppended {
-		t.Fatalf("group commit never coalesced: %d fsyncs for %d appends", st.WALSyncs, st.RecordsAppended)
+	if st.RecordsAppended != writers*each || st.WALSyncs != st.RecordsAppended {
+		t.Fatalf("%d records appended with %d fsyncs, want %d of each", st.RecordsAppended, st.WALSyncs, writers*each)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -645,44 +640,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	if got := len(s2.Recovered()); got != writers*each {
-		t.Fatalf("recovered %d jobs after group-commit appends, want %d", got, writers*each)
-	}
-}
-
-// TestGroupCommitSerialAppendDurable pins the solo-appender contract: with
-// no concurrency to coalesce, each group-commit Append still returns only
-// after its own record is fsync'd, and rotation keeps working.
-func TestGroupCommitSerialAppendDurable(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{GroupCommit: true, SegmentBytes: 256})
-	for _, rec := range lifecycle("j000001", "aaaa") {
-		if err := s.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Append(JobRecord{Op: OpSubmitted, ID: fmt.Sprintf("j%06d", i+2), Spec: json.RawMessage(`{"n":400,"periods":25}`)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.WALSegments < 2 {
-		t.Fatalf("expected rotation under group commit, got %d segments", st.WALSegments)
-	}
-	if st.WALSyncs < 1 {
-		t.Fatalf("no fsyncs recorded: %+v", st)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	recovered := s2.Recovered()
-	if got := len(recovered); got != 11 {
-		t.Fatalf("recovered %d jobs, want 11", got)
-	}
-	if j := recovered[0]; j.Status != OpDone {
-		t.Fatalf("j000001 recovered as %s, want done", j.Status)
+		t.Fatalf("recovered %d jobs after concurrent appends, want %d", got, writers*each)
 	}
 }
 
@@ -728,139 +686,92 @@ func walLen(t *testing.T, s *FileStore, dir string) int64 {
 
 // TestAppendUnsyncedRidesTheNextSync: unsynced records are written and
 // indexed at once, cost no fsync, and become durable with the next synced
-// append, with a rotation, and with Close — with and without group commit.
+// append, with a rotation, and with Close.
 // SyncedTail marks how much of the open segment a power loss would keep.
 func TestAppendUnsyncedRidesTheNextSync(t *testing.T) {
+	// The subtest keeps the name it had beside the deleted group-commit arm,
+	// so the plain-append path stays tracked under the same id.
+	t.Run("group=false", appendUnsyncedRidesTheNextSync)
+}
+
+func appendUnsyncedRidesTheNextSync(t *testing.T) {
 	done := func(i int) JobRecord {
 		return JobRecord{Op: OpDone, ID: fmt.Sprintf("j%06d", i), Key: "abcd", StartedAt: 1, FinishedAt: int64(i)}
 	}
-	for _, opts := range []Options{{}, {GroupCommit: true}} {
-		t.Run(fmt.Sprintf("group=%v", opts.GroupCommit), func(t *testing.T) {
-			dir := t.TempDir()
-			s := mustOpen(t, dir, opts)
-			if err := s.Append(JobRecord{Op: OpSubmitted, ID: "j000001", Key: "abcd", SubmittedAt: 1}); err != nil {
-				t.Fatal(err)
-			}
-			before := s.Stats()
-			_, synced := s.SyncedTail()
-			if synced != walLen(t, s, dir) || before.UnsyncedRecords != 0 {
-				t.Fatalf("after a synced append: synced to %d of %d bytes, %d records unsynced", synced, walLen(t, s, dir), before.UnsyncedRecords)
-			}
-
-			// Two unsynced records and one Append: one fsync covers all three.
-			for i := 1; i <= 2; i++ {
-				if err := s.AppendUnsynced(done(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			mid := s.Stats()
-			if _, tail := s.SyncedTail(); tail != synced || mid.UnsyncedRecords != 2 || mid.WALSyncs != before.WALSyncs ||
-				mid.RecordsAppended != before.RecordsAppended+2 || mid.WALBytes != walLen(t, s, dir) || mid.IndexedJobs != 2 {
-				t.Fatalf("after two unsynced appends: synced tail %d (was %d), stats %+v", tail, synced, mid)
-			}
-			if err := s.Append(JobRecord{Op: OpSubmitted, ID: "j000002", Key: "abcd", SubmittedAt: 2}); err != nil {
-				t.Fatal(err)
-			}
-			after := s.Stats()
-			if _, tail := s.SyncedTail(); tail != walLen(t, s, dir) || after.UnsyncedRecords != 0 || after.WALSyncs != before.WALSyncs+1 {
-				t.Fatalf("two unsynced records and one Append moved wal_syncs %d -> %d, synced tail %d of %d, %d unsynced",
-					before.WALSyncs, after.WALSyncs, tail, walLen(t, s, dir), after.UnsyncedRecords)
-			}
-
-			// One more, left for Close to flush.
-			if err := s.AppendUnsynced(done(3)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if st := s.Stats(); st.UnsyncedRecords != 0 {
-				t.Fatalf("%d records unsynced after Close", st.UnsyncedRecords)
-			}
-			if err := s.AppendUnsynced(done(4)); err == nil {
-				t.Fatal("unsynced append after Close succeeded")
-			}
-
-			s2 := mustOpen(t, dir, Options{SegmentBytes: 256})
-			got := s2.Recovered()
-			if len(got) != 3 {
-				t.Fatalf("recovered %d jobs, want 3", len(got))
-			}
-			for i, rj := range got {
-				if rj.Status != OpDone || rj.FinishedAt != int64(i+1) || rj.Interrupted {
-					t.Fatalf("recovered[%d] = %+v, want done at %d", i, rj, i+1)
-				}
-			}
-
-			// Unsynced appends rotate like any other, and a rotation syncs
-			// the segment it closes: only the open one can hold a tail.
-			for i := 4; i <= 12; i++ {
-				if err := s2.AppendUnsynced(done(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := s2.Stats()
-			if st.WALSegments < 3 || st.WALSyncs != 0 || st.UnsyncedRecords < 1 || st.UnsyncedRecords > 3 {
-				t.Fatalf("after nine unsynced appends over 256-byte segments: %+v", st)
-			}
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s3 := mustOpen(t, dir, Options{})
-			defer s3.Close()
-			if got := s3.Recovered(); len(got) != 12 || got[11].FinishedAt != 12 {
-				t.Fatalf("recovered %d jobs after rotations, want 12", len(got))
-			}
-		})
-	}
-}
-
-// TestGroupCommitCoversUnsynced: under group commit an unsynced record needs
-// no round of its own — whichever round next fsyncs covers it — while
-// concurrent synced appenders still coalesce around it.
-func TestGroupCommitCoversUnsynced(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{GroupCommit: true, GroupCommitWait: 200 * time.Microsecond})
-	const writers, each = 4, 25
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				id := fmt.Sprintf("j%03d%03d", w, i)
-				if err := s.AppendUnsynced(JobRecord{Op: OpDone, ID: id, Key: "abcd", FinishedAt: 2}); err != nil {
-					t.Errorf("unsynced append %s: %v", id, err)
-				}
-				if err := s.Append(JobRecord{Op: OpSubmitted, ID: id, Key: "abcd", SubmittedAt: 1}); err != nil {
-					t.Errorf("append %s: %v", id, err)
-				}
-			}
-		}(w)
+	s := mustOpen(t, dir, Options{})
+	if err := s.Append(JobRecord{Op: OpSubmitted, ID: "j000001", Key: "abcd", SubmittedAt: 1}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	st := s.Stats()
-	if st.RecordsAppended != 2*writers*each || st.UnsyncedRecords != 0 || st.WALSyncs > writers*each {
-		t.Fatalf("after %d unsynced + %d synced appends: %+v", writers*each, writers*each, st)
+	before := s.Stats()
+	_, synced := s.SyncedTail()
+	if synced != walLen(t, s, dir) || before.UnsyncedRecords != 0 {
+		t.Fatalf("after a synced append: synced to %d of %d bytes, %d records unsynced", synced, walLen(t, s, dir), before.UnsyncedRecords)
 	}
-	// Each writer's last call was an Append, and an Append returns only once
-	// an fsync covers everything written before it.
-	if _, tail := s.SyncedTail(); tail != walLen(t, s, dir) {
-		t.Fatalf("every writer's last Append returned, yet the segment is synced to %d of %d bytes", tail, walLen(t, s, dir))
+
+	// Two unsynced records and one Append: one fsync covers all three.
+	for i := 1; i <= 2; i++ {
+		if err := s.AppendUnsynced(done(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := s.Stats()
+	if _, tail := s.SyncedTail(); tail != synced || mid.UnsyncedRecords != 2 || mid.WALSyncs != before.WALSyncs ||
+		mid.RecordsAppended != before.RecordsAppended+2 || mid.WALBytes != walLen(t, s, dir) || mid.IndexedJobs != 2 {
+		t.Fatalf("after two unsynced appends: synced tail %d (was %d), stats %+v", tail, synced, mid)
+	}
+	if err := s.Append(JobRecord{Op: OpSubmitted, ID: "j000002", Key: "abcd", SubmittedAt: 2}); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	if _, tail := s.SyncedTail(); tail != walLen(t, s, dir) || after.UnsyncedRecords != 0 || after.WALSyncs != before.WALSyncs+1 {
+		t.Fatalf("two unsynced records and one Append moved wal_syncs %d -> %d, synced tail %d of %d, %d unsynced",
+			before.WALSyncs, after.WALSyncs, tail, walLen(t, s, dir), after.UnsyncedRecords)
+	}
+
+	// One more, left for Close to flush.
+	if err := s.AppendUnsynced(done(3)); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	got := s2.Recovered()
-	if len(got) != writers*each {
-		t.Fatalf("recovered %d jobs, want %d", len(got), writers*each)
+	if st := s.Stats(); st.UnsyncedRecords != 0 {
+		t.Fatalf("%d records unsynced after Close", st.UnsyncedRecords)
 	}
-	for _, rj := range got {
-		if rj.Status != OpDone {
-			t.Fatalf("%s recovered as %s, want done", rj.ID, rj.Status)
+	if err := s.AppendUnsynced(done(4)); err == nil {
+		t.Fatal("unsynced append after Close succeeded")
+	}
+
+	s2 := mustOpen(t, dir, Options{SegmentBytes: 256})
+	got := s2.Recovered()
+	if len(got) != 3 {
+		t.Fatalf("recovered %d jobs, want 3", len(got))
+	}
+	for i, rj := range got {
+		if rj.Status != OpDone || rj.FinishedAt != int64(i+1) || rj.Interrupted {
+			t.Fatalf("recovered[%d] = %+v, want done at %d", i, rj, i+1)
 		}
+	}
+
+	// Unsynced appends rotate like any other, and a rotation syncs the
+	// segment it closes: only the open one can hold a tail.
+	for i := 4; i <= 12; i++ {
+		if err := s2.AppendUnsynced(done(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s2.Stats()
+	if st.WALSegments < 3 || st.WALSyncs != 0 || st.UnsyncedRecords < 1 || st.UnsyncedRecords > 3 {
+		t.Fatalf("after nine unsynced appends over 256-byte segments: %+v", st)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := mustOpen(t, dir, Options{})
+	defer s3.Close()
+	if got := s3.Recovered(); len(got) != 12 || got[11].FinishedAt != 12 {
+		t.Fatalf("recovered %d jobs after rotations, want 12", len(got))
 	}
 }
 

@@ -36,13 +36,11 @@ type wal struct {
 	totalBytes  int64 // live bytes across all segments
 	truncations int64
 
-	// writeGen numbers appends; syncs counts append-path fsyncs. The two
-	// diverge: one fsync covers every generation written before it, a
-	// group-commit batch and unsynced records alike. unsynced counts the
-	// records written to the open segment since its last fsync and
-	// syncedSize is its length at that fsync: what a power loss would cost,
-	// and where it would cut. All are guarded by the owning store's mutex.
-	writeGen   int64
+	// syncs counts append-path fsyncs; one covers every record written
+	// before it, unsynced ones included. unsynced counts the records written
+	// to the open segment since its last fsync and syncedSize is its length
+	// at that fsync: what a power loss would cost, and where it would cut.
+	// All are guarded by the owning store's mutex.
 	syncs      int64
 	unsynced   int64
 	syncedSize int64
@@ -183,34 +181,31 @@ func (w *wal) rotate(index int) error {
 }
 
 // appendNoSync frames and writes one record without forcing it to disk,
-// rotating first when the open segment would exceed the size bound. It
-// returns the record's write generation — the value syncOpenSegment must
-// cover before the record counts as durable. Rotation is safe to elide
-// from the sync contract: rotate fsyncs the old segment before closing
-// it, so every generation living in a closed segment is already durable.
-func (w *wal) appendNoSync(rec JobRecord) (int64, error) {
+// rotating first when the open segment would exceed the size bound. The
+// record is durable once syncOpenSegment next runs — or already, if a
+// rotation closes its segment: rotate fsyncs the old segment first.
+func (w *wal) appendNoSync(rec JobRecord) error {
 	if w.f == nil {
 		// A failed compact/rotate left no open segment; fail the append
 		// instead of panicking (the service journals best-effort).
-		return 0, fmt.Errorf("wal: no open segment (a previous compaction or rotation failed)")
+		return fmt.Errorf("wal: no open segment (a previous compaction or rotation failed)")
 	}
 	buf, err := frame(rec)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if w.size > 0 && w.size+int64(len(buf)) > w.segBytes {
 		if err := w.rotate(w.segIndex + 1); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if _, err := w.f.Write(buf); err != nil {
-		return 0, err
+		return err
 	}
 	w.size += int64(len(buf))
 	w.totalBytes += int64(len(buf))
-	w.writeGen++
 	w.unsynced++
-	return w.writeGen, nil
+	return nil
 }
 
 // syncOpenSegment fsyncs the open segment, making every written record
