@@ -471,7 +471,7 @@ func (rt *Router) forward(r *http.Request, addr string, body []byte) (*http.Resp
 		req.Header.Set(obs.TraceHeader, tid)
 	}
 	// Conditional-GET and content-negotiation headers pass through so the
-	// owner can answer 304s and serve its cached gzip variant; relay then
+	// owner can answer 304s and serve its stored gzip member; relay then
 	// copies ETag/Content-Encoding back verbatim (the transport never
 	// decompresses — DisableCompression).
 	if inm := r.Header.Get("If-None-Match"); inm != "" {

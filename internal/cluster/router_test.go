@@ -345,11 +345,19 @@ func TestClusterOwnerDownFailover(t *testing.T) {
 // compressed — decompressing to the exact bytes the owner serves.
 func TestClusterForwardedConditionalGet(t *testing.T) {
 	nodes := startTestCluster(t, 3)
-	key := specKey(t, nodes[0].svc, 7)
+	// A result above one 4 KiB block: stored, and sent to gzip clients, as a
+	// gzip member (a smaller one goes out as identity).
+	spec := testSpec(7)
+	spec["periods"] = 400
+	key, err := nodes[0].svc.RouteKey(service.JobSpec{Source: spec["source"].(string), N: 300,
+		Initial: map[string]int{"x": 290, "y": 10}, Periods: 400, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	owner := nodes[0].rt.ring.owner(key)
 	forwarder := nodes[(owner+1)%3]
 
-	code, body := postJSON(t, forwarder.base()+"/v1/jobs", testSpec(7))
+	code, body := postJSON(t, forwarder.base()+"/v1/jobs", spec)
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("submit: %d %s", code, body)
 	}

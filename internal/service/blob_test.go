@@ -3,14 +3,19 @@ package service
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
+	"odeproto/internal/harness"
+	"odeproto/internal/obs"
 	"odeproto/internal/store"
 )
 
@@ -160,16 +165,17 @@ func TestOldDataDirServesUnchanged(t *testing.T) {
 	bigSpec, _ := normalizeOrFatal(t, largeSpec())
 	tinySpec, _ := normalizeOrFatal(t, smallSpec())
 	big, small := twinResult(t, bigSpec), twinResult(t, tinySpec)
+	canonical := map[*resultBlob][]byte{big: canonicalOf(t, big), small: canonicalOf(t, small)}
 	var sibling bytes.Buffer
 	zw := gzip.NewWriter(&sibling) // the default level, as those daemons compressed
-	_, _ = zw.Write(big.data)
+	_, _ = zw.Write(canonical[big])
 	_ = zw.Close()
 
 	dir := t.TempDir()
 	for path, data := range map[string][]byte{
-		storedPath(dir, big.key):         big.data,
+		storedPath(dir, big.key):         canonical[big],
 		storedPath(dir, big.key) + ".gz": sibling.Bytes(),
-		storedPath(dir, small.key):       small.data,
+		storedPath(dir, small.key):       canonical[small],
 	} {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -233,8 +239,8 @@ func TestOldDataDirServesUnchanged(t *testing.T) {
 			if path == "past the LRU" {
 				dropFromCache(srv, blob.key)
 			}
-			if enc, body := get(blob.key, "identity"); enc != "" || !bytes.Equal(body, blob.data) {
-				t.Fatalf("%s, identity %s…: encoding %q, %d B, want the blob's %d", path, blob.key[:8], enc, len(body), len(blob.data))
+			if enc, body := get(blob.key, "identity"); enc != "" || !bytes.Equal(body, canonical[blob]) {
+				t.Fatalf("%s, identity %s…: encoding %q, %d B, want the blob's %d", path, blob.key[:8], enc, len(body), len(canonical[blob]))
 			}
 		}
 		if enc, body := get(big.key, "gzip"); enc != "gzip" || !bytes.Equal(body, sibling.Bytes()) {
@@ -243,7 +249,7 @@ func TestOldDataDirServesUnchanged(t *testing.T) {
 	}
 	// The sub-block blob has no gzip form on disk: identity goes out.
 	dropFromCache(srv, small.key)
-	if enc, body := get(small.key, "gzip"); enc != "" || !bytes.Equal(body, small.data) {
+	if enc, body := get(small.key, "gzip"); enc != "" || !bytes.Equal(body, canonical[small]) {
 		t.Fatalf("gzip of a sub-block identity blob past the LRU: encoding %q, %d B", enc, len(body))
 	}
 
@@ -253,4 +259,242 @@ func TestOldDataDirServesUnchanged(t *testing.T) {
 	if n := srv.SweepsExecuted(); n != 0 {
 		t.Fatalf("%d sweeps ran", n)
 	}
+}
+
+// TestDamagedMemberAbortsGzipResponse: past the LRU a gzip client is sent the
+// stored member as it lies but for its 8-byte trailer, which goes out only
+// once the member has inflated clean. A damaged member ends short of its
+// Content-Length — never a complete, well-framed body — and counts one store
+// error.
+func TestDamagedMemberAbortsGzipResponse(t *testing.T) {
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fst := openFileStore(t, dir)
+			t.Cleanup(func() { fst.Close() }) // after the server cleanup below
+			srv, ts := newTestServer(t, Config{Workers: 1, Store: fst})
+			key := runJob(t, ts.URL, largeSpec()).CacheKey
+			member, err := os.ReadFile(storedPath(dir, key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := damage(member)
+			if err := os.WriteFile(storedPath(dir, key), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dropFromCache(srv, key)
+			errs := srv.met.storeErrs.Value()
+
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/results/"+key, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Accept-Encoding", "gzip")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch {
+			case name == "truncated" && resp.StatusCode == http.StatusInternalServerError:
+				// Its trailer is too damaged to size an identity body, so the
+				// store's open refuses it before a byte goes out.
+			case resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" ||
+				resp.Header.Get("Content-Length") != strconv.Itoa(len(bad)):
+				t.Fatalf("gzip GET: %d, encoding %q, Content-Length %q: want 200 and the %d B file as gzip",
+					resp.StatusCode, resp.Header.Get("Content-Encoding"), resp.Header.Get("Content-Length"), len(bad))
+			case err == nil || len(body) >= len(bad):
+				t.Fatalf("a damaged member went out as %d of its %d B (err %v), want a body cut short", len(body), len(bad), err)
+			}
+			if got := srv.met.storeErrs.Value(); got != errs+1 {
+				t.Fatalf("store errors moved by %d, want 1", got-errs)
+			}
+		})
+	}
+}
+
+// renderResult sweeps spec outside any server and renders its rows with
+// appendResult: the canonical bytes every read path must reproduce.
+func renderResult(t *testing.T, spec JobSpec) []byte {
+	t.Helper()
+	comp, err := spec.normalize(defaultLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]int64, spec.Seeds)
+	for i := range seeds {
+		seeds[i] = spec.seedFor(i)
+	}
+	log := newRowLog(comp.proto.States, seeds)
+	jobs, err := buildSweep(&spec, comp, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := harness.SweepContext(context.Background(), jobs, harness.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := make([]int, len(results))
+	for i := range results {
+		killed[i] = results[i].Killed
+	}
+	return appendResult(nil, log, killed)
+}
+
+// TestOneResidentFormEveryReadPath: a result above one block and one within
+// it, read from the LRU, past it and after a restart that warms them (the
+// memory backend holds results in the LRU alone, so it has only the first).
+// The LRU holds each in its stored form and nothing else, odeproto_cache_bytes
+// is the sum of those lengths, and every read path — the result GET as
+// identity and as gzip, the status splice, the stream replay, Snapshot and a
+// duplicate POST's born-done job — yields appendResult's canonical bytes.
+func TestOneResidentFormEveryReadPath(t *testing.T) {
+	type result struct {
+		spec      JobSpec
+		key, id   string
+		canonical []byte
+	}
+	var results []*result
+	for _, spec := range []JobSpec{largeSpec(), smallSpec()} {
+		spec, key := normalizeOrFatal(t, spec)
+		results = append(results, &result{spec: spec, key: key, canonical: renderResult(t, spec)})
+	}
+	if len(results[0].canonical) <= 4096 || len(results[1].canonical) > 4096 {
+		t.Fatalf("results of %d and %d B, want one above one block and one within it",
+			len(results[0].canonical), len(results[1].canonical))
+	}
+
+	// check reads every path of srv with prep run before each read, in the
+	// named phase.
+	check := func(t *testing.T, srv *Server, base, phase string, prep func()) {
+		t.Helper()
+		for _, r := range results {
+			fail := func(path string, got []byte) {
+				t.Helper()
+				t.Fatalf("%s, %d B result, %s: %d B, want the %d canonical bytes", phase, len(r.canonical), path, len(got), len(r.canonical))
+			}
+			prep()
+			if _, body := rawGet(t, base+"/v1/results/"+r.key, nil); !bytes.Equal(body, r.canonical) {
+				fail("identity GET", body)
+			}
+			prep()
+			resp, body := rawGet(t, base+"/v1/results/"+r.key, map[string]string{"Accept-Encoding": "gzip"})
+			if resp.Header.Get("Content-Encoding") == "gzip" {
+				zr, err := gzip.NewReader(bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if body, err = io.ReadAll(zr); err != nil {
+					t.Fatal(err)
+				}
+			} else if len(r.canonical) > 4096 {
+				t.Fatalf("%s: a gzip client of a stored member got identity", phase)
+			}
+			if !bytes.Equal(body, r.canonical) {
+				fail("gzip GET", body)
+			}
+			prep()
+			_, status := rawGet(t, base+"/v1/jobs/"+r.id, nil)
+			if want := append(append([]byte(`,"result":`), r.canonical...), "}\n"...); !bytes.HasSuffix(status, want) {
+				fail("status splice", status)
+			}
+			prep()
+			var replay, want []byte
+			for _, line := range readStream(t, base, r.id) {
+				replay = append(replay, line...)
+			}
+			if err := scanResult(r.canonical, func(run int, seed int64, body []byte) {
+				want = append(append(appendLineHead(want, run, seed), body...), lineEnd...)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if want = appendTerminalRow(want, StatusDone); !bytes.Equal(replay, want) {
+				fail("stream replay", replay)
+			}
+			prep()
+			job, err := srv.job(r.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := job.Snapshot(true).Result
+			if got, _ := json.Marshal(res); res == nil || !bytes.Equal(got, r.canonical) {
+				fail("Snapshot", got)
+			}
+			prep()
+			resp, data := doJSON(t, http.MethodPost, base+"/v1/jobs", r.spec)
+			if st := decodeStatus(t, data); resp.StatusCode != http.StatusOK || !st.Cached {
+				t.Fatalf("%s: duplicate POST answered %d %s", phase, resp.StatusCode, data)
+			} else if _, status := rawGet(t, base+"/v1/jobs/"+st.ID, nil); !bytes.HasSuffix(status, append(append([]byte(`,"result":`), r.canonical...), "}\n"...)) {
+				fail("born-done status", status)
+			}
+		}
+
+		// The LRU's books: each resident blob is its result's stored form, and
+		// the gauge is the sum of their lengths.
+		var sum int64
+		srv.cache.mu.Lock()
+		for el := srv.cache.order.Front(); el != nil; el = el.Next() {
+			blob := el.Value.(*resultBlob)
+			sum += int64(len(blob.stored))
+			for _, r := range results {
+				if blob.key == r.key && !bytes.Equal(blob.stored, store.StoredForm(r.canonical)) {
+					t.Errorf("%s: the LRU holds %d B for the %d B result, not its stored form", phase, len(blob.stored), len(r.canonical))
+				}
+			}
+		}
+		srv.cache.mu.Unlock()
+		var buf bytes.Buffer
+		if err := srv.Metrics().Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseExposition(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := fams["odeproto_cache_bytes"].Value("odeproto_cache_bytes", nil); !ok || int64(v) != sum {
+			t.Fatalf("%s: odeproto_cache_bytes = %v, the resident blobs hold %d B", phase, v, sum)
+		}
+	}
+	run := func(t *testing.T, base string) {
+		t.Helper()
+		for _, r := range results {
+			r.id = runJob(t, base, r.spec).ID
+		}
+	}
+	resident := func() {}
+
+	t.Run("memory", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{Workers: 1, Store: store.NewMemory()})
+		run(t, ts.URL)
+		check(t, srv, ts.URL, "from the LRU", resident)
+	})
+	t.Run("file", func(t *testing.T) {
+		dir := t.TempDir()
+		fst := openFileStore(t, dir)
+		srv, ts := newTestServer(t, Config{Workers: 1, Store: fst})
+		run(t, ts.URL)
+		check(t, srv, ts.URL, "from the LRU", resident)
+		check(t, srv, ts.URL, "past the LRU", func() {
+			for _, r := range results {
+				dropFromCache(srv, r.key)
+			}
+		})
+		ts.Close()
+		srv.Close()
+		if err := fst.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		fst2 := openFileStore(t, dir)
+		t.Cleanup(func() { fst2.Close() }) // after the server cleanup below
+		srv2, ts2 := newTestServer(t, Config{Workers: 1, Store: fst2})
+		if srv2.warmed != len(results) {
+			t.Fatalf("the restart warmed %d results, want %d", srv2.warmed, len(results))
+		}
+		check(t, srv2, ts2.URL, "after a restart", resident)
+		if n := srv2.SweepsExecuted(); n != 0 {
+			t.Fatalf("%d sweeps ran after the restart", n)
+		}
+	})
 }

@@ -8,26 +8,24 @@ import (
 )
 
 // cacheBytesPerEntry is the byte allowance each unit of Config.CacheSize
-// brings: the LRU's byte budget is CacheSize × 256 KiB (64 MiB at the
-// default 256), so one flag bounds both how many results and how many
-// result bytes the process holds.
+// brings: the LRU's budget is CacheSize × 256 KiB (64 MiB at the default 256)
+// of stored bytes — a large result counts at its gzip member — so one flag
+// bounds both how many results and how many result bytes the process holds.
 const cacheBytesPerEntry = 256 << 10
 
 // resultCache is the content-addressed result store and the only in-memory
-// owner of result bytes: an LRU map from canonical request hash to the
-// finished result's encode-once blob, bounded by an entry count and a byte
-// budget. Jobs hold keys, not blobs; every read resolves the key here and,
-// past the LRU, in the durable store. Blobs are immutable apart from the
-// gzip variant they may grow once (resize re-accounts it) — handlers serve
-// a blob's bytes directly, and a reader that holds one keeps it alive past
-// its eviction — which is sound because sweep output is byte-identical for
-// a fixed key (the key includes the seed derivation and the shard count K).
+// owner of result bytes: an LRU map from canonical request hash to stored
+// blob, bounded by an entry count and a byte budget. Jobs hold keys; every
+// read resolves the key here and, past the LRU, in the durable store. Blobs
+// are immutable — a reader that holds one keeps it alive past its eviction —
+// which is sound because sweep output is byte-identical for a fixed key (the
+// key includes the seed derivation and the shard count K).
 type resultCache struct {
 	mu       sync.Mutex
 	max      int   // entries
 	maxBytes int64 // sum of the entries' sizes
 	bytes    int64
-	order    *list.List // front = most recently used
+	order    *list.List // of *resultBlob; front = most recently used
 	entries  map[string]*list.Element
 
 	// The counters live in the obs registry (odeproto_cache_hits_total,
@@ -35,12 +33,6 @@ type resultCache struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
-}
-
-// cacheEntry is one resident blob with the size it is accounted at.
-type cacheEntry struct {
-	blob *resultBlob
-	size int64
 }
 
 func newResultCache(max int, hits, misses, evictions *obs.Counter) *resultCache {
@@ -82,7 +74,7 @@ func (c *resultCache) peek(key string) (*resultBlob, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).blob, true
+	return el.Value.(*resultBlob), true
 }
 
 // contains reports presence without touching recency or the counters, for
@@ -102,13 +94,13 @@ func (c *resultCache) put(blob *resultBlob) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[blob.key]; ok {
+		c.bytes -= int64(len(el.Value.(*resultBlob).stored))
+		el.Value = blob
 		c.order.MoveToFront(el)
-		c.account(el.Value.(*cacheEntry), blob)
 	} else {
-		e := &cacheEntry{}
-		c.entries[blob.key] = c.order.PushFront(e)
-		c.account(e, blob)
+		c.entries[blob.key] = c.order.PushFront(blob)
 	}
+	c.bytes += int64(len(blob.stored))
 	c.evict()
 }
 
@@ -121,40 +113,21 @@ func (c *resultCache) putOldest(blob *resultBlob) bool {
 	if _, ok := c.entries[blob.key]; ok {
 		return true
 	}
-	if c.order.Len() >= c.max || c.bytes+blob.size() > c.maxBytes {
+	if c.order.Len() >= c.max || c.bytes+int64(len(blob.stored)) > c.maxBytes {
 		return false
 	}
-	e := &cacheEntry{}
-	c.entries[blob.key] = c.order.PushBack(e)
-	c.account(e, blob)
+	c.entries[blob.key] = c.order.PushBack(blob)
+	c.bytes += int64(len(blob.stored))
 	return true
-}
-
-// resize re-accounts blob after its gzip variant appeared, if it is still
-// the resident blob of its key.
-func (c *resultCache) resize(blob *resultBlob) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[blob.key]; ok && el.Value.(*cacheEntry).blob == blob {
-		c.account(el.Value.(*cacheEntry), blob)
-		c.evict()
-	}
-}
-
-// account makes e hold blob at its current size; callers hold c.mu.
-func (c *resultCache) account(e *cacheEntry, blob *resultBlob) {
-	size := blob.size()
-	c.bytes += size - e.size
-	e.blob, e.size = blob, size
 }
 
 // evict drops least recently used entries until both bounds hold or one
 // entry is left; callers hold c.mu.
 func (c *resultCache) evict() {
 	for c.order.Len() > 1 && (c.order.Len() > c.max || c.bytes > c.maxBytes) {
-		e := c.order.Remove(c.order.Back()).(*cacheEntry)
-		delete(c.entries, e.blob.key)
-		c.bytes -= e.size
+		blob := c.order.Remove(c.order.Back()).(*resultBlob)
+		delete(c.entries, blob.key)
+		c.bytes -= int64(len(blob.stored))
 		c.evictions.Inc()
 	}
 }

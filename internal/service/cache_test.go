@@ -14,9 +14,9 @@ import (
 func TestResultCacheLRU(t *testing.T) {
 	hits, misses := &obs.Counter{}, &obs.Counter{}
 	c := newResultCache(2, hits, misses, &obs.Counter{})
-	r1 := newResultBlob("a", nil)
-	r2 := newResultBlob("b", nil)
-	r3 := newResultBlob("c", nil)
+	r1 := &resultBlob{key: "a"}
+	r2 := &resultBlob{key: "b"}
+	r3 := &resultBlob{key: "c"}
 	c.put(r1)
 	c.put(r2)
 	if got, ok := c.get("a"); !ok || got != r1 {
@@ -42,22 +42,19 @@ func TestResultCacheLRU(t *testing.T) {
 }
 
 // checkAccounting verifies the LRU's books: its byte total is the sum of
-// what its entries are accounted at, each entry is accounted at its blob's
-// size, and both bounds hold unless a single entry is all that is left.
+// its entries' stored lengths, and both bounds hold unless a single entry is
+// all that is left.
 func checkAccounting(t *testing.T, c *resultCache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum int64
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.size != e.blob.size() {
-			t.Errorf("entry %s accounted at %d B, holds %d B", e.blob.key, e.size, e.blob.size())
+		blob := el.Value.(*resultBlob)
+		if c.entries[blob.key] != el {
+			t.Errorf("entry %s is listed but not indexed", blob.key)
 		}
-		if c.entries[e.blob.key] != el {
-			t.Errorf("entry %s is listed but not indexed", e.blob.key)
-		}
-		sum += e.size
+		sum += int64(len(blob.stored))
 	}
 	if sum != c.bytes || len(c.entries) != c.order.Len() {
 		t.Errorf("cache accounts %d B over %d indexed entries; its %d listed entries hold %d B",
@@ -68,24 +65,14 @@ func checkAccounting(t *testing.T, c *resultCache) {
 	}
 }
 
-// sizedBlob is a blob of n canonical bytes filled with the key's first byte.
+// sizedBlob is a blob of n stored bytes filled with the key's first byte.
 func sizedBlob(key string, n int) *resultBlob {
-	return newResultBlob(key, bytes.Repeat([]byte{key[0]}, n))
+	return &resultBlob{key: key, stored: bytes.Repeat([]byte{key[0]}, n)}
 }
 
-// grow gives b a gzip variant of n bytes the way resultGzip does, short of
-// the store round trip.
-func grow(c *resultCache, b *resultBlob, n int) {
-	b.gzOnce.Do(func() {
-		b.gzData = make([]byte, n)
-		b.gzLen.Store(int64(n))
-		c.resize(b)
-	})
-}
-
-// TestResultCacheByteBudget: the LRU accounts len(data)+len(gzData) per
-// entry against CacheSize × 256 KiB and evicts least recently used first
-// past it, the entry bound notwithstanding.
+// TestResultCacheByteBudget: the LRU accounts len(stored) per entry against
+// CacheSize × 256 KiB and evicts least recently used first past it, the
+// entry bound notwithstanding.
 func TestResultCacheByteBudget(t *testing.T) {
 	evictions := &obs.Counter{}
 	c := newResultCache(4, &obs.Counter{}, &obs.Counter{}, evictions)
@@ -111,21 +98,16 @@ func TestResultCacheByteBudget(t *testing.T) {
 	if n, b := c.usage(); n != 3 || b != 2*third+10 {
 		t.Fatalf("after replacing a with 10 B: %d entries, %d B", n, b)
 	}
-	// The replaced blob is no longer resident: its growth is not the cache's.
 	checkAccounting(t, c)
 
-	// A gzip variant that appears after insertion is accounted, and can
-	// push older entries out.
-	d, _ := c.peek("d")
-	grow(c, d, 100<<10)
-	if n, b := c.usage(); b != 2*third+10+100<<10 || n != 3 {
-		t.Fatalf("after d grew a 100 KiB gzip variant: %d entries, %d B", n, b)
+	// A replacement that grows its key can push older entries out.
+	c.put(sizedBlob("d", 400<<10))
+	if n, b := c.usage(); b != third+10+400<<10 || n != 3 {
+		t.Fatalf("after replacing d with 400 KiB: %d entries, %d B", n, b)
 	}
-	grow(c, sizedBlob("zz", 1), 1<<20) // never inserted: not the cache's business
-	a, _ := c.peek("a")
-	grow(c, a, 400<<10) // 600 + 10 + 100 + 400 KiB > 1 MiB: c, the oldest, goes
+	c.put(sizedBlob("a", 400<<10)) // 300 + 400 + 400 KiB > 1 MiB: c, the oldest, goes
 	if c.contains("c") || !c.contains("d") || !c.contains("a") {
-		t.Fatalf("a's gzip growth must evict c alone")
+		t.Fatalf("a's growth must evict c alone")
 	}
 	checkAccounting(t, c)
 }
@@ -169,7 +151,7 @@ func TestResultCachePutOldest(t *testing.T) {
 }
 
 // TestResultCacheEvictionUnderReaders: readers copy blobs out while writers
-// evict them and gzip variants appear. A reader that got a blob keeps
+// evict them. A reader that got a blob keeps
 // reading the same bytes after the eviction; the books balance at the end.
 // Run under -race.
 func TestResultCacheEvictionUnderReaders(t *testing.T) {
@@ -192,10 +174,9 @@ func TestResultCacheEvictionUnderReaders(t *testing.T) {
 				if !ok {
 					continue
 				}
-				grow(c, blob, 50<<10)
-				n, err := io.Copy(io.Discard, bytes.NewReader(blob.data))
-				if err != nil || n != 200<<10 || blob.data[0] != key[0] || blob.data[n-1] != key[0] {
-					t.Errorf("reader of %s saw %d bytes starting %q (err %v)", key, n, blob.data[0], err)
+				n, err := io.Copy(io.Discard, bytes.NewReader(blob.stored))
+				if err != nil || n != 200<<10 || blob.stored[0] != key[0] || blob.stored[n-1] != key[0] {
+					t.Errorf("reader of %s saw %d bytes starting %q (err %v)", key, n, blob.stored[0], err)
 					return
 				}
 			}

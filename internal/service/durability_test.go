@@ -24,6 +24,7 @@ import (
 func TestRecoveryHealsFinishedJobs(t *testing.T) {
 	spec, _ := normalizeOrFatal(t, smallSpec()) // the WAL holds specs as normalized
 	blob := twinResult(t, spec)
+	canonical := canonicalOf(t, blob)
 	specData := specJSON(&spec)
 	rows := []struct {
 		name    string
@@ -31,10 +32,10 @@ func TestRecoveryHealsFinishedJobs(t *testing.T) {
 		blob    []byte // stored under the job's key before the "crash"; nil for none
 		healed  bool
 	}{
-		{"submitted + blob", false, blob.data, true},
-		{"submitted + running + blob", true, blob.data, true},
+		{"submitted + blob", false, canonical, true},
+		{"submitted + running + blob", true, canonical, true},
 		{"blob missing", true, nil, false},
-		{"blob corrupt", false, blob.data[:len(blob.data)/2], false},
+		{"blob corrupt", false, canonical[:len(canonical)/2], false},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -84,15 +85,15 @@ func TestRecoveryHealsFinishedJobs(t *testing.T) {
 				t.Fatalf("job whose blob is on disk recovered as %s (error %q, finished %v), resumed %d: want done and nothing resubmitted",
 					st.Status, st.Error, st.Finished, resumed)
 			}
-			if want := append(append([]byte(`,"result":`), blob.data...), "}\n"...); !bytes.HasSuffix(data, want) {
+			if want := append(append([]byte(`,"result":`), canonical...), "}\n"...); !bytes.HasSuffix(data, want) {
 				t.Fatalf("status does not splice the canonical bytes: %s", data)
 			}
 			if r := terminal[0]; r.Op != store.OpDone || r.Key != blob.key || r.FinishedAt != st.Finished.UnixNano() {
 				t.Fatalf("healed job journaled %+v, want a done record naming the key and the served instant", r)
 			}
 			// The result is addressable, and a duplicate POST is a plain hit.
-			if resp, body := rawGet(t, ts.URL+"/v1/results/"+blob.key, nil); resp.StatusCode != http.StatusOK || !bytes.Equal(body, blob.data) {
-				t.Fatalf("GET result: %d, %d bytes, want the blob's %d", resp.StatusCode, len(body), len(blob.data))
+			if resp, body := rawGet(t, ts.URL+"/v1/results/"+blob.key, nil); resp.StatusCode != http.StatusOK || !bytes.Equal(body, canonical) {
+				t.Fatalf("GET result: %d, %d bytes, want the blob's %d", resp.StatusCode, len(body), len(canonical))
 			}
 			if resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec); resp.StatusCode != http.StatusOK {
 				t.Fatalf("duplicate POST: %d %s", resp.StatusCode, data)
@@ -223,7 +224,7 @@ func TestPowerLossKeepsEveryPromise(t *testing.T) {
 	job.mu.Unlock()
 	// A twin on a node sharing the store finishes the pickup job's spec first.
 	twin := twinResult(t, seeded(6))
-	if err := fst.PutResult(twin.key, twin.data); err != nil {
+	if err := fst.PutResult(twin.key, twin.stored); err != nil {
 		t.Fatal(err)
 	}
 	srv.cache.put(twin)

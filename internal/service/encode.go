@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+
+	"odeproto/internal/store"
 )
 
 // The wire encodings of recorded rows, written by hand with
@@ -94,14 +96,14 @@ func appendResult(dst []byte, log *rowLog, killed []int) []byte {
 // and all, per job or per request.
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeResult is the one encode of a finished sweep: the bytes the store
-// persists and every later read of the result serves, exactly sized.
+// encodeResult is the one encode of a finished sweep, returned in its stored
+// form (store.StoredForm): the bytes the store persists and the LRU holds.
 func encodeResult(log *rowLog, killed []int) []byte {
 	buf := scratch.Get().(*[]byte)
 	*buf = appendResult((*buf)[:0], log, killed)
-	data := bytes.Clone(*buf)
+	stored := store.StoredForm(*buf)
 	scratch.Put(buf)
-	return data
+	return stored
 }
 
 // scanResult walks canonical result bytes run by run, in recorded order,

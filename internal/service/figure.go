@@ -24,7 +24,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job %s is %s; figures render once it is done", st.ID, st.Status))
 		return
 	}
-	if st.resultRaw == nil {
+	if st.result == nil {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("job %s is done but its result is no longer held; resubmit the spec to recompute it", st.ID))
 		return
@@ -36,7 +36,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	if notModified(w, r, `"f:`+st.ID+`:`+st.CacheKey+`"`) {
 		return
 	}
-	res, err := decodeResult(st.resultRaw)
+	res, err := st.result.decode()
 	if err != nil || len(res.Runs) == 0 || len(res.Runs[0].Rows) == 0 {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s recorded no rows", st.ID))
 		return

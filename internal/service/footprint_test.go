@@ -165,3 +165,43 @@ func terminalFootprint(t *testing.T, dir string) {
 		}
 	}
 }
+
+// TestResidentResultIsItsMember pins what the LRU holds per large result: the
+// gzip member the store holds, not the canonical JSON it inflates to. After
+// 32 finished 20 000-row aggregate jobs — the sweep-rows shape, ≈ 0.8 MB of
+// JSON each — the post-GC heap has grown by at most 1.5 × a member plus
+// 4 KiB per result (the job's row included). Holding the JSON instead costs
+// ≈ 10 × the member. CI prints the "resident" line.
+func TestResidentResultIsItsMember(t *testing.T) {
+	const jobs = 32
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	run := func(seed int64) *resultBlob {
+		t.Helper()
+		job, err := srv.Submit(rowsJob(20_000, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.done
+		blob, ok := srv.cache.peek(job.Key)
+		if !ok || !store.IsMember(blob.stored) {
+			t.Fatalf("job %s: resident %v, member %v", job.ID, ok, ok && store.IsMember(blob.stored))
+		}
+		return blob
+	}
+	run(1000) // the compile memo, metric series and pools exist before the baseline
+	before := heapAfterGC()
+	var member, canonical int
+	for seed := int64(1); seed <= jobs; seed++ {
+		blob := run(seed)
+		member += len(blob.stored)
+		canonical += len(canonicalOf(t, blob))
+	}
+	after := heapAfterGC()
+	per := (float64(after) - float64(before)) / jobs
+	member, canonical = member/jobs, canonical/jobs
+	t.Logf("resident %.0f B per result: member %d B (%.2fx), canonical %d B", per, member, per/float64(member), canonical)
+	if budget := 1.5*float64(member) + 4096; per > budget {
+		t.Fatalf("a resident %d-row result costs %.0f B of heap, over %.0f B (1.5 × its %d B member + 4 KiB)", 20_000, per, budget, member)
+	}
+}

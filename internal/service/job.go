@@ -161,10 +161,9 @@ type JobStatus struct {
 	// jobs recovered from WAL records written before tracing existed.
 	Trace string `json:"trace,omitempty"`
 
-	// resultRaw is the result's canonical encoding, which GET /v1/jobs/{id}
-	// splices in verbatim (handleGet); no HTTP path sets Result, which is
-	// decoded only by Job.Snapshot, for in-process callers.
-	resultRaw []byte
+	// result is a done job's blob, which GET /v1/jobs/{id} splices in verbatim
+	// (handleGet); no HTTP path sets Result, decoded only by Job.Snapshot.
+	result *resultBlob
 }
 
 // statusLocked assembles the wire status; callers hold j.mu. Rows is the
@@ -197,7 +196,7 @@ func (j *Job) statusLocked() JobStatus {
 }
 
 // snapshot returns the job's current wire status. With includeResult a done
-// job's canonical bytes ride along, resolved by key outside the job's lock
+// job's blob rides along, resolved by key outside the job's lock
 // (the fall-through may read the disk). A done job whose bytes nothing
 // holds any more — the memory backend past the LRU, a blob deleted from the
 // data dir — reports its status without them.
@@ -206,9 +205,7 @@ func (j *Job) snapshot(includeResult bool) JobStatus {
 	st := j.statusLocked()
 	j.mu.Unlock()
 	if includeResult && st.Status == StatusDone {
-		if blob, ok := j.srv.peekResult(j.Key); ok {
-			st.resultRaw = blob.data
-		}
+		st.result, _ = j.srv.resolveResult(j.Key, false)
 	}
 	return st
 }
@@ -218,17 +215,17 @@ func (j *Job) snapshot(includeResult bool) JobStatus {
 // call (nothing decoded is kept; the HTTP handlers never come here).
 func (j *Job) Snapshot(includeResult bool) JobStatus {
 	st := j.snapshot(includeResult)
-	if len(st.resultRaw) > 0 {
-		st.Result, _ = decodeResult(st.resultRaw) // nil on bytes that are not a result
+	if st.result != nil {
+		st.Result, _ = st.result.decode() // nil on bytes that are not a result
 	}
 	return st
 }
 
-// decodeResult rebuilds the struct form of a result from its canonical
-// bytes, for the callers that want to index it: Snapshot and the figure.
-func decodeResult(data []byte) (*JobResult, error) {
+// decode rebuilds the struct form of the result, for the callers that want
+// to index it: Snapshot and the figure.
+func (b *resultBlob) decode() (*JobResult, error) {
 	res := new(JobResult)
-	if err := json.Unmarshal(data, res); err != nil {
+	if err := b.canonical(func(data []byte) error { return json.Unmarshal(data, res) }); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -267,7 +264,7 @@ type outcome struct {
 // line follow.
 func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	if out.status == StatusDone && !out.cached {
-		if err := s.store.PutResult(job.Key, out.blob.data); err != nil {
+		if err := s.store.PutResult(job.Key, out.blob.stored); err != nil {
 			out = outcome{status: StatusFailed, errMsg: fmt.Sprintf("persisting result: %v", err)}
 		} else {
 			s.cache.put(out.blob)
@@ -535,14 +532,14 @@ func (s *Server) runJob(job *Job) {
 	// miss). Stream readers already parked on this job's (empty) log wake at
 	// its close and, seeing a cached result, replay the blob.
 	var out outcome
-	if _, ok := s.peekResult(job.Key); ok {
+	if _, ok := s.resolveResult(job.Key, false); ok {
 		out = outcome{status: StatusDone, cached: true}
 	} else {
 		killed, err := s.execute(ctx, job, live)
 		switch {
 		case err == nil:
 			job.traceAdd(obs.StageSwept)
-			out = outcome{status: StatusDone, blob: newResultBlob(job.Key, encodeResult(live.log, killed))}
+			out = outcome{status: StatusDone, blob: &resultBlob{key: job.Key, stored: encodeResult(live.log, killed)}}
 		case ctx.Err() != nil:
 			out = outcome{status: StatusCancelled, errMsg: "job cancelled"}
 		default:

@@ -91,7 +91,7 @@ func (s *Server) registerGauges(r *obs.Registry) {
 		"Results currently held by the in-memory LRU.",
 		func() float64 { n, _ := s.cache.usage(); return float64(n) })
 	r.GaugeFunc("odeproto_cache_bytes",
-		"Result bytes held by the in-memory LRU, gzip variants included; the budget is 256 KiB per unit of -cache.",
+		"Stored result bytes held by the in-memory LRU (a large result counts at its gzip member); the budget is 256 KiB per unit of -cache.",
 		func() float64 { _, b := s.cache.usage(); return float64(b) })
 	r.GaugeFunc("odeproto_cache_capacity",
 		"Capacity of the in-memory result LRU.",

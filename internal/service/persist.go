@@ -40,31 +40,18 @@ func specJSON(spec *JobSpec) json.RawMessage {
 	return data
 }
 
-// lookupResult resolves a cache key via the LRU and then the durable
-// result store, so completed sweeps survive restarts. The LRU hit/miss
-// counters see the lookup (a disk hit therefore counts as both a cache
-// miss and a disk hit); disk hits are promoted into the LRU.
-func (s *Server) lookupResult(key string) (*resultBlob, bool) {
-	if blob, ok := s.cache.get(key); ok {
+// resolveResult resolves a cache key via the LRU and then the durable result
+// store, promoting a disk hit into the LRU. Only a submitted spec meeting the
+// cache is counted as an LRU hit or miss (a disk hit is a miss too), not the
+// worker's at-pickup re-check of a counted miss, nor a done job's reads.
+func (s *Server) resolveResult(key string, counted bool) (*resultBlob, bool) {
+	get := s.cache.peek
+	if counted {
+		get = s.cache.get
+	}
+	if blob, ok := get(key); ok {
 		return blob, true
 	}
-	return s.diskResult(key)
-}
-
-// peekResult is lookupResult without touching the LRU hit/miss counters:
-// the worker's at-pickup re-check (that lookup retries a miss Submit
-// already counted) and every read of a done job's bytes (Job.snapshot,
-// stream replays).
-func (s *Server) peekResult(key string) (*resultBlob, bool) {
-	if blob, ok := s.cache.peek(key); ok {
-		return blob, true
-	}
-	return s.diskResult(key)
-}
-
-// diskResult is the fall-through past the LRU: the stored blob, promoted to
-// most recently used and counted as a disk hit.
-func (s *Server) diskResult(key string) (*resultBlob, bool) {
 	blob, ok := s.loadResult(key)
 	if ok {
 		s.met.diskHits.Inc()
@@ -73,28 +60,33 @@ func (s *Server) diskResult(key string) (*resultBlob, bool) {
 	return blob, ok
 }
 
-// loadResult reads a stored blob's bytes without decoding them — the store
-// has checked a compressed blob against its trailer, and a json.Valid scan is
-// all they get here, since the bytes are spliced verbatim into response
-// envelopes and must at least be well-formed JSON.
+// loadResult reads a blob as stored — a member (or an old directory's .gz
+// sibling), else identity bytes — and admits it once its JSON checks out: a
+// member against its trailer's CRC-32 and length, and all of it with a
+// json.Valid scan, since it is spliced verbatim into response envelopes.
 func (s *Server) loadResult(key string) (*resultBlob, bool) {
-	data, err := s.store.GetResult(key)
-	if err != nil {
-		// A plain miss is normal; an I/O failure, or a blob the WAL claims
-		// exists but that cannot be read or fails its checksum, is a store
-		// fault worth counting.
-		if !errors.Is(err, store.ErrNotFound) {
-			s.met.storeErrs.Inc()
-			s.log.Warn("result blob unreadable", "key", key, "err", err)
-		}
+	stored, err := s.store.GetResultGzip(key)
+	if errors.Is(err, store.ErrNotFound) {
+		stored, err = s.store.GetResult(key)
+	}
+	blob := &resultBlob{key: key, stored: stored}
+	if err == nil {
+		err = blob.canonical(func(data []byte) error {
+			if !json.Valid(data) {
+				return errors.New("not valid JSON")
+			}
+			return nil
+		})
+	}
+	if errors.Is(err, store.ErrNotFound) {
+		return nil, false // a plain miss
+	}
+	if err != nil { // unreadable, failing its checksum or not JSON: a store fault
+		s.met.storeErrs.Inc()
+		s.log.Warn("result blob unreadable", "key", key, "err", err)
 		return nil, false
 	}
-	if !json.Valid(data) {
-		s.met.storeErrs.Inc() // corrupt blob
-		s.log.Warn("result blob corrupt", "key", key)
-		return nil, false
-	}
-	return newResultBlob(key, data), true
+	return blob, true
 }
 
 // restartableErr marks jobs the WAL caught mid-run: the sweep died with
@@ -149,10 +141,10 @@ func (s *Server) recoverJobs() []restartableJob {
 
 	// Warm newest finishers first, one load per distinct key, each placed
 	// behind the last so the newest ends most recently used; stop at the
-	// first result the LRU's bounds have no room for. Warming loads bytes
-	// only — an inflate and a json.Valid scan, no decode — so startup cost
-	// is I/O, and since jobs resolve their bytes by key, warm and cold differ
-	// only in latency.
+	// first result the LRU's bounds have no room for. Warming loads stored
+	// bytes only — checked by an inflate and a json.Valid scan, no decode —
+	// so startup cost is I/O, and since jobs resolve their bytes by key, warm
+	// and cold differ only in latency.
 	seen := make(map[string]bool)
 	for i := len(terminal) - 1; i >= 0; i-- {
 		rj := terminal[i]

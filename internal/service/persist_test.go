@@ -279,15 +279,22 @@ func TestRecoveredColdJobsStreamTheirRows(t *testing.T) {
 
 // TestWarmStopsAtTheByteBudget: startup warming loads the newest finishers
 // and stops at the LRU's byte budget, not only at its entry bound — with
-// four entries and 1 MiB, three ≈ 325 KB results are warmed, newest most
-// recently used, and a result that arrives next evicts the oldest of them.
+// four entries and 1 MiB, three results stored in ≈ 310 KB each (gzip
+// members of ≈ 3 MB of JSON: the budget counts stored bytes) are warmed,
+// newest most recently used, and a result that arrives next evicts the
+// oldest of them.
 func TestWarmStopsAtTheByteBudget(t *testing.T) {
+	big := func(seed int64) JobSpec {
+		spec := rowsJob(50_000, seed)
+		spec.Seeds = 2
+		return spec
+	}
 	dir := t.TempDir()
 	fst := openFileStore(t, dir)
 	srv1 := New(Config{Workers: 1, Store: fst})
 	var keys []string
 	for seed := int64(1); seed <= 5; seed++ {
-		job, err := srv1.Submit(rowsJob(8000, seed))
+		job, err := srv1.Submit(big(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +310,7 @@ func TestWarmStopsAtTheByteBudget(t *testing.T) {
 	defer fst2.Close()
 	srv2 := New(Config{Workers: 1, CacheSize: 4, Store: fst2})
 	defer srv2.Close()
-	if n, b := srv2.cache.usage(); srv2.warmed != 3 || n != 3 || b > srv2.cache.maxBytes || b < 3*300<<10 {
+	if n, b := srv2.cache.usage(); srv2.warmed != 3 || n != 3 || b > srv2.cache.maxBytes || b < 3*cacheBytesPerEntry {
 		t.Fatalf("warmed %d results into %d entries, %d of %d B, want the 3 that fit 1 MiB", srv2.warmed, n, b, srv2.cache.maxBytes)
 	}
 	for i, key := range keys {
@@ -314,7 +321,7 @@ func TestWarmStopsAtTheByteBudget(t *testing.T) {
 	if hits, errs := srv2.met.diskHits.Value(), srv2.met.storeErrs.Value(); hits != 0 || errs != 0 {
 		t.Fatalf("warming counted %d disk hits, %d store errors", hits, errs)
 	}
-	job, err := srv2.Submit(rowsJob(8000, 6))
+	job, err := srv2.Submit(big(6))
 	if err != nil {
 		t.Fatal(err)
 	}

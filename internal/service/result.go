@@ -8,54 +8,40 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"odeproto/internal/store"
 )
 
-// resultBlob is a finished result in memory: the canonical JSON bytes — the
-// exact bytes store.PutResult holds — plus the gzip variant, built at most
-// once. Every read of a completed job serves from one of the two: GET
-// /v1/results/{key} copies data, GET /v1/jobs/{id} splices it into the
-// status envelope, stream replays copy row bodies out of it (scanResult),
-// Accept-Encoding: gzip copies the compressed variant. Nothing decoded or
-// rendered is memoized. The LRU is the only structure that holds blobs; a
-// handler keeps the one it is serving alive for the length of the request.
+// resultBlob is a finished result in memory: the bytes store.PutResult writes
+// (a gzip member above one block, canonical JSON within it) and nothing
+// decoded, rendered or inflated. The LRU is the only structure that holds
+// blobs; a handler keeps the one it is serving alive for the request.
 type resultBlob struct {
-	key  string
-	data []byte // canonical JSON encoding, as persisted
-
-	gzOnce sync.Once
-	gzData []byte
-	gzLen  atomic.Int64 // len(gzData) once built, for the LRU's accounting
+	key    string
+	stored []byte
 }
 
-// newResultBlob wraps canonical bytes: a fresh sweep's one encode
-// (encodeResult), or a stored blob checked with json.Valid (loadResult).
-func newResultBlob(key string, data []byte) *resultBlob {
-	return &resultBlob{key: key, data: data}
-}
-
-// size is what the blob holds in bytes: the canonical encoding plus the
-// gzip variant, if it exists yet.
-func (b *resultBlob) size() int64 { return int64(len(b.data)) + b.gzLen.Load() }
-
-// resultGzip returns blob's gzip variant, built at most once: the store's
-// own bytes when the blob is stored compressed, otherwise (memory backend,
-// sub-block blobs) the canonical bytes deflated here; nothing is written.
-// The LRU re-accounts the blob at its grown size.
-func (s *Server) resultGzip(b *resultBlob) []byte {
-	b.gzOnce.Do(func() {
-		gz, err := s.store.GetResultGzip(b.key)
-		if err != nil {
-			gz = store.Deflate(b.data)
-		}
-		b.gzData = gz
-		b.gzLen.Store(int64(len(gz)))
-		s.cache.resize(b)
-	})
-	return b.gzData
+// canonical hands fn the canonical JSON, valid only for the call — the stored
+// bytes, or a member inflated into a pooled scratch buffer and checked
+// against its trailer (fn is not called if it fails) — and returns fn's error.
+func (b *resultBlob) canonical(fn func(data []byte) error) error {
+	if !store.IsMember(b.stored) {
+		return fn(b.stored)
+	}
+	rc, _, err := store.Inflate(bytes.NewReader(b.stored), int64(len(b.stored)))
+	if err != nil {
+		return err
+	}
+	defer func() { _ = rc.Close() }()
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	out := bytes.NewBuffer((*buf)[:0])
+	_, err = out.ReadFrom(rc)
+	*buf = out.Bytes()
+	if err != nil {
+		return err
+	}
+	return fn(*buf)
 }
 
 // etagForKey is the strong ETag of a result: results are immutable and
@@ -115,67 +101,63 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	return true
 }
 
-// handleResult serves a result by its cache key (the "cache_key" of every
-// job status) from the LRU or, past it, the durable store: 404 when neither
-// holds the key. Every path writes the same canonical encode-once bytes
-// under the same HTTP semantics, in one order: probe that the
-// representation exists (an LRU lookup, or the store's open — no result
-// byte read), set the strong ETag (the content address) and Vary, answer a
-// matching If-None-Match with 304, and only then pick the body — gzip when
-// the client asked for it, with an exact Content-Length. An LRU blob is
-// copied from memory and builds its gzip variant at most once; past the LRU
-// gzip is the stored member as it lies (identity if the blob holds none) and
-// identity streams through the store's reader, inflating as it goes, never
-// buffering a whole blob just to forward it. No JSON is encoded on this
-// path, ever; the encodes-saved counter records each LRU request the old
-// per-request marshal would have paid. A copy that fails tears the
-// connection rather than close it cleanly on a short body: a damaged blob
-// surfaces there, as the inflating reader's error, and since that reader
-// withholds a member's tail until the trailer checks out, short it is.
+// handleResult serves a result by its cache key from the LRU or, past it,
+// the durable store (404 when neither holds it): probe that it exists (no
+// result byte read), set the strong ETag (the content address) and Vary,
+// answer a matching If-None-Match with 304, and only then pick the body, with
+// an exact Content-Length, by one rule for the LRU and the disk: a gzip
+// client gets the member as it lies (an identity blob's old .gz sibling;
+// identity if it has none), anyone else the canonical bytes, inflating as
+// they stream. No JSON is encoded here (encodes-saved counts LRU requests). A
+// damaged blob surfaces mid-copy — every member read withholds its tail until
+// the trailer checks out — and tears the connection: the body ends short.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	blob, cached := s.cache.peek(key)
 	var rc io.ReadCloser
 	var size int64
+	var err error
+	switch { // the canonical bytes, a member inflating as it streams
+	case !cached:
+		rc, size, err = s.store.GetResultReader(key)
+	case store.IsMember(blob.stored):
+		rc, size, err = store.Inflate(bytes.NewReader(blob.stored), int64(len(blob.stored)))
+	default:
+		rc, size = io.NopCloser(bytes.NewReader(blob.stored)), int64(len(blob.stored))
+	}
 	if cached {
 		s.met.encodesSaved.Inc()
-	} else {
-		var err error
-		rc, size, err = s.store.GetResultReader(key)
-		if errors.Is(err, store.ErrNotFound) {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no result for key %q", key))
-			return
-		}
-		if err != nil {
-			s.met.storeErrs.Inc()
-			s.log.Warn("result blob unreadable", "key", key, "err", err)
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("reading result %q: %w", key, err))
-			return
-		}
-		defer func() { _ = rc.Close() }()
 	}
+	if errors.Is(err, store.ErrNotFound) {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no result for key %q", key))
+		return
+	}
+	if err != nil {
+		s.met.storeErrs.Inc()
+		s.log.Warn("result blob unreadable", "key", key, "err", err)
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("reading result %q: %w", key, err))
+		return
+	}
+	defer func() { _ = rc.Close() }()
 	h := w.Header()
 	h.Set("Vary", "Accept-Encoding")
 	if notModified(w, r, etagForKey(key)) {
 		return
 	}
 
-	src := readErr{Reader: rc} // past the LRU, identity streams from the store
-	var body io.Reader = &src
-	if cached {
-		body, size = bytes.NewReader(blob.data), int64(len(blob.data))
-	}
+	src := &readErr{Reader: rc}
+	var body io.Reader = src
 	if acceptsGzip(r) {
 		var gz []byte
-		if cached {
-			gz = s.resultGzip(blob)
-		} else {
-			// A blob with no gzip form goes out as identity.
-			gz, _ = s.store.GetResultGzip(key)
+		if cached && store.IsMember(blob.stored) {
+			gz = blob.stored
+			body = bytes.NewReader(gz) // checked when admitted: it cannot fail
+		} else if gz, _ = s.store.GetResultGzip(key); len(gz) > 0 {
+			src.Reader = io.MultiReader(bytes.NewReader(gz[:max(len(gz)-8, 0)]), &trailer{member: gz})
 		}
 		if len(gz) > 0 {
 			h.Set("Content-Encoding", "gzip")
-			body, size = bytes.NewReader(gz), int64(len(gz))
+			size = int64(len(gz))
 		}
 	}
 	h.Set("Content-Type", "application/json")
@@ -190,6 +172,29 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		panic(http.ErrAbortHandler)
 	}
+}
+
+// trailer ends a gzip member the LRU has not checked, sent as it lies up to
+// its 8-byte trailer: the trailer goes out once the member has run through a
+// pooled inflater into nothing and matched its CRC-32 and length.
+type trailer struct {
+	member []byte
+	rest   *bytes.Reader // the trailer, once the member checks out
+}
+
+func (t *trailer) Read(p []byte) (int, error) {
+	if t.rest == nil {
+		rc, _, err := store.Inflate(bytes.NewReader(t.member), int64(len(t.member)))
+		if err == nil {
+			_, err = io.Copy(io.Discard, rc)
+			_ = rc.Close()
+		}
+		if err != nil {
+			return 0, err
+		}
+		t.rest = bytes.NewReader(t.member[max(len(t.member)-8, 0):])
+	}
+	return t.rest.Read(p)
 }
 
 // readErr remembers the error its reader failed with, so a failed copy can

@@ -66,9 +66,22 @@ func dropFromCache(srv *Server, key string) {
 	srv.cache.mu.Lock()
 	defer srv.cache.mu.Unlock()
 	if el, ok := srv.cache.entries[key]; ok {
-		srv.cache.bytes -= srv.cache.order.Remove(el).(*cacheEntry).size
+		srv.cache.bytes -= int64(len(srv.cache.order.Remove(el).(*resultBlob).stored))
 		delete(srv.cache.entries, key)
 	}
+}
+
+// canonicalOf returns a copy of blob's canonical bytes.
+func canonicalOf(t *testing.T, blob *resultBlob) []byte {
+	t.Helper()
+	var out []byte
+	if err := blob.canonical(func(data []byte) error {
+		out = bytes.Clone(data)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // largeSpec is smallSpec run long enough that its result outgrows one 4 KiB
@@ -260,11 +273,11 @@ func resultFiles(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestResultGzipVariant pins where gzip bodies come from: the service writes
-// no sibling. A result above one block is stored as a gzip member, and both
-// the LRU's gzip variant and the disk path's gzip answer are that member,
-// byte for byte, with an exact Content-Length; a result that fits one block
-// is stored as is, deflated in memory for the LRU's variant, and past the LRU
-// a gzip request gets identity.
+// no sibling and compresses nothing per request. A result above one block is
+// stored as a gzip member, the LRU holds that member, and both paths answer a
+// gzip request with it, byte for byte, with an exact Content-Length; a result
+// that fits one block is stored and held as is, and a gzip request gets
+// identity from the LRU and past it alike.
 func TestResultGzipVariant(t *testing.T) {
 	dir := t.TempDir()
 	fst := openFileStore(t, dir)
@@ -320,22 +333,23 @@ func TestResultGzipVariant(t *testing.T) {
 			}
 			return body
 		}
-		_, before := srv.cache.usage()
-		hot := check("cache hit")
-		if hot == nil || row.compressed != bytes.Equal(hot, stored) {
-			t.Fatalf("%s: cache-hit gzip is %d B, the file %d B: want the stored member iff there is one", row.name, len(hot), len(stored))
-		}
-		// The variant built after insertion is on the LRU's books, exactly
-		// sized: no growth slack rides along uncounted.
+		// The resident blob is the file's bytes, exactly sized, and serving
+		// gzip grows nothing on the LRU's books.
 		blob, _ := srv.cache.peek(key)
-		if _, after := srv.cache.usage(); after != before+int64(len(blob.gzData)) || cap(blob.gzData) > len(blob.gzData)+len(blob.gzData)/8+64 {
-			t.Fatalf("%s: LRU grew %d B for a %d B gzip variant (cap %d)", row.name, after-before, len(blob.gzData), cap(blob.gzData))
+		if !bytes.Equal(blob.stored, stored) || cap(blob.stored) > len(blob.stored)+len(blob.stored)/8+64 {
+			t.Fatalf("%s: the LRU holds %d B (cap %d), the file %d B", row.name, len(blob.stored), cap(blob.stored), len(stored))
 		}
-
-		dropFromCache(srv, key)
-		cold := check("past the LRU")
-		if row.compressed != bytes.Equal(cold, stored) || !row.compressed && cold != nil {
-			t.Fatalf("%s: past the LRU a gzip request got %d gzip bytes, the file holds %d", row.name, len(cold), len(stored))
+		_, before := srv.cache.usage()
+		for _, path := range []string{"cache hit", "past the LRU"} {
+			if path == "past the LRU" {
+				dropFromCache(srv, key)
+			}
+			if got := check(path); row.compressed != bytes.Equal(got, stored) || !row.compressed && got != nil {
+				t.Fatalf("%s, %s: a gzip request got %d gzip bytes, the file holds %d", row.name, path, len(got), len(stored))
+			}
+			if _, after := srv.cache.usage(); path == "cache hit" && after != before {
+				t.Fatalf("%s: a gzip GET moved the LRU from %d B to %d B", row.name, before, after)
+			}
 		}
 		if resp, body := rawGet(t, base+"/v1/results/"+key, nil); resp.Header.Get("Content-Length") != strconv.Itoa(len(canonical)) || !bytes.Equal(body, canonical) {
 			t.Fatalf("%s: identity past the LRU: Content-Length %q, %d B, want the %d canonical bytes", row.name, resp.Header.Get("Content-Length"), len(body), len(canonical))
@@ -435,10 +449,14 @@ func rowsJob(rows int, seed int64) JobSpec {
 func oracleStatusJSON(t *testing.T, st JobStatus) []byte {
 	t.Helper()
 	type alias JobStatus
+	var raw json.RawMessage
+	if st.result != nil {
+		raw = canonicalOf(t, st.result)
+	}
 	data, err := marshalNoEscape(struct {
 		alias
 		Result json.RawMessage `json:"result,omitempty"`
-	}{alias: alias(st), Result: st.resultRaw})
+	}{alias: alias(st), Result: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +485,8 @@ func TestStatusSpliceBytesAndNoDecode(t *testing.T) {
 	}
 
 	st := job.snapshot(true)
-	if len(st.resultRaw) < 50_000 || st.Result != nil {
-		t.Fatalf("HTTP-path snapshot carries %d raw bytes and decoded result %v", len(st.resultRaw), st.Result)
+	if st.result == nil || len(canonicalOf(t, st.result)) < 50_000 || st.Result != nil {
+		t.Fatalf("HTTP-path snapshot carries blob %v and decoded result %v", st.result != nil, st.Result)
 	}
 	if got, want := get().Body.Bytes(), oracleStatusJSON(t, st); !bytes.Equal(got, want) {
 		t.Fatalf("status body changed:\n got %.300s…\nwant %.300s…", got, want)
@@ -548,10 +566,10 @@ func TestFinishedJobKeepsOnlyItsBytes(t *testing.T) {
 			}
 			<-job.done
 			st := job.snapshot(true)
-			if st.Status != StatusDone || len(st.resultRaw) == 0 {
-				t.Fatalf("job %s: %s %s, %d result bytes", st.ID, st.Status, st.Error, len(st.resultRaw))
+			if st.Status != StatusDone || st.result == nil {
+				t.Fatalf("job %s: %s %s, no result", st.ID, st.Status, st.Error)
 			}
-			return len(st.resultRaw)
+			return len(canonicalOf(t, st.result))
 		}
 		run(1000) // compile memo, metric series, pools and the LRU's one entry exist before the baseline
 		before := heapAfterGC()
@@ -567,9 +585,9 @@ func TestFinishedJobKeepsOnlyItsBytes(t *testing.T) {
 			t.Fatalf("a finished %d-row job retains %.0f B; its %d canonical bytes are the LRU's to keep, not the job's",
 				rows, perJob, canonical/jobs)
 		}
-		if st := srv.snapshotOf(t, "j000001"); st.Status != StatusDone || st.resultRaw != nil {
-			t.Fatalf("with the memory backend a done job past the LRU answers without a result: got %s with %d bytes",
-				st.Status, len(st.resultRaw))
+		if st := srv.snapshotOf(t, "j000001"); st.Status != StatusDone || st.result != nil {
+			t.Fatalf("with the memory backend a done job past the LRU answers without a result: got %s with a blob %v",
+				st.Status, st.result != nil)
 		}
 		srv.Close()
 	}

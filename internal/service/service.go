@@ -33,15 +33,14 @@
 // allocation, no JSON — and live /stream readers render NDJSON from the
 // slabs' published prefix on their own goroutines, one write per wake-up.
 // At completion the canonical result bytes are produced once, straight
-// from the slabs (encode.go), and the slabs are dropped. Those bytes — the
-// buffer the blob store persists — plus a gzip variant once one is asked
-// for, and nothing decoded or rendered, back every later response
-// (result.go): GET /v1/results/{key} copies them, job statuses splice them
-// in verbatim, stream replays copy row bodies out of them. The content
-// address doubles as a strong ETag, so If-None-Match revalidations answer
-// 304 before any result-sized buffer is touched; results evicted from the
-// LRU stream from disk through the store's reader without whole-blob
-// buffering.
+// from the slabs (encode.go), in the form the blob store persists them (a
+// gzip member above 4 KiB), and the slabs are dropped. Those bytes, and
+// nothing decoded or inflated, back every later response (result.go): gzip
+// clients get a member as it is, everything else inflates it per request.
+// The content address doubles as a strong ETag, so If-None-Match
+// revalidations answer 304 before any result-sized buffer is touched;
+// results evicted from the LRU stream from disk through the store's reader
+// without whole-blob buffering.
 //
 // Memory is a function of the flags, not of uptime. The LRU (cache.go) is
 // the only owner of result bytes and is bounded by entries and by bytes; a
@@ -373,7 +372,7 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		done:    make(chan struct{}),
 	}
 
-	if _, ok := s.lookupResult(key); ok {
+	if _, ok := s.resolveResult(key, true); ok {
 		job.started = created
 		s.met.submitted.Inc()
 		s.conclude(job, StatusQueued, outcome{status: StatusDone, cached: true})
@@ -665,13 +664,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st := job.snapshot(true)
 	data, err := marshalNoEscape(st)
-	if err == nil && len(st.resultRaw) > 0 {
-		// The envelope is reopened and the canonical buffer copied in as
-		// its last field: no per-request decode or marshal of the result,
-		// and no encoder re-validating it as a json.RawMessage either.
-		s.met.encodesSaved.Inc()
-		s.met.bytesServed.Add(int64(len(st.resultRaw)))
-		data = append(append(append(data[:len(data)-1], `,"result":`...), st.resultRaw...), '}')
+	if err == nil && st.result != nil {
+		// The envelope is reopened and the canonical bytes copied in as its
+		// last field: no decode, marshal or json.RawMessage re-validation.
+		err = st.result.canonical(func(raw []byte) error {
+			s.met.encodesSaved.Inc()
+			s.met.bytesServed.Add(int64(len(raw)))
+			data = append(append(append(data[:len(data)-1], `,"result":`...), raw...), '}')
+			return nil
+		})
 	}
 	writeBody(w, http.StatusOK, data, err)
 }

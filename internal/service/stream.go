@@ -194,9 +194,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// if anything still holds them.
 	st := job.snapshot(false)
 	if st.Status == StatusDone && (log == nil || st.Cached) {
-		if blob, ok := s.peekResult(job.Key); ok {
-			err := scanResult(blob.data, func(run int, seed int64, body []byte) {
-				out.buf = append(append(out.line(run, seed), body...), lineEnd...)
+		if blob, ok := s.resolveResult(job.Key, false); ok {
+			err := blob.canonical(func(data []byte) error {
+				return scanResult(data, func(run int, seed int64, body []byte) {
+					out.buf = append(append(out.line(run, seed), body...), lineEnd...)
+				})
 			})
 			if err != nil {
 				s.met.storeErrs.Inc()

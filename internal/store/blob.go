@@ -3,8 +3,9 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"fmt"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -25,8 +26,7 @@ var deflaters = sync.Pool{New: func() any {
 
 // Deflate returns data as one gzip member in an exactly sized buffer (no
 // growth slack rides on bytes a cache accounts by length). It is the daemon's
-// one compression: what PutResult stores, and what a gzip client is sent
-// when the store has no member to hand over.
+// one compression: what PutResult stores and what the service holds.
 func Deflate(data []byte) []byte {
 	d := deflaters.Get().(*deflater)
 	defer deflaters.Put(d)
@@ -38,26 +38,55 @@ func Deflate(data []byte) []byte {
 	return bytes.Clone(d.buf.Bytes())
 }
 
+// StoredForm returns canonical result bytes in the form a blob holds them:
+// one gzip member above one block, an exactly sized copy at or below it.
+func StoredForm(canonical []byte) []byte {
+	if len(canonical) > blockBytes {
+		return Deflate(canonical)
+	}
+	return bytes.Clone(canonical)
+}
+
+// IsMember reports whether blob is a gzip member (1f 8b), not JSON ('{').
+func IsMember(blob []byte) bool { return len(blob) >= 2 && blob[0] == 0x1f && blob[1] == 0x8b }
+
 // inflaters recycles gzip readers, which keep their inflate state (≈ 40 KB)
 // across Resets.
 var inflaters = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
-// blobReader inflates a compressed blob as it is read; the Read that would
-// return io.EOF returns the trailer's CRC-32 or length mismatch instead, and
-// withholds the bytes that came with that verdict — the member's tail, up to
-// one 32 KiB window, empty only if its length is a multiple of that — so a
-// stream that fails its check ends short of the length it declared. The
-// inflater is taken at the first Read, so an open that only probes
-// (HasResult, a 304) builds none.
+// Inflate opens the size-byte member m (a file, a *bytes.Reader) as the bytes
+// it holds, inflating as they are read, and returns their length as its
+// trailer states it, mod 4 GiB — which must not size a buffer if damaged:
+// deflate reaches 1032:1 at best. Closing the reader closes m if it can.
+func Inflate(m interface {
+	io.Reader
+	io.ReaderAt
+}, size int64) (io.ReadCloser, int64, error) {
+	var tail [4]byte
+	_, err := m.ReadAt(tail[:], max(size-4, 0))
+	n := int64(binary.LittleEndian.Uint32(tail[:]))
+	if err == nil && n > 1032*size {
+		err = fmt.Errorf("a %d-byte member cannot inflate to %d", size, n)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("gzip trailer: %w", err)
+	}
+	return &blobReader{src: m}, n, nil
+}
+
+// blobReader is Inflate's reader. A Read that meets a trailer mismatch
+// withholds the bytes that came with it — the member's tail, up to one
+// 32 KiB window — so a damaged stream ends short of its declared length. The
+// inflater is taken at the first Read: an open that only probes builds none.
 type blobReader struct {
-	f  *os.File
-	zr *gzip.Reader
+	src io.Reader
+	zr  *gzip.Reader
 }
 
 func (r *blobReader) Read(p []byte) (int, error) {
 	if r.zr == nil {
 		r.zr = inflaters.Get().(*gzip.Reader)
-		if err := r.zr.Reset(r.f); err != nil {
+		if err := r.zr.Reset(r.src); err != nil {
 			return 0, err
 		}
 	}
@@ -73,5 +102,8 @@ func (r *blobReader) Close() error {
 		inflaters.Put(r.zr)
 		r.zr = nil
 	}
-	return r.f.Close()
+	if c, ok := r.src.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }

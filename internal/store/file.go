@@ -246,20 +246,22 @@ func (s *FileStore) openBlob(key string) (f *os.File, size int64, gz bool, err e
 		_ = f.Close()
 		return nil, 0, false, err
 	}
-	return f, fi.Size(), magic == [2]byte{0x1f, 0x8b}, nil
+	return f, fi.Size(), IsMember(magic[:]), nil
 }
 
 // PutResult durably stores a completed result under its content address
-// (writeAtomic), so the WAL never names a key whose blob is torn: as one gzip
-// member, or as is when it fits one block. ResultBytes counts what reached
-// the disk, ResultRawBytes what was handed in.
+// (writeAtomic), so the WAL never names a key whose blob is torn: a member as
+// it lies, canonical JSON as StoredForm makes it. ResultBytes counts what
+// reached the disk, ResultRawBytes the canonical bytes (a member's ISIZE).
 func (s *FileStore) PutResult(key string, data []byte) error {
 	path, err := resultPath(s.dir, key)
 	if err != nil {
 		return err
 	}
-	stored := data
-	if len(data) > blockBytes {
+	stored, raw := data, int64(len(data))
+	if IsMember(data) && len(data) >= 4 {
+		raw = int64(binary.LittleEndian.Uint32(data[len(data)-4:]))
+	} else if len(data) > blockBytes {
 		stored = Deflate(data)
 	}
 	if err := writeAtomic(path, stored); err != nil {
@@ -268,7 +270,7 @@ func (s *FileStore) PutResult(key string, data []byte) error {
 	s.mu.Lock()
 	s.resultsWritten++
 	s.resultBytes += int64(len(stored))
-	s.resultRawBytes += int64(len(data))
+	s.resultRawBytes += raw
 	s.mu.Unlock()
 	return nil
 }
@@ -301,20 +303,12 @@ func (s *FileStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
 	if !gz {
 		return f, size, nil
 	}
-	// The member's trailer ends in its inflated length (modulo 4 GiB; results
-	// are bounded far below). A damaged one must not size a buffer: deflate
-	// reaches 1032:1 at best.
-	var tail [4]byte
-	_, err = f.ReadAt(tail[:], max(size-4, 0))
-	n := int64(binary.LittleEndian.Uint32(tail[:]))
-	if err == nil && n > 1032*size {
-		err = fmt.Errorf("a %d-byte member cannot inflate to %d", size, n)
-	}
+	rc, n, err := Inflate(f, size)
 	if err != nil {
 		_ = f.Close()
-		return nil, 0, fmt.Errorf("store: result %s: gzip trailer: %w", key, err)
+		return nil, 0, fmt.Errorf("store: result %s: %w", key, err)
 	}
-	return &blobReader{f: f}, n, nil
+	return rc, n, nil
 }
 
 // PutResultGzip stores gzip bytes as the sibling <blob>.gz, where daemons that
@@ -328,8 +322,8 @@ func (s *FileStore) PutResultGzip(key string, data []byte) error {
 }
 
 // GetResultGzip returns a gzip encoding of key's result without compressing
-// anything, or ErrNotFound: a compressed blob's own bytes, unverified (the
-// client's inflate checks the trailer), or an identity blob's old sibling.
+// anything, or ErrNotFound: a compressed blob's own bytes, unverified, or an
+// identity blob's old sibling.
 func (s *FileStore) GetResultGzip(key string) ([]byte, error) {
 	f, size, gz, err := s.openBlob(key)
 	if err != nil {

@@ -36,6 +36,8 @@
 // cost every small job a deflate state. Anything larger is one gzip member
 // (1f 8b, BestSpeed — a population trajectory deflates ≈ 10×), made durable
 // exactly like the bytes it replaces and served to gzip clients as it lies.
+// The format is also the resident form: the service's LRU holds exactly
+// these bytes (StoredForm) and inflates a member (Inflate) per read.
 // Identity blobs of any size and the <blob>.gz siblings older daemons kept
 // are read where they are, never rewritten. A member ends in the CRC-32 and
 // length of what it inflates to, and every read that inflates runs to EOF,
@@ -167,12 +169,12 @@ func checkUnsynced(rec JobRecord) error {
 // leaves it to the log's next flush (the package comment says why). PutResult
 // durably stores a completed result under its content address —
 // implementations must not return until the blob survives a crash (the
-// service only marks a job done afterwards). GetResult returns the stored
-// blob or ErrNotFound; GetResultReader returns the same bytes as a stream
-// plus their size, so large blobs can be served without buffering them in
-// memory (callers own the Close). GetResultGzip returns a gzip encoding of
-// the result if the backend holds one — it never compresses — and
-// ErrNotFound otherwise: callers then Deflate the canonical bytes.
+// service only marks a job done afterwards), from canonical JSON or its
+// StoredForm. GetResult returns the canonical bytes or ErrNotFound;
+// GetResultReader returns the same bytes as a stream plus their size, so
+// large blobs can be served without buffering them in memory (callers own
+// the Close). GetResultGzip returns a gzip encoding of the result if the
+// backend holds one — it never compresses — and ErrNotFound otherwise.
 // Recovered hands over the jobs rebuilt from the log at open time, in
 // first-submitted order: the store keeps no copy, so only the first call
 // returns them. Forget drops a job from the store's index of live jobs —
