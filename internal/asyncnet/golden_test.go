@@ -17,6 +17,9 @@ import (
 // generated from the code as it stood before asyncnet took its compiled
 // protocol table from internal/sim and must never be edited to make a
 // change pass: a mismatch means every persisted asyncnet result is stale.
+// The overlapping-instances case and TestGoldenRunnerSweepSim were added
+// later, generated from the code as it stood while processes still kept
+// their in-flight instances, query routes and transitions in maps.
 
 // hashOutcome folds a run's observable output into h: counts in state
 // order, transition tallies sorted by edge, and the message total.
@@ -97,6 +100,25 @@ func TestGoldenVirtualRun(t *testing.T) {
 			},
 			want: "3d5cd3269aebac9d394719c10b9c4eff611819ba56475ced916c8d28dd048351",
 		},
+		{
+			// A two-sample Sample action under Drift 0.9: a period can be
+			// shorter than the BasePeriod/2 timeout, so one process holds
+			// instances from two periods at once, and 30 % loss leaves many
+			// of them to time out with some samples missing.
+			name: "overlapping-instances",
+			cfg: func(t *testing.T) Config {
+				return Config{
+					N:        400,
+					Protocol: mustTranslate(t, "x' = -3*x*y^2 + y\ny' = 3*x*y^2 - y", core.Options{}),
+					Initial:  map[ode.Var]int{"x": 100, "y": 300},
+					Seed:     77,
+					Periods:  20,
+					Drift:    0.9,
+					DropProb: 0.3,
+				}
+			},
+			want: "5168e7023b90022581d91a4bd69469d89b62f345420908e3aa395b1057779838",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,4 +158,49 @@ func TestGoldenRunnerSegments(t *testing.T) {
 		}
 		return fmt.Sprintf("%x", h.Sum(nil))
 	})
+}
+
+// TestGoldenRunnerSweepSim pins the asyncnet job of the sweep-sim
+// benchmark workload exactly as the service runs it: the endemic protocol
+// (β = 4, γ = 1, α = 0.01) at N = 5 000 from 4 500 / 500 / 0, one Step per
+// recorded period for 12 periods, hashed after every segment.
+func TestGoldenRunnerSweepSim(t *testing.T) {
+	const want = "511733b0011935d11fdd63cddb6955479b4702741687ab49c05e9ff9eec60113"
+	atGOMAXPROCS(t, want, func(t *testing.T) string {
+		cfg := sweepSimConfig(t)
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for range 12 {
+			r.Step()
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+			hashOutcome(h, cfg.Protocol.States, r.Counts(), r.TransitionsTotal(), r.MessagesSent())
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	})
+}
+
+// sweepSimConfig is the sweep-sim workload's asyncnet job as a Runner
+// config (Periods is supplied per segment).
+func sweepSimConfig(t testing.TB) Config {
+	t.Helper()
+	sys, err := ode.Parse("x' = -beta*x*y + alpha*z\ny' = beta*x*y - gamma*y\nz' = gamma*y - alpha*z",
+		map[string]float64{"beta": 4, "gamma": 1, "alpha": 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := core.Translate(sys, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		N:        5000,
+		Protocol: proto,
+		Initial:  map[ode.Var]int{"x": 4500, "y": 500, "z": 0},
+		Seed:     2_000_000_003,
+	}
 }
