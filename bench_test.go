@@ -1105,6 +1105,7 @@ func benchAsyncnet(b *testing.B, mode asyncnet.Mode, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	var msgs float64
 	for i := 0; i < b.N; i++ {
 		res, err := asyncnet.Run(asyncnet.Config{
@@ -1143,6 +1144,43 @@ func BenchmarkAsyncnetVirtual(b *testing.B) { benchAsyncnet(b, asyncnet.ModeVirt
 // full evaluation scale — N = 100,000 × 100 periods, far past the
 // goroutine-per-process ceiling — in seconds of wall time.
 func BenchmarkAsyncnetVirtual100k(b *testing.B) { benchAsyncnet(b, asyncnet.ModeVirtual, 100_000) }
+
+// BenchmarkAsyncnetRunnerSegments runs the asyncnet job of the sweep-sim
+// benchmark workload as the service does: the endemic protocol (β = 4,
+// γ = 1, α = 0.01) at N = 5 000 from 4 500 / 500 / 0, one single-period
+// segment per Step for 12 periods, all through one Runner.
+func BenchmarkAsyncnetRunnerSegments(b *testing.B) {
+	sys, err := ode.Parse("x' = -beta*x*y + alpha*z\ny' = beta*x*y - gamma*y\nz' = gamma*y - alpha*z",
+		map[string]float64{"beta": 4, "gamma": 1, "alpha": 0.01})
+	if err != nil {
+		b.Fatal(err)
+	}
+	proto, err := core.Translate(sys, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var msgs float64
+	for i := 0; i < b.N; i++ {
+		r, err := asyncnet.NewRunner(asyncnet.Config{
+			N:        5000,
+			Protocol: proto,
+			Initial:  map[ode.Var]int{"x": 4500, "y": 500, "z": 0},
+			Seed:     2_000_000_003,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range 12 {
+			r.Step()
+		}
+		if err := r.Err(); err != nil {
+			b.Fatal(err)
+		}
+		msgs = float64(r.MessagesSent())
+	}
+	b.ReportMetric(msgs, "msgs")
+}
 
 // BenchmarkAggregateStep measures the count-based engine at the same
 // configuration — O(#actions) per period, independent of N.

@@ -138,12 +138,14 @@ type Result struct {
 	MessagesSent int
 }
 
-// pendingInstance tracks one in-flight sampling action.
-type pendingInstance struct {
+// instance is one in-flight sampling action. Its query seqs are inst+1 …
+// inst+len(results), so a reply is routed exactly while its instance is
+// in flight and its position is still -2.
+type instance struct {
 	action  *sim.Action
 	results []int16 // observed state per sample position; -2 = missing
-	waiting int
-	decided bool
+	inst    int32
+	waiting int32
 }
 
 // process is one asynchronous protocol participant. The protocol logic
@@ -157,11 +159,15 @@ type process struct {
 	rng prng       // per-process stream (wallclock) or the run's shared stream (virtual)
 	tbl *sim.Table // the compiled protocol, shared by the whole group
 
-	state       int16
-	seq         int
-	pending     map[int]*pendingInstance // keyed by instance id
-	queryRoute  map[int][2]int           // query seq → (instance, pos)
-	transitions map[[2]ode.Var]int
+	state int16
+	left  int32 // periods not yet started
+	seq   int
+	// inflight lists the undecided instances (with Drift > 0.5, periods'
+	// instances overlap); past its end lies retired instances' storage.
+	inflight []instance
+	// trans counts transitions from×to by state index: one table per
+	// virtual group, one per wallclock process (allocated on first use).
+	trans []int
 }
 
 // prng exposes the draw helpers the protocol logic needs directly on the
@@ -193,10 +199,11 @@ func (p *process) transitionTo(to int16) {
 		return
 	}
 	p.state = to
-	if p.transitions == nil {
-		p.transitions = make(map[[2]ode.Var]int, 4)
+	s := len(p.tbl.States)
+	if p.trans == nil {
+		p.trans = make([]int, s*s)
 	}
-	p.transitions[[2]ode.Var{p.tbl.States[from], p.tbl.States[to]}]++
+	p.trans[int(from)*s+int(to)]++
 }
 
 func (p *process) randomPeer() int {
@@ -240,53 +247,40 @@ func (p *process) startPeriod() {
 				}
 			}
 		case core.Sample, core.SampleAny, core.Token:
-			if p.pending == nil {
-				p.pending = make(map[int]*pendingInstance, 2)
-				p.queryRoute = make(map[int][2]int, 4)
+			// Put an instance in flight, every position missing, reusing
+			// the storage a retired one left past the list's end.
+			n := len(p.inflight)
+			if n == cap(p.inflight) {
+				p.inflight = append(p.inflight, instance{})
 			}
+			p.inflight = p.inflight[:n+1]
 			p.seq++
-			inst := p.seq
-			pi := &pendingInstance{
-				action:  a,
-				results: make([]int16, len(a.Samples)),
-				waiting: len(a.Samples),
-			}
-			for i := range pi.results {
-				pi.results[i] = -2
-			}
-			p.pending[inst] = pi
-			for pos := range a.Samples {
+			in := &p.inflight[n]
+			in.action, in.inst, in.waiting, in.results = a, int32(p.seq), int32(len(a.Samples)), in.results[:0]
+			for range a.Samples {
+				in.results = append(in.results, -2)
 				p.seq++
-				qseq := p.seq
-				p.queryRoute[qseq] = [2]int{inst, pos}
-				p.tr.send(p.randomPeer(), message{kind: msgQuery, from: int32(p.id), seq: int32(qseq)})
+				p.tr.send(p.randomPeer(), message{kind: msgQuery, from: int32(p.id), seq: int32(p.seq)})
 			}
-			p.tr.timeout(p.id, p.cfg.BasePeriod/2, message{kind: msgTimeout, inst: int32(inst)})
+			p.tr.timeout(p.id, p.cfg.BasePeriod/2, message{kind: msgTimeout, inst: in.inst})
 		}
 	}
 }
 
-// evaluate decides a completed (or timed-out) instance.
-func (p *process) evaluate(inst int, pi *pendingInstance) {
-	if pi.decided {
-		return
-	}
-	pi.decided = true
-	delete(p.pending, inst)
-	a := pi.action
-	// Drop the instance's outstanding query routes: replies lost to the
-	// network (or still in flight) would otherwise leak their routing
-	// entries for the rest of the run. The instance's query seqs are the
-	// consecutive draws after its own (see startPeriod), so no extra
-	// bookkeeping is needed; a reply arriving after this finds no route
-	// and is ignored, exactly as before.
-	for i := range a.Samples {
-		delete(p.queryRoute, inst+1+i)
-	}
+// evaluate decides in-flight instance idx, complete or timed out, after
+// retiring it past the list's end (no send re-enters the process, so its
+// results stay intact). Sample and Token draw the coin only when every
+// sample matches, SampleAny only on a hit.
+func (p *process) evaluate(idx int) {
+	last := len(p.inflight) - 1
+	in := p.inflight[idx]
+	p.inflight[idx], p.inflight[last] = p.inflight[last], in
+	p.inflight = p.inflight[:last]
+	a := in.action
 	switch a.Kind {
 	case core.Sample, core.Token:
 		for i, want := range a.Samples {
-			if pi.results[i] != want {
+			if in.results[i] != want {
 				return
 			}
 		}
@@ -306,7 +300,7 @@ func (p *process) evaluate(inst int, pi *pendingInstance) {
 	case core.SampleAny:
 		hit := false
 		for i, want := range a.Samples {
-			if pi.results[i] == want {
+			if in.results[i] == want {
 				hit = true
 				break
 			}
@@ -322,23 +316,22 @@ func (p *process) handle(m message) {
 	case msgQuery:
 		p.tr.send(int(m.from), message{kind: msgReply, from: int32(p.id), seq: m.seq, state: p.state})
 	case msgReply:
-		route, ok := p.queryRoute[int(m.seq)]
-		if !ok {
-			return
-		}
-		delete(p.queryRoute, int(m.seq))
-		pi, ok := p.pending[route[0]]
-		if !ok {
-			return
-		}
-		pi.results[route[1]] = m.state
-		pi.waiting--
-		if pi.waiting == 0 {
-			p.evaluate(route[0], pi)
+		for i := range p.inflight {
+			in := &p.inflight[i]
+			if pos := int(m.seq - in.inst - 1); pos >= 0 && pos < len(in.results) && in.results[pos] == -2 {
+				in.results[pos] = m.state
+				if in.waiting--; in.waiting == 0 {
+					p.evaluate(i)
+				}
+				return
+			}
 		}
 	case msgTimeout:
-		if pi, ok := p.pending[int(m.inst)]; ok {
-			p.evaluate(int(m.inst), pi)
+		for i := range p.inflight {
+			if p.inflight[i].inst == m.inst {
+				p.evaluate(i)
+				return
+			}
 		}
 	case msgConvert:
 		if p.state == m.state {
@@ -395,32 +388,40 @@ func (cfg *Config) validate() (*sim.Table, error) {
 	return tbl, nil
 }
 
-// buildProcesses lays the group out as one contiguous allocation (N
-// separate process allocations are measurable GC weight at scale), state
-// by state in protocol state order; the caller supplies the substrate
-// (transport) and each process's rng stream. The bookkeeping maps are
-// allocated lazily — at scale most processes spend whole runs in states
-// with no sampling actions and no transitions, and 3N empty maps would be
-// more dead GC weight.
-func buildProcesses(cfg *Config, tr transport, rngFor func(i int) prng, tbl *sim.Table) []*process {
-	backing := make([]process, cfg.N)
-	procs := make([]*process, cfg.N)
-	for i, state := range tbl.Layout(cfg.N) {
-		backing[i] = process{
-			id:    i,
-			cfg:   cfg,
-			tr:    tr,
-			rng:   rngFor(i),
-			tbl:   tbl,
-			state: state,
+// newGroup allocates n processes with in-flight storage carved from two
+// slabs: two instances each, each with room for the table's widest sample.
+// A process whose instances overlap further grows its own list.
+func newGroup(n int, tbl *sim.Table) []process {
+	width := 0
+	for _, actions := range tbl.Actions {
+		for _, a := range actions {
+			width = max(width, len(a.Samples))
 		}
-		procs[i] = &backing[i]
+	}
+	procs, slots, results := make([]process, n), make([]instance, 2*n), make([]int16, 2*n*width)
+	for i := range slots {
+		slots[i].results = results[i*width : i*width : (i+1)*width]
+	}
+	for i := range procs {
+		procs[i].inflight = slots[2*i : 2*i : 2*i+2]
 	}
 	return procs
 }
 
-// collectResult assembles the run summary from the final process states.
-func collectResult(states []ode.Var, procs []*process, sent int) *Result {
+// layoutProcesses (re)starts the group state by state in protocol order on
+// one rng stream, keeping each process's (empty) in-flight storage; trans
+// is the group's transition table, or nil for one per process.
+func layoutProcesses(procs []process, cfg *Config, tr transport, rng prng, tbl *sim.Table, trans []int) {
+	for i, state := range tbl.Layout(len(procs)) {
+		p := &procs[i]
+		*p = process{id: i, cfg: cfg, tr: tr, rng: rng, tbl: tbl, state: state, left: int32(cfg.Periods),
+			inflight: p.inflight[:0], trans: trans}
+	}
+}
+
+// collectResult assembles the run summary from the final process states
+// and the nonzero cells of the group's transition table.
+func collectResult(states []ode.Var, procs []process, trans []int, sent int) *Result {
 	res := &Result{
 		Counts:      make(map[ode.Var]int, len(states)),
 		Transitions: make(map[[2]ode.Var]int),
@@ -428,10 +429,12 @@ func collectResult(states []ode.Var, procs []*process, sent int) *Result {
 	for _, s := range states {
 		res.Counts[s] = 0
 	}
-	for _, p := range procs {
-		res.Counts[states[p.state]]++
-		for k, v := range p.transitions {
-			res.Transitions[k] += v
+	for i := range procs {
+		res.Counts[states[procs[i].state]]++
+	}
+	for cell, n := range trans {
+		if n != 0 {
+			res.Transitions[[2]ode.Var{states[cell/len(states)], states[cell%len(states)]}] = n
 		}
 	}
 	res.MessagesSent = sent
@@ -450,5 +453,5 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Mode == ModeWallclock {
 		return runWallclock(&cfg, tbl), nil
 	}
-	return runVirtual(&cfg, tbl), nil
+	return newVirtualRunner(cfg, tbl).drain(), nil
 }

@@ -10,24 +10,24 @@ import (
 
 // Runner adapts the asynchronous runtime to the harness.Runner interface,
 // so sweeps can execute on the paper's true system model (§1) through the
-// same scheduler as the synchronous engines. The runtime is one-shot — it
-// builds the group and tears it down at the end of a run — so the adapter
-// executes periods in segments: each Run(k) call launches a fresh
-// asynchronous execution of k periods whose initial population is the
-// previous segment's final population, seeded deterministically from the
-// base seed and the segment index. Population counts are continuous
+// same scheduler as the synchronous engines. A run ends at quiescence, so
+// the adapter executes periods in segments: each Run(k) call launches a
+// fresh asynchronous execution of k periods whose initial population is
+// the previous segment's final population, seeded deterministically from
+// the base seed and the segment index. Population counts are continuous
 // across segments; per-process identity is not (asyncnet processes carry
-// no addressable identity anyway). Prefer coarse Run calls over
-// per-period Step calls: every segment pays the group's start-up and
-// tear-down cost.
+// no addressable identity anyway).
 //
 // The config's Mode carries through to every segment. In ModeVirtual
 // (the default) the whole segment sequence is deterministic — a fixed
 // (config, call sequence) reproduces byte-identical counts, transitions,
 // and message totals — which is what lets internal/service cache and
-// persist virtual asyncnet jobs.
+// persist virtual asyncnet jobs. Virtual segments share one group, reset
+// per segment to exactly a fresh group's state, so a per-period Step pays
+// for its events, not for a new group. Wallclock segments are one-shot.
 type Runner struct {
-	cfg Config
+	cfg   Config
+	group *virtualRunner // nil before the first virtual segment
 
 	counts      map[ode.Var]int
 	period      int
@@ -69,14 +69,28 @@ func (r *Runner) Run(periods int) {
 	if r.err != nil || periods <= 0 {
 		return
 	}
-	cfg := r.cfg
-	cfg.Periods = periods
-	cfg.Initial = r.Counts()
-	cfg.Seed = harness.DeriveSeed(r.cfg.Seed, r.segment)
-	res, err := Run(cfg)
-	if err != nil {
-		r.err = err
-		return
+	seed := harness.DeriveSeed(r.cfg.Seed, r.segment)
+	var res *Result
+	if r.group == nil {
+		cfg := r.cfg
+		cfg.Periods, cfg.Initial, cfg.Seed = periods, r.counts, seed
+		tbl, err := cfg.validate()
+		if err != nil {
+			r.err = err
+			return
+		}
+		if cfg.Mode == ModeWallclock {
+			res = runWallclock(&cfg, tbl)
+		} else {
+			r.group = newVirtualRunner(cfg, tbl)
+		}
+	}
+	if v := r.group; v != nil {
+		v.cfg.Periods, v.cfg.Seed = periods, seed
+		for i, s := range v.tbl.States {
+			v.tbl.Initial[i] = r.counts[s]
+		}
+		res = v.drain()
 	}
 	r.counts = res.Counts
 	for k, v := range res.Transitions {

@@ -63,21 +63,26 @@ type parkedMsg struct {
 // per-process streams (which wallclock mode needs for goroutine safety)
 // would buy nothing and cost a cold 2.5 KiB generator state per process.
 type virtualRunner struct {
-	cfg   *Config
-	procs []*process
+	cfg   Config
+	tbl   *sim.Table
+	procs []process
+	trans []int // the group's from×to transition counts
 
 	// Calendar queue state. curNum is the absolute bucket number of the
 	// bucket being drained; cur is that bucket sorted ascending, consumed
 	// from curIdx; late is a small min-heap of events scheduled into the
 	// current bucket after its activation (a message sent with a delay
 	// shorter than the remaining bucket width); ring buckets hold later
-	// events unsorted; overflow holds events beyond the ring span.
+	// events unsorted; overflow holds events beyond the ring span. A slot
+	// holds a backing only while it holds events (taken from spare, given
+	// back once consumed), so ring memory follows the horizon, not 1024.
 	shift    uint // bucket width = 1<<shift nanoseconds
 	curNum   int64
 	cur      []event
 	curIdx   int
 	late     []event
 	ring     [][]event // len is a power of two
+	spare    [][]event // empty backing arrays for ring slots
 	inRing   int
 	overflow []event
 	pending  int // events in cur[curIdx:] + late + ring + overflow
@@ -98,21 +103,39 @@ type virtualRunner struct {
 
 const ringBuckets = 1024 // ring span = 1024 bucket widths ≥ 4× the horizon
 
-// newVirtualRunner sizes the calendar to the config's scheduling horizon:
-// bucket width is the smallest power of two ≥ horizon/256, so every
-// in-model event lands within ~512 buckets and the 1024-bucket ring never
-// wraps onto live entries, while the active bucket stays small enough to
-// live in cache.
-func newVirtualRunner(cfg *Config) *virtualRunner {
+// newVirtualRunner allocates the group for a validated config and sizes
+// the calendar to its scheduling horizon: bucket width is the smallest
+// power of two ≥ horizon/256, so every in-model event lands within ~512
+// buckets and the 1024-bucket ring never wraps onto live entries, while
+// the active bucket stays small enough to live in cache.
+func newVirtualRunner(cfg Config, tbl *sim.Table) *virtualRunner {
 	horizon := 2 * cfg.BasePeriod // ≥ BasePeriod·(1+Drift), Drift < 1
 	if cfg.MaxDelay > horizon {
 		horizon = cfg.MaxDelay
 	}
 	return &virtualRunner{
 		cfg:   cfg,
+		tbl:   tbl,
+		procs: newGroup(cfg.N, tbl),
+		trans: make([]int, len(tbl.States)*len(tbl.States)),
 		shift: uint(bits.Len64(uint64(horizon) / 256)),
 		ring:  make([][]event, ringBuckets),
+		rng:   prng{mt19937.New(cfg.Seed)},
 	}
+}
+
+// reset returns the runner to exactly a fresh group's state for its
+// config and the table's initial counts, keeping every buffer's capacity
+// (cur's backing aliases no slot; the next advance makes it a spare).
+func (v *virtualRunner) reset() {
+	v.rng.mt.Seed(v.cfg.Seed)
+	v.seqBase = v.cfg.Seed ^ 0x6A09E667F3BCC908 // sqrt(2) salt: distinct from the MT stream
+	v.seqNext, v.now, v.sent, v.curNum, v.cur, v.curIdx = 0, 0, 0, 0, v.cur[:0], 0
+	v.late, v.overflow, v.msgs, v.freeMsg = v.late[:0], v.overflow[:0], v.msgs[:0], v.freeMsg[:0]
+	clear(v.ring) // a drained ring is empty already
+	v.inRing, v.pending = 0, 0
+	clear(v.trans)
+	layoutProcesses(v.procs, &v.cfg, v, v.rng, v.tbl, v.trans)
 }
 
 // nextSeq advances the tie-break stream (mt19937.DeriveSeed truncated to
@@ -164,8 +187,7 @@ func (v *virtualRunner) push(e event) {
 	case b == v.curNum:
 		heapPush(&v.late, e)
 	case b-v.curNum < ringBuckets:
-		v.ring[b&(ringBuckets-1)] = append(v.ring[b&(ringBuckets-1)], e)
-		v.inRing++
+		v.file(b, e)
 	default:
 		heapPush(&v.overflow, e)
 	}
@@ -187,13 +209,24 @@ func (v *virtualRunner) pop() event {
 	return e
 }
 
+// file appends e to ring bucket b, giving an empty slot a spare backing.
+func (v *virtualRunner) file(b int64, e event) {
+	slot := &v.ring[b&(ringBuckets-1)]
+	if n := len(v.spare); *slot == nil && n > 0 {
+		*slot, v.spare = v.spare[n-1], v.spare[:n-1]
+	}
+	*slot = append(*slot, e)
+	v.inRing++
+}
+
 // advance moves the calendar to the next non-empty bucket and activates
 // it: overflow entries now within the ring span are re-filed, and the
-// bucket is sorted in place for index consumption. The slot keeps its
-// backing array for its next lap — safe to alias, because an event for
-// this slot's next lap is ringBuckets widths away, beyond any scheduling
-// horizon, so nothing appends to it while the sorted view is live.
+// bucket is sorted in place for index consumption. The slot gives up its
+// backing array to the active bucket, whose consumed one goes spare.
 func (v *virtualRunner) advance() {
+	if v.cur != nil {
+		v.spare = append(v.spare, v.cur[:0])
+	}
 	if v.inRing == 0 {
 		// Only the overflow holds events; jump straight to its earliest
 		// bucket instead of walking empty ring slots.
@@ -210,13 +243,12 @@ func (v *virtualRunner) advance() {
 		if b == v.curNum {
 			heapPush(&v.late, e)
 		} else {
-			v.ring[b&(ringBuckets-1)] = append(v.ring[b&(ringBuckets-1)], e)
-			v.inRing++
+			v.file(b, e)
 		}
 	}
 	slot := &v.ring[v.curNum&(ringBuckets-1)]
 	v.cur, v.curIdx = *slot, 0
-	*slot = (*slot)[:0]
+	*slot = nil
 	v.inRing -= len(v.cur)
 	v.sortBucket(v.cur)
 }
@@ -390,31 +422,17 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// runVirtual executes the run on the virtual timeline: seed the calendar
-// with every process's arbitrary first-period offset, then drain events
-// in (at, seq) order until the system is quiescent (the queue is empty).
-// Quiescence is guaranteed: after a process's last period no new period
-// events are scheduled, message cascades are finite (a query begets one
-// reply, token forwards are TTL-bounded, converts are terminal), and
-// every event carries a bounded delay.
-func runVirtual(cfg *Config, tbl *sim.Table) *Result {
-	v := drainVirtual(cfg, tbl)
-	return collectResult(tbl.States, v.procs, v.sent)
-}
-
-// drainVirtual builds the scheduler and runs it to quiescence, returning
-// it with the processes in their final states (split from runVirtual so
-// tests can inspect per-process bookkeeping after a drain).
-func drainVirtual(cfg *Config, tbl *sim.Table) *virtualRunner {
-	v := newVirtualRunner(cfg)
-	v.rng = prng{mt19937.New(cfg.Seed)}
-	v.seqBase = cfg.Seed ^ 0x6A09E667F3BCC908 // sqrt(2) salt: distinct from the MT stream
-	v.procs = buildProcesses(cfg, v, func(int) prng { return v.rng }, tbl)
-
-	periodsLeft := make([]int32, cfg.N)
-	for i, p := range v.procs {
-		periodsLeft[i] = int32(cfg.Periods)
-		v.push(event{at: int64(p.startOffset()), seq: v.nextSeq(), ref: uint32(i)})
+// drain executes one run on the virtual timeline from a fresh group:
+// seed the calendar with every process's arbitrary first-period offset,
+// then drain events in (at, seq) order until the system is quiescent (the
+// queue is empty). Quiescence is guaranteed: after a process's last
+// period no new period events are scheduled, message cascades are finite
+// (a query begets one reply, token forwards are TTL-bounded, converts are
+// terminal), and every event carries a bounded delay.
+func (v *virtualRunner) drain() *Result {
+	v.reset()
+	for i := range v.procs {
+		v.push(event{at: int64(v.procs[i].startOffset()), seq: v.nextSeq(), ref: uint32(i)})
 	}
 
 	for v.pending > 0 {
@@ -427,11 +445,11 @@ func drainVirtual(cfg *Config, tbl *sim.Table) *virtualRunner {
 			v.procs[pm.to].handle(pm.m)
 			continue
 		}
-		p := v.procs[ev.ref]
+		p := &v.procs[ev.ref]
 		p.startPeriod()
-		if periodsLeft[ev.ref]--; periodsLeft[ev.ref] > 0 {
+		if p.left--; p.left > 0 {
 			v.push(event{at: int64(v.now + p.periodFor()), seq: v.nextSeq(), ref: ev.ref})
 		}
 	}
-	return v
+	return collectResult(v.tbl.States, v.procs, v.trans, v.sent)
 }

@@ -9,6 +9,7 @@ import (
 	"odeproto/internal/core"
 	"odeproto/internal/endemic"
 	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 // endemicConfig is a virtual-mode run with every message kind in flight
@@ -226,9 +227,17 @@ func TestRunnerVirtualSegmentsDeterministic(t *testing.T) {
 	}
 }
 
+// drainVirtual runs one virtual run and returns its scheduler, with the
+// processes in their final states.
+func drainVirtual(cfg *Config, tbl *sim.Table) *virtualRunner {
+	v := newVirtualRunner(*cfg, tbl)
+	v.drain()
+	return v
+}
+
 // TestQueryRoutesDoNotLeak: routing entries for replies lost to the
 // network must be cleaned when their instance is decided, or a long
-// lossy run grows the per-process route map without bound.
+// lossy run grows the per-process bookkeeping without bound.
 func TestQueryRoutesDoNotLeak(t *testing.T) {
 	proto := mustTranslate(t, "x' = -x*y\ny' = x*y", core.Options{})
 	cfg := Config{
@@ -248,10 +257,18 @@ func TestQueryRoutesDoNotLeak(t *testing.T) {
 		t.Fatal("no messages sent; leak check would be vacuous")
 	}
 	for _, p := range v.procs {
-		if n := len(p.queryRoute); n != 0 {
-			t.Fatalf("process %d finished the run with %d leaked query routes", p.id, n)
+		routes := 0
+		for _, in := range p.inflight {
+			for _, r := range in.results {
+				if r == -2 {
+					routes++
+				}
+			}
 		}
-		if n := len(p.pending); n != 0 {
+		if routes != 0 {
+			t.Fatalf("process %d finished the run with %d leaked query routes", p.id, routes)
+		}
+		if n := len(p.inflight); n != 0 {
 			t.Fatalf("process %d finished the run with %d undecided instances", p.id, n)
 		}
 	}
@@ -271,5 +288,57 @@ func TestModeValidation(t *testing.T) {
 	m, err := Mode("").Normalize()
 	if err != nil || m != ModeVirtual {
 		t.Fatalf("empty mode normalized to (%q, %v), want virtual", m, err)
+	}
+}
+
+// TestVirtualAllocationIsPerRun: a virtual run allocates per group, not
+// per message or per sampling instance, so doubling the periods (and
+// with them the messages) adds almost nothing; and a Runner's segments
+// share one group, so every segment after the first allocates only its
+// layout and its result.
+func TestVirtualAllocationIsPerRun(t *testing.T) {
+	cfg := endemicConfig(t)
+	cfg.N = 2000
+	cfg.Initial = map[ode.Var]int{endemic.Receptive: 1400, endemic.Stash: 500, endemic.Averse: 100}
+	run := func(periods int) (allocs float64, msgs int) {
+		c := cfg
+		c.Periods = periods
+		allocs = testing.AllocsPerRun(2, func() {
+			res, err := Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs = res.MessagesSent
+		})
+		return allocs, msgs
+	}
+	short, shortMsgs := run(12)
+	long, longMsgs := run(24)
+	t.Logf("Run allocations: %.0f at 12 periods (%d messages), %.0f at 24 (%d)", short, shortMsgs, long, longMsgs)
+	if longMsgs < shortMsgs*3/2 {
+		t.Fatalf("24 periods sent %d messages, 12 sent %d: the comparison would not show per-message allocation", longMsgs, shortMsgs)
+	}
+	if long > short+32 {
+		t.Errorf("a 24-period run allocates %.0f, a 12-period one %.0f: more than 32 apart", long, short)
+	}
+
+	segments := func(steps int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range steps {
+				r.Step()
+			}
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, twelve := segments(1), segments(12)
+	t.Logf("Runner allocations: %.0f for one Step, %.0f for 12", one, twelve)
+	if twelve > one+16*11 {
+		t.Errorf("12 Steps allocate %.0f, one Step %.0f: more than 16 per further segment", twelve, one)
 	}
 }

@@ -89,7 +89,6 @@ func (nw *network) runProcess(ctx context.Context, p *process, finished, ticking
 	inbox := nw.inboxes[p.id]
 	timer := time.NewTimer(p.startOffset())
 	defer timer.Stop()
-	periodsLeft := p.cfg.Periods
 	for {
 		select {
 		case <-ctx.Done():
@@ -98,11 +97,11 @@ func (nw *network) runProcess(ctx context.Context, p *process, finished, ticking
 			p.handle(m)
 			nw.pending.Done()
 		case <-timer.C:
-			if periodsLeft > 0 {
+			if p.left > 0 {
 				p.startPeriod()
-				periodsLeft--
+				p.left--
 				timer.Reset(p.periodFor())
-				if periodsLeft == 0 {
+				if p.left == 0 {
 					tickDone()
 				}
 			}
@@ -126,16 +125,16 @@ func runWallclock(cfg *Config, tbl *sim.Table) *Result {
 	for i := range nw.inboxes {
 		nw.inboxes[i] = make(chan message, 4*cfg.N/len(tbl.States)+64)
 	}
-	procs := buildProcesses(cfg, nw, func(i int) prng {
-		return prng{root.Split(uint64(i) + 1)}
-	}, tbl)
+	procs := newGroup(cfg.N, tbl)
+	layoutProcesses(procs, cfg, nw, prng{}, tbl, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var finished, ticking sync.WaitGroup
 	finished.Add(cfg.N)
 	ticking.Add(cfg.N)
-	for _, p := range procs {
-		go nw.runProcess(ctx, p, &finished, &ticking)
+	for i := range procs {
+		procs[i].rng = prng{root.Split(uint64(i) + 1)} // a goroutine's own stream
+		go nw.runProcess(ctx, &procs[i], &finished, &ticking)
 	}
 	// Quiescence: all periods executed, then the pending counter drains.
 	// After ticking.Wait returns no process starts a period again, so new
@@ -151,5 +150,11 @@ func runWallclock(cfg *Config, tbl *sim.Table) *Result {
 	nw.mu.Lock()
 	sent := nw.sent
 	nw.mu.Unlock()
-	return collectResult(tbl.States, procs, sent)
+	trans := make([]int, len(tbl.States)*len(tbl.States))
+	for i := range procs {
+		for cell, n := range procs[i].trans {
+			trans[cell] += n
+		}
+	}
+	return collectResult(tbl.States, procs, trans, sent)
 }
