@@ -19,6 +19,7 @@ import (
 
 	"odeproto/internal/obs"
 	"odeproto/internal/service"
+	"odeproto/internal/store"
 )
 
 // benchResultSpec is a sweep whose result is large enough (1000 recorded
@@ -272,6 +273,49 @@ func BenchmarkResultGetGzipEncode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkResultGetDisk measures GET /v1/results/{key} past the LRU on a
+// file store: one open of the stored member per request, inflated as it
+// streams to an identity client, sent as it lies to a gzip client with its
+// trailer held back until the member inflates clean. A one-entry LRU holds a
+// second result, and a disk-served GET promotes nothing, so every iteration
+// reads the disk (the encodes-saved counter, which counts LRU requests, must
+// not move).
+func BenchmarkResultGetDisk(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() }) // after the server's cleanup below
+	srv := service.New(service.Config{Workers: 1, CacheSize: 1, Store: st})
+	b.Cleanup(srv.Close)
+	handler := srv.Handler()
+	spec := benchResultSpec()
+	key := runBenchJob(b, handler, spec).CacheKey
+	runBenchJob(b, handler, bytes.Replace(spec, []byte(`"seed":11,`), []byte(`"seed":12,`), 1))
+	path := "/v1/results/" + key
+	for _, enc := range []string{"identity", "gzip"} {
+		b.Run(enc, func(b *testing.B) {
+			hdr := map[string]string{"Accept-Encoding": enc}
+			if got := handlerGet(b, handler, path, hdr).Header().Get("Content-Encoding"); (got == "gzip") != (enc == "gzip") {
+				b.Fatalf("%s client got Content-Encoding %q", enc, got)
+			}
+			before := metricValue(b, srv, "odeproto_result_encodes_saved_total")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rec := handlerGet(b, handler, path, hdr); rec.Code != http.StatusOK {
+					b.Fatalf("disk GET: %d", rec.Code)
+				}
+			}
+			b.StopTimer()
+			if metricValue(b, srv, "odeproto_result_encodes_saved_total") != before {
+				b.Fatal("a GET was served from the LRU")
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		})
+	}
 }
 
 // BenchmarkStreamReplay measures a cache-hit stream replay: each row's

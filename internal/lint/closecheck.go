@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 )
 
 // responseWriterPaths scope the streaming-handler rule: the packages whose
@@ -24,11 +25,12 @@ var responseWriterPaths = []string{
 //   - Close and Flush on writers (types satisfying io.Writer with an
 //     error-returning Close/Flush, e.g. a bufio.Writer or gzip.Writer):
 //     the final buffer flush happens inside the dropped call;
-//   - Close on store result-reader handles (variables assigned from a
-//     GetResultReader call): the handle is an interface over an open fd
-//     per in-flight response, and the backend behind it is free to verify
-//     or release on Close — a bare Close hides whether the leak-free
-//     contract of the streaming read path was considered;
+//   - Close on store result handles (variables assigned from an OpenResult
+//     or GetResultReader call): the handle is an interface over an open fd
+//     per in-flight read, and the backend behind it is free to verify or
+//     release on Close — a bare Close hides whether the leak-free contract
+//     of the read path was considered. A handle the function neither closes
+//     nor hands on (passes, returns, stores) is reported as leaked;
 //   - http.ResponseWriter writes inside loops in the streaming packages:
 //     a stream loop that ignores write errors keeps simulating rows for a
 //     client that hung up.
@@ -57,6 +59,7 @@ func runClosecheck(pass *Pass) error {
 			}
 			readOnly := readOnlyFiles(pass, fd)
 			readers := readerHandles(pass, fd)
+			checkLeakedHandles(pass, fd, readers)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				var call *ast.CallExpr
 				switch n := n.(type) {
@@ -82,7 +85,7 @@ func runClosecheck(pass *Pass) error {
 
 // checkDroppedError flags one statement-position call if it is a
 // Close/Sync/Flush whose error matters.
-func checkDroppedError(pass *Pass, call *ast.CallExpr, readOnly, readers map[types.Object]bool) {
+func checkDroppedError(pass *Pass, call *ast.CallExpr, readOnly map[types.Object]bool, readers map[types.Object]string) {
 	fn := calleeFunc(pass.Info, call)
 	if fn == nil || !methodHasErrorResult(fn) {
 		return
@@ -110,7 +113,7 @@ func checkDroppedError(pass *Pass, call *ast.CallExpr, readOnly, readers map[typ
 			pass.Reportf(call.Pos(), "unchecked error from (*os.File).Close on a writable file: the kernel may surface the final write failure here; check it (or assign to _ with intent on error-cleanup paths)")
 			return
 		}
-		if obj := receiverObject(pass, sel.X); obj != nil && readers[obj] {
+		if obj := receiverObject(pass, sel.X); obj != nil && readers[obj] != "" {
 			pass.Reportf(call.Pos(), "unchecked error from Close on a store result-reader handle: the reader holds an open fd per in-flight response; check it, or assign to _ to record that the discard is intentional")
 			return
 		}
@@ -167,15 +170,19 @@ func readOnlyFiles(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
 	return out
 }
 
+// resultReaders are the store calls whose handles closecheck tracks: the
+// one result accessor, and the wrapper over it the benchmark probe calls.
+var resultReaders = map[string]bool{"OpenResult": true, "GetResultReader": true}
+
 // readerHandles scans a function for assignments whose right-hand side is
-// a call to a method or function named GetResultReader — the store's
-// streaming read API. The handles it returns are io.ReadClosers the
+// a call to a method or function named in resultReaders, and maps each
+// handle it assigns to the call's name. The handles are open blobs the
 // caller owns, and their Close is held to the same explicit-discard rule
 // as writable files (the name-based match mirrors readOnlyFiles: local
 // assignments only, the conservative direction for handles of unknown
 // provenance).
-func readerHandles(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
-	out := map[types.Object]bool{}
+func readerHandles(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
+	out := map[types.Object]string{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
@@ -186,17 +193,65 @@ func readerHandles(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
 			return true
 		}
 		fn := calleeFunc(pass.Info, call)
-		if fn == nil || fn.Name() != "GetResultReader" {
+		if fn == nil || !resultReaders[fn.Name()] {
 			return true
 		}
 		if len(as.Lhs) > 0 {
 			if obj := receiverObject(pass, as.Lhs[0]); obj != nil {
-				out[obj] = true
+				out[obj] = fn.Name()
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// checkLeakedHandles flags the result handles fd leaks: no Close call names
+// the handle, and it never leaves the function — as an argument, a result,
+// a stored or compared value — for something else to close. Only method
+// calls on it and assignments to it keep it here.
+func checkLeakedHandles(pass *Pass, fd *ast.FuncDecl, readers map[types.Object]string) {
+	if len(readers) == 0 {
+		return
+	}
+	kept := map[*ast.Ident]bool{} // receivers of a method call, left sides of an assignment
+	handed := map[types.Object]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
+				kept[id] = true
+				if obj := pass.Info.Uses[id]; n.Sel.Name == "Close" && readers[obj] != "" {
+					handed[obj] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				if id, ok := l.(*ast.Ident); ok {
+					kept[id] = true
+				}
+			}
+		}
+		return true
+	})
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !kept[id] {
+			if obj := pass.Info.Uses[id]; readers[obj] != "" {
+				handed[obj] = true
+			}
+		}
+		return true
+	})
+	var leaked []types.Object
+	for obj := range readers {
+		if !handed[obj] {
+			leaked = append(leaked, obj)
+		}
+	}
+	sort.Slice(leaked, func(i, j int) bool { return leaked[i].Pos() < leaked[j].Pos() })
+	for _, obj := range leaked {
+		pass.Reportf(obj.Pos(), "store result handle %s from %s is never closed: it holds an open fd; close it, or hand it on", obj.Name(), readers[obj])
+	}
 }
 
 // checkStreamLoop flags unchecked http.ResponseWriter writes inside for

@@ -16,6 +16,17 @@ func (resultStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
 	return nil, 0, nil
 }
 
+// blob mirrors store.Blob: an open fd the caller owns.
+type blob interface {
+	io.Reader
+	io.ReaderAt
+	io.Closer
+}
+
+func (resultStore) OpenResult(key string) (blob, int64, error) {
+	return nil, 0, nil
+}
+
 func writeAll(path string, data []byte) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -70,5 +81,24 @@ func probeResult(st resultStore, key string) bool {
 		return false
 	}
 	rc.Close() // want `unchecked error from Close on a store result-reader handle`
+	return true
+}
+
+func sniffResult(st resultStore, key string) (bool, error) {
+	b, _, err := st.OpenResult(key) // want `store result handle b from OpenResult is never closed`
+	if err != nil {
+		return false, err
+	}
+	var head [2]byte
+	_, err = b.ReadAt(head[:], 0)
+	return head[0] == 0x1f, err
+}
+
+func probeOpened(st resultStore, key string) bool {
+	b, _, err := st.OpenResult(key)
+	if err != nil {
+		return false
+	}
+	b.Close() // want `unchecked error from Close on a store result-reader handle`
 	return true
 }

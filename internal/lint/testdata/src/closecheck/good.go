@@ -15,6 +15,40 @@ func (goodStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
 	return nil, 0, nil
 }
 
+type goodBlob interface {
+	io.Reader
+	io.ReaderAt
+	io.Closer
+}
+
+func (goodStore) OpenResult(key string) (goodBlob, int64, error) {
+	return nil, 0, nil
+}
+
+// readOpened closes the handle it opened, in a deferred closure.
+func readOpened(st goodStore, key string) ([]byte, error) {
+	b, size, err := st.OpenResult(key)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = b.Close() }()
+	data := make([]byte, size)
+	_, err = io.ReadFull(b, data)
+	return data, err
+}
+
+// handOn passes the handle to a wrapper whose Close closes it: the caller
+// closes what it got back, not the handle.
+func handOn(st goodStore, key string) (io.ReadCloser, error) {
+	b, _, err := st.OpenResult(key)
+	if err != nil {
+		return nil, err
+	}
+	return wrap(b), nil
+}
+
+func wrap(b goodBlob) io.ReadCloser { return b }
+
 // checkedClose checks every durability-bearing error; the error-path
 // closes discard explicitly with _ = because the first error owns the
 // return value.

@@ -159,8 +159,9 @@ func TestCorruptCompressedBlobIsRefused(t *testing.T) {
 // TestOldDataDirServesUnchanged: a -data directory in the layout of the
 // daemons before blobs were compressed — an identity blob above one block
 // with the .gz sibling a gzip client once caused, a sub-block identity blob
-// without one — opens, warms, heals and serves: identity byte-identical,
-// gzip from the sibling, and not one file in it rewritten or removed.
+// without one — opens, warms, heals and serves: identity byte-identical to
+// every client, the sibling never read, and not one file in it rewritten or
+// removed.
 func TestOldDataDirServesUnchanged(t *testing.T) {
 	bigSpec, _ := normalizeOrFatal(t, largeSpec())
 	tinySpec, _ := normalizeOrFatal(t, smallSpec())
@@ -243,8 +244,8 @@ func TestOldDataDirServesUnchanged(t *testing.T) {
 				t.Fatalf("%s, identity %s…: encoding %q, %d B, want the blob's %d", path, blob.key[:8], enc, len(body), len(canonical[blob]))
 			}
 		}
-		if enc, body := get(big.key, "gzip"); enc != "gzip" || !bytes.Equal(body, sibling.Bytes()) {
-			t.Fatalf("%s, gzip of the large blob: encoding %q, %d B, want its sibling's %d", path, enc, len(body), sibling.Len())
+		if enc, body := get(big.key, "gzip"); enc != "" || !bytes.Equal(body, canonical[big]) {
+			t.Fatalf("%s, gzip of the large identity blob: encoding %q, %d B, want the blob's %d as identity", path, enc, len(body), len(canonical[big]))
 		}
 	}
 	// The sub-block blob has no gzip form on disk: identity goes out.
@@ -311,6 +312,208 @@ func TestDamagedMemberAbortsGzipResponse(t *testing.T) {
 				t.Fatalf("store errors moved by %d, want 1", got-errs)
 			}
 		})
+	}
+}
+
+// fetch GETs url with Accept-Encoding enc and reports whether a complete,
+// well-framed 200 arrived: a torn connection or a body short of its
+// Content-Length is a refusal, like any other status.
+func fetch(t *testing.T, url, enc string) (body []byte, served bool) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept-Encoding", enc)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, false
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return body, err == nil && resp.StatusCode == http.StatusOK
+}
+
+// TestOneAdmissionRule: past the LRU, a blob that fails the one rule — an
+// identity blob that is not JSON, a member that does not match its trailer —
+// is refused by every read path alike, each refusal counted as one store
+// error: the result GET as identity and as gzip, the status, the stream
+// replay, the warm and the heal. A 304 reads no result byte, so it still
+// answers; the next POST of the spec recomputes the bytes it held.
+func TestOneAdmissionRule(t *testing.T) {
+	for name, row := range map[string]struct {
+		spec   JobSpec
+		damage func([]byte) []byte
+	}{
+		"empty identity":     {smallSpec(), func([]byte) []byte { return nil }},
+		"truncated identity": {smallSpec(), func(b []byte) []byte { return b[:len(b)/2] }},
+		"flipped member":     {largeSpec(), func(b []byte) []byte { return flip(b, len(b)/2) }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fst := openFileStore(t, dir)
+			rec := &recordingStore{Store: fst}
+			srv, ts := newTestServer(t, Config{Workers: 1, Store: rec})
+			spec, key := normalizeOrFatal(t, row.spec)
+			done := runJob(t, ts.URL, spec)
+			_, canonical := rawGet(t, ts.URL+"/v1/results/"+key, nil)
+			good, err := os.ReadFile(storedPath(dir, key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(storedPath(dir, key), row.damage(good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dropFromCache(srv, key)
+
+			refused := func(path string, refuses func() bool) {
+				t.Helper()
+				errs := srv.met.storeErrs.Value()
+				if !refuses() {
+					t.Errorf("%s served the damaged blob", path)
+				}
+				if n := srv.met.storeErrs.Value() - errs; n != 1 {
+					t.Errorf("%s counted %d store errors, want 1", path, n)
+				}
+			}
+			for _, enc := range []string{"identity", "gzip"} {
+				refused("GET "+enc, func() bool {
+					_, served := fetch(t, ts.URL+"/v1/results/"+key, enc)
+					return !served
+				})
+			}
+			refused("status", func() bool {
+				_, data := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+done.ID, nil)
+				st := decodeStatus(t, data)
+				return st.Status == StatusDone && st.Result == nil
+			})
+			refused("stream replay", func() bool {
+				return len(readStream(t, ts.URL, done.ID)) == 1
+			})
+			rec.counts()
+			resp, body := rawGet(t, ts.URL+"/v1/results/"+key, map[string]string{"If-None-Match": etagForKey(key)})
+			if _, reads := rec.counts(); resp.StatusCode != http.StatusNotModified || len(body) != 0 || reads != 0 {
+				t.Errorf("revalidation: %d with %d B after %d reads, want a bare 304 after none", resp.StatusCode, len(body), reads)
+			}
+
+			// The warm loads the done job's blob and the heal the blob of one
+			// that lost its done record: one refusal each.
+			if err := fst.Append(store.JobRecord{Op: store.OpSubmitted, ID: "j000009", Key: key, Spec: specJSON(&spec),
+				SubmittedAt: time.Now().UnixNano()}); err != nil {
+				t.Fatal(err)
+			}
+			ts.Close()
+			srv.Close()
+			if err := fst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fst2 := openFileStore(t, dir)
+			t.Cleanup(func() { fst2.Close() }) // after the server cleanup below
+			srv2, ts2 := newTestServer(t, Config{Workers: 1, Store: fst2})
+			if warmed, errs := srv2.warmed, srv2.met.storeErrs.Value(); warmed != 0 || errs != 2 {
+				t.Fatalf("restart warmed %d results with %d store errors, want none warmed and one error each from the warm and the heal", warmed, errs)
+			}
+			_, data := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/j000009", nil)
+			if st := decodeStatus(t, data); st.Status != StatusFailed || st.Error != restartableErr {
+				t.Fatalf("the job beside a refused blob recovered as %s (%q), want failed-restartable", st.Status, st.Error)
+			}
+
+			again := runJob(t, ts2.URL, spec)
+			if n := srv2.SweepsExecuted(); n != 1 || again.Cached || again.CacheKey != key {
+				t.Fatalf("the POST after the damage ran %d sweeps (cached %v), want one", n, again.Cached)
+			}
+			if healed, err := os.ReadFile(storedPath(dir, key)); err != nil || !bytes.Equal(healed, good) {
+				t.Fatalf("the recompute left %d B in the file (err %v), want the %d B it held before the damage", len(healed), err, len(good))
+			}
+			dropFromCache(srv2, key)
+			if body, served := fetch(t, ts2.URL+"/v1/results/"+key, "identity"); !served || !bytes.Equal(body, canonical) {
+				t.Fatal("the recomputed result differs from the bytes served before the damage")
+			}
+		})
+	}
+}
+
+// TestEachReadOpensOnce: every read of a stored result past the LRU opens
+// its blob exactly once — a result GET (identity and gzip clients, a member
+// and an identity blob), a submit-time disk hit, the warm and the heal — and
+// the existence probe and a 304 are an open that reads nothing.
+func TestEachReadOpensOnce(t *testing.T) {
+	dir := t.TempDir()
+	fst := openFileStore(t, dir)
+	rec := &recordingStore{Store: fst}
+	srv, ts := newTestServer(t, Config{Workers: 1, Store: rec})
+	specs := map[string]JobSpec{"member": largeSpec(), "identity": smallSpec()}
+	keys := make(map[string]string)
+	for blob, spec := range specs {
+		keys[blob] = runJob(t, ts.URL, spec).CacheKey
+	}
+	opened := func(what string, want int, read func()) {
+		t.Helper()
+		rec.counts()
+		read()
+		if opens, _ := rec.counts(); opens != want {
+			t.Errorf("%s opened the blob %d times, want %d", what, opens, want)
+		}
+	}
+	for blob, key := range keys {
+		_, canonical := rawGet(t, ts.URL+"/v1/results/"+key, nil)
+		for _, enc := range []string{"identity", "gzip"} {
+			dropFromCache(srv, key)
+			opened("GET of the "+blob+" blob ("+enc+")", 1, func() {
+				body, served := fetch(t, ts.URL+"/v1/results/"+key, enc)
+				if enc == "gzip" && blob == "member" {
+					zr, err := gzip.NewReader(bytes.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, _ = io.ReadAll(zr)
+				}
+				if !served || !bytes.Equal(body, canonical) {
+					t.Errorf("GET of the %s blob (%s): served %v, %d B, want the %d canonical bytes", blob, enc, served, len(body), len(canonical))
+				}
+			})
+			if _, resident := srv.cache.peek(key); resident {
+				t.Errorf("a GET past the LRU promoted the %s blob into it", blob)
+			}
+		}
+		opened("HasResult", 1, func() {
+			if !srv.HasResult(key) {
+				t.Error("HasResult = false for a stored blob")
+			}
+		})
+		opened("a 304", 1, func() {
+			if resp, _ := rawGet(t, ts.URL+"/v1/results/"+key, map[string]string{"If-None-Match": etagForKey(key)}); resp.StatusCode != http.StatusNotModified {
+				t.Errorf("revalidation: %d", resp.StatusCode)
+			}
+		})
+		if _, reads := rec.counts(); reads != 0 {
+			t.Errorf("HasResult and a 304 read result bytes %d times", reads)
+		}
+		opened("a submit-time disk hit on the "+blob+" blob", 1, func() {
+			resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", specs[blob])
+			if st := decodeStatus(t, data); resp.StatusCode != http.StatusOK || !st.Cached {
+				t.Errorf("duplicate POST: %d %s", resp.StatusCode, data)
+			}
+		})
+	}
+
+	// A restart warms both done results and heals one more job that lost its
+	// done record: three reads, three opens.
+	spec, key := normalizeOrFatal(t, smallSpec())
+	if err := fst.Append(store.JobRecord{Op: store.OpSubmitted, ID: "j000099", Key: key, Spec: specJSON(&spec),
+		SubmittedAt: time.Now().UnixNano()}); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	srv.Close()
+	if err := fst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec2 := &recordingStore{Store: openFileStore(t, dir)}
+	t.Cleanup(func() { rec2.Store.Close() }) // after the server cleanup below
+	srv2, _ := newTestServer(t, Config{Workers: 1, Store: rec2})
+	if opens, _ := rec2.counts(); srv2.warmed != 2 || opens != 3 {
+		t.Fatalf("the restart warmed %d results with %d opens, want 2 warmed and 3 opens (2 warms, 1 heal)", srv2.warmed, opens)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -18,8 +17,8 @@ import (
 )
 
 // recordingStore wraps a Store, keeping every journaled record — with
-// whether it was appended synced — and counting each read of result bytes:
-// GetResult and GetResultGzip calls, and Reads on an opened reader (the open
+// whether it was appended synced — and counting each OpenResult and each
+// read of result bytes: Read and ReadAt calls on an opened blob (the open
 // itself reads nothing). With failPut set it refuses result blobs.
 type recordingStore struct {
 	store.Store
@@ -27,6 +26,7 @@ type recordingStore struct {
 
 	mu    sync.Mutex
 	recs  []journaled
+	opens int
 	reads int
 }
 
@@ -58,38 +58,43 @@ func (r *recordingStore) PutResult(key string, data []byte) error {
 	return r.Store.PutResult(key, data)
 }
 
-func (r *recordingStore) read() {
+func (r *recordingStore) count(n *int) {
 	r.mu.Lock()
-	r.reads++
+	*n++
 	r.mu.Unlock()
 }
 
-func (r *recordingStore) GetResult(key string) ([]byte, error) {
-	r.read()
-	return r.Store.GetResult(key)
-}
-
-func (r *recordingStore) GetResultGzip(key string) ([]byte, error) {
-	r.read()
-	return r.Store.GetResultGzip(key)
-}
-
-func (r *recordingStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
-	rc, size, err := r.Store.GetResultReader(key)
+func (r *recordingStore) OpenResult(key string) (store.Blob, int64, error) {
+	r.count(&r.opens)
+	b, size, err := r.Store.OpenResult(key)
 	if err != nil {
 		return nil, 0, err
 	}
-	return countedReader{rc, r}, size, nil
+	return countedBlob{b, r}, size, nil
 }
 
-type countedReader struct {
-	io.ReadCloser
+// counts returns the opens and reads since the last call, and zeroes them.
+func (r *recordingStore) counts() (opens, reads int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	opens, reads = r.opens, r.reads
+	r.opens, r.reads = 0, 0
+	return opens, reads
+}
+
+type countedBlob struct {
+	store.Blob
 	r *recordingStore
 }
 
-func (c countedReader) Read(p []byte) (int, error) {
-	c.r.read()
-	return c.ReadCloser.Read(p)
+func (c countedBlob) Read(p []byte) (int, error) {
+	c.r.count(&c.r.reads)
+	return c.Blob.Read(p)
+}
+
+func (c countedBlob) ReadAt(p []byte, off int64) (int, error) {
+	c.r.count(&c.r.reads)
+	return c.Blob.ReadAt(p, off)
 }
 
 // records returns the records journaled for one job, in lifecycle order

@@ -60,33 +60,24 @@ func (s *Server) resolveResult(key string, counted bool) (*resultBlob, bool) {
 	return blob, ok
 }
 
-// loadResult reads a blob as stored — a member (or an old directory's .gz
-// sibling), else identity bytes — and admits it once its JSON checks out: a
-// member against its trailer's CRC-32 and length, and all of it with a
-// json.Valid scan, since it is spliced verbatim into response envelopes.
+// loadResult opens key's blob once and admits what it holds: every read but a
+// result GET past the LRU — submit, re-check, status, replay, warm, heal.
 func (s *Server) loadResult(key string) (*resultBlob, bool) {
-	stored, err := s.store.GetResultGzip(key)
-	if errors.Is(err, store.ErrNotFound) {
-		stored, err = s.store.GetResult(key)
-	}
-	blob := &resultBlob{key: key, stored: stored}
-	if err == nil {
-		err = blob.canonical(func(data []byte) error {
-			if !json.Valid(data) {
-				return errors.New("not valid JSON")
-			}
-			return nil
-		})
-	}
+	src, size, err := s.store.OpenResult(key)
 	if errors.Is(err, store.ErrNotFound) {
 		return nil, false // a plain miss
 	}
-	if err != nil { // unreadable, failing its checksum or not JSON: a store fault
+	var stored []byte
+	if err == nil {
+		stored, err = admit(src, size)
+		_ = src.Close()
+	}
+	if err != nil { // unreadable or refused: a store fault
 		s.met.storeErrs.Inc()
 		s.log.Warn("result blob unreadable", "key", key, "err", err)
 		return nil, false
 	}
-	return blob, true
+	return &resultBlob{key: key, stored: stored}, true
 }
 
 // restartableErr marks jobs the WAL caught mid-run: the sweep died with
@@ -142,9 +133,9 @@ func (s *Server) recoverJobs() []restartableJob {
 	// Warm newest finishers first, one load per distinct key, each placed
 	// behind the last so the newest ends most recently used; stop at the
 	// first result the LRU's bounds have no room for. Warming loads stored
-	// bytes only — checked by an inflate and a json.Valid scan, no decode —
-	// so startup cost is I/O, and since jobs resolve their bytes by key, warm
-	// and cold differ only in latency.
+	// bytes only — admitted by loadResult's one rule, no decode — so startup
+	// cost is I/O, and since jobs resolve their bytes by key, warm and cold
+	// differ only in latency.
 	seen := make(map[string]bool)
 	for i := len(terminal) - 1; i >= 0; i-- {
 		rj := terminal[i]

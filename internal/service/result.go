@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -102,89 +103,119 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 }
 
 // handleResult serves a result by its cache key from the LRU or, past it,
-// the durable store (404 when neither holds it): probe that it exists (no
-// result byte read), set the strong ETag (the content address) and Vary,
-// answer a matching If-None-Match with 304, and only then pick the body, with
-// an exact Content-Length, by one rule for the LRU and the disk: a gzip
-// client gets the member as it lies (an identity blob's old .gz sibling;
-// identity if it has none), anyone else the canonical bytes, inflating as
-// they stream. No JSON is encoded here (encodes-saved counts LRU requests). A
-// damaged blob surfaces mid-copy — every member read withholds its tail until
-// the trailer checks out — and tears the connection: the body ends short.
+// the store (404 when neither holds it): one open that reads nothing, the
+// strong ETag and Vary, a 304 for a matching If-None-Match, and only then an
+// exact Content-Length and the body — a member as it lies to a gzip client,
+// the canonical bytes to anyone else; nothing is encoded. Disk bytes are held
+// to admit's rule, unpromoted: an identity blob before the status line, a
+// member as it streams (an inflater withholds a failing tail, a gzip client's
+// trailer waits for a clean inflate), so a damaged one ends short.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	blob, cached := s.cache.peek(key)
-	var rc io.ReadCloser
-	var size int64
-	var err error
-	switch { // the canonical bytes, a member inflating as it streams
-	case !cached:
-		rc, size, err = s.store.GetResultReader(key)
-	case store.IsMember(blob.stored):
-		rc, size, err = store.Inflate(bytes.NewReader(blob.stored), int64(len(blob.stored)))
-	default:
-		rc, size = io.NopCloser(bytes.NewReader(blob.stored)), int64(len(blob.stored))
-	}
-	if cached {
-		s.met.encodesSaved.Inc()
-	}
-	if errors.Is(err, store.ErrNotFound) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no result for key %q", key))
-		return
-	}
-	if err != nil {
+	refuse := func(err error) { // unreadable or failing admit: a store fault
 		s.met.storeErrs.Inc()
 		s.log.Warn("result blob unreadable", "key", key, "err", err)
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("reading result %q: %w", key, err))
-		return
 	}
-	defer func() { _ = rc.Close() }()
-	h := w.Header()
-	h.Set("Vary", "Accept-Encoding")
+	var src interface { // the stored bytes, as they lie
+		io.Reader
+		io.ReaderAt
+	}
+	var size int64
+	blob, admitted := s.cache.peek(key)
+	if admitted {
+		s.met.encodesSaved.Inc()
+		src, size = bytes.NewReader(blob.stored), int64(len(blob.stored))
+	} else {
+		f, n, err := s.store.OpenResult(key)
+		if errors.Is(err, store.ErrNotFound) {
+			writeError(w, http.StatusNotFound, fmt.Errorf("no result for key %q", key))
+			return
+		} else if err != nil {
+			refuse(err)
+			return
+		}
+		defer func() { _ = f.Close() }()
+		src, size = io.NewSectionReader(f, 0, n), n
+	}
+	w.Header().Set("Vary", "Accept-Encoding")
 	if notModified(w, r, etagForKey(key)) {
 		return
 	}
 
-	src := &readErr{Reader: rc}
-	var body io.Reader = src
-	if acceptsGzip(r) {
-		var gz []byte
-		if cached && store.IsMember(blob.stored) {
-			gz = blob.stored
-			body = bytes.NewReader(gz) // checked when admitted: it cannot fail
-		} else if gz, _ = s.store.GetResultGzip(key); len(gz) > 0 {
-			src.Reader = io.MultiReader(bytes.NewReader(gz[:max(len(gz)-8, 0)]), &trailer{member: gz})
-		}
-		if len(gz) > 0 {
-			h.Set("Content-Encoding", "gzip")
-			size = int64(len(gz))
+	var head [2]byte
+	_, _ = src.ReadAt(head[:], 0) // a short or failed read is no member; admit decides
+	member := store.IsMember(head[:])
+	var err error
+	if !member && !admitted {
+		var stored []byte
+		stored, err = admit(src, size)
+		src = bytes.NewReader(stored)
+	}
+	check := &readErr{Reader: src}
+	var body io.Reader = check
+	gz := member && acceptsGzip(r)
+	switch {
+	case gz && admitted:
+		body = src // admitted, it cannot fail
+	case gz:
+		check.Reader = io.MultiReader(io.NewSectionReader(src, 0, max(size-8, 0)), &trailer{member: io.NewSectionReader(src, 0, size)})
+	case err == nil:
+		var rc io.ReadCloser
+		if rc, size, err = store.Inflate(src, size); err == nil {
+			defer func() { _ = rc.Close() }()
+			check.Reader = rc
 		}
 	}
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.FormatInt(size, 10))
+	if err != nil {
+		refuse(err)
+		return
+	}
+	if gz {
+		w.Header().Set("Content-Encoding", "gzip")
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 	w.WriteHeader(http.StatusOK)
 	n, err := io.Copy(w, body)
 	s.met.bytesServed.Add(n)
 	if err != nil {
-		if src.err != nil {
+		if check.err != nil {
 			s.met.storeErrs.Inc()
-			s.log.Warn("result blob failed mid-body", "key", key, "offset", n, "err", src.err)
+			s.log.Warn("result blob failed mid-body", "key", key, "offset", n, "err", check.err)
 		}
 		panic(http.ErrAbortHandler)
 	}
 }
 
-// trailer ends a gzip member the LRU has not checked, sent as it lies up to
-// its 8-byte trailer: the trailer goes out once the member has run through a
-// pooled inflater into nothing and matched its CRC-32 and length.
+// admit reads the size-byte blob src whole and checks it by the one rule
+// stored bytes pass before any reach a client: a gzip member must inflate
+// clean against its trailer's CRC-32 and length, and identity bytes, which
+// carry no checksum, must be valid JSON.
+func admit(src io.Reader, size int64) ([]byte, error) {
+	stored := make([]byte, size)
+	if _, err := io.ReadFull(src, stored); err != nil {
+		return nil, err
+	}
+	if store.IsMember(stored) {
+		return stored, (&resultBlob{stored: stored}).canonical(func([]byte) error { return nil })
+	}
+	if !json.Valid(stored) {
+		return nil, errors.New("not valid JSON")
+	}
+	return stored, nil
+}
+
+// trailer ends a member read from disk, sent as it lies up to its 8-byte
+// trailer: the trailer goes out once the member has inflated clean.
 type trailer struct {
-	member []byte
-	rest   *bytes.Reader // the trailer, once the member checks out
+	member *io.SectionReader
+	rest   io.Reader // the trailer, once the member checks out
 }
 
 func (t *trailer) Read(p []byte) (int, error) {
 	if t.rest == nil {
-		rc, _, err := store.Inflate(bytes.NewReader(t.member), int64(len(t.member)))
+		rc, _, err := store.Inflate(t.member, t.member.Size())
 		if err == nil {
 			_, err = io.Copy(io.Discard, rc)
 			_ = rc.Close()
@@ -192,7 +223,7 @@ func (t *trailer) Read(p []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		t.rest = bytes.NewReader(t.member[max(len(t.member)-8, 0):])
+		t.rest = io.NewSectionReader(t.member, max(t.member.Size()-8, 0), 8)
 	}
 	return t.rest.Read(p)
 }
@@ -212,18 +243,16 @@ func (r *readErr) Read(p []byte) (n int, err error) {
 }
 
 // HasResult reports whether this node can serve GET /v1/results/{key}
-// locally, from the LRU or the durable store, without reading any result
-// bytes (or building an inflater: the store's reader takes one at its first
-// Read). The cluster router probes substitutes with it instead of replaying
-// the whole request into a buffering recorder.
+// locally, from the LRU or the durable store, by an open that reads nothing.
+// The cluster router probes substitutes with it instead of replaying the
+// whole request into a buffering recorder.
 func (s *Server) HasResult(key string) bool {
 	if s.cache.contains(key) {
 		return true
 	}
-	rc, _, err := s.store.GetResultReader(key)
-	if err != nil {
-		return false
+	src, _, err := s.store.OpenResult(key)
+	if err == nil {
+		_ = src.Close()
 	}
-	_ = rc.Close()
-	return true
+	return err == nil
 }

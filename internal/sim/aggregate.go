@@ -30,13 +30,16 @@ type Aggregate struct {
 	messageLoss float64
 }
 
-// NewAggregate builds a count-based engine with the given initial counts.
+// NewAggregate builds a count-based engine with the given initial counts,
+// legal by Compile's rule as for every other engine.
 func NewAggregate(proto *core.Protocol, initial map[ode.Var]int, seed int64, messageLoss float64) (*Aggregate, error) {
-	if proto == nil {
-		return nil, fmt.Errorf("sim: nil protocol")
+	total := 0
+	for _, c := range initial {
+		total += c
 	}
-	if err := proto.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: invalid protocol: %w", err)
+	tbl, err := Compile(proto, initial, total)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if messageLoss < 0 || messageLoss >= 1 {
 		return nil, fmt.Errorf("sim: message loss %v outside [0,1)", messageLoss)
@@ -48,12 +51,8 @@ func NewAggregate(proto *core.Protocol, initial map[ode.Var]int, seed int64, mes
 		counts:      make(map[ode.Var]int, len(proto.States)),
 		messageLoss: messageLoss,
 	}
-	for _, s := range proto.States {
-		c := initial[s]
-		if c < 0 {
-			return nil, fmt.Errorf("sim: negative count for %q", s)
-		}
-		a.counts[s] = c
+	for i, s := range tbl.States {
+		a.counts[s] = tbl.Initial[i]
 	}
 	return a, nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,26 @@ func TestAggregateValidation(t *testing.T) {
 	}
 	if _, err := NewAggregate(proto, map[ode.Var]int{"x": 1}, 1, 1.5); err == nil {
 		t.Fatal("bad loss accepted")
+	}
+}
+
+// TestAggregateInitialLegalByCompile: the aggregate engine admits exactly the
+// initial populations the agent engine does. A key that is no protocol state
+// is an error naming it, not 500 processes dropped on the floor.
+func TestAggregateInitialLegalByCompile(t *testing.T) {
+	proto := endemicProto(t, 4, 1, 0.01)
+	initial := map[ode.Var]int{"q": 500, "y": 10}
+	_, aggErr := NewAggregate(proto, initial, 1, 0)
+	_, agentErr := New(Config{N: 510, Protocol: proto, Initial: initial, Seed: 1})
+	if aggErr == nil || agentErr == nil || !strings.Contains(aggErr.Error(), `initial state "q" not in protocol`) {
+		t.Fatalf("initial %v: aggregate err %v, agent err %v; want both to refuse state q", initial, aggErr, agentErr)
+	}
+	a, err := NewAggregate(proto, map[ode.Var]int{"x": 500, "y": 10}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.N() != 510 || a.Count("z") != 0 {
+		t.Fatalf("legal initial: N %d, z %d", a.N(), a.Count("z"))
 	}
 }
 

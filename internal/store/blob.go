@@ -54,14 +54,25 @@ func IsMember(blob []byte) bool { return len(blob) >= 2 && blob[0] == 0x1f && bl
 // across Resets.
 var inflaters = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
-// Inflate opens the size-byte member m (a file, a *bytes.Reader) as the bytes
-// it holds, inflating as they are read, and returns their length as its
-// trailer states it, mod 4 GiB — which must not size a buffer if damaged:
-// deflate reaches 1032:1 at best. Closing the reader closes m if it can.
+// Inflate opens the size-byte blob m (a file, a *bytes.Reader) as the
+// canonical bytes it holds: identity JSON as it lies, or a member inflating
+// as it is read, whose length is its trailer's, mod 4 GiB — which must not
+// size a buffer if damaged: deflate reaches 1032:1 at best. Closing the
+// reader closes m if it can.
 func Inflate(m interface {
 	io.Reader
 	io.ReaderAt
 }, size int64) (io.ReadCloser, int64, error) {
+	var head [2]byte
+	if _, err := m.ReadAt(head[:], 0); err != nil && err != io.EOF {
+		return nil, 0, err
+	}
+	if !IsMember(head[:]) { // a blob shorter than the magic is not a member
+		if rc, ok := m.(io.ReadCloser); ok {
+			return rc, size, nil
+		}
+		return io.NopCloser(m), size, nil
+	}
 	var tail [4]byte
 	_, err := m.ReadAt(tail[:], max(size-4, 0))
 	n := int64(binary.LittleEndian.Uint32(tail[:]))

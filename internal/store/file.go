@@ -225,30 +225,6 @@ func writeAtomic(path string, data []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// openBlob opens key's blob, or ErrNotFound, and sniffs its format: canonical
-// JSON starts with '{', a gzip member with 1f 8b. The caller owns the Close.
-func (s *FileStore) openBlob(key string) (f *os.File, size int64, gz bool, err error) {
-	path, err := resultPath(s.dir, key)
-	if err != nil {
-		return nil, 0, false, ErrNotFound
-	}
-	if f, err = os.Open(path); errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, false, ErrNotFound
-	} else if err != nil {
-		return nil, 0, false, err
-	}
-	var magic [2]byte
-	fi, err := f.Stat()
-	if err == nil {
-		_, err = f.ReadAt(magic[:], 0)
-	}
-	if err != nil && err != io.EOF { // a blob shorter than the magic is not a member
-		_ = f.Close()
-		return nil, 0, false, err
-	}
-	return f, fi.Size(), IsMember(magic[:]), nil
-}
-
 // PutResult durably stores a completed result under its content address
 // (writeAtomic), so the WAL never names a key whose blob is torn: a member as
 // it lies, canonical JSON as StoredForm makes it. ResultBytes counts what
@@ -275,71 +251,63 @@ func (s *FileStore) PutResult(key string, data []byte) error {
 	return nil
 }
 
-// GetResult returns the canonical bytes stored for key, or ErrNotFound; a
-// compressed blob that fails its CRC-32 or length check is an error.
+// OpenResult opens key's blob as it lies, with its size, or ErrNotFound. It
+// reads nothing; the caller owns the Close.
+func (s *FileStore) OpenResult(key string) (Blob, int64, error) {
+	path, err := resultPath(s.dir, key)
+	if err != nil {
+		return nil, 0, ErrNotFound
+	}
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, ErrNotFound
+	} else if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
+// GetResult is GetResultReader read to EOF. The benchmark probe's; ROADMAP
+// item 2 deletes it.
 func (s *FileStore) GetResult(key string) ([]byte, error) {
 	rc, size, err := s.GetResultReader(key)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = rc.Close() }()
-	// Reading to EOF is what verifies the trailer; sized not to regrow.
 	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	if _, err := buf.ReadFrom(rc); err != nil {
-		return nil, fmt.Errorf("store: reading result %s: %w", key, err)
-	}
-	return buf.Bytes(), nil
+	_, err = buf.ReadFrom(rc)
+	return buf.Bytes(), err
 }
 
-// GetResultReader opens the canonical bytes stored for key as a stream,
-// inflating a compressed blob as it is read, and returns their length so
-// HTTP callers can set Content-Length without buffering the body. The
-// caller owns the Close.
+// GetResultReader is OpenResult, then Inflate. The benchmark probe's; ROADMAP
+// item 2 deletes it.
 func (s *FileStore) GetResultReader(key string) (io.ReadCloser, int64, error) {
-	f, size, gz, err := s.openBlob(key)
+	b, size, err := s.OpenResult(key)
 	if err != nil {
 		return nil, 0, err
 	}
-	if !gz {
-		return f, size, nil
-	}
-	rc, n, err := Inflate(f, size)
+	rc, n, err := Inflate(b, size)
 	if err != nil {
-		_ = f.Close()
+		_ = b.Close()
 		return nil, 0, fmt.Errorf("store: result %s: %w", key, err)
 	}
 	return rc, n, nil
 }
 
-// PutResultGzip stores gzip bytes as the sibling <blob>.gz, where daemons that
-// stored blobs uncompressed kept them. Only the benchmark's probe calls it.
+// PutResultGzip writes gzip bytes as the sibling <blob>.gz, which nothing reads.
+// The benchmark probe's; ROADMAP item 2 deletes it.
 func (s *FileStore) PutResultGzip(key string, data []byte) error {
 	path, err := resultPath(s.dir, key)
 	if err != nil {
 		return err
 	}
 	return writeAtomic(path+".gz", data)
-}
-
-// GetResultGzip returns a gzip encoding of key's result without compressing
-// anything, or ErrNotFound: a compressed blob's own bytes, unverified, or an
-// identity blob's old sibling.
-func (s *FileStore) GetResultGzip(key string) ([]byte, error) {
-	f, size, gz, err := s.openBlob(key)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	if gz {
-		data := make([]byte, size)
-		_, err := io.ReadFull(f, data)
-		return data, err
-	}
-	data, err := os.ReadFile(f.Name() + ".gz")
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrNotFound
-	}
-	return data, err
 }
 
 // Recovered hands over the jobs rebuilt from the WAL at Open time, in

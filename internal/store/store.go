@@ -38,12 +38,12 @@
 // exactly like the bytes it replaces and served to gzip clients as it lies.
 // The format is also the resident form: the service's LRU holds exactly
 // these bytes (StoredForm) and inflates a member (Inflate) per read.
-// Identity blobs of any size and the <blob>.gz siblings older daemons kept
-// are read where they are, never rewritten. A member ends in the CRC-32 and
-// length of what it inflates to, and every read that inflates runs to EOF,
-// so bit rot or truncation in a compressed blob is a read error, not a
-// result. That detects accidents in the stored bytes and nothing more: it
-// does not tie them to their key, and covers no identity blob.
+// Identity blobs of any size that older daemons wrote are read as they lie,
+// never rewritten. A member ends in the CRC-32 and length of what it inflates
+// to, and every read that inflates runs to EOF, so bit rot or truncation in a
+// compressed blob is a read error, not a result. That detects accidents in
+// the stored bytes and nothing more: it does not tie them to their key, and
+// covers no identity blob.
 package store
 
 import (
@@ -148,6 +148,13 @@ type Stats struct {
 	Compactions     int64
 }
 
+// Blob is a stored result opened as it lies: a gzip member or canonical JSON.
+type Blob interface {
+	io.Reader
+	io.ReaderAt
+	io.Closer
+}
+
 // ErrNotFound reports a result key with no stored blob.
 var ErrNotFound = errors.New("store: result not found")
 
@@ -170,11 +177,10 @@ func checkUnsynced(rec JobRecord) error {
 // durably stores a completed result under its content address —
 // implementations must not return until the blob survives a crash (the
 // service only marks a job done afterwards), from canonical JSON or its
-// StoredForm. GetResult returns the canonical bytes or ErrNotFound;
-// GetResultReader returns the same bytes as a stream plus their size, so
-// large blobs can be served without buffering them in memory (callers own
-// the Close). GetResultGzip returns a gzip encoding of the result if the
-// backend holds one — it never compresses — and ErrNotFound otherwise.
+// StoredForm. OpenResult, the one result reader, opens the blob as it lies —
+// a member or identity JSON, told apart by IsMember — with its size, or
+// returns ErrNotFound; it reads nothing, the caller checks what it holds and
+// owns the Close.
 // Recovered hands over the jobs rebuilt from the log at open time, in
 // first-submitted order: the store keeps no copy, so only the first call
 // returns them. Forget drops a job from the store's index of live jobs —
@@ -187,9 +193,7 @@ type Store interface {
 	AppendUnsynced(rec JobRecord) error
 	Forget(id string)
 	PutResult(key string, data []byte) error
-	GetResult(key string) ([]byte, error)
-	GetResultReader(key string) (io.ReadCloser, int64, error)
-	GetResultGzip(key string) ([]byte, error)
+	OpenResult(key string) (Blob, int64, error)
 	Recovered() []RecoveredJob
 	Compact() error
 	Stats() Stats
@@ -225,13 +229,7 @@ func (m *memory) Forget(id string) {}
 
 func (m *memory) PutResult(key string, data []byte) error { return nil }
 
-func (m *memory) GetResult(key string) ([]byte, error) { return nil, ErrNotFound }
-
-func (m *memory) GetResultReader(key string) (io.ReadCloser, int64, error) {
-	return nil, 0, ErrNotFound
-}
-
-func (m *memory) GetResultGzip(key string) ([]byte, error) { return nil, ErrNotFound }
+func (m *memory) OpenResult(key string) (Blob, int64, error) { return nil, 0, ErrNotFound }
 
 func (m *memory) Recovered() []RecoveredJob { return nil }
 

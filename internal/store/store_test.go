@@ -37,8 +37,8 @@ func TestMemoryStoreIsNoop(t *testing.T) {
 	if err := m.PutResult("abcd", []byte("data")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.GetResult("abcd"); err != ErrNotFound {
-		t.Fatalf("memory GetResult err = %v, want ErrNotFound", err)
+	if _, _, err := m.OpenResult("abcd"); err != ErrNotFound {
+		t.Fatalf("memory OpenResult err = %v, want ErrNotFound", err)
 	}
 	if got := m.Recovered(); got != nil {
 		t.Fatalf("memory Recovered = %v, want nil", got)
@@ -224,17 +224,16 @@ func TestResultReaderStreams(t *testing.T) {
 
 	// The memory backend never has bytes to stream.
 	m := NewMemory()
-	if _, _, err := m.GetResultReader(key); err != ErrNotFound {
-		t.Fatalf("memory reader err = %v, want ErrNotFound", err)
+	if _, _, err := m.OpenResult(key); err != ErrNotFound {
+		t.Fatalf("memory open err = %v, want ErrNotFound", err)
 	}
 }
 
-// TestResultGzipSibling pins where a gzip encoding comes from now that the
-// store produces no sibling: a blob above one block is a gzip member, and
-// GetResultGzip hands back the file as it lies; a blob that fits one block is
-// stored as is and has none (callers deflate the canonical bytes themselves).
-// PutResultGzip survives on *FileStore for the benchmark's probe and old
-// directories: a sibling beside an identity blob is still read.
+// TestResultGzipSibling pins what OpenResult hands back now that the store
+// produces no sibling and reads none: the file as it lies, exactly sized — a
+// gzip member for a blob above one block, identity bytes for one that fits
+// it. PutResultGzip survives on *FileStore for the benchmark's probe; the
+// sibling it writes shadows nothing.
 func TestResultGzipSibling(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -242,8 +241,8 @@ func TestResultGzipSibling(t *testing.T) {
 
 	big := "00112233445566770011223344556677001122334455667700112233445566ff"
 	small := "00112233445566770011223344556677001122334455667700112233445566ee"
-	if _, err := s.GetResultGzip(big); err != ErrNotFound {
-		t.Fatalf("missing gzip err = %v, want ErrNotFound", err)
+	if _, _, err := s.OpenResult(big); err != ErrNotFound {
+		t.Fatalf("missing blob err = %v, want ErrNotFound", err)
 	}
 	canonical := trajectory(400)
 	if len(canonical) <= blockBytes {
@@ -255,23 +254,34 @@ func TestResultGzipSibling(t *testing.T) {
 	if err := s.PutResult(small, []byte(`{"states":[]}`)); err != nil {
 		t.Fatal(err)
 	}
-
-	member, err := s.GetResultGzip(big)
-	if err != nil {
-		t.Fatal(err)
+	// asItLies reads key's blob through OpenResult.
+	asItLies := func(key string) []byte {
+		t.Helper()
+		b, size, err := s.OpenResult(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = b.Close() }()
+		data, err := io.ReadAll(b)
+		if err != nil || int64(len(data)) != size {
+			t.Fatalf("read %d of the %d B opened, err %v", len(data), size, err)
+		}
+		return data
 	}
+
+	member := asItLies(big)
 	onDisk, err := os.ReadFile(filepath.Join(dir, "results", big[:2], big))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(member, onDisk) || cap(member) != len(member) {
-		t.Fatalf("GetResultGzip returned %d B (cap %d), the file holds %d B: want the stored member, exactly sized", len(member), cap(member), len(onDisk))
+	if !bytes.Equal(member, onDisk) || !IsMember(member) {
+		t.Fatalf("OpenResult gave %d B, the file holds %d B: want the stored member", len(member), len(onDisk))
 	}
 	if got := gunzip(t, member); !bytes.Equal(got, canonical) {
 		t.Fatal("the stored member does not inflate to the canonical bytes")
 	}
-	if _, err := s.GetResultGzip(small); err != ErrNotFound {
-		t.Fatalf("sub-block blob: gzip err = %v, want ErrNotFound", err)
+	if got := asItLies(small); !bytes.Equal(got, []byte(`{"states":[]}`)) {
+		t.Fatalf("sub-block blob: %q, want its identity bytes", got)
 	}
 	// One file per result, no sibling, no temp droppings; and both writes
 	// count, at the size that reached the disk.
@@ -288,19 +298,19 @@ func TestResultGzipSibling(t *testing.T) {
 			st.ResultsWritten, st.ResultBytes, st.ResultRawBytes, len(onDisk)+len(`{"states":[]}`), raw)
 	}
 
-	// A sibling written the old way is served for an identity blob, counts
-	// as no result written, and never shadows a compressed blob's own bytes.
+	// A sibling written the old way counts as no result written and is never
+	// read: each key still opens its own blob.
 	gz := Deflate([]byte(`{"states":[]}`))
 	for _, key := range []string{small, big} {
 		if err := s.PutResultGzip(key, gz); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, err := s.GetResultGzip(small); err != nil || !bytes.Equal(got, gz) {
-		t.Fatalf("identity blob with a sibling: %d B, err %v, want the sibling's %d B", len(got), err, len(gz))
+	if got := asItLies(small); !bytes.Equal(got, []byte(`{"states":[]}`)) {
+		t.Fatalf("identity blob with a sibling: %q, want its own bytes", got)
 	}
-	if got, err := s.GetResultGzip(big); err != nil || !bytes.Equal(got, onDisk) {
-		t.Fatalf("compressed blob with a sibling: %d B, err %v, want its own %d B", len(got), err, len(onDisk))
+	if got := asItLies(big); !bytes.Equal(got, onDisk) {
+		t.Fatalf("compressed blob with a sibling: %d B, want its own %d B", len(got), len(onDisk))
 	}
 	if st := s.Stats(); st.ResultsWritten != 2 {
 		t.Fatalf("siblings moved results_written to %d", st.ResultsWritten)
@@ -309,13 +319,8 @@ func TestResultGzipSibling(t *testing.T) {
 	if err := s.PutResultGzip("abcd/efgh", gz); err == nil {
 		t.Fatal("PutResultGzip accepted a path-like key")
 	}
-	if _, err := s.GetResultGzip("abcd/efgh"); err != ErrNotFound {
-		t.Fatalf("bad-key gzip err = %v, want ErrNotFound", err)
-	}
-
-	// Memory backend: nothing to read back.
-	if _, err := NewMemory().GetResultGzip(big); err != ErrNotFound {
-		t.Fatalf("memory gzip err = %v, want ErrNotFound", err)
+	if _, _, err := s.OpenResult("abcd/efgh"); err != ErrNotFound {
+		t.Fatalf("bad-key open err = %v, want ErrNotFound", err)
 	}
 }
 
