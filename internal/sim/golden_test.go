@@ -302,28 +302,63 @@ func TestGoldenAgentStreams(t *testing.T) {
 
 // TestGoldenAggregateStream pins the count-based engine's stream through a
 // massive failure (the binomial draws of KillFraction share the stream
-// with the period draws).
+// with the period draws), once per action kind the engine draws for:
+// SampleAny, Push and Flip from Figure 1, Sample from the endemic system,
+// and Token (whose inflows over-drain x, so the clamp runs) from tokenSrc.
 func TestGoldenAggregateStream(t *testing.T) {
-	const want = "2e9cfe86eba52812fc0798d03ad4c7c0c1bc72130d991ee3724e3c2a0897ed41"
-	atGOMAXPROCS(t, want, func(t *testing.T) string {
-		proto := figure1Proto(t)
-		a, err := sim.NewAggregate(proto, map[ode.Var]int{
-			endemic.Receptive: 70000, endemic.Stash: 25000, endemic.Averse: 5000,
-		}, 19, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		for i := 0; i < 200; i++ {
-			a.Step()
-			if i == 99 {
-				fmt.Fprintf(h, "killed=%d ", a.KillFraction(0.5))
-			}
-			for _, s := range proto.States {
-				fmt.Fprintf(h, "%s=%d ", s, a.Count(s))
-			}
-			fmt.Fprintf(h, "alive=%d\n", a.Alive())
-		}
-		return fmt.Sprintf("%x", h.Sum(nil))
-	})
+	cases := []struct {
+		name    string
+		proto   func(t *testing.T) *core.Protocol
+		initial map[ode.Var]int
+		seed    int64
+		loss    float64
+		want    string
+	}{
+		{
+			name:  "sample-any+push+flip",
+			proto: figure1Proto,
+			initial: map[ode.Var]int{
+				endemic.Receptive: 70000, endemic.Stash: 25000, endemic.Averse: 5000,
+			},
+			seed: 19, loss: 0.05,
+			want: "2e9cfe86eba52812fc0798d03ad4c7c0c1bc72130d991ee3724e3c2a0897ed41",
+		},
+		{
+			name:    "sample+flip",
+			proto:   func(t *testing.T) *core.Protocol { return goldenProto(t, endemicSrc, endemicParams) },
+			initial: map[ode.Var]int{"x": 80000, "y": 15000, "z": 5000},
+			seed:    23, loss: 0.05,
+			want: "f71a98b2de559b69c8b598d1653828f536cf2f5dd9e845cd10fbcff1ac10ae30",
+		},
+		{
+			name:    "token",
+			proto:   func(t *testing.T) *core.Protocol { return goldenProto(t, tokenSrc, nil) },
+			initial: map[ode.Var]int{"x": 98000, "y": 2000},
+			seed:    29, loss: 0.05,
+			want: "c95f8ddd67ab7c1394766fed5040b1e51b3241f5cf9227d8f958b29032f54b9e",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			atGOMAXPROCS(t, tc.want, func(t *testing.T) string {
+				proto := tc.proto(t)
+				a, err := sim.NewAggregate(proto, tc.initial, tc.seed, tc.loss)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				for i := 0; i < 200; i++ {
+					a.Step()
+					if i == 99 {
+						fmt.Fprintf(h, "killed=%d ", a.KillFraction(0.5))
+					}
+					for _, s := range proto.States {
+						fmt.Fprintf(h, "%s=%d ", s, a.Count(s))
+					}
+					fmt.Fprintf(h, "alive=%d\n", a.Alive())
+				}
+				return fmt.Sprintf("%x", h.Sum(nil))
+			})
+		})
+	}
 }
