@@ -324,26 +324,21 @@ func BenchmarkR4LVConvergenceComplexity(b *testing.B) {
 
 // --- harness scheduler benchmarks ---
 
-// benchSweep runs the Figure-2 phase portrait (seven jobs) with the given
-// harness worker-pool size; the serial/parallel pair below measures the
-// sweep scheduler's multi-core speedup rather than asserting it.
-func benchSweep(b *testing.B, workers int) {
-	harness.SetDefaultWorkers(workers)
-	defer harness.SetDefaultWorkers(0)
+// benchSweep runs the Figure-2 phase portrait (seven jobs) at the given
+// GOMAXPROCS, which sizes the harness worker pool (0 keeps the default);
+// the serial/parallel pair below measures the sweep scheduler's multi-core
+// speedup rather than asserting it.
+func benchSweep(b *testing.B, procs int) {
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
 	p := endemic.Params{B: 2, Gamma: 1.0, Alpha: 0.01}
 	for i := 0; i < b.N; i++ {
 		if _, err := endemic.PhasePortrait(p, endemic.Figure2InitialPoints(), 600, 5, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(workersOrAllCores(workers)), "workers")
-}
-
-func workersOrAllCores(w int) int {
-	if w <= 0 {
-		return runtime.NumCPU()
-	}
-	return w
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
 // BenchmarkSweepSerial pins the harness to one worker.

@@ -1,13 +1,14 @@
 // Command endemicsim runs parameterized endemic-replication experiments
 // (§4.1/§5.1 of the paper) from the command line. With -seeds k the run
 // is replicated across k independent seeds fanned out in parallel through
-// the harness scheduler (output is identical at any -workers count).
+// the harness scheduler on GOMAXPROCS workers (output is identical at any
+// GOMAXPROCS).
 //
 // Usage:
 //
 //	endemicsim -n 100000 -b 2 -gamma 0.001 -alpha 0.000001 -periods 10000 -fail-at 5000 -fail-frac 0.5
 //	endemicsim -n 2000 -b 32 -gamma 0.1 -alpha 0.005 -churn -hours 170
-//	endemicsim -n 20000 -periods 1000 -fail-at 500 -seeds 8 -workers 4
+//	endemicsim -n 20000 -periods 1000 -fail-at 500 -seeds 8
 //	endemicsim -n 1000000 -periods 100 -shards 8
 package main
 
@@ -44,7 +45,6 @@ func run(args []string) error {
 		every    = fs.Int("every", 100, "print a sample every this many periods")
 		seed     = fs.Int64("seed", 1, "random seed")
 		seeds    = fs.Int("seeds", 1, "replicate the run across this many derived seeds in parallel")
-		workers  = fs.Int("workers", 0, "sweep worker-pool size (0 = all cores)")
 		shards   = fs.Int("shards", 0, "agent-engine RNG shards K (0/1 = serial; fixed K is reproducible at any worker count)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -53,7 +53,6 @@ func run(args []string) error {
 		}
 		return err
 	}
-	harness.SetDefaultWorkers(*workers)
 	harness.SetDefaultShards(*shards)
 	params := endemic.Params{B: *b, Gamma: *gamma, Alpha: *alpha}
 	if err := params.Validate(); err != nil {

@@ -10,7 +10,6 @@ import (
 // The CLI runs tiny configurations in tests; keep the process-wide
 // harness knobs pristine afterwards so sibling tests are unaffected.
 func resetHarnessDefaults() {
-	harness.SetDefaultWorkers(0)
 	harness.SetDefaultShards(0)
 }
 
@@ -28,7 +27,7 @@ func TestRunSingleWithFailure(t *testing.T) {
 func TestRunSeedsSweep(t *testing.T) {
 	defer resetHarnessDefaults()
 	err := run([]string{
-		"-n", "300", "-periods", "30", "-seeds", "3", "-workers", "2",
+		"-n", "300", "-periods", "30", "-seeds", "3",
 		"-gamma", "0.05", "-alpha", "0.005",
 	})
 	if err != nil {

@@ -6,12 +6,12 @@
 // By default the experiments run at the paper's scales (up to 100,000
 // hosts and 10,000 periods; a few minutes total). -quick runs reduced
 // scales suitable for CI. Sweep-shaped experiments fan out across
-// -workers cores through the harness scheduler; results are identical at
-// any worker count.
+// GOMAXPROCS workers through the harness scheduler; results are identical
+// at any GOMAXPROCS.
 //
 // Usage:
 //
-//	figures [-out out/] [-quick] [-only fig5,fig6] [-workers 4]
+//	figures [-out out/] [-quick] [-only fig5,fig6]
 package main
 
 import (
@@ -60,14 +60,12 @@ var figures = []struct {
 
 func main() {
 	var (
-		out     = flag.String("out", "out", "output directory")
-		quick   = flag.Bool("quick", false, "reduced scales for CI")
-		only    = flag.String("only", "", "comma-separated subset, e.g. fig5,fig11")
-		workers = flag.Int("workers", 0, "sweep worker-pool size (0 = all cores)")
-		shards  = flag.Int("shards", 0, "agent-engine RNG shards K (0/1 = serial; fixed K is reproducible at any worker count)")
+		out    = flag.String("out", "out", "output directory")
+		quick  = flag.Bool("quick", false, "reduced scales for CI")
+		only   = flag.String("only", "", "comma-separated subset, e.g. fig5,fig11")
+		shards = flag.Int("shards", 0, "agent-engine RNG shards K (0/1 = serial; fixed K is reproducible at any worker count)")
 	)
 	flag.Parse()
-	harness.SetDefaultWorkers(*workers)
 	harness.SetDefaultShards(*shards)
 	want := map[string]bool{}
 	for _, n := range strings.Split(*only, ",") {

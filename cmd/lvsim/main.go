@@ -1,13 +1,14 @@
 // Command lvsim runs parameterized LV majority-selection experiments
 // (§4.2/§5.2 of the paper) from the command line. With -trials k the
 // election is replicated across k independent seeds fanned out in
-// parallel through the harness scheduler, and a winner tally is printed.
+// parallel through the harness scheduler (GOMAXPROCS workers; output is
+// identical at any GOMAXPROCS), and a winner tally is printed.
 //
 // Usage:
 //
 //	lvsim -n 100000 -x 60000 -y 40000 -periods 1000
 //	lvsim -n 100000 -x 60000 -y 40000 -fail-at 100 -fail-frac 0.5 -periods 1400
-//	lvsim -n 20000 -x 12000 -y 8000 -trials 16 -workers 4
+//	lvsim -n 20000 -x 12000 -y 8000 -trials 16
 //	lvsim -n 1000000 -x 600000 -y 400000 -shards 8
 package main
 
@@ -41,7 +42,6 @@ func run(args []string) error {
 		every    = fs.Int("every", 25, "print a sample every this many periods")
 		seed     = fs.Int64("seed", 1, "random seed")
 		trials   = fs.Int("trials", 1, "replicate the election across this many derived seeds in parallel")
-		workers  = fs.Int("workers", 0, "sweep worker-pool size (0 = all cores)")
 		shards   = fs.Int("shards", 0, "agent-engine RNG shards K (0/1 = serial; fixed K is reproducible at any worker count)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -50,7 +50,6 @@ func run(args []string) error {
 		}
 		return err
 	}
-	harness.SetDefaultWorkers(*workers)
 	harness.SetDefaultShards(*shards)
 	cfg := lv.Config{
 		N: *n, InitialX: *x, InitialY: *y,

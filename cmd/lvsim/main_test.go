@@ -7,7 +7,6 @@ import (
 )
 
 func resetHarnessDefaults() {
-	harness.SetDefaultWorkers(0)
 	harness.SetDefaultShards(0)
 }
 
@@ -36,7 +35,7 @@ func TestRunTrialsSweep(t *testing.T) {
 	defer resetHarnessDefaults()
 	err := run([]string{
 		"-n", "300", "-x", "200", "-y", "100",
-		"-periods", "60", "-trials", "3", "-workers", "2",
+		"-periods", "60", "-trials", "3",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -345,17 +345,6 @@ func sortActions(actions []Action, states []ode.Var) {
 	})
 }
 
-// ActionsFor returns the actions owned by the given state, in order.
-func (p *Protocol) ActionsFor(state ode.Var) []Action {
-	var out []Action
-	for _, a := range p.Actions {
-		if a.Owner == state {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // HasState reports whether the protocol contains the state.
 func (p *Protocol) HasState(s ode.Var) bool {
 	for _, st := range p.States {

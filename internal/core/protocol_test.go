@@ -462,19 +462,6 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func TestActionsFor(t *testing.T) {
-	proto, err := Translate(lv(t), Options{P: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(proto.ActionsFor("z")); got != 2 {
-		t.Fatalf("z owns %d actions, want 2", got)
-	}
-	if got := len(proto.ActionsFor("x")); got != 1 {
-		t.Fatalf("x owns %d actions, want 1", got)
-	}
-}
-
 // TestExpectedFlowConservation: drift sums to zero (population conserved)
 // for any protocol, at any point — including variant action kinds.
 func TestExpectedFlowConservation(t *testing.T) {

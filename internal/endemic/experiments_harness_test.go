@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"odeproto/internal/harness"
 	"odeproto/internal/sim"
 )
 
@@ -60,14 +59,14 @@ func TestPhasePortraitMatchesPreHarnessSequential(t *testing.T) {
 }
 
 // TestPhasePortraitWorkerCountIndependence verifies the harness
-// determinism contract on the real Figure 2 entry point: 1, 4, and
-// NumCPU workers all produce byte-identical trajectories.
+// determinism contract on the real Figure 2 entry point: sweeps at
+// GOMAXPROCS 1, 4, and the default (the worker-pool size follows it) all
+// produce byte-identical trajectories.
 func TestPhasePortraitWorkerCountIndependence(t *testing.T) {
 	p := Params{B: 2, Gamma: 1.0, Alpha: 0.01}
 	const periods, sampleEvery, seed = 120, 5, 2004
-	run := func(workers int) []Trajectory {
-		harness.SetDefaultWorkers(workers)
-		defer harness.SetDefaultWorkers(0)
+	run := func(procs int) []Trajectory {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		trs, err := PhasePortrait(p, Figure2InitialPoints(), periods, sampleEvery, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -75,9 +74,9 @@ func TestPhasePortraitWorkerCountIndependence(t *testing.T) {
 		return trs
 	}
 	reference := run(1)
-	for _, workers := range []int{4, runtime.NumCPU()} {
-		if got := run(workers); !reflect.DeepEqual(got, reference) {
-			t.Fatalf("PhasePortrait output differs at %d workers", workers)
+	for _, procs := range []int{4, runtime.GOMAXPROCS(0)} {
+		if got := run(procs); !reflect.DeepEqual(got, reference) {
+			t.Fatalf("PhasePortrait output differs at GOMAXPROCS=%d", procs)
 		}
 	}
 }

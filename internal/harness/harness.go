@@ -16,7 +16,7 @@
 //     Perturb hook instead of engine-specific method sets.
 //
 //   - Sweep: a deterministic parallel scheduler. A []Job fans out across a
-//     worker pool (runtime.NumCPU() workers by default); each job owns its
+//     worker pool (GOMAXPROCS workers by default); each job owns its
 //     seed, its Runner, its perturbation schedule, and its observation
 //     hooks, so the results are byte-identical at any worker count. Seeds
 //     are either given explicitly per job (the figure experiments keep the
@@ -24,9 +24,9 @@
 //     splitmix64 derivation that decorrelates consecutive job indices.
 //
 // The determinism contract is load-bearing: the test suite verifies that
-// 1-worker, 4-worker, and NumCPU-worker sweeps of the Figure 2 phase
-// portrait produce byte-identical trajectories, and that those match the
-// pre-harness sequential loop.
+// sweeps of the Figure 2 phase portrait at GOMAXPROCS 1, 4 and the
+// machine's default produce byte-identical trajectories, and that those
+// match the pre-harness sequential loop.
 package harness
 
 import (
@@ -89,20 +89,14 @@ type Perturbation struct {
 // has no per-process identity, so it supports KillFraction only).
 var ErrUnsupported = fmt.Errorf("harness: perturbation not supported by this engine")
 
-// Runner is the engine-agnostic execution interface. sim.Engine,
-// sim.Aggregate, and the asyncnet runtime implement it via the adapters in
-// this package.
+// Runner is the engine-agnostic execution interface: what a job's period
+// loop and its hooks call. sim.Engine, sim.Aggregate, and the asyncnet
+// runtime implement it via the adapters in this package.
 type Runner interface {
 	// Step executes one protocol period.
 	Step()
-	// Run executes the given number of protocol periods.
-	Run(periods int)
-	// Period returns the number of completed protocol periods.
-	Period() int
 	// Alive returns the number of non-crashed processes.
 	Alive() int
-	// Counts returns the alive population of every protocol state.
-	Counts() map[ode.Var]int
 	// Count returns the alive population of one state.
 	Count(s ode.Var) int
 	// Perturb applies a kill/revive/freeze event, returning the number of

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -68,8 +67,8 @@ type Result struct {
 
 // Options configure a sweep.
 type Options struct {
-	// Workers is the worker-pool size; 0 selects DefaultWorkers (which
-	// itself defaults to runtime.NumCPU()).
+	// Workers is the worker-pool size; 0 selects runtime.GOMAXPROCS(0).
+	// The output is byte-identical at any value.
 	Workers int
 	// Now, when non-nil, is sampled around each job to time it for
 	// OnJobDone. The harness never reads the wall clock itself — timing
@@ -83,30 +82,12 @@ type Options struct {
 	OnJobDone func(i int, res Result, start, end time.Time)
 }
 
-// defaultWorkers overrides the worker count selected when Options.Workers
-// is 0; 0 means runtime.NumCPU(). Set via SetDefaultWorkers (CLI -workers
-// flags and the determinism tests use it).
-var defaultWorkers atomic.Int64
-
-// SetDefaultWorkers sets the process-wide default worker-pool size used
-// when Options.Workers is zero. n ≤ 0 restores runtime.NumCPU().
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// Workers resolves an Options.Workers value to a concrete pool size.
+// workerCount resolves Options.Workers to a concrete pool size.
 func (o Options) workerCount() int {
-	w := o.Workers
-	if w <= 0 {
-		w = int(defaultWorkers.Load())
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // Sweep fans the jobs across a worker pool and blocks until all finish.

@@ -168,7 +168,9 @@ func newRunJob(name string, cfg Config) (harness.Job, *Run, error) {
 				run.Y = append(run.Y, float64(r.Count(ProposalY)))
 				run.Z = append(run.Z, float64(r.Count(Undecided)))
 			}
-			if run.ConvergedAt < 0 {
+			// An empty group holds no proposal: Alive() = Count(x) = 0
+			// must not name a winner.
+			if run.ConvergedAt < 0 && r.Alive() > 0 {
 				switch r.Alive() {
 				case r.Count(ProposalX):
 					run.ConvergedAt = t

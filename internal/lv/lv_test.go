@@ -130,6 +130,24 @@ func TestSelfStabilizationAfterMassiveFailure(t *testing.T) {
 	}
 }
 
+// TestNoWinnerInAnEmptyGroup: a failure that kills every process leaves
+// nobody proposing anything, so no proposal has won.
+func TestNoWinnerInAnEmptyGroup(t *testing.T) {
+	run, err := Simulate(Config{
+		N: 400, InitialX: 240, InitialY: 160,
+		P: DefaultP, Periods: 40, FailAt: 10, FailFrac: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Killed != 400 {
+		t.Fatalf("killed %d, want all 400", run.Killed)
+	}
+	if run.Winner != "" || run.ConvergedAt != -1 {
+		t.Fatalf("winner %q at period %d in an empty group, want none at -1", run.Winner, run.ConvergedAt)
+	}
+}
+
 // TestTieBreaks: an exact tie still converges to one of the two proposals
 // (the saddle at (1/3,1/3,1/3) is unsustainable in finite groups, §4.2.2).
 func TestTieBreaks(t *testing.T) {

@@ -106,7 +106,7 @@ type Config struct {
 	// lead a restart to issue an ID twice.
 	RetainJobs int
 	// SweepWorkers is the harness worker-pool size each job's sweep uses
-	// (0 = all cores).
+	// (0 = GOMAXPROCS).
 	SweepWorkers int
 	// Limits bound a single job's size; zero fields take the defaults.
 	Limits Limits

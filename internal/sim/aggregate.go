@@ -19,11 +19,19 @@ import (
 // Processes have no identity here, so experiments needing per-host data
 // (Figure 8) must use the agent Engine.
 type Aggregate struct {
-	proto  *core.Protocol
-	states []ode.Var
-	rng    *rand.Rand
+	tbl *Table
+	rng *rand.Rand
+	// owned holds, per owner state index, the source actions of
+	// tbl.Actions in the same order; their FireProbability is the firing
+	// chance of a period's draw.
+	owned [][]core.Action
 
-	counts map[ode.Var]int
+	counts []int // alive population per state, in state order
+	delta  []int // the period's net change per state
+	// frac is the probability that a uniform contact observes each state,
+	// accounting for crashed processes and message loss; Step refreshes
+	// it in place.
+	frac   map[ode.Var]float64
 	dead   int // crashed processes still absorbing contacts
 	period int
 
@@ -45,14 +53,17 @@ func NewAggregate(proto *core.Protocol, initial map[ode.Var]int, seed int64, mes
 		return nil, fmt.Errorf("sim: message loss %v outside [0,1)", messageLoss)
 	}
 	a := &Aggregate{
-		proto:       proto,
-		states:      proto.States,
+		tbl:         tbl,
 		rng:         rand.New(mt19937.New(seed)),
-		counts:      make(map[ode.Var]int, len(proto.States)),
+		owned:       make([][]core.Action, len(tbl.States)),
+		counts:      append([]int(nil), tbl.Initial...),
+		delta:       make([]int, len(tbl.States)),
+		frac:        make(map[ode.Var]float64, len(tbl.States)),
 		messageLoss: messageLoss,
 	}
-	for i, s := range tbl.States {
-		a.counts[s] = tbl.Initial[i]
+	for _, act := range proto.Actions {
+		owner := tbl.Index[act.Owner]
+		a.owned[owner] = append(a.owned[owner], act)
 	}
 	return a, nil
 }
@@ -73,24 +84,18 @@ func (a *Aggregate) Alive() int { return a.N() - a.dead }
 func (a *Aggregate) Period() int { return a.period }
 
 // Count returns the alive population of one state.
-func (a *Aggregate) Count(s ode.Var) int { return a.counts[s] }
+func (a *Aggregate) Count(s ode.Var) int { return a.tbl.count(a.counts, s) }
 
 // Counts returns a copy of all per-state counts.
-func (a *Aggregate) Counts() map[ode.Var]int {
-	out := make(map[ode.Var]int, len(a.counts))
-	for k, v := range a.counts {
-		out[k] = v
-	}
-	return out
-}
+func (a *Aggregate) Counts() map[ode.Var]int { return a.tbl.countMap(a.counts) }
 
 // KillFraction crash-stops the given fraction of each state's population
 // (massive correlated failure). Crashed processes keep absorbing contact
 // attempts, as in the agent engine.
 func (a *Aggregate) KillFraction(frac float64) int {
 	killed := 0
-	for _, s := range a.states {
-		k := Binomial(a.rng, a.counts[s], frac)
+	for s, c := range a.counts {
+		k := Binomial(a.rng, c, frac)
 		a.counts[s] -= k
 		killed += k
 	}
@@ -98,61 +103,47 @@ func (a *Aggregate) KillFraction(frac float64) int {
 	return killed
 }
 
-// contactFractions returns the probability that a uniform contact observes
-// each state, accounting for crashed processes and message loss.
-func (a *Aggregate) contactFractions() map[ode.Var]float64 {
-	n := float64(a.N())
-	out := make(map[ode.Var]float64, len(a.counts))
-	if n == 0 {
-		return out
-	}
-	for s, c := range a.counts {
-		out[s] = (1 - a.messageLoss) * float64(c) / n
-	}
-	return out
-}
-
 // Step advances one protocol period.
 func (a *Aggregate) Step() {
-	point := a.contactFractions()
-	delta := make(map[ode.Var]int, len(a.states))
+	n := float64(a.N())
+	for s, c := range a.counts {
+		f := 0.0
+		if n > 0 {
+			f = (1 - a.messageLoss) * float64(c) / n
+		}
+		a.frac[a.tbl.States[s]] = f
+	}
+	clear(a.delta)
 
-	for _, s := range a.states {
-		owners := a.counts[s]
+	for s, owners := range a.counts {
 		if owners == 0 {
 			continue
 		}
 		remaining := owners
-		for _, act := range a.proto.ActionsFor(s) {
+		for i, act := range a.tbl.Actions[s] {
+			src := &a.owned[s][i]
+			m := 0
 			switch act.Kind {
 			case core.Flip, core.Sample, core.SampleAny:
-				p := fireProb(act, point)
-				m := Binomial(a.rng, remaining, p)
+				m = Binomial(a.rng, remaining, src.FireProbability(a.frac))
 				remaining -= m
-				delta[act.From] -= m
-				delta[act.To] += m
 			case core.Push:
 				// Each of the owner's contacts converts a From-process
 				// with probability coin·(1−loss)·frac(From).
-				contacts := owners * len(act.Samples)
-				p := act.Coin * point[act.From]
-				m := Binomial(a.rng, contacts, p)
-				delta[act.From] -= m
-				delta[act.To] += m
+				m = Binomial(a.rng, owners*len(act.Samples), src.Coin*a.frac[src.From])
 			case core.Token:
-				p := fireProb(act, point)
-				m := Binomial(a.rng, owners, p)
-				delta[act.From] -= m
-				delta[act.To] += m
+				m = Binomial(a.rng, owners, src.FireProbability(a.frac))
 			}
+			a.delta[act.From] -= m
+			a.delta[act.To] += m
 		}
 	}
 
 	// Apply, clamping states that were over-drained by push/token inflows
 	// racing regular outflows (rare; mirrors the agent engine's
 	// at-most-one-move rule).
-	for _, s := range a.states {
-		a.counts[s] += delta[s]
+	for s := range a.counts {
+		a.counts[s] += a.delta[s]
 		if a.counts[s] < 0 {
 			// Return the deficit to the state that received the excess:
 			// proportional correction is unnecessary at population scale;
@@ -160,8 +151,8 @@ func (a *Aggregate) Step() {
 			deficit := -a.counts[s]
 			a.counts[s] = 0
 			largest := s
-			for _, t := range a.states {
-				if a.counts[t] > a.counts[largest] {
+			for t, c := range a.counts {
+				if c > a.counts[largest] {
 					largest = t
 				}
 			}
@@ -172,16 +163,6 @@ func (a *Aggregate) Step() {
 		}
 	}
 	a.period++
-}
-
-// fireProb mirrors core.Action.FireProbability with the per-contact loss
-// already folded into point (the contact fractions); Flip needs the raw
-// coin because it involves no contact.
-func fireProb(act core.Action, point map[ode.Var]float64) float64 {
-	if act.Kind == core.Flip {
-		return act.Coin
-	}
-	return act.FireProbability(point)
 }
 
 // Run advances the given number of periods.

@@ -277,3 +277,22 @@ func TestAggregateMessageLossSlowsEpidemic(t *testing.T) {
 		t.Fatalf("loss ratio %v, want ≈ 0.5", ratio)
 	}
 }
+
+// TestAggregateStepAllocatesNothing: a period draws from buffers sized at
+// construction — counts, deltas and contact fractions are reused, never
+// rebuilt.
+func TestAggregateStepAllocatesNothing(t *testing.T) {
+	proto := endemicProto(t, 4, 1, 0.01)
+	proto.Actions = append(proto.Actions, core.Action{
+		Kind: core.Push, Owner: "y", From: "x", To: "y", Coin: 0.5,
+		Samples: []ode.Var{"x"},
+	})
+	a, err := NewAggregate(proto, map[ode.Var]int{"x": 90000, "y": 9000, "z": 1000}, 5, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Run(3)
+	if got := testing.AllocsPerRun(100, a.Step); got != 0 {
+		t.Fatalf("Step allocates %v times per period, want 0", got)
+	}
+}

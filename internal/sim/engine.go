@@ -86,10 +86,6 @@ type Config struct {
 	// on (Seed, Shards), never on the worker count or scheduling, and
 	// different shard counts are different streams.
 	Shards int
-	// ShardWorkers bounds the worker pool that executes the shards when
-	// Shards > 1; 0 picks min(Shards, GOMAXPROCS). It is a throughput knob
-	// only — the output is byte-identical at any value.
-	ShardWorkers int
 	// OnTransition, when non-nil, is invoked for every state transition
 	// with the process index, the states involved, and the period number.
 	// Crash/revive events are not transitions.
@@ -237,22 +233,10 @@ func (e *Engine) Period() int { return e.period }
 func (e *Engine) Alive() int { return e.alive }
 
 // Count returns the number of alive processes in the given state.
-func (e *Engine) Count(s ode.Var) int {
-	i, ok := e.tbl.Index[s]
-	if !ok {
-		return 0
-	}
-	return e.counts[i]
-}
+func (e *Engine) Count(s ode.Var) int { return e.tbl.count(e.counts, s) }
 
 // Counts returns the alive count of every state.
-func (e *Engine) Counts() map[ode.Var]int {
-	out := make(map[ode.Var]int, len(e.tbl.States))
-	for i, s := range e.tbl.States {
-		out[s] = e.counts[i]
-	}
-	return out
-}
+func (e *Engine) Counts() map[ode.Var]int { return e.tbl.countMap(e.counts) }
 
 // Fractions returns state occupancy as fractions of alive processes.
 func (e *Engine) Fractions() map[ode.Var]float64 {

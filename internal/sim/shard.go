@@ -17,7 +17,8 @@ import (
 // only on the configuration — never on scheduling. A period then runs in
 // two phases:
 //
-//  1. Action phase, parallel across a worker pool: every shard runs the
+//  1. Action phase, parallel across a worker pool of min(K, GOMAXPROCS)
+//     goroutines: every shard runs the
 //     interpreter over its own processes against the shared period-start
 //     snapshot. Observations (sampling contacts) read the snapshot, which
 //     is immutable during the phase, so any process may be observed.
@@ -37,7 +38,7 @@ import (
 //
 // Because phase 1 shards touch disjoint memory and phase 2 is a fixed
 // serial order, the result for a given (Seed, Shards) is byte-identical at
-// any ShardWorkers value — the same contract harness.Sweep gives jobs.
+// any GOMAXPROCS — the same contract harness.Sweep gives jobs.
 //
 // Intra-shard pushes see in-period state as an inline period does, while
 // cross-shard pushes draw their coin against the snapshot and are applied
@@ -82,11 +83,7 @@ func (e *Engine) initShards() {
 		}
 	}
 	e.inline.rng = rand.New(mt19937.New(mt19937.DeriveSeed(e.cfg.Seed, k)))
-	w := e.cfg.ShardWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	e.shardWorkers = min(w, k)
+	e.shardWorkers = min(runtime.GOMAXPROCS(0), k)
 }
 
 // runShards is phase 1: the action phase fans the shards across the worker

@@ -11,17 +11,16 @@ import (
 )
 
 // shardTrajectory runs the endemic protocol for `periods` periods at the
-// given shard/worker configuration and returns the per-period count
-// vectors (in state order) — the byte-comparable execution trace.
-func shardTrajectory(t *testing.T, shards, workers, periods int) [][]int {
+// given shard count and returns the per-period count vectors (in state
+// order) — the byte-comparable execution trace.
+func shardTrajectory(t *testing.T, shards, periods int) [][]int {
 	t.Helper()
 	e, err := New(Config{
-		N:            1200,
-		Protocol:     endemicProto(t, 4, 0.5, 0.5), // equilibrium keeps every state populated
-		Initial:      map[ode.Var]int{"x": 1000, "y": 150, "z": 50},
-		Seed:         2004,
-		Shards:       shards,
-		ShardWorkers: workers,
+		N:        1200,
+		Protocol: endemicProto(t, 4, 0.5, 0.5), // equilibrium keeps every state populated
+		Initial:  map[ode.Var]int{"x": 1000, "y": 150, "z": 50},
+		Seed:     2004,
+		Shards:   shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,21 +51,25 @@ func TestShardValidation(t *testing.T) {
 // (Shards = 0) single-stream engine — the pinned-figure compatibility
 // contract.
 func TestShardedK1IsSerial(t *testing.T) {
-	serial := shardTrajectory(t, 0, 0, 60)
-	k1 := shardTrajectory(t, 1, 0, 60)
+	serial := shardTrajectory(t, 0, 60)
+	k1 := shardTrajectory(t, 1, 60)
 	if !reflect.DeepEqual(serial, k1) {
 		t.Fatal("Shards = 1 diverged from the serial engine")
 	}
 }
 
 // TestShardedWorkerCountIndependence: for a fixed K the trajectory must be
-// byte-identical at every worker-pool size — the determinism contract the
-// harness Sweep gives jobs, extended into the engine.
+// byte-identical at every worker-pool size, which GOMAXPROCS sets — the
+// determinism contract the harness Sweep gives jobs, extended into the
+// engine.
 func TestShardedWorkerCountIndependence(t *testing.T) {
-	reference := shardTrajectory(t, 4, 1, 60)
-	for _, workers := range []int{2, 3, 4, runtime.GOMAXPROCS(0)} {
-		if got := shardTrajectory(t, 4, workers, 60); !reflect.DeepEqual(got, reference) {
-			t.Fatalf("K=4 trajectory differs at %d workers", workers)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	reference := shardTrajectory(t, 4, 60)
+	for _, procs := range []int{2, 3, 4, prev} {
+		runtime.GOMAXPROCS(procs)
+		if got := shardTrajectory(t, 4, 60); !reflect.DeepEqual(got, reference) {
+			t.Fatalf("K=4 trajectory differs at GOMAXPROCS=%d", procs)
 		}
 	}
 }
@@ -75,7 +78,7 @@ func TestShardedWorkerCountIndependence(t *testing.T) {
 // shard seed derivation, partitioning, or barrier order are caught — the
 // sharded analogue of the pinned Figure-2 determinism tests.
 func TestShardedGoldenK4(t *testing.T) {
-	got := shardTrajectory(t, 4, 0, 60)
+	got := shardTrajectory(t, 4, 60)
 	want := map[int][]int{ // period -> {x, y, z} counts
 		0:  {874, 260, 66},
 		29: {151, 539, 510},

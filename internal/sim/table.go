@@ -11,9 +11,10 @@ import (
 // Table is a protocol compiled for execution: states replaced by their
 // index in protocol order, actions grouped by the state that owns them,
 // and the initial population validated and laid out in state order. The
-// agent engine and the asynchronous runtime (internal/asyncnet) both
-// execute from one, so what a protocol compiles to and which initial
-// populations are legal is decided here and nowhere else.
+// agent engine, the count-based engine and the asynchronous runtime
+// (internal/asyncnet) all execute from one, so what a protocol compiles
+// to and which initial populations are legal is decided here and nowhere
+// else.
 type Table struct {
 	// States are the protocol's states; a state's index is its position.
 	States []ode.Var
@@ -107,6 +108,25 @@ func (t *Table) Layout(n int) []int16 {
 	}
 	for len(out) < n {
 		out = append(out, -1)
+	}
+	return out
+}
+
+// count returns the entry of counts (per state, in state order) for s; a
+// state not in the table counts 0.
+func (t *Table) count(counts []int, s ode.Var) int {
+	i, ok := t.Index[s]
+	if !ok {
+		return 0
+	}
+	return counts[i]
+}
+
+// countMap returns counts (per state, in state order) as a fresh map.
+func (t *Table) countMap(counts []int) map[ode.Var]int {
+	out := make(map[ode.Var]int, len(t.States))
+	for i, s := range t.States {
+		out[s] = counts[i]
 	}
 	return out
 }
