@@ -18,9 +18,8 @@ import (
 // two phases:
 //
 //  1. Action phase, parallel across a worker pool of min(K, GOMAXPROCS)
-//     goroutines: every shard runs the
-//     interpreter over its own processes against the shared period-start
-//     snapshot. Observations (sampling contacts) read the snapshot, which
+//     goroutines: every shard runs the interpreter over its own processes
+//     against the shared period-start snapshot. Observations (sampling contacts) read the snapshot, which
 //     is immutable during the phase, so any process may be observed.
 //     Mutations are confined to shard-owned memory: a shard writes
 //     state/moved only for its own index range and accumulates count
