@@ -337,6 +337,18 @@ func TestGoldenAggregateStream(t *testing.T) {
 			seed:    29, loss: 0.05,
 			want: "c95f8ddd67ab7c1394766fed5040b1e51b3241f5cf9227d8f958b29032f54b9e",
 		},
+		{
+			// The bench's read-mix preload job: x and y stay at or below
+			// 1024 (Binomial's exact branch) while z holds about 1 500
+			// with np about 15 (its Poisson branch).
+			name: "exact+poisson",
+			proto: func(t *testing.T) *core.Protocol {
+				return goldenProto(t, endemicSrc, map[string]float64{"beta": 4, "gamma": 1, "alpha": 0.01})
+			},
+			initial: map[ode.Var]int{"x": 1800, "y": 200, "z": 0},
+			seed:    37,
+			want:    "c65ca75d9ff84b2255bbe415692aafd620e44e93399541799cf6965646f57ce7",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
