@@ -1177,25 +1177,53 @@ func BenchmarkAsyncnetRunnerSegments(b *testing.B) {
 	b.ReportMetric(msgs, "msgs")
 }
 
-// BenchmarkAggregateStep measures the count-based engine at the same
-// configuration — O(#actions) per period, independent of N.
+// BenchmarkAggregateStep measures the count-based engine on both sides of
+// Binomial's exact branch (n ≤ 1024 draws a Bernoulli value per process).
+// N=100000 is the Figure 1 protocol (B = 2, γ = 10⁻³, α = 10⁻⁶), where
+// every draw takes the normal branch; an op is one period. N=2000 is the bench's
+// read-mix preload job, the endemic protocol (β = 4, γ = 1, α = 0.01) from
+// 90/10/0 %: x and y stay within the exact branch and z (≈ 1 500, np ≈ 15)
+// takes the Poisson one; an op is the job's 400 periods from a fresh engine.
 func BenchmarkAggregateStep(b *testing.B) {
-	p := endemic.Params{B: 2, Gamma: 1e-3, Alpha: 1e-6}
-	proto, err := endemic.NewFigure1Protocol(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 100000
-	a, err := sim.NewAggregate(proto, map[ode.Var]int{
-		endemic.Receptive: n - 200, endemic.Stash: 100, endemic.Averse: 100,
-	}, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Step()
-	}
+	b.Run("N=100000", func(b *testing.B) {
+		p := endemic.Params{B: 2, Gamma: 1e-3, Alpha: 1e-6}
+		proto, err := endemic.NewFigure1Protocol(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const n = 100000
+		a, err := sim.NewAggregate(proto, map[ode.Var]int{
+			endemic.Receptive: n - 200, endemic.Stash: 100, endemic.Averse: 100,
+		}, 1, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.Step()
+		}
+	})
+	b.Run("N=2000", func(b *testing.B) {
+		sys, err := ode.Parse("x' = -beta*x*y + alpha*z\ny' = beta*x*y - gamma*y\nz' = gamma*y - alpha*z",
+			map[string]float64{"beta": 4, "gamma": 1, "alpha": 0.01})
+		if err != nil {
+			b.Fatal(err)
+		}
+		proto, err := core.Translate(sys, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const periods = 400
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a, err := sim.NewAggregate(proto, map[ode.Var]int{"x": 1800, "y": 200, "z": 0}, 1, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.Run(periods)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*periods), "ns/period")
+	})
 }
 
 // BenchmarkTranslate measures the translation framework itself.

@@ -11,7 +11,14 @@
 // can back a *rand.Rand:
 //
 //	rng := rand.New(mt19937.New(42))
+//
+// Float64 is the generator's own 53-bit uniform, not rng.Float64; that one
+// is RandFloat64, and CountBelow counts a run of them against a threshold
+// without a call per value. Swapping one kind for the other moves every
+// stream drawn through it (the aggregate engine's goldens among them).
 package mt19937
+
+import "math"
 
 const (
 	nn        = 312
@@ -85,12 +92,14 @@ func (m *MT19937) Uint64() uint64 {
 	}
 	x := m.state[m.index]
 	m.index++
+	return temper(x)
+}
 
+func temper(x uint64) uint64 {
 	x ^= (x >> 29) & 0x5555555555555555
 	x ^= (x << 17) & 0x71D67FFFEDA60000
 	x ^= (x << 37) & 0xFFF7EEE000000000
-	x ^= x >> 43
-	return x
+	return x ^ x>>43
 }
 
 func (m *MT19937) generate() {
@@ -113,8 +122,73 @@ func (m *MT19937) Int63() int64 {
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
+// It is not rand.(*Rand).Float64 over this source (that is RandFloat64):
+// the two map the same word to different values, and swapping one for the
+// other moves every stream drawn through it.
 func (m *MT19937) Float64() float64 {
 	return float64(m.Uint64()>>11) / (1 << 53)
+}
+
+// RandFloat64 returns the value rand.New(m).Float64() would: Int63 over
+// 2⁶³, drawn again when that rounds to 1. It reads the same words in the
+// same order, so the two calls may interleave on one generator.
+func (m *MT19937) RandFloat64() float64 {
+	for {
+		if f := float64(m.Uint64() >> 1); f != 1<<63 {
+			return f / (1 << 63)
+		}
+	}
+}
+
+// CountBelow draws the next n RandFloat64 values and returns how many are
+// below p, for p in [0, 1]. It consumes exactly the words n calls of
+// rand.New(m).Float64() would and reaches the same count, reading the state
+// in place without a call or a division per value: it skips the Int63
+// values v that math/rand redraws and counts those below threshold(p·2⁶³),
+// as float64(v)/2⁶³ < p is float64(v) < p·2⁶³ (both sides scaled by a
+// power of two).
+func (m *MT19937) CountBelow(n int, p float64) int {
+	below := threshold(p * (1 << 63))
+	k := 0
+	for n > 0 {
+		if m.index >= nn {
+			m.generate()
+		}
+		block := m.state[m.index:]
+		j := 0
+		for ; j < len(block) && n > 0; j++ {
+			v := temper(block[j]) >> 1
+			if v >= redraw {
+				continue
+			}
+			if v < below {
+				k++
+			}
+			n--
+		}
+		m.index += j
+	}
+	return k
+}
+
+// redraw is the least Int63 value whose float64 rounds to 2⁶³ (the tie at
+// 2⁶³−512 goes to the even 2⁶³), the values math/rand's Float64 draws again.
+const redraw = 1<<63 - 512
+
+// threshold returns the least v whose float64 is at least t, for t in
+// [0, 2⁶³]. Below 2⁵³ every integer is exact, so it is ⌈t⌉. From 2⁵³ on, t
+// and its predecessor are integers, and v rounds to t or above from their
+// midpoint on: from the midpoint itself only when that is an integer and
+// t's mantissa is even (ties round to even).
+func threshold(t float64) uint64 {
+	if t < 1<<53 {
+		return uint64(math.Ceil(t))
+	}
+	sum := uint64(math.Nextafter(t, 0)) + uint64(t)
+	if sum%2 == 0 && math.Float64bits(t)%2 == 0 {
+		return sum / 2
+	}
+	return sum/2 + 1
 }
 
 // Split derives an independent generator from this one, suitable for

@@ -149,3 +149,199 @@ func TestBitBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// untemper inverts temper, so a test can choose the words a generator
+// returns next.
+func untemper(y uint64) uint64 {
+	y ^= y >> 43
+	y ^= (y << 37) & 0xFFF7EEE000000000
+	x := y
+	for range 4 {
+		x = y ^ ((x << 17) & 0x71D67FFFEDA60000)
+	}
+	y = x
+	for range 3 {
+		x = y ^ ((x >> 29) & 0x5555555555555555)
+	}
+	return x
+}
+
+// plant makes at[j] the word the (j+1)-th next m.Uint64 returns, by writing
+// it untempered into the rest of the current state block.
+func plant(t *testing.T, m *MT19937, at map[int]uint64) {
+	t.Helper()
+	if m.index >= nn {
+		m.generate()
+	}
+	for j, w := range at {
+		if m.index+j >= nn {
+			t.Fatalf("word %d lies past the state block", j)
+		}
+		m.state[m.index+j] = untemper(w)
+	}
+}
+
+// boundary is the least Int63 value v with float64(v)/2⁶³ >= p: the first
+// rand.Float64 value not below p, found by bisection on the definition.
+func boundary(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1<<63)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// randomP draws a probability in (0, 0.5], often 0.5, a power of two or a
+// neighbour of one, where p·2⁶³ is exact or nearly so.
+func randomP(pick *rand.Rand) float64 {
+	switch pick.Intn(4) {
+	case 0:
+		return 0.5
+	case 1:
+		return math.Ldexp(1, -1-pick.Intn(62))
+	case 2:
+		return math.Nextafter(math.Ldexp(1, -2-pick.Intn(61)), float64(pick.Intn(2)))
+	default:
+		return 0.5 * (1 - pick.Float64())
+	}
+}
+
+func TestUntemperInvertsTemper(t *testing.T) {
+	m := New(11)
+	for range 10000 {
+		if w := m.Uint64(); temper(untemper(w)) != w {
+			t.Fatalf("temper(untemper(%#x)) = %#x", w, temper(untemper(w)))
+		}
+	}
+}
+
+// TestCountBelowMatchesRandFloat64 runs CountBelow and RandFloat64 on one
+// generator and rand.New(...).Float64 on a copy of it, interleaved with
+// NormFloat64 and Intn on both, and asserts equal counts, equal values and
+// the same next word. The state block is salted with the words where a
+// slip would show: Int63 values that round to 2⁶³ (math/rand redraws them),
+// the largest that do not, and the values either side of the first one not
+// below p.
+func TestCountBelowMatchesRandFloat64(t *testing.T) {
+	pick := rand.New(rand.NewSource(2024))
+	for trial := range 3000 {
+		p := randomP(pick)
+		first := boundary(p)
+		m := New(pick.Int63())
+		if pick.Intn(4) > 0 {
+			m.index = pick.Intn(nn + 1)
+		}
+		if m.index >= nn {
+			m.generate()
+		}
+		at := make(map[int]uint64)
+		for j := range nn - m.index {
+			switch pick.Intn(24) {
+			case 0:
+				at[j] = (redraw + uint64(pick.Intn(512))) << 1
+			case 1:
+				at[j] = (redraw - 1 - uint64(pick.Intn(512))) << 1
+			case 2:
+				at[j] = first << 1
+			case 3:
+				at[j] = (first - 1) << 1
+			}
+		}
+		plant(t, m, at)
+		ref := *m
+		mr, rr := rand.New(m), rand.New(&ref)
+		for step := range 4 {
+			n := pick.Intn(1025)
+			want := 0
+			for range n {
+				if rr.Float64() < p {
+					want++
+				}
+			}
+			if got := m.CountBelow(n, p); got != want {
+				t.Fatalf("trial %d step %d: CountBelow(%d, %v) = %d, rand.Float64 counts %d", trial, step, n, p, got, want)
+			}
+			switch pick.Intn(3) {
+			case 0:
+				if a, b := mr.NormFloat64(), rr.NormFloat64(); a != b {
+					t.Fatalf("trial %d step %d: NormFloat64 %v != %v", trial, step, a, b)
+				}
+			case 1:
+				if a, b := mr.Intn(1000), rr.Intn(1000); a != b {
+					t.Fatalf("trial %d step %d: Intn %d != %d", trial, step, a, b)
+				}
+			default:
+				if a, b := m.RandFloat64(), rr.Float64(); a != b {
+					t.Fatalf("trial %d step %d: RandFloat64 %v != rand.Float64 %v", trial, step, a, b)
+				}
+			}
+		}
+		if a, b := m.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("trial %d: next words differ: %#x != %#x", trial, a, b)
+		}
+	}
+}
+
+// TestCountBelowBoundaries walks single Int63 values v, each followed by
+// the value 0, through CountBelow(1, p) and RandFloat64, against
+// rand.Float64 on a copy and against the rule itself:
+//   - every v in [2⁶³−1024, 2⁶³) at p just below 1, where p·2⁶³ is 2⁶³−1024:
+//     a v that is kept counts 0, and a v that is redrawn is replaced by the
+//     0, which counts 1. The count is the redraw rule, float64(v)/2⁶³ == 1.
+//   - the 16 values either side of the first one not below p, for 2 000
+//     values of p: the count is float64(v)/2⁶³ < p.
+func TestCountBelowBoundaries(t *testing.T) {
+	var base MT19937
+	base.Seed(3)
+	base.generate()
+	check := func(v uint64, p float64, want int) {
+		t.Helper()
+		m := base
+		plant(t, &m, map[int]uint64{0: v << 1, 1: 0})
+		ref, one := m, m
+		randCount := 0
+		if rand.New(&ref).Float64() < p {
+			randCount = 1
+		}
+		if got := m.CountBelow(1, p); got != want || got != randCount {
+			t.Fatalf("p = %v, v = %d: CountBelow = %d, rand.Float64 counts %d, the rule %d", p, v, got, randCount, want)
+		}
+		if m.Uint64() != ref.Uint64() {
+			t.Fatalf("p = %v, v = %d: CountBelow consumed other words than rand.Float64", p, v)
+		}
+		wantF := float64(v) / (1 << 63)
+		if wantF == 1 {
+			wantF = 0
+		}
+		if f := one.RandFloat64(); f != wantF {
+			t.Fatalf("v = %d: RandFloat64 = %v, want %v", v, f, wantF)
+		}
+	}
+
+	p := math.Nextafter(1, 0)
+	for v := uint64(1<<63 - 1024); v < 1<<63; v++ {
+		want := 0
+		if float64(v)/(1<<63) == 1 {
+			want = 1
+		}
+		check(v, p, want)
+	}
+
+	pick := rand.New(rand.NewSource(7))
+	for range 2000 {
+		p := randomP(pick)
+		first := boundary(p)
+		for v := max(first, 16) - 16; v < first+16; v++ {
+			want := 0
+			if float64(v)/(1<<63) < p {
+				want = 1
+			}
+			check(v, p, want)
+		}
+	}
+}

@@ -201,6 +201,10 @@ func (s *Server) restore(rj store.RecoveredJob) (*Job, bool) {
 	}
 	if rj.StartedAt != 0 {
 		job.started = time.Unix(0, rj.StartedAt)
+	} else if rj.Cached && rj.Status == store.OpDone {
+		// Born done (a cache hit at submission): it started as it was
+		// created, and its one record journals no StartedAt.
+		job.started = job.created
 	}
 	if rj.FinishedAt != 0 {
 		job.finished = time.Unix(0, rj.FinishedAt)

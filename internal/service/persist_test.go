@@ -391,19 +391,24 @@ func TestAsyncnetVirtualResultSurvivesRestart(t *testing.T) {
 
 // TestFinishedInstantSurvivesRestart: the finished instant a job's status
 // page serves is the one its terminal record journals, so a restart does
-// not move it — for a swept job and for one answered from the cache.
+// not move it — for a swept job and for one answered from the cache. The
+// started instant holds too: the cached job, born done, started as it was
+// created, though its one record journals no start.
 func TestFinishedInstantSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	fst := openFileStore(t, dir)
 	srv1, ts1 := newTestServer(t, Config{Workers: 1, Store: fst})
-	served := make(map[string]time.Time)
+	served := make(map[string]JobStatus)
 	for _, want := range []int{http.StatusAccepted, http.StatusOK} {
 		resp, data := doJSON(t, http.MethodPost, ts1.URL+"/v1/jobs", smallSpec())
 		if resp.StatusCode != want {
 			t.Fatalf("submit: %d %s", resp.StatusCode, data)
 		}
 		st := waitStatus(t, ts1.URL, decodeStatus(t, data).ID, StatusDone, 30*time.Second)
-		served[st.ID] = *st.Finished
+		if st.Started == nil || st.Cached && !st.Started.Equal(st.Created) {
+			t.Fatalf("job %s (cached %v) created %v, started %v", st.ID, st.Cached, st.Created, st.Started)
+		}
+		served[st.ID] = st
 	}
 	srv1.Close() // waits for the worker, and with it the last record
 	if err := fst.Close(); err != nil {
@@ -415,8 +420,13 @@ func TestFinishedInstantSurvivesRestart(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{Workers: 1, Store: fst2})
 	for id, want := range served {
 		_, data := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+id, nil)
-		if st := decodeStatus(t, data); st.Finished == nil || !st.Finished.Equal(want) {
-			t.Errorf("job %s finished at %v before the restart and %v after it", id, want, st.Finished)
+		st := decodeStatus(t, data)
+		if st.Finished == nil || !st.Finished.Equal(*want.Finished) {
+			t.Errorf("job %s finished at %v before the restart and %v after it", id, *want.Finished, st.Finished)
+		}
+		if st.Started == nil || !st.Started.Equal(*want.Started) || !st.Created.Equal(want.Created) {
+			t.Errorf("job %s (cached %v) created %v, started %v before the restart and created %v, started %v after it",
+				id, want.Cached, want.Created, *want.Started, st.Created, st.Started)
 		}
 	}
 }

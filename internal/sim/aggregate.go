@@ -2,17 +2,17 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"odeproto/internal/core"
-	"odeproto/internal/mt19937"
 	"odeproto/internal/ode"
 )
 
 // Aggregate is a count-based engine: instead of simulating N individual
 // processes it evolves the per-state population counts with binomial draws
-// (tau-leaping at protocol-period granularity). One period costs
-// O(#actions) independent of N, which makes very large sweeps cheap; its
+// (tau-leaping at protocol-period granularity). One period draws one
+// Binomial per action: O(#actions) when every action draws over more than
+// 1024 processes, which makes very large sweeps cheap, and a Bernoulli draw
+// per process and action below that (Binomial lists its branches). Its
 // trajectories agree with the agent engine in distribution, and the test
 // suite cross-validates the two.
 //
@@ -20,7 +20,7 @@ import (
 // (Figure 8) must use the agent Engine.
 type Aggregate struct {
 	tbl *Table
-	rng *rand.Rand
+	rng Stream
 	// owned holds, per owner state index, the source actions of
 	// tbl.Actions in the same order; their FireProbability is the firing
 	// chance of a period's draw.
@@ -54,7 +54,7 @@ func NewAggregate(proto *core.Protocol, initial map[ode.Var]int, seed int64, mes
 	}
 	a := &Aggregate{
 		tbl:         tbl,
-		rng:         rand.New(mt19937.New(seed)),
+		rng:         NewStream(seed),
 		owned:       make([][]core.Action, len(tbl.States)),
 		counts:      append([]int(nil), tbl.Initial...),
 		delta:       make([]int, len(tbl.States)),

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,7 +11,7 @@ import (
 )
 
 func TestBinomialMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := NewStream(1)
 	cases := []struct {
 		n int
 		p float64
@@ -48,7 +47,7 @@ func TestBinomialMoments(t *testing.T) {
 }
 
 func TestBinomialEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := NewStream(2)
 	if Binomial(rng, 0, 0.5) != 0 {
 		t.Fatal("n=0 must give 0")
 	}
@@ -64,7 +63,7 @@ func TestBinomialEdgeCases(t *testing.T) {
 }
 
 func TestBinomialRangeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := NewStream(3)
 	f := func(n uint16, pRaw uint16) bool {
 		p := float64(pRaw) / 65535
 		k := Binomial(rng, int(n), p)
@@ -76,7 +75,7 @@ func TestBinomialRangeProperty(t *testing.T) {
 }
 
 func TestPoissonMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := NewStream(4)
 	for _, mean := range []float64{0.5, 5, 40, 200} {
 		const draws = 5000
 		var sum float64

@@ -3,14 +3,42 @@ package sim
 import (
 	"math"
 	"math/rand"
+
+	"odeproto/internal/mt19937"
 )
 
-// Binomial draws from Binomial(n, p). Small n uses exact Bernoulli
-// sampling; large n with small mean uses a Poisson approximation; large n
-// with a well-populated distribution uses a clamped normal approximation.
-// The approximations are standard for population simulation (tau-leaping)
-// and keep the aggregate engine O(#states) per period independent of N.
-func Binomial(rng *rand.Rand, n int, p float64) int {
+// Stream is the aggregate engine's random stream: one Mersenne Twister read
+// two ways. Bernoulli counts and Knuth's products are drawn straight off the
+// generator (CountBelow, RandFloat64: the values rand.(*Rand).Float64 would
+// return, in its order); normal deviates come from a rand.Rand over the same
+// generator. The two interleave on one stream only because rand.Rand
+// buffers nothing for Float64, Int63, Intn or NormFloat64, so nothing may
+// call its Read.
+type Stream struct {
+	mt  *mt19937.MT19937
+	rng *rand.Rand
+}
+
+// NewStream returns the stream seeded with seed; its values are those of
+// rand.New(mt19937.New(seed)).
+func NewStream(seed int64) Stream {
+	mt := mt19937.New(seed)
+	return Stream{mt: mt, rng: rand.New(mt)}
+}
+
+// Binomial draws from Binomial(n, p), reflecting p > 0.5 to n −
+// Binomial(n, 1−p). The branches, and what one call costs:
+//
+//	n ≤ 1024              exact: n Bernoulli draws, O(n)
+//	np(1−p) ≥ 30          normal approximation, rounded and clamped, O(1)
+//	otherwise             Poisson(np) clamped to n, O(np) (Knuth)
+//
+// so an aggregate period costs O(#actions) only once every action's
+// population exceeds 1024; below that it costs a draw per process. The
+// Poisson branch overstates the variance by 1/(1−p), at most about 3 %
+// there. The approximations are standard for population simulation
+// (tau-leaping).
+func Binomial(s Stream, n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
 	}
@@ -18,21 +46,15 @@ func Binomial(rng *rand.Rand, n int, p float64) int {
 		return n
 	}
 	if p > 0.5 {
-		return n - Binomial(rng, n, 1-p)
+		return n - Binomial(s, n, 1-p)
 	}
 	if n <= 1024 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if rng.Float64() < p {
-				k++
-			}
-		}
-		return k
+		return s.mt.CountBelow(n, p)
 	}
 	mean := float64(n) * p
 	variance := mean * (1 - p)
 	if variance >= 30 {
-		k := int(math.Round(rng.NormFloat64()*math.Sqrt(variance) + mean))
+		k := int(math.Round(s.rng.NormFloat64()*math.Sqrt(variance) + mean))
 		if k < 0 {
 			return 0
 		}
@@ -42,7 +64,7 @@ func Binomial(rng *rand.Rand, n int, p float64) int {
 		return k
 	}
 	// Small mean: Poisson approximation, clamped to n.
-	k := Poisson(rng, mean)
+	k := Poisson(s, mean)
 	if k > n {
 		return n
 	}
@@ -51,12 +73,12 @@ func Binomial(rng *rand.Rand, n int, p float64) int {
 
 // Poisson draws from Poisson(mean) using Knuth's product method for small
 // means and a normal approximation for large means.
-func Poisson(rng *rand.Rand, mean float64) int {
+func Poisson(s Stream, mean float64) int {
 	if mean <= 0 {
 		return 0
 	}
 	if mean > 64 {
-		k := int(math.Round(rng.NormFloat64()*math.Sqrt(mean) + mean))
+		k := int(math.Round(s.rng.NormFloat64()*math.Sqrt(mean) + mean))
 		if k < 0 {
 			return 0
 		}
@@ -64,10 +86,10 @@ func Poisson(rng *rand.Rand, mean float64) int {
 	}
 	limit := math.Exp(-mean)
 	k := 0
-	prod := rng.Float64()
+	prod := s.mt.RandFloat64()
 	for prod > limit {
 		k++
-		prod *= rng.Float64()
+		prod *= s.mt.RandFloat64()
 	}
 	return k
 }

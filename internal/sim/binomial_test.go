@@ -2,17 +2,14 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"odeproto/internal/mt19937"
 )
 
 // checkBinomialMoments draws `draws` samples of Binomial(n, p) and checks
 // the sample mean and variance against np and np(1−p). The mean tolerance
 // is 6 standard errors; the variance tolerance is a generous relative band
 // (the approximation branches are moment-matched, not exact).
-func checkBinomialMoments(t *testing.T, rng *rand.Rand, n int, p float64, draws int) {
+func checkBinomialMoments(t *testing.T, rng Stream, n int, p float64, draws int) {
 	t.Helper()
 	mean := float64(n) * p
 	variance := mean * (1 - p)
@@ -41,7 +38,7 @@ func checkBinomialMoments(t *testing.T, rng *rand.Rand, n int, p float64, draws 
 // sampler: the exact-Bernoulli/approximation boundary at n = 1024↔1025,
 // the variance ≈ 30 normal/Poisson split, and the p > 0.5 reflection.
 func TestBinomialMomentsAcrossBranches(t *testing.T) {
-	rng := rand.New(mt19937.New(424242))
+	rng := NewStream(424242)
 	const draws = 20000
 	cases := []struct {
 		name string
@@ -67,7 +64,7 @@ func TestBinomialMomentsAcrossBranches(t *testing.T) {
 // TestBinomialClampAboveOne: p past 1 clamps to "everyone fires" (the
 // remaining edge cases live in aggregate_test.go's TestBinomialEdgeCases).
 func TestBinomialClampAboveOne(t *testing.T) {
-	rng := rand.New(mt19937.New(7))
+	rng := NewStream(7)
 	if got := Binomial(rng, 100000, 1.5); got != 100000 {
 		t.Errorf("Binomial(100000, 1.5) = %d", got)
 	}
@@ -77,7 +74,7 @@ func TestBinomialClampAboveOne(t *testing.T) {
 // mean = 64 (the Binomial sampler can only reach the Knuth side, so the
 // normal side is exercised directly).
 func TestPoissonMomentsAcrossCrossover(t *testing.T) {
-	rng := rand.New(mt19937.New(99))
+	rng := NewStream(99)
 	const draws = 20000
 	for _, mean := range []float64{0.5, 63.9, 64.1, 200} {
 		var sum, sumSq float64
