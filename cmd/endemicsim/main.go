@@ -9,7 +9,6 @@
 //	endemicsim -n 100000 -b 2 -gamma 0.001 -alpha 0.000001 -periods 10000 -fail-at 5000 -fail-frac 0.5
 //	endemicsim -n 2000 -b 32 -gamma 0.1 -alpha 0.005 -churn -hours 170
 //	endemicsim -n 20000 -periods 1000 -fail-at 500 -seeds 8
-//	endemicsim -n 1000000 -periods 100 -shards 8
 package main
 
 import (
@@ -45,7 +44,6 @@ func run(args []string) error {
 		every    = fs.Int("every", 100, "print a sample every this many periods")
 		seed     = fs.Int64("seed", 1, "random seed")
 		seeds    = fs.Int("seeds", 1, "replicate the run across this many derived seeds in parallel")
-		shards   = fs.Int("shards", 0, "agent-engine RNG shards K (0/1 = serial; fixed K is reproducible at any worker count)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -53,7 +51,6 @@ func run(args []string) error {
 		}
 		return err
 	}
-	harness.SetDefaultShards(*shards)
 	params := endemic.Params{B: *b, Gamma: *gamma, Alpha: *alpha}
 	if err := params.Validate(); err != nil {
 		return err

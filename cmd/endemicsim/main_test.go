@@ -3,18 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"odeproto/internal/harness"
 )
 
-// The CLI runs tiny configurations in tests; keep the process-wide
-// harness knobs pristine afterwards so sibling tests are unaffected.
-func resetHarnessDefaults() {
-	harness.SetDefaultShards(0)
-}
-
 func TestRunSingleWithFailure(t *testing.T) {
-	defer resetHarnessDefaults()
 	err := run([]string{
 		"-n", "500", "-periods", "60", "-fail-at", "30", "-fail-frac", "0.5",
 		"-gamma", "0.05", "-alpha", "0.005", "-every", "20",
@@ -25,7 +16,6 @@ func TestRunSingleWithFailure(t *testing.T) {
 }
 
 func TestRunSeedsSweep(t *testing.T) {
-	defer resetHarnessDefaults()
 	err := run([]string{
 		"-n", "300", "-periods", "30", "-seeds", "3",
 		"-gamma", "0.05", "-alpha", "0.005",
@@ -36,7 +26,6 @@ func TestRunSeedsSweep(t *testing.T) {
 }
 
 func TestRunChurnTrace(t *testing.T) {
-	defer resetHarnessDefaults()
 	err := run([]string{
 		"-churn", "-n", "300", "-hours", "2", "-every", "1",
 		"-gamma", "0.1", "-alpha", "0.005", "-b", "32",
@@ -46,19 +35,7 @@ func TestRunChurnTrace(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	defer resetHarnessDefaults()
-	err := run([]string{
-		"-n", "400", "-periods", "30", "-shards", "4",
-		"-gamma", "0.05", "-alpha", "0.005",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunFlagAndParamErrors(t *testing.T) {
-	defer resetHarnessDefaults()
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}

@@ -60,13 +60,11 @@ var figures = []struct {
 
 func main() {
 	var (
-		out    = flag.String("out", "out", "output directory")
-		quick  = flag.Bool("quick", false, "reduced scales for CI")
-		only   = flag.String("only", "", "comma-separated subset, e.g. fig5,fig11")
-		shards = flag.Int("shards", 0, "agent-engine RNG shards K (0/1 = serial; fixed K is reproducible at any worker count)")
+		out   = flag.String("out", "out", "output directory")
+		quick = flag.Bool("quick", false, "reduced scales for CI")
+		only  = flag.String("only", "", "comma-separated subset, e.g. fig5,fig11")
 	)
 	flag.Parse()
-	harness.SetDefaultShards(*shards)
 	want := map[string]bool{}
 	for _, n := range strings.Split(*only, ",") {
 		if n = strings.TrimSpace(n); n != "" {

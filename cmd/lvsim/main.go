@@ -9,7 +9,6 @@
 //	lvsim -n 100000 -x 60000 -y 40000 -periods 1000
 //	lvsim -n 100000 -x 60000 -y 40000 -fail-at 100 -fail-frac 0.5 -periods 1400
 //	lvsim -n 20000 -x 12000 -y 8000 -trials 16
-//	lvsim -n 1000000 -x 600000 -y 400000 -shards 8
 package main
 
 import (
@@ -42,7 +41,6 @@ func run(args []string) error {
 		every    = fs.Int("every", 25, "print a sample every this many periods")
 		seed     = fs.Int64("seed", 1, "random seed")
 		trials   = fs.Int("trials", 1, "replicate the election across this many derived seeds in parallel")
-		shards   = fs.Int("shards", 0, "agent-engine RNG shards K (0/1 = serial; fixed K is reproducible at any worker count)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -50,7 +48,6 @@ func run(args []string) error {
 		}
 		return err
 	}
-	harness.SetDefaultShards(*shards)
 	cfg := lv.Config{
 		N: *n, InitialX: *x, InitialY: *y,
 		P: *pNorm, Periods: *periods,

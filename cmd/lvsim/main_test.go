@@ -2,16 +2,9 @@ package main
 
 import (
 	"testing"
-
-	"odeproto/internal/harness"
 )
 
-func resetHarnessDefaults() {
-	harness.SetDefaultShards(0)
-}
-
 func TestRunSingleElection(t *testing.T) {
-	defer resetHarnessDefaults()
 	err := run([]string{
 		"-n", "400", "-x", "240", "-y", "160", "-periods", "80", "-every", "20",
 	})
@@ -21,7 +14,6 @@ func TestRunSingleElection(t *testing.T) {
 }
 
 func TestRunWithMassiveFailure(t *testing.T) {
-	defer resetHarnessDefaults()
 	err := run([]string{
 		"-n", "400", "-x", "240", "-y", "160",
 		"-periods", "120", "-fail-at", "20", "-fail-frac", "0.5", "-every", "40",
@@ -32,7 +24,6 @@ func TestRunWithMassiveFailure(t *testing.T) {
 }
 
 func TestRunTrialsSweep(t *testing.T) {
-	defer resetHarnessDefaults()
 	err := run([]string{
 		"-n", "300", "-x", "200", "-y", "100",
 		"-periods", "60", "-trials", "3",
@@ -42,18 +33,7 @@ func TestRunTrialsSweep(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	defer resetHarnessDefaults()
-	err := run([]string{
-		"-n", "400", "-x", "300", "-y", "100", "-periods", "60", "-shards", "4",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunFlagAndConfigErrors(t *testing.T) {
-	defer resetHarnessDefaults()
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}

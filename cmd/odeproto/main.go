@@ -72,7 +72,6 @@ func run(args []string) error {
 		}
 		return err
 	}
-	harness.SetDefaultShards(*shards)
 	if *file == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -file")
@@ -125,7 +124,7 @@ func run(args []string) error {
 		}
 	}
 	if *simulate > 0 {
-		return runSimulation(proto, *simulate, *initial, *periods, *seed, *every, *engine, *asyncMode)
+		return runSimulation(proto, *simulate, *initial, *periods, *seed, *every, *engine, *shards, *asyncMode)
 	}
 	return nil
 }
@@ -177,7 +176,7 @@ func simplexSeeds(vars []ode.Var) []map[ode.Var]float64 {
 	return seeds
 }
 
-func runSimulation(proto *core.Protocol, n int, initialSpec string, periods int, seed int64, every int, engine, asyncMode string) error {
+func runSimulation(proto *core.Protocol, n int, initialSpec string, periods int, seed int64, every int, engine string, shards int, asyncMode string) error {
 	if engine != "asyncnet" && asyncMode != "" {
 		// Mirror the service's validation: a mode on a synchronous engine
 		// is a mistyped request, not a no-op.
@@ -212,7 +211,7 @@ func runSimulation(proto *core.Protocol, n int, initialSpec string, periods int,
 	switch engine {
 	case "agent":
 		newRunner = func(seed int64) (harness.Runner, error) {
-			return harness.NewAgent(sim.Config{N: n, Protocol: proto, Initial: counts, Seed: seed})
+			return harness.NewAgent(sim.Config{N: n, Protocol: proto, Initial: counts, Seed: seed, Shards: shards})
 		}
 	case "aggregate":
 		newRunner = func(seed int64) (harness.Runner, error) {

@@ -55,6 +55,14 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-file", path, "-simulate", "500", "-periods", "30", "-every", "10"}); err != nil {
 		t.Fatal(err)
 	}
+	// -shards goes to the agent engine as given: K ≤ N runs sharded, and
+	// K > N is the engine's error, not a silent clamp.
+	if err := run([]string{"-file", path, "-simulate", "500", "-periods", "30", "-shards", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-file", path, "-simulate", "500", "-periods", "30", "-shards", "501"}); err == nil {
+		t.Fatal("-shards above -simulate accepted")
+	}
 }
 
 func TestRunRewritePath(t *testing.T) {

@@ -238,49 +238,6 @@ func TestSweepRejectsOutOfHorizonEvents(t *testing.T) {
 	}
 }
 
-// TestSetDefaultShards: the process-wide shard default reaches engines
-// built through the factory path, changes the stream (K is part of the RNG
-// contract), and is clamped to N for small groups.
-func TestSetDefaultShards(t *testing.T) {
-	proto := figure1Protocol(t)
-	trajectory := func() []int {
-		r, err := harness.NewAgent(sim.Config{
-			N: 400, Protocol: proto,
-			Initial: map[ode.Var]int{endemic.Receptive: 360, endemic.Stash: 40, endemic.Averse: 0},
-			Seed:    5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []int
-		for i := 0; i < 30; i++ {
-			r.Step()
-			out = append(out, r.Count(endemic.Stash))
-		}
-		return out
-	}
-	serial := trajectory()
-	harness.SetDefaultShards(4)
-	defer harness.SetDefaultShards(0)
-	shardedA := trajectory()
-	shardedB := trajectory()
-	if !reflect.DeepEqual(shardedA, shardedB) {
-		t.Fatal("sharded default is not reproducible")
-	}
-	if reflect.DeepEqual(serial, shardedA) {
-		t.Fatal("shard default had no effect (K=4 stream should differ from serial)")
-	}
-	// A default above N must clamp rather than fail engine validation.
-	harness.SetDefaultShards(1 << 20)
-	if _, err := harness.NewAgent(sim.Config{
-		N: 50, Protocol: proto,
-		Initial: map[ode.Var]int{endemic.Receptive: 49, endemic.Stash: 1, endemic.Averse: 0},
-		Seed:    5,
-	}); err != nil {
-		t.Fatalf("oversized shard default not clamped: %v", err)
-	}
-}
-
 func TestSweepPropagatesErrors(t *testing.T) {
 	jobs := []harness.Job{
 		{

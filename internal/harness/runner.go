@@ -2,31 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"odeproto/internal/core"
 	"odeproto/internal/ode"
 	"odeproto/internal/sim"
 )
-
-// defaultShards is the process-wide default shard count applied by
-// NewAgent when sim.Config.Shards is zero; 0 means serial. The CLI -shards
-// flags set it, which is how every experiment routed through the harness
-// factory picks the sharded engine up without threading a knob through
-// each experiment config.
-var defaultShards atomic.Int64
-
-// SetDefaultShards sets the process-wide default shard count used when a
-// sim.Config reaches NewAgent with Shards == 0. k ≤ 1 restores the serial
-// single-stream engine. Note that the shard count is part of the RNG
-// contract: results are reproducible for a fixed (seed, shards) pair at
-// any worker count, but different shard counts are different streams.
-func SetDefaultShards(k int) {
-	if k < 0 {
-		k = 0
-	}
-	defaultShards.Store(int64(k))
-}
 
 // AgentRunner adapts the agent-based synchronous-round engine
 // (sim.Engine) to the Runner interface. All engine observation methods
@@ -36,17 +16,9 @@ type AgentRunner struct {
 	*sim.Engine
 }
 
-// NewAgent builds an agent-engine Runner. When cfg.Shards is zero, the
-// process-wide default set by SetDefaultShards applies (and a shard count
-// above cfg.N is clamped to cfg.N, so small test groups keep working under
-// a CLI-scale -shards default).
+// NewAgent builds an agent-engine Runner; cfg.Shards selects the serial or
+// the sharded engine as in sim.New.
 func NewAgent(cfg sim.Config) (*AgentRunner, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = int(defaultShards.Load())
-		if cfg.Shards > cfg.N {
-			cfg.Shards = cfg.N
-		}
-	}
 	e, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
