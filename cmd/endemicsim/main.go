@@ -51,6 +51,7 @@ func run(args []string) error {
 		}
 		return err
 	}
+	step := max(*every, 1) // print every step-th sample; -every below 1 prints all
 	params := endemic.Params{B: *b, Gamma: *gamma, Alpha: *alpha}
 	if err := params.Validate(); err != nil {
 		return err
@@ -74,10 +75,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println("hour\tstash\trcptv\tavers\ttransfers")
-		step := *every
-		if step < 1 {
-			step = 1
-		}
 		for i := 0; i < len(res.Hours); i += step {
 			fmt.Printf("%.1f\t%.0f\t%.0f\t%.0f\t%.0f\n",
 				res.Hours[i], res.Stash[i], res.Receptive[i], res.Averse[i], res.RcptvToStash[i])
@@ -120,7 +117,7 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Println("period\tstash\trcptv\tavers\tflux")
-	for i := 0; i < len(res.Times); i += *every {
+	for i := 0; i < len(res.Times); i += step {
 		fmt.Printf("%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n",
 			res.Times[i], res.Stash[i], res.Receptive[i], res.Averse[i], res.Flux[i])
 	}

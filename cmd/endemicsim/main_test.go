@@ -35,6 +35,20 @@ func TestRunChurnTrace(t *testing.T) {
 	}
 }
 
+// TestRunEveryBelowOne: -every 0 and -every -1 print every sample, on the
+// massive-failure path as on the churn path (they used to loop forever and
+// index out of range).
+func TestRunEveryBelowOne(t *testing.T) {
+	for _, every := range []string{"0", "-1"} {
+		if err := run([]string{"-n", "100", "-periods", "5", "-every", every}); err != nil {
+			t.Fatalf("-every %s: %v", every, err)
+		}
+		if err := run([]string{"-churn", "-n", "100", "-hours", "1", "-every", every}); err != nil {
+			t.Fatalf("-churn -every %s: %v", every, err)
+		}
+	}
+}
+
 func TestRunFlagAndParamErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("unknown flag accepted")
