@@ -140,7 +140,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		queue          = fs.Int("queue", 64, "bounded job-queue depth (full queue = 503)")
 		cacheSize      = fs.Int("cache", 256, "in-memory result cache (LRU), the only holder of result bytes: at most this many results and this many × 256 KiB")
 		retainJobs     = fs.Int("retain-jobs", 65536, "terminal jobs kept in the job table and the store's index; older ones age out (410 Gone; results stay addressable by cache_key)")
-		sweepWorkers   = fs.Int("sweep-workers", 0, "harness worker-pool size per job sweep (0 = GOMAXPROCS)")
 		maxN           = fs.Int("max-n", 0, "per-job group-size limit (0 = service default)")
 		maxPeriods     = fs.Int("max-periods", 0, "per-job period limit (0 = service default)")
 		dataDir        = fs.String("data", "", "durable data directory: WAL-journaled jobs + persisted results (empty = in-memory only)")
@@ -261,7 +260,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		QueueDepth:        *queue,
 		CacheSize:         *cacheSize,
 		RetainJobs:        *retainJobs,
-		SweepWorkers:      *sweepWorkers,
 		Limits:            service.Limits{MaxN: *maxN, MaxPeriods: *maxPeriods},
 		Store:             backend,
 		ResumeInterrupted: *resumeInterr,

@@ -467,7 +467,6 @@ func (s *Server) execute(ctx context.Context, job *Job, live *liveJob) ([]int, e
 	}
 	s.met.sweeps.Inc()
 	opts := harness.Options{
-		Workers: s.cfg.SweepWorkers,
 		// The harness never reads the wall clock itself (determinism
 		// contract); the service supplies it for latency observation.
 		Now: time.Now,

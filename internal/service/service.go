@@ -105,9 +105,6 @@ type Config struct {
 	// highest ID issued is always resident, and a compacted WAL can never
 	// lead a restart to issue an ID twice.
 	RetainJobs int
-	// SweepWorkers is the harness worker-pool size each job's sweep uses
-	// (0 = GOMAXPROCS).
-	SweepWorkers int
 	// Limits bound a single job's size; zero fields take the defaults.
 	Limits Limits
 	// Store persists job lifecycle records and completed results; nil

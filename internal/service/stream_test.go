@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -91,7 +92,10 @@ func checkStream(t *testing.T, lines [][]byte, seeds, rows int, terminal Status)
 // multiset of lines from the canonical bytes. Run under -race this is the
 // check that readers only ever touch a slab's published prefix.
 func TestConcurrentLiveStreams(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, SweepWorkers: 4})
+	// The sweep sizes its pool from GOMAXPROCS: four lets the four runs
+	// record at once on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	srv, ts := newTestServer(t, Config{Workers: 1})
 	spec := JobSpec{Source: epidemicSource, N: 3000, Initial: map[string]int{"x": 2990, "y": 10},
 		Periods: 301, RecordEvery: 2, Seeds: 4}
 	const rows = 4 * 151
