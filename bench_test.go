@@ -879,7 +879,7 @@ func BenchmarkAblationTokenDirectedVsTTL(b *testing.B) {
 			Periods: 3,
 			AfterStep: func(r harness.Runner, t int) {
 				a := r.(*harness.AgentRunner)
-				moved += float64(a.TransitionsLastPeriod()[[2]ode.Var{"x", "y"}])
+				moved += float64(a.TransitionsLastPeriod().Edge("x", "y"))
 				lost += float64(a.TokensLostLastPeriod())
 			},
 		})
@@ -930,7 +930,7 @@ func BenchmarkAblationFailureCompensation(b *testing.B) {
 			Periods: 1,
 			AfterStep: func(r harness.Runner, t int) {
 				trans := r.(harness.TransitionCounter).TransitionsLastPeriod()
-				drift = float64(trans[[2]ode.Var{"x", "y"}]) / proto.P
+				drift = float64(trans.Edge("x", "y")) / proto.P
 			},
 		})
 		if out.Err != nil {

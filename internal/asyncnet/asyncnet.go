@@ -31,6 +31,7 @@ package asyncnet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"odeproto/internal/core"
@@ -133,7 +134,7 @@ type Result struct {
 	// Counts is the final per-state population.
 	Counts map[ode.Var]int
 	// Transitions counts state transitions across the whole run.
-	Transitions map[[2]ode.Var]int
+	Transitions sim.Transitions
 	// MessagesSent counts transport sends (before drops).
 	MessagesSent int
 }
@@ -420,11 +421,13 @@ func layoutProcesses(procs []process, cfg *Config, tr transport, rng prng, tbl *
 }
 
 // collectResult assembles the run summary from the final process states
-// and the nonzero cells of the group's transition table.
+// and a copy of the group's transition table (a virtual group reuses its
+// table from segment to segment).
 func collectResult(states []ode.Var, procs []process, trans []int, sent int) *Result {
 	res := &Result{
-		Counts:      make(map[ode.Var]int, len(states)),
-		Transitions: make(map[[2]ode.Var]int),
+		Counts:       make(map[ode.Var]int, len(states)),
+		Transitions:  sim.Transitions{States: states, Counts: slices.Clone(trans)},
+		MessagesSent: sent,
 	}
 	for _, s := range states {
 		res.Counts[s] = 0
@@ -432,12 +435,6 @@ func collectResult(states []ode.Var, procs []process, trans []int, sent int) *Re
 	for i := range procs {
 		res.Counts[states[procs[i].state]]++
 	}
-	for cell, n := range trans {
-		if n != 0 {
-			res.Transitions[[2]ode.Var{states[cell/len(states)], states[cell%len(states)]}] = n
-		}
-	}
-	res.MessagesSent = sent
 	return res
 }
 

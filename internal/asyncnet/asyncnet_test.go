@@ -132,10 +132,10 @@ func TestEndemicSurvivesAsynchrony(t *testing.T) {
 		t.Fatalf("all replicas lost on asynchronous runtime: %v", res.Counts)
 	}
 	// The endemic mix keeps all three transition edges busy.
-	if res.Transitions[[2]ode.Var{endemic.Receptive, endemic.Stash}] == 0 {
+	if res.Transitions.Edge(endemic.Receptive, endemic.Stash) == 0 {
 		t.Fatal("no file transfers happened")
 	}
-	if res.Transitions[[2]ode.Var{endemic.Stash, endemic.Averse}] == 0 {
+	if res.Transitions.Edge(endemic.Stash, endemic.Averse) == 0 {
 		t.Fatal("no deletions happened")
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"hash"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"odeproto/internal/core"
 	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 // The digests below pin the absolute output of the virtual-time scheduler
@@ -22,23 +23,19 @@ import (
 // their in-flight instances, query routes and transitions in maps.
 
 // hashOutcome folds a run's observable output into h: counts in state
-// order, transition tallies sorted by edge, and the message total.
-func hashOutcome(h hash.Hash, states []ode.Var, counts map[ode.Var]int, trans map[[2]ode.Var]int, sent int) {
+// order, the nonzero transition tallies sorted by edge name, and the
+// message total.
+func hashOutcome(h hash.Hash, states []ode.Var, counts map[ode.Var]int, trans sim.Transitions, sent int) {
 	for _, s := range states {
 		fmt.Fprintf(h, "%s=%d ", s, counts[s])
 	}
-	edges := make([][2]ode.Var, 0, len(trans))
-	for k := range trans {
-		edges = append(edges, k)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
+	names := slices.Sorted(slices.Values(trans.States))
+	for _, from := range names {
+		for _, to := range names {
+			if n := trans.Edge(from, to); n != 0 {
+				fmt.Fprintf(h, "%s>%s:%d ", from, to, n)
+			}
 		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, k := range edges {
-		fmt.Fprintf(h, "%s>%s:%d ", k[0], k[1], trans[k])
 	}
 	fmt.Fprintf(h, "sent=%d\n", sent)
 }

@@ -32,7 +32,7 @@ type Runner struct {
 	counts      map[ode.Var]int
 	period      int
 	segment     int
-	transitions map[[2]ode.Var]int
+	transitions sim.Transitions // cumulative across segments
 	messages    int
 	err         error
 }
@@ -55,7 +55,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return &Runner{
 		cfg:         cfg,
 		counts:      counts,
-		transitions: make(map[[2]ode.Var]int),
+		transitions: sim.Transitions{States: tbl.States, Counts: make([]int, len(tbl.States)*len(tbl.States))},
 	}, nil
 }
 
@@ -93,8 +93,8 @@ func (r *Runner) Run(periods int) {
 		res = v.drain()
 	}
 	r.counts = res.Counts
-	for k, v := range res.Transitions {
-		r.transitions[k] += v
+	for cell, n := range res.Transitions.Counts {
+		r.transitions.Counts[cell] += n
 	}
 	r.messages += res.MessagesSent
 	r.period += periods
@@ -132,8 +132,8 @@ func (r *Runner) Count(s ode.Var) int { return r.counts[s] }
 func (r *Runner) MessagesSent() int { return r.messages }
 
 // TransitionsTotal returns the cumulative per-edge transition counts
-// across all segments.
-func (r *Runner) TransitionsTotal() map[[2]ode.Var]int { return r.transitions }
+// across all segments. The table is the runner's own: do not write it.
+func (r *Runner) TransitionsTotal() sim.Transitions { return r.transitions }
 
 // Perturb is unsupported: the asynchronous runtime models no process
 // failures (its loss model is per-message).

@@ -146,7 +146,7 @@ func TestVirtualMatchesWallclockLimiting(t *testing.T) {
 		if res.Counts[endemic.Stash] == 0 {
 			t.Fatalf("mode %s: all replicas lost: %v", mode, res.Counts)
 		}
-		if res.Transitions[[2]ode.Var{endemic.Receptive, endemic.Stash}] == 0 {
+		if res.Transitions.Edge(endemic.Receptive, endemic.Stash) == 0 {
 			t.Fatalf("mode %s: no file transfers happened", mode)
 		}
 	}

@@ -160,7 +160,7 @@ func newMassiveFailureJob(name string, cfg MassiveFailureConfig) (harness.Job, *
 			res.Receptive = append(res.Receptive, float64(r.Count(Receptive)))
 			res.Averse = append(res.Averse, float64(r.Count(Averse)))
 			trans := r.(harness.TransitionCounter).TransitionsLastPeriod()
-			res.Flux = append(res.Flux, float64(trans[[2]ode.Var{Receptive, Stash}]))
+			res.Flux = append(res.Flux, float64(trans.Edge(Receptive, Stash)))
 		},
 	}
 	// FailAt < 0 (or a zero fraction) is the no-failure sentinel, as in
@@ -518,9 +518,9 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			res.Stash = append(res.Stash, float64(r.Count(Stash)))
 			res.Receptive = append(res.Receptive, float64(r.Count(Receptive)))
 			res.Averse = append(res.Averse, float64(r.Count(Averse)))
-			res.RcptvToStash = append(res.RcptvToStash, float64(trans[[2]ode.Var{Receptive, Stash}]))
-			res.StashToAverse = append(res.StashToAverse, float64(trans[[2]ode.Var{Stash, Averse}]))
-			res.AverseToRcptv = append(res.AverseToRcptv, float64(trans[[2]ode.Var{Averse, Receptive}]))
+			res.RcptvToStash = append(res.RcptvToStash, float64(trans.Edge(Receptive, Stash)))
+			res.StashToAverse = append(res.StashToAverse, float64(trans.Edge(Stash, Averse)))
+			res.AverseToRcptv = append(res.AverseToRcptv, float64(trans.Edge(Averse, Receptive)))
 			aliveSum += float64(r.Alive())
 			aliveCount++
 		},

@@ -34,6 +34,7 @@ import (
 
 	"odeproto/internal/mt19937"
 	"odeproto/internal/ode"
+	"odeproto/internal/sim"
 )
 
 // PerturbKind enumerates the perturbation events a Runner may support.
@@ -109,7 +110,7 @@ type Runner interface {
 // transition counts of the most recent period (the agent engine does; the
 // experiments behind Figures 6 and 10 need it).
 type TransitionCounter interface {
-	TransitionsLastPeriod() map[[2]ode.Var]int
+	TransitionsLastPeriod() sim.Transitions
 }
 
 // ProcessLister is implemented by Runners with per-process identity (the

@@ -280,16 +280,10 @@ func (e *Engine) ProcessesIn(s ode.Var) []int {
 }
 
 // TransitionsLastPeriod returns the per-edge transition counts of the most
-// recent period: a fresh map holding the edges that fired.
-func (e *Engine) TransitionsLastPeriod() map[[2]ode.Var]int {
-	out := make(map[[2]ode.Var]int)
-	states := e.tbl.States
-	for i, c := range e.transitions {
-		if c != 0 {
-			out[[2]ode.Var{states[i/len(states)], states[i%len(states)]}] = c
-		}
-	}
-	return out
+// recent period. The table is the engine's own: read it before the next
+// Step, which overwrites it, and do not write it.
+func (e *Engine) TransitionsLastPeriod() Transitions {
+	return Transitions{States: e.tbl.States, Counts: e.transitions}
 }
 
 // MessagesLastPeriod returns the number of connection attempts (sampling

@@ -136,7 +136,7 @@ func TestOnePeriodDriftMatchesMeanField(t *testing.T) {
 
 	for _, a := range proto.Actions {
 		want := float64(n) * point[a.Owner] * a.FireProbability(point)
-		got := float64(trans[[2]ode.Var{a.From, a.To}])
+		got := float64(trans.Edge(a.From, a.To))
 		// 6-sigma binomial tolerance.
 		sigma := math.Sqrt(want * (1 - a.FireProbability(point)))
 		if math.Abs(got-want) > 6*sigma+1 {
@@ -354,7 +354,7 @@ func TestCrashedContactsAreFruitless(t *testing.T) {
 	aliveX := e.Count("x")
 	aliveY := e.Count("y")
 	e.Step()
-	got := float64(e.TransitionsLastPeriod()[[2]ode.Var{"x", "y"}])
+	got := float64(e.TransitionsLastPeriod().Edge("x", "y"))
 	// Each alive x contacts one uniform process; P(observe y) counts only
 	// alive y relative to the full population: ≈ (N/4)/N = 0.25.
 	want := float64(aliveX) * float64(aliveY) / float64(n)
@@ -383,7 +383,7 @@ func TestMessageLossCompensation(t *testing.T) {
 	}
 	point := e.Fractions()
 	e.Step()
-	got := float64(e.TransitionsLastPeriod()[[2]ode.Var{"x", "y"}])
+	got := float64(e.TransitionsLastPeriod().Edge("x", "y"))
 	want := float64(n) * comp.P * point["x"] * point["y"]
 	sigma := math.Sqrt(want)
 	if math.Abs(got-want) > 8*sigma+1 {
@@ -426,7 +426,7 @@ func TestTokenDirectedDelivery(t *testing.T) {
 	}
 	point := e.Fractions()
 	e.Step()
-	got := float64(e.TransitionsLastPeriod()[[2]ode.Var{"x", "y"}])
+	got := float64(e.TransitionsLastPeriod().Edge("x", "y"))
 	want := float64(n) * proto.P * point["y"] * point["y"]
 	sigma := math.Sqrt(want)
 	if math.Abs(got-want) > 8*sigma+1 {
@@ -523,7 +523,7 @@ func TestTokenRandomWalkTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	plentiful.Step()
-	moved := plentiful.TransitionsLastPeriod()[[2]ode.Var{"x", "y"}]
+	moved := plentiful.TransitionsLastPeriod().Edge("x", "y")
 	if moved == 0 {
 		t.Fatal("random-walk tokens never delivered")
 	}
@@ -561,11 +561,25 @@ func TestTransitionHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Step()
-	if hooked != e.TransitionsLastPeriod()[[2]ode.Var{"x", "y"}] {
-		t.Fatalf("hook fired %d times, transitions %d", hooked, e.TransitionsLastPeriod()[[2]ode.Var{"x", "y"}])
+	if hooked != e.TransitionsLastPeriod().Edge("x", "y") {
+		t.Fatalf("hook fired %d times, transitions %d", hooked, e.TransitionsLastPeriod().Edge("x", "y"))
 	}
 	if hooked == 0 {
 		t.Fatal("no transitions at all")
+	}
+}
+
+// TestTransitionsEdge: the table is row-major from × to in state order, and
+// an edge naming a state outside it counts 0.
+func TestTransitionsEdge(t *testing.T) {
+	tr := Transitions{States: []ode.Var{"x", "y"}, Counts: []int{1, 2, 3, 4}}
+	for _, c := range []struct {
+		from, to ode.Var
+		want     int
+	}{{"x", "x", 1}, {"x", "y", 2}, {"y", "x", 3}, {"y", "y", 4}, {"x", "w", 0}, {"w", "y", 0}} {
+		if got := tr.Edge(c.from, c.to); got != c.want {
+			t.Errorf("Edge(%s, %s) = %d, want %d", c.from, c.to, got, c.want)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"odeproto/internal/core"
@@ -44,19 +44,12 @@ func hashPeriod(h hash.Hash, states []ode.Var, e *sim.Engine) {
 	}
 	fmt.Fprintf(h, "msgs=%d lost=%d", e.MessagesLastPeriod(), e.TokensLostLastPeriod())
 	trans := e.TransitionsLastPeriod()
-	edges := make([][2]ode.Var, 0, len(trans))
-	for k := range trans {
-		edges = append(edges, k)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, k := range edges {
-		if trans[k] != 0 {
-			fmt.Fprintf(h, " %s>%s:%d", k[0], k[1], trans[k])
+	names := slices.Sorted(slices.Values(trans.States))
+	for _, from := range names {
+		for _, to := range names {
+			if n := trans.Edge(from, to); n != 0 {
+				fmt.Fprintf(h, " %s>%s:%d", from, to, n)
+			}
 		}
 	}
 	fmt.Fprintln(h)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"odeproto/internal/core"
@@ -129,4 +130,24 @@ func (t *Table) countMap(counts []int) map[ode.Var]int {
 		out[s] = counts[i]
 	}
 	return out
+}
+
+// Transitions is a per-edge transition table in compiled state order: the
+// number of from→to transitions is Counts[i·len(States) + j], where
+// States[i] = from and States[j] = to. The agent engine and the
+// asynchronous runtime (asyncnet.Result, asyncnet.Runner) all hand out
+// their counts in this form.
+type Transitions struct {
+	States []ode.Var
+	Counts []int
+}
+
+// Edge returns the number of from→to transitions; an edge between states
+// not in the table counts 0.
+func (t Transitions) Edge(from, to ode.Var) int {
+	i, j := slices.Index(t.States, from), slices.Index(t.States, to)
+	if i < 0 || j < 0 {
+		return 0
+	}
+	return t.Counts[i*len(t.States)+j]
 }
