@@ -171,10 +171,6 @@ func SweepContext(ctx context.Context, jobs []Job, opt Options) ([]Result, error
 // one configuration use it so single runs and sweeps share one code path.
 func Run(job Job) Result { return runJob(context.Background(), &job) }
 
-// RunContext is Run with cancellation, with the same per-period semantics
-// as SweepContext.
-func RunContext(ctx context.Context, job Job) Result { return runJob(ctx, &job) }
-
 func runJob(ctx context.Context, job *Job) Result {
 	res := Result{Name: job.Name, Seed: job.Seed}
 	if err := ctx.Err(); err != nil {

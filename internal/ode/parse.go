@@ -80,15 +80,6 @@ func Parse(src string, params map[string]float64) (*System, error) {
 	return sys, nil
 }
 
-// MustParse is Parse that panics on error; for fixed, compile-time systems.
-func MustParse(src string, params map[string]float64) *System {
-	s, err := Parse(src, params)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func isIdent(s string) bool {
 	if s == "" {
 		return false

@@ -200,25 +200,3 @@ func escape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 	return r.Replace(s)
 }
-
-// Sparkline renders values as a unicode sparkline for terminal output.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	ramp := []rune("▁▂▃▄▅▆▇█")
-	min, max := values[0], values[0]
-	for _, v := range values {
-		min = math.Min(min, v)
-		max = math.Max(max, v)
-	}
-	var sb strings.Builder
-	for _, v := range values {
-		idx := 0
-		if max > min {
-			idx = int((v - min) / (max - min) * float64(len(ramp)-1))
-		}
-		sb.WriteRune(ramp[idx])
-	}
-	return sb.String()
-}

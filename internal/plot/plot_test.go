@@ -96,17 +96,3 @@ func TestAddSeries(t *testing.T) {
 		t.Fatal("series name missing from legend")
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline")
-	}
-	sp := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(sp)) != 4 {
-		t.Fatalf("sparkline length = %d", len([]rune(sp)))
-	}
-	flat := Sparkline([]float64{5, 5, 5})
-	if len([]rune(flat)) != 3 {
-		t.Fatal("flat sparkline length wrong")
-	}
-}
