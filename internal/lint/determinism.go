@@ -11,13 +11,15 @@ import (
 // documented as nondeterministic, but it keeps no wall-clock reads or
 // global RNG either (virtual time is modeled as time.Duration values, and
 // all randomness flows through seeded mt19937 streams), so the contract
-// holds package-wide.
+// holds package-wide. The ode package is included because every ODE solve
+// behind a pinned figure evaluates its terms.
 var determinismPaths = []string{
 	"odeproto/internal/sim",
 	"odeproto/internal/harness",
 	"odeproto/internal/asyncnet",
 	"odeproto/internal/mt19937",
 	"odeproto/internal/stats",
+	"odeproto/internal/ode",
 }
 
 // AnalyzerDeterminism enforces the sweep determinism contract: no hidden

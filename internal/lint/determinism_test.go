@@ -16,6 +16,7 @@ func TestDeterminismAllScopedPaths(t *testing.T) {
 		"odeproto/internal/asyncnet": true,
 		"odeproto/internal/mt19937":  true,
 		"odeproto/internal/stats":    true,
+		"odeproto/internal/ode":      true,
 	}
 	if len(determinismPaths) != len(want) {
 		t.Fatalf("determinismPaths has %d entries, want %d", len(determinismPaths), len(want))

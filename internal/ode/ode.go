@@ -18,6 +18,7 @@ package ode
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -73,12 +74,13 @@ func (t Term) Degree() int {
 // Exponent returns the exponent of v in the term (0 when absent).
 func (t Term) Exponent(v Var) int { return t.Powers[v] }
 
-// Eval evaluates the signed term at the given point. Variables absent from
-// the point are treated as zero.
+// Eval evaluates the signed term at the given point, multiplying the powers
+// in OrderedVars order so the product is the same to the last bit on every
+// call. Variables absent from the point are treated as zero.
 func (t Term) Eval(point map[Var]float64) float64 {
 	val := t.Signed()
-	for v, p := range t.Powers {
-		val *= math.Pow(point[v], float64(p))
+	for _, v := range t.OrderedVars() {
+		val *= math.Pow(point[v], float64(t.Powers[v]))
 	}
 	return val
 }
@@ -143,7 +145,7 @@ func (t Term) OrderedVars() []Var {
 	for v := range t.Powers {
 		vars = append(vars, v)
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+	slices.Sort(vars)
 	return vars
 }
 
@@ -256,8 +258,8 @@ func (s *System) Validate() error {
 			if t.Coef <= 0 || math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
 				return fmt.Errorf("ode: equation %q term %d: coefficient %v is not strictly positive and finite", v, i, t.Coef)
 			}
-			for tv, p := range t.Powers {
-				if p < 0 {
+			for _, tv := range t.OrderedVars() {
+				if p := t.Powers[tv]; p < 0 {
 					return fmt.Errorf("ode: equation %q term %d: negative exponent %d for %q", v, i, p, tv)
 				}
 				if !s.HasVar(tv) {

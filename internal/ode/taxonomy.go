@@ -2,7 +2,9 @@ package ode
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -115,8 +117,8 @@ func (s *System) Partition() ([]Pair, error) {
 		}
 		delete(pos, k)
 	}
-	for k, remaining := range pos {
-		if len(remaining) > 0 {
+	for _, k := range slices.Sorted(maps.Keys(pos)) {
+		if remaining := pos[k]; len(remaining) > 0 {
 			return nil, fmt.Errorf("ode: monomial %s has %d positive terms with no negative partner", k, len(remaining))
 		}
 	}
