@@ -80,7 +80,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	paramMap, err := parseKV(*params)
+	paramMap, err := parseKV(*params, parseFloat)
 	if err != nil {
 		return err
 	}
@@ -194,14 +194,14 @@ func runSimulation(proto *core.Protocol, n int, initialSpec string, periods int,
 			}
 		}
 	} else {
-		kv, err := parseKV(initialSpec)
+		kv, err := parseKV(initialSpec, strconv.Atoi)
 		if err != nil {
-			return err
+			return fmt.Errorf("-initial takes whole counts: %w", err)
 		}
 		total := 0
 		for k, v := range kv {
-			counts[ode.Var(k)] = int(v)
-			total += int(v)
+			counts[ode.Var(k)] = v
+			total += v
 		}
 		if rest := n - total; rest > 0 {
 			counts[proto.States[len(proto.States)-1]] += rest
@@ -280,8 +280,9 @@ func readSource(path string) (string, error) {
 	return string(data), nil
 }
 
-func parseKV(spec string) (map[string]float64, error) {
-	out := make(map[string]float64)
+// parseKV reads "k=v,k=v", each value read by parse.
+func parseKV[V any](spec string, parse func(string) (V, error)) (map[string]V, error) {
+	out := make(map[string]V)
 	if strings.TrimSpace(spec) == "" {
 		return out, nil
 	}
@@ -290,7 +291,7 @@ func parseKV(spec string) (map[string]float64, error) {
 		if len(kv) != 2 {
 			return nil, fmt.Errorf("bad key=value pair %q", part)
 		}
-		v, err := strconv.ParseFloat(kv[1], 64)
+		v, err := parse(kv[1])
 		if err != nil {
 			return nil, fmt.Errorf("bad value in %q: %w", part, err)
 		}
@@ -298,6 +299,8 @@ func parseKV(spec string) (map[string]float64, error) {
 	}
 	return out, nil
 }
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func indent(s string) string {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")

@@ -9,20 +9,20 @@ import (
 )
 
 func TestParseKV(t *testing.T) {
-	kv, err := parseKV("beta=4, gamma=0.5,alpha=1e-3")
+	kv, err := parseKV("beta=4, gamma=0.5,alpha=1e-3", parseFloat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kv["beta"] != 4 || kv["gamma"] != 0.5 || kv["alpha"] != 1e-3 {
 		t.Fatalf("parseKV = %v", kv)
 	}
-	if m, err := parseKV("  "); err != nil || len(m) != 0 {
+	if m, err := parseKV("  ", parseFloat); err != nil || len(m) != 0 {
 		t.Fatalf("empty spec: %v %v", m, err)
 	}
-	if _, err := parseKV("beta"); err == nil {
+	if _, err := parseKV("beta", parseFloat); err == nil {
 		t.Fatal("missing '=' accepted")
 	}
-	if _, err := parseKV("beta=x"); err == nil {
+	if _, err := parseKV("beta=x", parseFloat); err == nil {
 		t.Fatal("non-numeric value accepted")
 	}
 }
@@ -62,6 +62,23 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if err := run([]string{"-file", path, "-simulate", "500", "-periods", "30", "-shards", "501"}); err == nil {
 		t.Fatal("-shards above -simulate accepted")
+	}
+}
+
+// TestRunInitialCountsAreWhole: -initial names process counts, so a
+// fractional one is an error, not a count cut down to its integer part.
+func TestRunInitialCountsAreWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "epi.ode")
+	if err := os.WriteFile(path, []byte("x' = -x*y\ny' = x*y\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-file", path, "-simulate", "100", "-periods", "3", "-initial", "x=50,y=40"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, initial := range []string{"x=50.9,y=40.9", "x=50,y=4e1", "x=fifty"} {
+		if err := run([]string{"-file", path, "-simulate", "100", "-periods", "3", "-initial", initial}); err == nil {
+			t.Errorf("-initial %s accepted", initial)
+		}
 	}
 }
 
