@@ -8,14 +8,16 @@
 //
 //	odeprotod -addr :8080
 //	odeprotod -addr 127.0.0.1:9090 -workers 4 -queue 128 -cache 512
-//	odeprotod -data /var/lib/odeprotod -compact-on-start -resume-interrupted
+//	odeprotod -data /var/lib/odeprotod -resume-interrupted
 //
 // With -data, job lifecycle transitions are journaled to a segmented,
 // CRC-checksummed WAL and completed results are persisted as
 // content-addressed blobs (internal/store), so a restarted daemon
 // recovers its job list, warms the result cache from disk, and serves
 // previously computed sweeps without re-simulating (see README.md
-// "Durability"). -cache and -retain-jobs bound the daemon's memory (see
+// "Durability"). The WAL compacts itself as jobs age out past
+// -retain-jobs, so what a restart replays is bounded by that flag, not by
+// uptime. -cache and -retain-jobs bound the daemon's memory (see
 // README.md "Memory model"): result bytes live only in the LRU, and
 // terminal jobs age out of the job table beyond -retain-jobs.
 // While recovery runs, every endpoint — including GET /v1/healthz —
@@ -135,22 +137,20 @@ func debugHandler() http.Handler {
 func run(ctx context.Context, args []string, ready chan<- string) error {
 	fs := flag.NewFlagSet("odeprotod", flag.ContinueOnError)
 	var (
-		addr           = fs.String("addr", ":8080", "HTTP listen address")
-		workers        = fs.Int("workers", 2, "jobs simulated concurrently")
-		queue          = fs.Int("queue", 64, "bounded job-queue depth (full queue = 503)")
-		cacheSize      = fs.Int("cache", 256, "in-memory result cache (LRU), the only holder of result bytes: at most this many results and this many × 256 KiB")
-		retainJobs     = fs.Int("retain-jobs", 65536, "terminal jobs kept in the job table and the store's index; older ones age out (410 Gone; results stay addressable by cache_key)")
-		maxN           = fs.Int("max-n", 0, "per-job group-size limit (0 = service default)")
-		maxPeriods     = fs.Int("max-periods", 0, "per-job period limit (0 = service default)")
-		dataDir        = fs.String("data", "", "durable data directory: WAL-journaled jobs + persisted results (empty = in-memory only)")
-		walSegBytes    = fs.Int64("wal-segment-bytes", 0, "rotate WAL segments beyond this size (0 = store default, 4 MiB)")
-		compactOnStart = fs.Bool("compact-on-start", false, "compact the WAL after recovery, dropping superseded records")
-		resumeInterr   = fs.Bool("resume-interrupted", false, "resubmit jobs the previous process left queued or mid-run (specs are recovered from the WAL)")
-		peersFlag      = fs.String("peers", "", "comma-separated static cluster peer list (host:port, this node included); every node must be started with the identical list")
-		selfFlag       = fs.String("self", "", "this node's entry in -peers (default: inferred from the bound listen address)")
-		debugAddr      = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this separate address (empty = off); never expose it publicly")
-		logLevel       = fs.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")
-		sloConfig      = fs.String("slo-config", "", "JSON SLO spec evaluated into GET /v1/slo and odeproto_slo_* gauges (empty = compiled-in job latency + error-rate defaults)")
+		addr         = fs.String("addr", ":8080", "HTTP listen address")
+		workers      = fs.Int("workers", 2, "jobs simulated concurrently")
+		queue        = fs.Int("queue", 64, "bounded job-queue depth (full queue = 503)")
+		cacheSize    = fs.Int("cache", 256, "in-memory result cache (LRU), the only holder of result bytes: at most this many results and this many × 256 KiB")
+		retainJobs   = fs.Int("retain-jobs", 65536, "terminal jobs kept in the job table and the store's index; older ones age out (410 Gone; results stay addressable by cache_key)")
+		maxN         = fs.Int("max-n", 0, "per-job group-size limit (0 = service default)")
+		maxPeriods   = fs.Int("max-periods", 0, "per-job period limit (0 = service default)")
+		dataDir      = fs.String("data", "", "durable data directory: WAL-journaled jobs + persisted results (empty = in-memory only)")
+		resumeInterr = fs.Bool("resume-interrupted", false, "resubmit jobs the previous process left queued or mid-run (specs are recovered from the WAL)")
+		peersFlag    = fs.String("peers", "", "comma-separated static cluster peer list (host:port, this node included); every node must be started with the identical list")
+		selfFlag     = fs.String("self", "", "this node's entry in -peers (default: inferred from the bound listen address)")
+		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this separate address (empty = off); never expose it publicly")
+		logLevel     = fs.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")
+		sloConfig    = fs.String("slo-config", "", "JSON SLO spec evaluated into GET /v1/slo and odeproto_slo_* gauges (empty = compiled-in job latency + error-rate defaults)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -244,14 +244,14 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 
 	var backend store.Store
 	if *dataDir != "" {
-		fst, err := store.Open(*dataDir, store.Options{SegmentBytes: *walSegBytes})
+		fst, err := store.Open(*dataDir, store.Options{})
 		if err != nil {
 			return fail(fmt.Errorf("opening data dir %s: %w", *dataDir, err))
 		}
 		defer fst.Close() // after srv.Close below: shutdown journals queued-job cancellations
 		st := fst.Stats()
 		logger.Info("recovered store", "dir", *dataDir, "jobs", st.RecoveredJobs,
-			"wal_segments", st.WALSegments, "tail_truncations", st.TailTruncations)
+			"wal_records", st.LogRecords, "wal_segments", st.WALSegments, "tail_truncations", st.TailTruncations)
 		backend = fst
 	}
 
@@ -270,13 +270,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		SLO:               slo,
 	})
 	defer srv.Close()
-	if *compactOnStart && backend != nil {
-		// After recovery, which told the store to forget the terminal jobs
-		// past -retain-jobs: the rewrite drops them.
-		if err := backend.Compact(); err != nil {
-			return fail(fmt.Errorf("compacting WAL in %s: %w", *dataDir, err))
-		}
-	}
 
 	handler := http.Handler(srv.Handler())
 	if len(peerList) > 0 {

@@ -7,9 +7,14 @@ import (
 	"time"
 )
 
+// A peer is probed every probeInterval, each probe bounded by
+// probeTimeout; dialTimeout bounds connection establishment to a peer.
+// Established connections have no overall deadline: job streams are
+// long-lived by design.
 const (
-	defaultProbeInterval = 1 * time.Second
-	defaultProbeTimeout  = 750 * time.Millisecond
+	probeInterval = 1 * time.Second
+	probeTimeout  = 750 * time.Millisecond
+	dialTimeout   = 2 * time.Second
 )
 
 // peerState tracks one remote peer's reachability. Nodes start presumed

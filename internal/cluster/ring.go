@@ -26,10 +26,10 @@ import (
 	"strings"
 )
 
-// defaultVNodes is how many ring points each node projects. 64 keeps the
+// vnodes is how many ring points each node projects. 64 keeps the
 // keyspace split within a few percent of even for small clusters while
 // the ring stays tiny (a 16-node ring is 1024 points).
-const defaultVNodes = 64
+const vnodes = 64
 
 // NormalizePeers canonicalizes a peer list: trimmed, lowercased,
 // de-duplicated, sorted. Every node must derive the same normalized list
@@ -80,10 +80,7 @@ func hash64(s string) uint64 {
 }
 
 // newRing builds the ring over an already-normalized peer list.
-func newRing(nodes []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func newRing(nodes []string) *ring {
 	r := &ring{nodes: nodes, points: make([]ringPoint, 0, len(nodes)*vnodes)}
 	for ni, n := range nodes {
 		for v := 0; v < vnodes; v++ {
@@ -129,8 +126,9 @@ func (r *ring) firstPoint(key string) int {
 
 // fingerprint condenses the ring topology to a short comparable token.
 // Forwarded requests carry it; a mismatch means the nodes were started
-// with different -peers lists and must not route for each other.
-func fingerprint(nodes []string, vnodes int) string {
+// with different -peers lists (or vnodes) and must not route for each
+// other.
+func fingerprint(nodes []string) string {
 	sum := sha256.Sum256([]byte(strconv.Itoa(vnodes) + "|" + strings.Join(nodes, ",")))
 	return fmt.Sprintf("%x", sum[:8])
 }

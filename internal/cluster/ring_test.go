@@ -34,21 +34,18 @@ func TestNormalizePeers(t *testing.T) {
 func TestRingDeterministic(t *testing.T) {
 	a, _ := NormalizePeers([]string{"h1:1", "h2:2", "h3:3"})
 	b, _ := NormalizePeers([]string{"h3:3", "h1:1", "h2:2", "h2:2"})
-	ra, rb := newRing(a, 0), newRing(b, 0)
+	ra, rb := newRing(a), newRing(b)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if ra.nodes[ra.owner(key)] != rb.nodes[rb.owner(key)] {
 			t.Fatalf("key %q: owner %s vs %s", key, ra.nodes[ra.owner(key)], rb.nodes[rb.owner(key)])
 		}
 	}
-	if fingerprint(a, defaultVNodes) != fingerprint(b, defaultVNodes) {
+	if fingerprint(a) != fingerprint(b) {
 		t.Fatal("same membership, different fingerprints")
 	}
-	if fingerprint(a, defaultVNodes) == fingerprint(a[:2], defaultVNodes) {
+	if fingerprint(a) == fingerprint(a[:2]) {
 		t.Fatal("different membership, same fingerprint")
-	}
-	if fingerprint(a, 16) == fingerprint(a, 64) {
-		t.Fatal("different vnode count, same fingerprint")
 	}
 }
 
@@ -56,7 +53,7 @@ func TestRingDeterministic(t *testing.T) {
 // vnodes per node no node should own a wildly disproportionate share.
 func TestRingBalance(t *testing.T) {
 	nodes, _ := NormalizePeers([]string{"h1:1", "h2:2", "h3:3"})
-	r := newRing(nodes, 0)
+	r := newRing(nodes)
 	counts := make([]int, len(nodes))
 	const keys = 9000
 	for i := 0; i < keys; i++ {
@@ -76,7 +73,7 @@ func TestRingBalance(t *testing.T) {
 // visits every node exactly once, and is stable for a fixed key.
 func TestRingSuccessors(t *testing.T) {
 	nodes, _ := NormalizePeers([]string{"h1:1", "h2:2", "h3:3", "h4:4"})
-	r := newRing(nodes, 0)
+	r := newRing(nodes)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		succ := r.successors(key)

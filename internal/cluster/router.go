@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,7 +35,8 @@ const headerRingMismatch = "X-Odeproto-Ring-Mismatch"
 // served locally and rejected there.
 const maxSpecBytes = 8 << 20
 
-// Config wires a Router in front of a local service instance.
+// Config wires a Router in front of a local service instance. The ring's
+// points per node (vnodes) and the probe and dial timings are constants.
 type Config struct {
 	// Peers is the full static cluster membership, self included, as
 	// host:port. Every node must be started with the same list.
@@ -44,16 +46,6 @@ type Config struct {
 	// Service is the local instance requests resolve to when this node
 	// is (or substitutes for) the key's owner.
 	Service *service.Server
-	// VNodes is the ring points per node (default 64).
-	VNodes int
-	// ProbeInterval is the health-check period (default 1s);
-	// ProbeTimeout bounds one probe (default 750ms).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// DialTimeout bounds connection establishment to a peer (default
-	// 2s). Established connections have no overall deadline: job streams
-	// are long-lived by design.
-	DialTimeout time.Duration
 	// Metrics receives the router's counters and the per-peer liveness
 	// gauge (the peer label set is the boot-fixed peer list, so its
 	// cardinality is bounded). nil gets a private registry.
@@ -61,6 +53,10 @@ type Config struct {
 	// Logger receives routing decisions (forwards with their trace ID,
 	// peer up/down transitions). nil discards.
 	Logger *slog.Logger
+
+	// probeInterval and probeTimeout, when set, replace the constants of
+	// the same names for the package's own tests.
+	probeInterval, probeTimeout time.Duration
 }
 
 // clusterMetrics is every counter the router maintains, rendered at GET
@@ -143,22 +139,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: no local service configured")
 	}
-	vnodes := cfg.VNodes
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	probeInterval := cfg.ProbeInterval
-	if probeInterval <= 0 {
-		probeInterval = defaultProbeInterval
-	}
-	probeTimeout := cfg.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = defaultProbeTimeout
-	}
-	dialTimeout := cfg.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 2 * time.Second
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -180,16 +160,16 @@ func New(cfg Config) (*Router, error) {
 		DisableCompression: true,
 	}
 	rt := &Router{
-		ring:          newRing(nodes, vnodes),
+		ring:          newRing(nodes),
 		self:          self,
 		selfAddr:      nodes[self],
-		fp:            fingerprint(nodes, vnodes),
+		fp:            fingerprint(nodes),
 		local:         cfg.Service.Handler(),
 		svc:           cfg.Service,
 		client:        &http.Client{Transport: transport},
-		probeClient:   &http.Client{Transport: transport, Timeout: probeTimeout},
+		probeClient:   &http.Client{Transport: transport, Timeout: cmp.Or(cfg.probeTimeout, probeTimeout)},
 		peers:         make([]*peerState, len(nodes)),
-		probeInterval: probeInterval,
+		probeInterval: cmp.Or(cfg.probeInterval, probeInterval),
 		stop:          make(chan struct{}),
 		met:           newClusterMetrics(reg),
 		log:           logger,

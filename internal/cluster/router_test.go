@@ -73,8 +73,8 @@ func startTestCluster(t *testing.T, n int) []*testNode {
 			Peers:         peers,
 			Self:          peers[i],
 			Service:       svc,
-			ProbeInterval: 100 * time.Millisecond,
-			ProbeTimeout:  500 * time.Millisecond,
+			probeInterval: 100 * time.Millisecond,
+			probeTimeout:  500 * time.Millisecond,
 			Metrics:       reg,
 			Logger:        logger,
 		})
@@ -445,7 +445,7 @@ func TestClusterRingMismatch(t *testing.T) {
 	start := func(ln net.Listener, self string, peers []string) *testNode {
 		t.Helper()
 		svc := service.New(service.Config{Workers: 1})
-		rt, err := New(Config{Peers: peers, Self: self, Service: svc, ProbeInterval: time.Hour})
+		rt, err := New(Config{Peers: peers, Self: self, Service: svc, probeInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -338,7 +338,7 @@ func (s *Server) retire(job *Job) {
 	s.terminal = append(s.terminal, job)
 	s.mu.Unlock()
 	for old := s.ageOut(); old != nil; old = s.ageOut() {
-		s.store.Forget(old.ID)
+		s.forget(old.ID)
 		s.met.agedOut.Inc()
 	}
 }

@@ -30,6 +30,15 @@ func (s *Server) journal(rec store.JobRecord, synced bool) {
 	}
 }
 
+// forget tells the store a job aged out of the table. The store may compact
+// its log there, and a failure is that compaction's.
+func (s *Server) forget(id string) {
+	if err := s.store.Forget(id); err != nil {
+		s.met.storeErrs.Inc()
+		s.log.Warn("wal compaction failed", "job", id, "err", err)
+	}
+}
+
 // specJSON renders the normalized spec for the submitted WAL record.
 func specJSON(spec *JobSpec) json.RawMessage {
 	data, err := json.Marshal(spec)
@@ -125,7 +134,7 @@ func (s *Server) recoverJobs() []restartableJob {
 	}
 	if extra := len(terminal) - s.cfg.RetainJobs; extra > 0 {
 		for _, rj := range terminal[:extra] {
-			s.store.Forget(rj.ID)
+			s.forget(rj.ID)
 		}
 		terminal = terminal[extra:]
 	}

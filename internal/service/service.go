@@ -69,6 +69,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -102,10 +103,12 @@ type Config struct {
 	// its result stays addressable by cache key, the store forgets it — and
 	// recovery restores only the newest RetainJobs. Queued and running jobs
 	// are never aged out. Keep it above QueueDepth + Workers: then the
-	// highest ID issued is always resident, and a compacted WAL can never
-	// lead a restart to issue an ID twice.
+	// highest ID issued is always resident, and the file store's log, which
+	// compacts itself as jobs age out, can never lead a restart to issue an
+	// ID twice.
 	RetainJobs int
-	// Limits bound a single job's size; zero fields take the defaults.
+	// Limits bound a job's group size and periods; zero fields take the
+	// defaults. Its seeds, shards and recorded rows have fixed bounds.
 	Limits Limits
 	// Store persists job lifecycle records and completed results; nil
 	// selects the in-memory (non-durable) backend. The caller owns the
@@ -155,21 +158,8 @@ func (c Config) withDefaults() Config {
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 65536
 	}
-	if c.Limits.MaxN == 0 {
-		c.Limits.MaxN = defaultLimits.MaxN
-	}
-	if c.Limits.MaxPeriods == 0 {
-		c.Limits.MaxPeriods = defaultLimits.MaxPeriods
-	}
-	if c.Limits.MaxSeeds == 0 {
-		c.Limits.MaxSeeds = defaultLimits.MaxSeeds
-	}
-	if c.Limits.MaxShards == 0 {
-		c.Limits.MaxShards = defaultLimits.MaxShards
-	}
-	if c.Limits.MaxRows == 0 {
-		c.Limits.MaxRows = defaultLimits.MaxRows
-	}
+	c.Limits.MaxN = cmp.Or(c.Limits.MaxN, defaultLimits.MaxN)
+	c.Limits.MaxPeriods = cmp.Or(c.Limits.MaxPeriods, defaultLimits.MaxPeriods)
 	if c.Store == nil {
 		c.Store = store.NewMemory()
 	}
@@ -431,7 +421,7 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 	// already finished and aged out, the store forgot it before learning of
 	// it again here.
 	if _, err := s.job(job.ID); err != nil {
-		s.store.Forget(job.ID)
+		s.forget(job.ID)
 	}
 	return job, nil
 }

@@ -31,9 +31,9 @@ func soakSpec(i int) JobSpec {
 // at the table's size, and the post-GC heap flat between the first fifth of
 // the run and its end. An aged-out ID answers 410 on every /v1/jobs/{id}
 // route while its result is still served by key from disk (with the memory
-// backend the key is gone with the LRU entry: 404), and a restart restores
-// at most RetainJobs terminal jobs and numbers new ones past every ID ever
-// issued. The backend follows ODEPROTO_TEST_DATA like every server test
+// backend the key is gone with the LRU entry: 404), and a restart replays
+// a WAL whose records RetainJobs bounds, restores at most RetainJobs
+// terminal jobs and numbers new ones past every ID ever issued. The backend follows ODEPROTO_TEST_DATA like every server test
 // here; "file" runs regardless so tier-1 covers both.
 func TestSoakMemoryIsAFunctionOfTheFlags(t *testing.T) {
 	t.Run("memory", func(t *testing.T) {
@@ -208,8 +208,10 @@ func soak(t *testing.T, dir string) {
 			resp.StatusCode, len(served), len(original))
 	}
 
-	// Restart on the same directory: the WAL still names every job; the
-	// table takes the newest RetainJobs and the store's index follows.
+	// Restart on the same directory: the WAL compacted itself as jobs aged
+	// out, so it replays a number of records bounded by RetainJobs, not by
+	// the jobs ever issued; the table takes the newest RetainJobs and the
+	// store's index follows.
 	ts.Close()
 	srv.Close()
 	if err := fst.Close(); err != nil {
@@ -220,8 +222,10 @@ func soak(t *testing.T, dir string) {
 	srv2 := New(Config{Workers: 2, RetainJobs: retain, CacheSize: cacheSize, Store: fst2})
 	defer srv2.Close()
 	st2 := fst2.Stats()
-	if st2.RecoveredJobs != issued {
-		t.Fatalf("the uncompacted WAL replays %d jobs, want all %d", st2.RecoveredJobs, issued)
+	const bound = store.CompactRatio*retain + store.CompactFloor
+	t.Logf("the restart replays %d WAL records (bound %d) for %d of the %d jobs issued", st2.LogRecords, bound, st2.RecoveredJobs, issued)
+	if st2.LogRecords > bound || st2.RecoveredJobs < retain {
+		t.Fatalf("want at most %d records and at least %d jobs", bound, retain)
 	}
 	if got := residentJobs(srv2)[StatusDone]; got != retain || st2.IndexedJobs != retain {
 		t.Fatalf("after the restart: %d done jobs in the table, %d in the store's index, want %d and %d", got, st2.IndexedJobs, retain, retain)
@@ -243,19 +247,6 @@ func soak(t *testing.T, dir string) {
 	<-job.done
 	if want := fmt.Sprintf("j%06d", issued+1); job.ID != want {
 		t.Fatalf("the first job after the restart is %s, want %s", job.ID, want)
-	}
-	// What compaction rewrites is the index, not the WAL's history.
-	if err := fst2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	srv2.Close()
-	if err := fst2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fst3 := openFileStore(t, dir)
-	defer fst3.Close()
-	if got := fst3.Stats().RecoveredJobs; got != retain {
-		t.Fatalf("after a compaction the WAL replays %d jobs, want RetainJobs = %d", got, retain)
 	}
 }
 

@@ -145,28 +145,26 @@ func (s *JobSpec) rowsPerRun() int {
 // recordedRows is the row count of the job's finished result, all runs.
 func (s *JobSpec) recordedRows() int { return s.rowsPerRun() * s.Seeds }
 
-// Limits bound what a single job may ask of the service.
+// Limits bound what a single job may ask of the service: the two that
+// odeprotod's -max-n and -max-periods set.
 type Limits struct {
 	MaxN       int
 	MaxPeriods int
-	MaxSeeds   int
-	MaxShards  int
-	// MaxRows bounds the total recorded observations of one job
-	// (JobSpec.recordedRows). A running job holds every row in its row
-	// log and a finished one in its canonical bytes, so without this cap
-	// a single request within the other limits could still exhaust the
-	// daemon's memory.
-	MaxRows int
 }
 
 // defaultLimits are applied when a Config leaves Limits zero.
-var defaultLimits = Limits{
-	MaxN:       5_000_000,
-	MaxPeriods: 1_000_000,
-	MaxSeeds:   1024,
-	MaxShards:  1024,
-	MaxRows:    2_000_000,
-}
+var defaultLimits = Limits{MaxN: 5_000_000, MaxPeriods: 1_000_000}
+
+// The bounds on a job that no deployment sets. maxRows bounds its total
+// recorded observations (JobSpec.recordedRows): a running job holds every
+// row in its row log and a finished one in its canonical bytes, so without
+// it a single request within the other limits could still exhaust the
+// daemon's memory.
+const (
+	maxSeeds  = 1024
+	maxShards = 1024
+	maxRows   = 2_000_000
+)
 
 // normalize applies defaults in place so that equivalent specs share one
 // canonical form (and therefore one cache key), then validates the spec
@@ -232,19 +230,17 @@ func (s *JobSpec) normalize(lim Limits) (*compiled, error) {
 	if lim.MaxPeriods > 0 && s.Periods > lim.MaxPeriods {
 		return nil, fmt.Errorf("periods %d exceeds the service limit %d", s.Periods, lim.MaxPeriods)
 	}
-	if lim.MaxSeeds > 0 && s.Seeds > lim.MaxSeeds {
-		return nil, fmt.Errorf("seeds %d exceeds the service limit %d", s.Seeds, lim.MaxSeeds)
+	if s.Seeds > maxSeeds {
+		return nil, fmt.Errorf("seeds %d exceeds the service limit %d", s.Seeds, maxSeeds)
 	}
-	if lim.MaxShards > 0 && s.Shards > lim.MaxShards {
-		return nil, fmt.Errorf("shards %d exceeds the service limit %d", s.Shards, lim.MaxShards)
+	if s.Shards > maxShards {
+		return nil, fmt.Errorf("shards %d exceeds the service limit %d", s.Shards, maxShards)
 	}
 	if s.Shards > s.N {
 		return nil, fmt.Errorf("shards %d exceeds the group size %d", s.Shards, s.N)
 	}
-	if lim.MaxRows > 0 {
-		if rows := s.recordedRows(); rows > lim.MaxRows {
-			return nil, fmt.Errorf("job would record %d rows (periods/record_every × seeds), exceeding the service limit %d; raise record_every or lower seeds/periods", rows, lim.MaxRows)
-		}
+	if rows := s.recordedRows(); rows > maxRows {
+		return nil, fmt.Errorf("job would record %d rows (periods/record_every × seeds), exceeding the service limit %d; raise record_every or lower seeds/periods", rows, maxRows)
 	}
 
 	comp, err := compilePipeline(s.compileRequest())

@@ -13,14 +13,20 @@ import (
 	"sync/atomic"
 )
 
-// Options configures the file backend.
+// Options configures the file backend; only the package's tests set it.
 type Options struct {
-	// SegmentBytes rotates the WAL to a new segment beyond this size
+	// segmentBytes rotates the WAL to a new segment beyond this size
 	// (default 4 MiB).
-	SegmentBytes int64
+	segmentBytes int64
 }
 
 const defaultSegmentBytes = 4 << 20
+
+// The rule by which Forget compacts the log; the package comment states it.
+const (
+	CompactRatio = 4
+	CompactFloor = 1024
+)
 
 // FileStore is the durable backend: a segmented WAL under <dir>/wal plus
 // content-addressed result blobs under <dir>/results/<prefix>/<key>.
@@ -40,6 +46,7 @@ type FileStore struct {
 	nRecovered int
 
 	records        int64
+	logRecords     int64 // records in the log: replayed at Open, appended since, or the last snapshot's
 	resultsWritten int64
 	resultBytes    int64
 	resultRawBytes int64
@@ -56,7 +63,7 @@ type FileStore struct {
 // instead. The kernel releases the lock when the holder dies, which is
 // what lets a restarted daemon recover from a crash without cleanup.
 func Open(dir string, opts Options) (*FileStore, error) {
-	segBytes := opts.SegmentBytes
+	segBytes := opts.segmentBytes
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
@@ -72,7 +79,7 @@ func Open(dir string, opts Options) (*FileStore, error) {
 		_ = lock.Close()
 		return nil, err
 	}
-	s := &FileStore{dir: dir, wal: w, lock: lock, jobs: make(map[string]*RecoveredJob)}
+	s := &FileStore{dir: dir, wal: w, lock: lock, jobs: make(map[string]*RecoveredJob), logRecords: int64(len(recs))}
 	for _, rec := range recs {
 		s.apply(rec)
 	}
@@ -164,6 +171,7 @@ func (s *FileStore) write(rec JobRecord) error {
 	}
 	s.apply(rec)
 	s.records++
+	s.logRecords++
 	return nil
 }
 
@@ -321,9 +329,11 @@ func (s *FileStore) Recovered() []RecoveredJob {
 	return recovered
 }
 
-// Forget drops a job from the index, so Compact no longer rewrites it. Its
-// slot in order is reclaimed once forgotten IDs outnumber the indexed ones.
-func (s *FileStore) Forget(id string) {
+// Forget drops a job from the index, so no compaction rewrites it. Its slot
+// in order is reclaimed once forgotten IDs outnumber the indexed ones. Only a
+// smaller index raises the log's records per indexed job, so Forget is where
+// the log compacts itself; an error is the compaction's.
+func (s *FileStore) Forget(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
@@ -337,16 +347,16 @@ func (s *FileStore) Forget(id string) {
 		clear(s.order[len(live):])
 		s.order = live
 	}
+	if s.closed || s.logRecords < CompactFloor || s.logRecords < CompactRatio*int64(len(s.jobs)) {
+		return nil
+	}
+	return s.compact()
 }
 
-// Compact rewrites the WAL to one snapshot record per job, dropping every
-// superseded transition, and replaces all segments with a single one.
-func (s *FileStore) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
+// compact rewrites the WAL to one snapshot record per indexed job, dropping
+// every superseded transition, and replaces all segments with a single one.
+// Callers hold s.mu.
+func (s *FileStore) compact() error {
 	recs := make([]JobRecord, 0, len(s.jobs))
 	for _, id := range s.order {
 		j := s.jobs[id]
@@ -369,6 +379,7 @@ func (s *FileStore) Compact() error {
 	if err := s.wal.compact(recs); err != nil {
 		return err
 	}
+	s.logRecords = int64(len(recs))
 	s.compactions++
 	return nil
 }
@@ -387,6 +398,7 @@ func (s *FileStore) Stats() Stats {
 		ResultRawBytes:  s.resultRawBytes,
 		RecoveredJobs:   s.nRecovered,
 		IndexedJobs:     len(s.jobs),
+		LogRecords:      s.logRecords,
 		TailTruncations: s.wal.truncations,
 		Compactions:     s.compactions,
 	}

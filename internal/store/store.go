@@ -30,6 +30,14 @@
 // failed-restartable otherwise. (Older logs also hold a running record per
 // pickup; it replays as one more non-terminal state.)
 //
+// The log's length follows the index, not the uptime: when Forget leaves it
+// holding CompactRatio records per indexed job and at least CompactFloor,
+// the file store rewrites it to one snapshot record per indexed job, renamed
+// in as the next segment before the old ones go. The service journals at
+// most three records per job, so a restart replays fewer than CompactRatio ×
+// IndexedJobs + CompactFloor, and a store that forgets nothing never
+// compacts.
+//
 // The blob format: one file per result, told apart by its first bytes. A
 // result's canonical JSON starts with '{' and is stored as is when it fits
 // one 4 KiB filesystem block: compressing it frees no disk block and would
@@ -143,7 +151,9 @@ type Stats struct {
 	RecoveredJobs  int
 	// IndexedJobs counts the jobs the store still indexes — every one
 	// journaled and not forgotten — which is what a compaction rewrites.
-	IndexedJobs     int
+	IndexedJobs int
+	// LogRecords counts the records in the log; at Open, those replayed.
+	LogRecords      int64
 	TailTruncations int64
 	Compactions     int64
 }
@@ -184,18 +194,16 @@ func checkUnsynced(rec JobRecord) error {
 // Recovered hands over the jobs rebuilt from the log at open time, in
 // first-submitted order: the store keeps no copy, so only the first call
 // returns them. Forget drops a job from the store's index of live jobs —
-// the service calls it as a terminal job ages out of its table — so Compact
-// stops carrying it; the job's records stay in the log until then, and its
-// result blob stays where it is. Compact rewrites the log to one record per
-// job still indexed, dropping superseded transitions.
+// the service calls it as a terminal job ages out of its table — so no
+// compaction of the log keeps its records, and its result blob stays where
+// it is. The file store compacts there; Forget's error is the compaction's.
 type Store interface {
 	Append(rec JobRecord) error
 	AppendUnsynced(rec JobRecord) error
-	Forget(id string)
+	Forget(id string) error
 	PutResult(key string, data []byte) error
 	OpenResult(key string) (Blob, int64, error)
 	Recovered() []RecoveredJob
-	Compact() error
 	Stats() Stats
 	Close() error
 }
@@ -225,15 +233,13 @@ func (m *memory) AppendUnsynced(rec JobRecord) error {
 	return m.Append(rec)
 }
 
-func (m *memory) Forget(id string) {}
+func (m *memory) Forget(id string) error { return nil }
 
 func (m *memory) PutResult(key string, data []byte) error { return nil }
 
 func (m *memory) OpenResult(key string) (Blob, int64, error) { return nil, 0, ErrNotFound }
 
 func (m *memory) Recovered() []RecoveredJob { return nil }
-
-func (m *memory) Compact() error { return nil }
 
 func (m *memory) Stats() Stats {
 	m.mu.Lock()

@@ -21,6 +21,23 @@ func mustOpen(t *testing.T, dir string, opts Options) *FileStore {
 	return s
 }
 
+func forget(t *testing.T, s *FileStore, id string) {
+	t.Helper()
+	if err := s.Forget(id); err != nil {
+		t.Fatalf("Forget(%s): %v", id, err)
+	}
+}
+
+// compactNow compacts the log whatever its counts say.
+func compactNow(t *testing.T, s *FileStore) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.compact(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func lifecycle(id, key string) []JobRecord {
 	return []JobRecord{
 		{Op: OpSubmitted, ID: id, Key: key, Spec: json.RawMessage(`{"n":400}`), SubmittedAt: 100},
@@ -328,7 +345,7 @@ func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// ~100-byte records against a 256-byte bound: rotation every couple of
 	// appends.
-	s := mustOpen(t, dir, Options{SegmentBytes: 256})
+	s := mustOpen(t, dir, Options{segmentBytes: 256})
 	var want []string
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("j%06d", i+1)
@@ -343,7 +360,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := mustOpen(t, dir, Options{SegmentBytes: 256})
+	s2 := mustOpen(t, dir, Options{segmentBytes: 256})
 	defer s2.Close()
 	got := s2.Recovered()
 	if len(got) != len(want) {
@@ -358,7 +375,7 @@ func TestSegmentRotation(t *testing.T) {
 
 func TestCompactionDropsSupersededRecords(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 512})
+	s := mustOpen(t, dir, Options{segmentBytes: 512})
 	const jobs = 12
 	for i := 0; i < jobs; i++ {
 		for _, rec := range lifecycle(fmt.Sprintf("j%06d", i+1), "abcd") {
@@ -371,9 +388,7 @@ func TestCompactionDropsSupersededRecords(t *testing.T) {
 	if before.WALSegments < 2 {
 		t.Fatalf("test wants multiple segments before compaction, got %+v", before)
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	compactNow(t, s)
 	after := s.Stats()
 	if after.WALSegments != 1 || after.Compactions != 1 {
 		t.Fatalf("post-compaction stats %+v", after)
@@ -389,7 +404,7 @@ func TestCompactionDropsSupersededRecords(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := mustOpen(t, dir, Options{SegmentBytes: 512})
+	s2 := mustOpen(t, dir, Options{segmentBytes: 512})
 	defer s2.Close()
 	got := s2.Recovered()
 	if len(got) != jobs+1 {
@@ -407,7 +422,7 @@ func TestCompactionDropsSupersededRecords(t *testing.T) {
 }
 
 // TestForgetBoundsTheIndex: a forgotten job stays in the WAL until the next
-// compaction and no longer — the index, its order list and what Compact
+// compaction and no longer — the index, its order list and what a compaction
 // rewrites all follow Forget — while its result blob stays readable; and
 // Recovered hands its slice over once, leaving the store only the count.
 func TestForgetBoundsTheIndex(t *testing.T) {
@@ -422,10 +437,10 @@ func TestForgetBoundsTheIndex(t *testing.T) {
 			}
 		}
 		if i >= keep {
-			s.Forget(fmt.Sprintf("j%06d", i+1-keep))
+			forget(t, s, fmt.Sprintf("j%06d", i+1-keep))
 		}
 	}
-	s.Forget("j999999") // unknown IDs are ignored
+	forget(t, s, "j999999") // unknown IDs are ignored
 	if err := s.PutResult("abcd", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +455,8 @@ func TestForgetBoundsTheIndex(t *testing.T) {
 	}
 	s.Close()
 
-	// Uncompacted, the WAL still replays every job.
+	// Below CompactFloor records the log never compacts itself, so it
+	// still replays every job.
 	s2 := mustOpen(t, dir, Options{})
 	if got := s2.Recovered(); len(got) != jobs {
 		t.Fatalf("recovered %d jobs from the uncompacted WAL, want %d", len(got), jobs)
@@ -449,11 +465,9 @@ func TestForgetBoundsTheIndex(t *testing.T) {
 		t.Fatalf("second Recovered() = %d jobs, stats count %d: want nil and %d", len(again), s2.Stats().RecoveredJobs, jobs)
 	}
 	for i := 0; i < jobs-keep; i++ {
-		s2.Forget(fmt.Sprintf("j%06d", i+1))
+		forget(t, s2, fmt.Sprintf("j%06d", i+1))
 	}
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	compactNow(t, s2)
 	s2.Close()
 
 	s3 := mustOpen(t, dir, Options{})
@@ -465,6 +479,62 @@ func TestForgetBoundsTheIndex(t *testing.T) {
 	if data, err := s3.GetResult("abcd"); err != nil || string(data) != `{}` {
 		t.Fatalf("result of forgotten jobs: %q, %v", data, err)
 	}
+}
+
+// TestLogIsBoundedByTheIndex: a store that journals 10·R jobs, forgetting
+// each once R newer ones follow it as the service ages jobs out, compacts
+// its own log. The log never holds more than CompactRatio·IndexedJobs +
+// CompactFloor records, and a reopen replays no more and recovers the R
+// jobs still indexed. A store that forgets nothing never compacts.
+func TestLogIsBoundedByTheIndex(t *testing.T) {
+	const keep = 128
+	journal := func(t *testing.T, s *FileStore, forgetting bool) {
+		for i := 0; i < 10*keep; i++ {
+			for _, rec := range lifecycle(fmt.Sprintf("j%06d", i+1), "abcd") {
+				if err := s.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if forgetting && i >= keep {
+				forget(t, s, fmt.Sprintf("j%06d", i+1-keep))
+			}
+			if st := s.Stats(); st.LogRecords > CompactRatio*int64(st.IndexedJobs)+CompactFloor {
+				t.Fatalf("after job %d the log holds %d records for %d indexed jobs", i+1, st.LogRecords, st.IndexedJobs)
+			}
+		}
+	}
+
+	t.Run("forgetting", func(t *testing.T) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{})
+		journal(t, s, true)
+		if st := s.Stats(); st.Compactions < 1 || st.IndexedJobs != keep {
+			t.Fatalf("%d compactions, %d jobs indexed after forgetting all but %d of %d", st.Compactions, st.IndexedJobs, keep, 10*keep)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2 := mustOpen(t, dir, Options{})
+		defer s2.Close()
+		st := s2.Stats()
+		if st.LogRecords > CompactRatio*keep+CompactFloor || int64(st.RecoveredJobs) > st.LogRecords {
+			t.Fatalf("the reopen replayed %d records for %d jobs, want at most %d", st.LogRecords, st.RecoveredJobs, CompactRatio*keep+CompactFloor)
+		}
+		got := s2.Recovered()
+		for i, rj := range got[len(got)-keep:] {
+			if want := fmt.Sprintf("j%06d", 9*keep+i+1); rj.ID != want || rj.Status != OpDone || rj.Interrupted {
+				t.Fatalf("recovered %+v, want %s done", rj, want)
+			}
+		}
+	})
+	t.Run("remembering", func(t *testing.T) {
+		s := mustOpen(t, t.TempDir(), Options{})
+		defer s.Close()
+		journal(t, s, false)
+		if st := s.Stats(); st.Compactions != 0 || st.LogRecords != 30*keep {
+			t.Fatalf("a store that forgets nothing: %d compactions, %d records in the log", st.Compactions, st.LogRecords)
+		}
+	})
 }
 
 // lastSegment returns the path of the highest-numbered WAL segment.
@@ -748,7 +818,7 @@ func appendUnsyncedRidesTheNextSync(t *testing.T) {
 		t.Fatal("unsynced append after Close succeeded")
 	}
 
-	s2 := mustOpen(t, dir, Options{SegmentBytes: 256})
+	s2 := mustOpen(t, dir, Options{segmentBytes: 256})
 	got := s2.Recovered()
 	if len(got) != 3 {
 		t.Fatalf("recovered %d jobs, want 3", len(got))
