@@ -12,9 +12,9 @@ import (
 )
 
 // terminalJobBudget is the post-GC heap a terminal job may hold while it is
-// in the table — Job, trace, done channel, the table's and the ageing queue's
-// entries and the store's index of it: what -retain-jobs multiplies.
-const terminalJobBudget = 3 << 10
+// in the table — Job, trace, the table's and the ageing queue's entries and
+// the store's index entry of its ID: what -retain-jobs multiplies.
+const terminalJobBudget = 1 << 10
 
 // footprintSpec is the i-th job of the footprint test: the endemic system
 // with beta drawn from a grid, the shape of the benchmark's submit-small.
@@ -67,7 +67,7 @@ func terminalFootprint(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
+		<-job.wait()
 		if st := job.snapshot(false); st.Status != StatusDone || st.Cached != cached {
 			t.Fatalf("job %s: %s %s, cached %v (want %v)", st.ID, st.Status, st.Error, st.Cached, cached)
 		}
@@ -174,7 +174,7 @@ func TestResidentResultIsItsMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
+		<-job.wait()
 		blob, ok := srv.cache.peek(job.Key)
 		if !ok || !store.IsMember(blob.stored) {
 			t.Fatalf("job %s: resident %v, member %v", job.ID, ok, ok && store.IsMember(blob.stored))

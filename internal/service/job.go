@@ -80,8 +80,13 @@ type Job struct {
 	trace *obs.Trace
 
 	rows int // recorded rows of a terminal job (settle)
+	// done exists once something waits on the job (the tests do); conclude
+	// closes it, or shares released when nobody waits.
 	done chan struct{}
 }
+
+// released is the done channel of every job concluded before anyone waited.
+var released = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // liveJob is what a job holds only until it is terminal: the full spec, the
 // compiled protocol (otherwise the compile memo's alone), the rows recorded
@@ -322,7 +327,12 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	}
 	s.journal(rec, born || out.status != StatusDone)
 	s.retire(job)
-	close(job.done)
+	job.mu.Lock()
+	if job.done != nil {
+		close(job.done)
+	}
+	job.done = released
+	job.mu.Unlock()
 	job.traceAdd(obs.StageResponded)
 	s.logCompletion(job)
 	return true

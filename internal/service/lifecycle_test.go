@@ -414,7 +414,7 @@ func TestEveryTerminalPath(t *testing.T) {
 				t.Fatal("terminal job has no finished instant")
 			}
 			select {
-			case <-job.done:
+			case <-job.wait():
 			default:
 				t.Error("waiters on done were not released")
 			}
@@ -525,7 +525,7 @@ func TestStatsJobCountsMatchTheTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
+		<-job.wait()
 		return job
 	}
 	seeded := func(seed int64) JobSpec {

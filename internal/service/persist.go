@@ -166,7 +166,7 @@ func (s *Server) recoverJobs() []restartableJob {
 		job, _ := s.restore(rj)
 		job.settle()
 		s.terminal = append(s.terminal, job)
-		close(job.done)
+		job.done = released
 	}
 	var restartable []restartableJob
 	for _, rj := range interrupted {
@@ -189,8 +189,7 @@ func (s *Server) recoverJobs() []restartableJob {
 // restore enters one replayed job in the table in its journaled state, live
 // part included, and reports whether its spec survived in the WAL.
 func (s *Server) restore(rj store.RecoveredJob) (*Job, bool) {
-	job := &Job{ID: rj.ID, Key: rj.Key, srv: s, num: s.idNumber(rj.ID), liveJob: new(liveJob), status: StatusQueued,
-		done: make(chan struct{})}
+	job := &Job{ID: rj.ID, Key: rj.Key, srv: s, num: s.idNumber(rj.ID), liveJob: new(liveJob), status: StatusQueued}
 	if obs.ValidTraceID(rj.Trace) {
 		// Rebuild an approximate trail from the journaled timestamps:
 		// the per-stage spans died with the previous process, but the

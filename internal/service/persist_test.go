@@ -68,7 +68,7 @@ func TestSingleFlightCoalescesQueuedTwin(t *testing.T) {
 	if _, err := srv.Cancel(first.ID); err != nil {
 		t.Fatal(err)
 	}
-	<-first.done
+	<-first.wait()
 	// The key is released once the twin is terminal: a fresh submit
 	// registers a new job rather than coalescing onto a cancelled one.
 	fresh, err := srv.Submit(twinSpec)
@@ -159,7 +159,7 @@ func TestFileBackendPersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.done
+	<-job.wait()
 	first := job.Snapshot(true)
 	if first.Status != StatusDone || first.Cached {
 		t.Fatalf("first run %+v", first)
@@ -253,7 +253,7 @@ func TestRecoveredColdJobsStreamTheirRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
+		<-job.wait()
 		ids = append(ids, job.ID)
 	}
 	srv1.Close()
@@ -298,7 +298,7 @@ func TestWarmStopsAtTheByteBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
+		<-job.wait()
 		keys = append(keys, job.Key)
 	}
 	srv1.Close()
@@ -325,7 +325,7 @@ func TestWarmStopsAtTheByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.done
+	<-job.wait()
 	if srv2.cache.contains(keys[2]) || !srv2.cache.contains(keys[3]) || !srv2.cache.contains(keys[4]) {
 		t.Fatal("the next result must evict the oldest warmed one")
 	}
@@ -348,7 +348,7 @@ func TestAsyncnetVirtualResultSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.done
+	<-job.wait()
 	first := job.Snapshot(true)
 	if first.Status != StatusDone || first.Cached || first.Mode != ModeVirtual {
 		t.Fatalf("first virtual asyncnet run %+v", first)
@@ -477,7 +477,7 @@ func TestResumeInterruptedRestartsJobs(t *testing.T) {
 		t.Fatal("resubmitted job not registered")
 	}
 	select {
-	case <-resub.done:
+	case <-resub.wait():
 	case <-time.After(30 * time.Second):
 		t.Fatal("resubmitted job did not finish")
 	}
@@ -566,7 +566,7 @@ func TestRecoveryMarksInterruptedJobs(t *testing.T) {
 	if next.ID != "j000008" {
 		t.Fatalf("post-recovery ID %s, want j000008", next.ID)
 	}
-	<-next.done
+	<-next.wait()
 	srv.Close()
 	if err := fst2.Close(); err != nil {
 		t.Fatal(err)
@@ -599,7 +599,7 @@ func TestPutResultFailureFailsTheJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.done
+	<-job.wait()
 	st := job.Snapshot(false)
 	if st.Status != StatusFailed || !strings.Contains(st.Error, "persisting result") {
 		t.Fatalf("job with a failing store finished %+v", st)

@@ -476,7 +476,7 @@ func TestStatusSpliceBytesAndNoDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.done
+	<-job.wait()
 	h := srv.Handler()
 	get := func() *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -564,7 +564,7 @@ func TestFinishedJobKeepsOnlyItsBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			<-job.done
+			<-job.wait()
 			st := job.snapshot(true)
 			if st.Status != StatusDone || st.result == nil {
 				t.Fatalf("job %s: %s %s, no result", st.ID, st.Status, st.Error)

@@ -356,10 +356,10 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 		status:  StatusQueued,
 		created: created,
 		trace:   tr,
-		done:    make(chan struct{}),
 	}
 
-	if _, ok := s.resolveResult(key, true); ok {
+	if blob, ok := s.resolveResult(key, true); ok {
+		job.Key = blob.key // the resolved blob's string, not a copy of the job's own
 		job.started = created
 		s.met.submitted.Inc()
 		s.conclude(job, StatusQueued, outcome{status: StatusDone, cached: true})

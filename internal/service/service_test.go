@@ -77,6 +77,18 @@ func decodeStatus(t *testing.T, data []byte) JobStatus {
 	return st
 }
 
+// wait returns a channel that closes once conclude is through with the job:
+// its record journaled, the table caught up. The channel is made here, under
+// the job's lock, the first time anything waits.
+func (j *Job) wait() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.done == nil {
+		j.done = make(chan struct{})
+	}
+	return j.done
+}
+
 // waitStatus polls GET /v1/jobs/{id} until the job reaches a terminal
 // state or the deadline passes.
 func waitStatus(t *testing.T, base, id string, want Status, timeout time.Duration) JobStatus {
@@ -617,7 +629,7 @@ func TestCloseFinishesQueuedJobs(t *testing.T) {
 		t.Fatalf("queued job after Close: %s", st.Status)
 	}
 	select {
-	case <-queued.done:
+	case <-queued.wait():
 	default:
 		t.Fatal("queued job's done channel still open after Close")
 	}

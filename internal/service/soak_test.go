@@ -103,7 +103,7 @@ func soak(t *testing.T, dir string) {
 						t.Errorf("submit %d: %v", i, err)
 						return
 					}
-					<-job.done
+					<-job.wait()
 					if i == 0 {
 						firstKey.Store(job.Key)
 					}
@@ -113,7 +113,7 @@ func soak(t *testing.T, dir string) {
 							t.Errorf("duplicate submit %d: %v", i, err)
 							return
 						}
-						<-dup.done
+						<-dup.wait()
 						if dup.Key != job.Key {
 							t.Errorf("duplicate of job %d has key %s, want %s", i, dup.Key, job.Key)
 						}
@@ -244,7 +244,7 @@ func soak(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.done
+	<-job.wait()
 	if want := fmt.Sprintf("j%06d", issued+1); job.ID != want {
 		t.Fatalf("the first job after the restart is %s, want %s", job.ID, want)
 	}
@@ -263,7 +263,7 @@ func TestListPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-job.done
+		<-job.wait()
 	}
 	// j999990 … j999994 have aged out; 25 remain, j999995 … j1000019.
 	var got []string

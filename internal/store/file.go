@@ -36,11 +36,11 @@ type FileStore struct {
 	wal  *wal
 	lock *os.File // flock'd LOCK file guarding the dir against a second process
 
-	// jobs is the merged state of every job not forgotten, kept current
-	// across appends; order is their first-seen order, preserved across
-	// compaction, and may name forgotten IDs until Forget next prunes it.
-	jobs  map[string]*RecoveredJob
-	order []string
+	// ids is the index: every job journaled and not forgotten. It is all a
+	// compaction takes from memory; the states it writes come from the log.
+	ids        map[string]struct{}
+	compacting bool
+	retryAt    int64 // after a failed compaction, the log length that tries again
 
 	recovered  []RecoveredJob // state snapshot taken at Open, until Recovered hands it over
 	nRecovered int
@@ -67,41 +67,50 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := mkdirDurable(filepath.Join(dir, "results")); err != nil {
 		return nil, err
 	}
 	lock, err := lockDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	w, recs, err := openWAL(filepath.Join(dir, "wal"), segBytes)
+	m := merged{at: map[string]int{}}
+	w, err := openWAL(filepath.Join(dir, "wal"), segBytes, m.add)
 	if err != nil {
 		_ = lock.Close()
 		return nil, err
 	}
-	s := &FileStore{dir: dir, wal: w, lock: lock, jobs: make(map[string]*RecoveredJob), logRecords: int64(len(recs))}
-	for _, rec := range recs {
-		s.apply(rec)
-	}
-	s.recovered = make([]RecoveredJob, 0, len(s.order))
-	for _, id := range s.order {
-		rj := *s.jobs[id]
+	s := &FileStore{dir: dir, wal: w, lock: lock, ids: make(map[string]struct{}, len(m.jobs)), logRecords: m.records}
+	for i := range m.jobs {
+		rj := &m.jobs[i]
 		rj.Interrupted = opRank(rj.Status) < rankTerminal
-		s.recovered = append(s.recovered, rj)
+		s.ids[rj.ID] = struct{}{}
 	}
-	s.nRecovered = len(s.recovered)
+	s.recovered, s.nRecovered = m.jobs, len(m.jobs)
 	return s, nil
 }
 
-// apply merges one record into the live per-job state; callers hold s.mu
-// (or run single-threaded during Open).
-func (s *FileStore) apply(rec JobRecord) {
-	j := s.jobs[rec.ID]
-	if j == nil {
-		j = &RecoveredJob{ID: rec.ID}
-		s.jobs[rec.ID] = j
-		s.order = append(s.order, rec.ID)
+// merged folds replayed records into one state per job, in first-seen order.
+type merged struct {
+	jobs    []RecoveredJob
+	at      map[string]int
+	records int64
+}
+
+// add merges one record into its job's state: later fields win, and an op
+// never lowers the job's rank.
+func (m *merged) add(rec JobRecord) {
+	m.records++
+	i, ok := m.at[rec.ID]
+	if !ok {
+		i = len(m.jobs)
+		m.at[rec.ID] = i
+		m.jobs = append(m.jobs, RecoveredJob{ID: rec.ID})
 	}
+	j := &m.jobs[i]
 	if opRank(rec.Op) >= opRank(j.Status) {
 		j.Status = rec.Op
 	}
@@ -158,8 +167,8 @@ func (s *FileStore) AppendUnsynced(rec JobRecord) error {
 	return s.write(rec)
 }
 
-// write frames rec into the open segment and merges it into the index;
-// nothing is forced to disk.
+// write frames rec into the open segment and indexes its job; nothing is
+// forced to disk.
 func (s *FileStore) write(rec JobRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,7 +178,7 @@ func (s *FileStore) write(rec JobRecord) error {
 	if err := s.wal.appendNoSync(rec); err != nil {
 		return err
 	}
-	s.apply(rec)
+	s.ids[rec.ID] = struct{}{}
 	s.records++
 	s.logRecords++
 	return nil
@@ -200,11 +209,11 @@ func resultPath(dir, key string) (string, error) {
 
 var tmpSeq atomic.Int64
 
-// writeAtomic publishes data at path: written to a temp file, fsync'd, and
-// renamed into place, so a crash leaves either the whole file or nothing,
-// never a torn read under a name a reader can open.
-func writeAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+// writeAtomic publishes what write writes at path: to a temp file, fsync'd,
+// renamed into place and the dir fsync'd, so a crash leaves either the whole
+// file or nothing, never a torn read under a name a reader can open.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	if err := mkdirDurable(filepath.Dir(path)); err != nil {
 		return err
 	}
 	tmp := fmt.Sprintf("%s.tmp%d", path, tmpSeq.Add(1))
@@ -212,25 +221,36 @@ func writeAtomic(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
+	if err = write(f); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return syncDir(filepath.Dir(path))
+}
+
+var mkdirMu sync.Mutex
+
+// mkdirDurable creates dir if it is missing and fsyncs its parent, so the new
+// entry survives a crash; an existing dir costs one syscall. Callers wait on
+// each other, so none returns before a dir another has just made is durable.
+func mkdirDurable(dir string) error {
+	mkdirMu.Lock()
+	defer mkdirMu.Unlock()
+	if err := os.Mkdir(dir, 0o755); errors.Is(err, fs.ErrExist) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(dir))
 }
 
 // PutResult durably stores a completed result under its content address
@@ -248,7 +268,7 @@ func (s *FileStore) PutResult(key string, data []byte) error {
 	} else if len(data) > blockBytes {
 		stored = Deflate(data)
 	}
-	if err := writeAtomic(path, stored); err != nil {
+	if err := writeAtomic(path, func(w io.Writer) error { _, err := w.Write(stored); return err }); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -315,7 +335,7 @@ func (s *FileStore) PutResultGzip(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(path+".gz", data)
+	return writeAtomic(path+".gz", func(w io.Writer) error { _, err := w.Write(data); return err })
 }
 
 // Recovered hands over the jobs rebuilt from the WAL at Open time, in
@@ -329,60 +349,134 @@ func (s *FileStore) Recovered() []RecoveredJob {
 	return recovered
 }
 
-// Forget drops a job from the index, so no compaction rewrites it. Its slot
-// in order is reclaimed once forgotten IDs outnumber the indexed ones. Only a
+// Forget drops a job from the index, so no compaction rewrites it. Only a
 // smaller index raises the log's records per indexed job, so Forget is where
 // the log compacts itself; an error is the compaction's.
 func (s *FileStore) Forget(id string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	if len(s.order) > 2*len(s.jobs)+16 {
-		live := s.order[:0]
-		for _, id := range s.order {
-			if s.jobs[id] != nil {
-				live = append(live, id)
-			}
-		}
-		clear(s.order[len(live):])
-		s.order = live
-	}
-	if s.closed || s.logRecords < CompactFloor || s.logRecords < CompactRatio*int64(len(s.jobs)) {
+	delete(s.ids, id)
+	due := !s.closed && s.logRecords >= max(CompactFloor, CompactRatio*int64(len(s.ids)), s.retryAt)
+	s.mu.Unlock()
+	if !due {
 		return nil
 	}
 	return s.compact()
 }
 
-// compact rewrites the WAL to one snapshot record per indexed job, dropping
-// every superseded transition, and replaces all segments with a single one.
-// Callers hold s.mu.
+// compact rewrites the log to one snapshot record per indexed job, holding
+// s.mu only to seal the log, to read the index and to retire the old
+// segments. Sealing rotates appends to segment k+2 and reserves k+1 for the
+// snapshot, which merges segments 1..k replayed read-only; appends made
+// meanwhile replay after it. At every step the log on disk replays to the
+// same state: the snapshot repeats what the segments before it say. A job
+// forgotten while the snapshot is written keeps its record until the next
+// compaction, as if forgotten after this one. One compaction runs at a time;
+// after a failed one the next waits for the log to double.
 func (s *FileStore) compact() error {
-	recs := make([]JobRecord, 0, len(s.jobs))
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j == nil {
-			continue // forgotten
+	s.mu.Lock()
+	if s.compacting {
+		s.mu.Unlock()
+		return nil
+	}
+	s.compacting = true
+	sealed, sealedRecords := s.wal.segIndex, s.logRecords
+	err := s.wal.rotate(sealed + 2)
+	s.mu.Unlock()
+	var old []int
+	var oldBytes, size int64
+	var live []RecoveredJob
+	if err == nil {
+		afterStep("sealed")
+		snap := merged{at: map[string]int{}}
+		old, oldBytes, err = s.replaySealed(sealed, &snap)
+		// A job forgotten mid-replay may have lost records to the filter: the
+		// rest of it goes too.
+		s.mu.Lock()
+		live = snap.jobs[:0]
+		for _, j := range snap.jobs {
+			if _, ok := s.ids[j.ID]; ok {
+				live = append(live, j)
+			}
 		}
-		recs = append(recs, JobRecord{
-			Op:          j.Status,
-			ID:          j.ID,
-			Key:         j.Key,
-			Spec:        j.Spec,
-			Error:       j.Error,
-			Cached:      j.Cached,
-			SubmittedAt: j.SubmittedAt,
-			StartedAt:   j.StartedAt,
-			FinishedAt:  j.FinishedAt,
-			Trace:       j.Trace,
+		s.mu.Unlock()
+	}
+	if err == nil {
+		err = writeAtomic(filepath.Join(s.wal.dir, segName(sealed+1)), func(f io.Writer) error {
+			for _, j := range live {
+				buf, err := frame(JobRecord{Op: j.Status, ID: j.ID, Key: j.Key, Spec: j.Spec, Error: j.Error, Cached: j.Cached,
+					SubmittedAt: j.SubmittedAt, StartedAt: j.StartedAt, FinishedAt: j.FinishedAt, Trace: j.Trace})
+				if err == nil {
+					_, err = f.Write(buf)
+				}
+				if err != nil {
+					return err
+				}
+				size += int64(len(buf))
+			}
+			return nil
 		})
 	}
-	if err := s.wal.compact(recs); err != nil {
+	if err == nil {
+		afterStep("renamed")
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.compacting = false
+	if err == nil && s.closed {
+		err = errClosed
+	}
+	for i := 0; i < len(old) && err == nil; i++ {
+		err = os.Remove(filepath.Join(s.wal.dir, segName(old[i])))
+		afterStep("removed")
+	}
+	if err != nil {
+		s.retryAt = 2 * s.logRecords
 		return err
 	}
-	s.logRecords = int64(len(recs))
+	s.wal.segments += 1 - len(old)
+	s.wal.totalBytes += size - oldBytes
+	s.logRecords += int64(len(live)) - sealedRecords
 	s.compactions++
 	return nil
 }
+
+// replaySealed merges the records of segments 1..sealed into snap, those of
+// jobs still indexed, and returns the segments' indices and bytes. It takes
+// s.mu once per segment, to read the index. A bad frame is an error, since a
+// compaction must not drop what it cannot read.
+func (s *FileStore) replaySealed(sealed int, snap *merged) (old []int, size int64, err error) {
+	indices, err := segmentIndices(s.wal.dir)
+	var recs []JobRecord
+	for _, idx := range indices {
+		if err != nil || idx > sealed {
+			break
+		}
+		path := filepath.Join(s.wal.dir, segName(idx))
+		recs = recs[:0]
+		good, n, rerr := readSegment(path, func(rec JobRecord) { recs = append(recs, rec) })
+		if err = rerr; err == nil && good < n {
+			err = fmt.Errorf("store: sealed segment %s holds a torn or corrupted frame at byte %d", path, good)
+		}
+		kept := recs[:0]
+		s.mu.Lock()
+		for _, rec := range recs {
+			if _, ok := s.ids[rec.ID]; ok {
+				kept = append(kept, rec)
+			}
+		}
+		s.mu.Unlock()
+		for _, rec := range kept {
+			snap.add(rec)
+		}
+		old, size = append(old, idx), size+n
+	}
+	return old, size, err
+}
+
+// afterStep marks the boundaries between compaction's steps, for tests that
+// crash there.
+var afterStep = func(step string) {}
 
 func (s *FileStore) Stats() Stats {
 	s.mu.Lock()
@@ -397,7 +491,7 @@ func (s *FileStore) Stats() Stats {
 		ResultBytes:     s.resultBytes,
 		ResultRawBytes:  s.resultRawBytes,
 		RecoveredJobs:   s.nRecovered,
-		IndexedJobs:     len(s.jobs),
+		IndexedJobs:     len(s.ids),
 		LogRecords:      s.logRecords,
 		TailTruncations: s.wal.truncations,
 		Compactions:     s.compactions,

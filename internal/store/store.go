@@ -12,8 +12,10 @@
 // blob is fsync'd and renamed into place (PutResult, before anyone can see
 // it done). Results are immutable blobs keyed by the SHA-256 cache key of
 // the spec that produced them, so the second point needs no coordination:
-// rewriting the same key writes the same bytes. Every other record is an
-// index over those two facts. The done record of an accepted job only
+// rewriting the same key writes the same bytes. (A dir the store creates is
+// fsync'd into its parent once, so a blob's path is as durable as its bytes:
+// at most 258 syncs per data dir, none of them a job's.) Every other record
+// is an index over those two facts. The done record of an accepted job only
 // repeats what its blob proves, so it is written without a flush of its own
 // (AppendUnsynced) and rides the next one; a failed or aborted record, and
 // the single done record of a job answered from the cache at submission, are
@@ -30,13 +32,18 @@
 // failed-restartable otherwise. (Older logs also hold a running record per
 // pickup; it replays as one more non-terminal state.)
 //
-// The log's length follows the index, not the uptime: when Forget leaves it
-// holding CompactRatio records per indexed job and at least CompactFloor,
-// the file store rewrites it to one snapshot record per indexed job, renamed
-// in as the next segment before the old ones go. The service journals at
-// most three records per job, so a restart replays fewer than CompactRatio ×
-// IndexedJobs + CompactFloor, and a store that forgets nothing never
-// compacts.
+// The log's length follows the index, not the uptime. The file store's index
+// is the set of job IDs journaled and not forgotten, and nothing more: job
+// states live in the log alone. When Forget leaves the log holding
+// CompactRatio records per indexed job and at least CompactFloor, the store
+// seals the open segment, replays the sealed log read-only — without its
+// lock, while appends go on into a fresh segment — and writes the merged
+// state of each job still indexed as one snapshot record, renamed in as the
+// segment between the sealed ones and the fresh one before the sealed ones
+// go. A bad frame in the sealed log stops the compaction, which drops
+// nothing. The service journals at most three records per job, so a restart
+// replays fewer than CompactRatio × IndexedJobs + CompactFloor, and a store
+// that forgets nothing never compacts.
 //
 // The blob format: one file per result, told apart by its first bytes. A
 // result's canonical JSON starts with '{' and is stored as is when it fits
@@ -150,7 +157,7 @@ type Stats struct {
 	ResultRawBytes int64
 	RecoveredJobs  int
 	// IndexedJobs counts the jobs the store still indexes — every one
-	// journaled and not forgotten — which is what a compaction rewrites.
+	// journaled and not forgotten — which is what a compaction keeps.
 	IndexedJobs int
 	// LogRecords counts the records in the log; at Open, those replayed.
 	LogRecords      int64

@@ -31,8 +31,6 @@ func forget(t *testing.T, s *FileStore, id string) {
 // compactNow compacts the log whatever its counts say.
 func compactNow(t *testing.T, s *FileStore) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +387,9 @@ func TestCompactionDropsSupersededRecords(t *testing.T) {
 		t.Fatalf("test wants multiple segments before compaction, got %+v", before)
 	}
 	compactNow(t, s)
+	// The snapshot, and the segment sealing opened for appends.
 	after := s.Stats()
-	if after.WALSegments != 1 || after.Compactions != 1 {
+	if after.WALSegments != 2 || after.Compactions != 1 {
 		t.Fatalf("post-compaction stats %+v", after)
 	}
 	if after.WALBytes >= before.WALBytes {
@@ -422,8 +421,8 @@ func TestCompactionDropsSupersededRecords(t *testing.T) {
 }
 
 // TestForgetBoundsTheIndex: a forgotten job stays in the WAL until the next
-// compaction and no longer — the index, its order list and what a compaction
-// rewrites all follow Forget — while its result blob stays readable; and
+// compaction and no longer — the ID set and what a compaction rewrites
+// both follow Forget — while its result blob stays readable; and
 // Recovered hands its slice over once, leaving the store only the count.
 func TestForgetBoundsTheIndex(t *testing.T) {
 	dir := t.TempDir()
@@ -448,10 +447,10 @@ func TestForgetBoundsTheIndex(t *testing.T) {
 		t.Fatalf("index holds %d jobs after forgetting all but the last %d", st.IndexedJobs, keep)
 	}
 	s.mu.Lock()
-	slots := len(s.order)
+	slots := len(s.ids)
 	s.mu.Unlock()
-	if slots > 2*keep+16 {
-		t.Fatalf("order list holds %d IDs for %d indexed jobs", slots, keep)
+	if slots != keep {
+		t.Fatalf("the ID set holds %d IDs for %d indexed jobs", slots, keep)
 	}
 	s.Close()
 

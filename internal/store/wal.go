@@ -51,16 +51,63 @@ func (w *wal) markSynced() { w.unsynced, w.syncedSize = 0, w.size }
 
 func segName(index int) string { return fmt.Sprintf("%08d.wal", index) }
 
-// openWAL replays every segment in index order and opens the newest for
-// append. Torn or corrupted records truncate their segment at the last
-// good byte; replay then continues with the next segment.
-func openWAL(dir string, segBytes int64) (*wal, []JobRecord, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+// openWAL replays every segment in index order into add and opens the
+// newest for append. Torn or corrupted records truncate their segment at the
+// last good byte; replay then continues with the next segment.
+func openWAL(dir string, segBytes int64, add func(JobRecord)) (*wal, error) {
+	if err := mkdirDurable(dir); err != nil {
+		return nil, err
 	}
+	indices, err := segmentIndices(dir)
+	if err != nil {
+		return nil, err
+	}
+	w := &wal{dir: dir, segBytes: segBytes}
+	for _, idx := range indices {
+		// A bad frame truncates its segment there: an append-only log is only
+		// ever damaged at its tail by a crash (bit rot elsewhere hits the same
+		// CRC check), so everything before it is trustworthy and everything
+		// after it is not.
+		path := filepath.Join(dir, segName(idx))
+		good, size, err := readSegment(path, add)
+		if err == nil && good < size {
+			w.truncations++
+			if err = os.Truncate(path, good); err != nil {
+				err = fmt.Errorf("truncating torn tail of %s: %w", path, err)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		w.totalBytes += good
+	}
+	w.segments = len(indices)
+	if len(indices) == 0 {
+		if err := w.rotate(1); err != nil {
+			return nil, err
+		}
+	} else {
+		last := indices[len(indices)-1]
+		f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		info, err := f.Stat()
+		if err != nil {
+			_ = f.Close()
+			return nil, err
+		}
+		w.segIndex, w.f, w.size = last, f, info.Size()
+		w.markSynced()
+	}
+	return w, nil
+}
+
+// segmentIndices lists the indices of the segments under dir, ascending.
+func segmentIndices(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var indices []int
 	for _, e := range entries {
@@ -70,77 +117,29 @@ func openWAL(dir string, segBytes int64) (*wal, []JobRecord, error) {
 		}
 	}
 	sort.Ints(indices)
-
-	w := &wal{dir: dir, segBytes: segBytes}
-	var recs []JobRecord
-	for _, idx := range indices {
-		segRecs, segSize, err := w.replaySegment(filepath.Join(dir, segName(idx)))
-		if err != nil {
-			return nil, nil, err
-		}
-		recs = append(recs, segRecs...)
-		w.totalBytes += segSize
-	}
-	w.segments = len(indices)
-	if len(indices) == 0 {
-		if err := w.rotate(1); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		last := indices[len(indices)-1]
-		f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, err
-		}
-		info, err := f.Stat()
-		if err != nil {
-			_ = f.Close()
-			return nil, nil, err
-		}
-		w.segIndex, w.f, w.size = last, f, info.Size()
-		w.markSynced()
-	}
-	return w, recs, nil
+	return indices, nil
 }
 
-// replaySegment decodes a segment's records, truncating the file at the
-// first torn or corrupted frame: an append-only log is only ever damaged
-// at its tail by a crash (bit rot elsewhere hits the same CRC check), so
-// everything before the bad frame is trustworthy and everything after it
-// is not. It returns the records and the segment's post-truncation size.
-func (w *wal) replaySegment(path string) ([]JobRecord, int64, error) {
+// readSegment hands path's records to add up to the first frame that is torn
+// or fails its CRC, and returns the length of that good prefix and of the
+// file. It changes nothing on disk.
+func readSegment(path string, add func(JobRecord)) (good, size int64, err error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	var recs []JobRecord
 	off := 0
-	for off < len(data) {
-		good := false
-		if len(data)-off >= frameHeader {
-			n := int(binary.LittleEndian.Uint32(data[off:]))
-			sum := binary.LittleEndian.Uint32(data[off+4:])
-			if n > 0 && n <= maxRecordBytes && off+frameHeader+n <= len(data) {
-				payload := data[off+frameHeader : off+frameHeader+n]
-				if crc32.Checksum(payload, crcTable) == sum {
-					var rec JobRecord
-					if json.Unmarshal(payload, &rec) == nil {
-						recs = append(recs, rec)
-						off += frameHeader + n
-						good = true
-					}
-				}
-			}
-		}
-		if !good {
-			w.truncations++
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, 0, fmt.Errorf("truncating torn tail of %s: %w", path, err)
-			}
+	for err == nil && len(data)-off >= frameHeader {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n <= 0 || n > maxRecordBytes || off+frameHeader+n > len(data) {
 			break
 		}
+		payload := data[off+frameHeader : off+frameHeader+n]
+		var rec JobRecord
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[off+4:]) || json.Unmarshal(payload, &rec) != nil {
+			break
+		}
+		add(rec)
+		off += frameHeader + n
 	}
-	return recs, int64(off), nil
+	return int64(off), int64(len(data)), err
 }
 
 // frame encodes one record into its on-disk form.
@@ -224,76 +223,6 @@ func (w *wal) syncOpenSegment() error {
 	return nil
 }
 
-// compact replaces every segment with a single fresh one holding recs (one
-// snapshot record per live job). The snapshot is written to a temp file
-// and renamed into place as the next segment index before the old segments
-// are removed, so a crash at any point leaves a log that replays to the
-// same state: either the old segments are still authoritative, or the
-// snapshot segment replays last and overrides them record by record.
-func (w *wal) compact(recs []JobRecord) error {
-	newIndex := w.segIndex + 1
-	tmp := filepath.Join(w.dir, "compact.tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	var size int64
-	for _, rec := range recs {
-		buf, err := frame(rec)
-		if err != nil {
-			_ = f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if _, err := f.Write(buf); err != nil {
-			_ = f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		size += int64(len(buf))
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-
-	oldMax := w.segIndex
-	if w.f != nil {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		if err := w.f.Close(); err != nil {
-			return err
-		}
-		w.f = nil
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, segName(newIndex))); err != nil {
-		return err
-	}
-	if err := syncDir(w.dir); err != nil {
-		return err
-	}
-	for idx := 1; idx <= oldMax; idx++ {
-		if err := os.Remove(filepath.Join(w.dir, segName(idx))); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	nf, err := os.OpenFile(filepath.Join(w.dir, segName(newIndex)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	w.segIndex, w.f, w.size = newIndex, nf, size
-	w.markSynced()
-	w.segments = 1
-	w.totalBytes = size
-	return nil
-}
-
 func (w *wal) close() error {
 	if w.f == nil {
 		return nil
@@ -311,8 +240,9 @@ func (w *wal) close() error {
 
 // syncDir fsyncs a directory so a just-created or renamed entry survives a
 // crash. Filesystems that cannot sync directories report EINVAL (and
-// Windows rejects the open for sync entirely); neither voids the write.
-func syncDir(dir string) error {
+// Windows rejects the open for sync entirely); neither voids the write. A
+// variable so that tests can watch which dirs are synced.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
