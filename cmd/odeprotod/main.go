@@ -35,8 +35,8 @@
 // Observability (README.md "Observability"): Prometheus-format metrics
 // with per-bucket trace-ID exemplars at GET /metrics, per-job lifecycle
 // traces at GET /v1/jobs/{id}/trace (rendered as a waterfall SVG at
-// /trace.svg), burn-rate SLO evaluation at GET /v1/slo (spec via
-// -slo-config, sensible defaults compiled in), JSON structured logs on
+// /trace.svg), burn-rate SLO evaluation at GET /v1/slo (one compiled-in
+// policy: job latency and job error rate), JSON structured logs on
 // stderr filtered by -log-level, and — with -debug-addr — net/http/pprof
 // and expvar on a separate listener kept off the public port.
 //
@@ -150,7 +150,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		selfFlag     = fs.String("self", "", "this node's entry in -peers (default: inferred from the bound listen address)")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this separate address (empty = off); never expose it publicly")
 		logLevel     = fs.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")
-		sloConfig    = fs.String("slo-config", "", "JSON SLO spec evaluated into GET /v1/slo and odeproto_slo_* gauges (empty = compiled-in job latency + error-rate defaults)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -168,18 +167,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		return err
-	}
-	var slo *service.SLOConfig
-	if *sloConfig != "" {
-		data, err := os.ReadFile(*sloConfig)
-		if err != nil {
-			return fmt.Errorf("reading -slo-config: %w", err)
-		}
-		cfg, err := service.ParseSLOConfig(data)
-		if err != nil {
-			return fmt.Errorf("parsing -slo-config %s: %w", *sloConfig, err)
-		}
-		slo = &cfg
 	}
 
 	// Listen before building the service: cluster membership infers this
@@ -267,7 +254,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Metrics:           reg,
 		Logger:            logger,
 		Node:              node,
-		SLO:               slo,
 	})
 	defer srv.Close()
 

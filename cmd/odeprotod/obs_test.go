@@ -2,19 +2,15 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"odeproto/internal/obs"
-	"odeproto/internal/service"
 )
 
 // TestRecoveringHandler pins the readiness distinction: until the real
@@ -132,38 +128,5 @@ func TestLogLevelContract(t *testing.T) {
 	out = buf.String()
 	if strings.Contains(out, "hidden") || !strings.Contains(out, "shown") {
 		t.Fatalf("error-level logger output:\n%s", out)
-	}
-}
-
-// TestSLOConfigFlag boots the daemon with a custom -slo-config and
-// checks GET /v1/slo evaluates exactly the configured SLOs.
-func TestSLOConfigFlag(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "slo.json")
-	spec := `{"eval_interval":"1s","slos":[{"name":"custom_latency","indicator":"latency",
-		"objective":0.95,"threshold_seconds":10,"short_window":"1m","mid_window":"5m",
-		"long_window":"30m","page_burn_rate":10,"warn_burn_rate":2}]}`
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base := startDaemon(t, "-slo-config", path)
-
-	resp, err := http.Get(base + "/v1/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/slo: %d %v", resp.StatusCode, err)
-	}
-	var report service.SLOReport
-	if err := json.Unmarshal(body, &report); err != nil {
-		t.Fatalf("decoding /v1/slo: %v\n%s", err, body)
-	}
-	if len(report.SLOs) != 1 || report.SLOs[0].Name != "custom_latency" {
-		t.Fatalf("report does not reflect the configured SLO:\n%s", body)
-	}
-	if report.State != service.SLOOk {
-		t.Fatalf("idle daemon SLO state = %s, want ok", report.State)
 	}
 }

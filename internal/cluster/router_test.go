@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -64,7 +65,7 @@ func startTestCluster(t *testing.T, n int) []*testNode {
 		}
 		reg := obs.NewRegistry()
 		logs := &syncBuf{}
-		logger := obs.NewLogger(logs, addr)
+		logger := obs.NewLeveledLogger(logs, addr, slog.LevelInfo)
 		svc := service.New(service.Config{
 			Workers: 1, JobIDPrefix: prefix,
 			Metrics: reg, Logger: logger, Node: addr,

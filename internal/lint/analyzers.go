@@ -1,12 +1,13 @@
 package lint
 
+import "strings"
+
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDeterminism,
 		AnalyzerFsyncorder,
 		AnalyzerClosecheck,
-		AnalyzerCachekey,
 		AnalyzerNoblocklock,
 	}
 }
@@ -21,7 +22,10 @@ func ByName(names string) ([]*Analyzer, error) {
 		byName[a.Name] = a
 	}
 	var out []*Analyzer
-	for _, name := range splitComma(names) {
+	for _, name := range strings.Split(names, ",") {
+		if name == "" {
+			continue
+		}
 		a, ok := byName[name]
 		if !ok {
 			return nil, &UnknownAnalyzerError{Name: name}
@@ -35,19 +39,5 @@ func ByName(names string) ([]*Analyzer, error) {
 type UnknownAnalyzerError struct{ Name string }
 
 func (e *UnknownAnalyzerError) Error() string {
-	return "unknown analyzer " + e.Name + " (have determinism, fsyncorder, closecheck, cachekey, noblocklock)"
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
+	return "unknown analyzer " + e.Name + " (have determinism, fsyncorder, closecheck, noblocklock)"
 }

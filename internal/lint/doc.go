@@ -38,16 +38,14 @@
 // are flagged in the serving packages. Assigning to _ is the accepted
 // explicit-discard idiom for error-path cleanup.
 //
-// cachekey — every exported field of service.JobSpec must be consumed
-// by the canonical cache-key serializer (cacheKey / compileRequest).
-// The content-addressed result store and the cluster's hash routing are
-// only sound if the key captures everything that shapes a job's output.
-//
 // noblocklock — the request-serving packages (internal/service,
 // internal/cluster) must not perform network/disk I/O, store calls, or
 // blocking channel operations while holding a mutex. Select-with-default
 // try-sends are allowed; function literals are assumed to run outside
 // the lock hold.
+//
+// Cache-key completeness is a behavioural test, not an analyzer:
+// TestCacheKeyCoversEverySpecField in internal/service.
 //
 // # Suppression
 //

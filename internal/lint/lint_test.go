@@ -76,10 +76,10 @@ func contains(s, sub string) bool {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 5 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
+	if err != nil || len(all) != 4 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 4, nil", len(all), err)
 	}
-	subset, err := ByName("determinism,cachekey")
+	subset, err := ByName("determinism,noblocklock")
 	if err != nil || len(subset) != 2 {
 		t.Fatalf("ByName subset = %d, err %v; want 2, nil", len(subset), err)
 	}

@@ -7,16 +7,10 @@ import (
 	"strings"
 )
 
-// NewLogger returns a JSON slog logger writing to w, with the node name
+// NewLeveledLogger returns a JSON slog logger writing to w at the given
+// minimum level (the -log-level flag lands here), with the node name
 // attached to every record so multi-node logs interleave legibly. An
-// empty node is omitted. The level is info; use NewLeveledLogger to
-// choose.
-func NewLogger(w io.Writer, node string) *slog.Logger {
-	return NewLeveledLogger(w, node, slog.LevelInfo)
-}
-
-// NewLeveledLogger is NewLogger with an explicit minimum level — the
-// -log-level flag lands here.
+// empty node is omitted.
 func NewLeveledLogger(w io.Writer, node string, level slog.Level) *slog.Logger {
 	l := slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
 	if node != "" {

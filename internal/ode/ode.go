@@ -215,14 +215,6 @@ func (s *System) MustAddEquation(v Var, terms ...Term) {
 // not modify the returned slice.
 func (s *System) Vars() []Var { return s.vars }
 
-// SortedVars returns the system's variables in lexicographic order.
-func (s *System) SortedVars() []Var {
-	out := make([]Var, len(s.vars))
-	copy(out, s.vars)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // HasVar reports whether the system defines an equation for v.
 func (s *System) HasVar(v Var) bool {
 	_, ok := s.eqs[v]

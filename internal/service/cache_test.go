@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -244,6 +245,101 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	otherSeed.Initial = map[string]int{"x": 99, "y": 1}
 	if _, key := normalizeOrFatal(t, otherSeed); key == keyBase {
 		t.Fatal("seed is not part of the cache key")
+	}
+}
+
+// TestCacheKeyCoversEverySpecField is the cache key's completeness
+// contract, checked by behaviour: the LRU, the durable blobs and the
+// cluster's routing all trust that two specs with one key produce one
+// result. Each exported JobSpec field has a row: a valid value that differs
+// from the base spec there and nowhere else, and must move the key once
+// normalized. A field with one valid value cannot move it through
+// normalize, so its row lists values normalize must refuse instead; set
+// past normalize, they must still move the key. A new field without a row
+// fails the test.
+func TestCacheKeyCoversEverySpecField(t *testing.T) {
+	newBase := func() JobSpec {
+		return JobSpec{Source: "x' = -b*x*y\ny' = b*x*y\n", Params: map[string]float64{"b": 1}, N: 100, Periods: 10}
+	}
+	rows := map[string]struct {
+		move   func(*JobSpec)
+		refuse []func(*JobSpec)
+	}{
+		"Source":      {move: func(s *JobSpec) { s.Source = "x' = -2*b*x*y\ny' = 2*b*x*y\n" }},
+		"Params":      {move: func(s *JobSpec) { s.Params = map[string]float64{"b": 2} }},
+		"P":           {move: func(s *JobSpec) { s.P = 0.5 }},
+		"FailureRate": {move: func(s *JobSpec) { s.FailureRate = 0.1 }},
+		"NoRewrite":   {move: func(s *JobSpec) { s.NoRewrite = true }},
+		"Slack":       {move: func(s *JobSpec) { s.Slack = "w" }},
+		"Engine":      {move: func(s *JobSpec) { s.Engine = EngineAggregate }},
+		// Mode's one value is "" on the agent engine and "virtual" on
+		// asyncnet, where "" normalizes to it.
+		"Mode": {refuse: []func(*JobSpec){
+			func(s *JobSpec) { s.Mode = ModeVirtual },
+			func(s *JobSpec) { s.Mode = "wallclock" },
+			func(s *JobSpec) { s.Engine, s.Mode = EngineAsyncnet, "wallclock" },
+			func(s *JobSpec) { s.Engine, s.Mode = EngineAsyncnet, "Virtual" },
+			func(s *JobSpec) { s.Engine, s.Mode = EngineAsyncnet, "virtual " },
+		}},
+		"N":           {move: func(s *JobSpec) { s.N = 101 }},
+		"Initial":     {move: func(s *JobSpec) { s.Initial = map[string]int{"x": 99, "y": 1} }},
+		"Periods":     {move: func(s *JobSpec) { s.Periods = 11 }},
+		"Seed":        {move: func(s *JobSpec) { s.Seed = 2 }},
+		"Seeds":       {move: func(s *JobSpec) { s.Seeds = 2 }},
+		"Shards":      {move: func(s *JobSpec) { s.Shards = 2 }},
+		"RecordEvery": {move: func(s *JobSpec) { s.RecordEvery = 2 }},
+		"Events":      {move: func(s *JobSpec) { s.Events = []EventSpec{{At: 1, Kind: "kill-fraction", Frac: 0.1}} }},
+	}
+
+	// The base key is pinned: a change to the key's encoding moves every
+	// key, and a field hashed as a constant would leave this one alone.
+	baseSpec := newBase()
+	comp, err := baseSpec.normalize(defaultLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseKey := baseSpec.cacheKey(comp)
+	if baseKey != "850ce7dd9f9e6ac4ef248aebcd97661c768c261d214a755dd2fd10d526f76684" {
+		t.Errorf("base spec key %s, want the pinned value", baseKey)
+	}
+	typ := reflect.TypeFor[JobSpec]()
+	for i := range typ.NumField() {
+		field := typ.Field(i)
+		if !field.IsExported() {
+			continue
+		}
+		row, ok := rows[field.Name]
+		switch {
+		case !ok:
+			t.Errorf("JobSpec.%s has no row: add a value that must move the cache key, and hash the field in cacheKey", field.Name)
+		case row.move != nil:
+			spec := newBase()
+			row.move(&spec)
+			base, moved := reflect.ValueOf(newBase()), reflect.ValueOf(spec)
+			for j := range typ.NumField() {
+				if j != i && !reflect.DeepEqual(base.Field(j).Interface(), moved.Field(j).Interface()) {
+					t.Fatalf("the %s row also changes %s", field.Name, typ.Field(j).Name)
+				}
+			}
+			if _, key := normalizeOrFatal(t, spec); key == baseKey {
+				t.Errorf("JobSpec.%s does not move the cache key: two specs differing only there would share one result", field.Name)
+			}
+		default:
+			for _, set := range row.refuse {
+				spec := newBase()
+				set(&spec)
+				if _, err := spec.normalize(defaultLimits); err == nil {
+					t.Errorf("JobSpec.%s: normalize accepted engine %q mode %q, which the key cannot tell apart", field.Name, spec.Engine, spec.Mode)
+				}
+				// Hashed all the same: keys issued while another value was
+				// served hold.
+				spec = baseSpec
+				set(&spec)
+				if spec.cacheKey(comp) == baseKey {
+					t.Errorf("JobSpec.%s = %q is not hashed: set past normalize, it leaves the key alone", field.Name, reflect.ValueOf(spec).Field(i))
+				}
+			}
+		}
 	}
 }
 

@@ -73,15 +73,16 @@ func ifNoneMatchHit(r *http.Request, etag string) bool {
 
 // acceptsGzip reports whether the client negotiated gzip (identity stays
 // the fallback either way, so only an explicit gzip token with a nonzero
-// q-value switches the encoding).
+// q-value switches the encoding). Codings and the q weight are
+// case-insensitive, and x-gzip is gzip (RFC 9110 §8.4.1.3, §12.4.2).
 func acceptsGzip(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		enc, params, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(enc) != "gzip" {
+		if enc = strings.TrimSpace(enc); !strings.EqualFold(enc, "gzip") && !strings.EqualFold(enc, "x-gzip") {
 			continue
 		}
-		if q, ok := strings.CutPrefix(strings.TrimSpace(params), "q="); ok {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(q), 64); err == nil && v == 0 {
+		if params = strings.TrimSpace(params); len(params) >= 2 && strings.EqualFold(params[:2], "q=") {
+			if v, err := strconv.ParseFloat(strings.TrimSpace(params[2:]), 64); err == nil && v == 0 {
 				return false
 			}
 		}

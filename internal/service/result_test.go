@@ -373,6 +373,38 @@ func TestResultGzipVariant(t *testing.T) {
 	}
 }
 
+// TestAcceptsGzip pins Accept-Encoding negotiation: content codings and
+// the q weight compare case-insensitively, x-gzip is gzip, and only an
+// explicit zero weight refuses it.
+func TestAcceptsGzip(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"", false},
+		{"identity", false},
+		{"gzip", true},
+		{"GZIP", true},
+		{"Gzip;q=1", true},
+		{"x-gzip", true},
+		{"X-GZIP;q=0.5", true},
+		{"deflate, gzip;q=0.8", true},
+		{" gzip ; q=0.001 ", true},
+		{"gzip;q=0", false},
+		{"gzip;Q=0", false},
+		{"gzip;q=0.000", false},
+		{"x-gzip;Q=0", false},
+		{"br, GZIP;Q=0, identity", false},
+		{"gzipper", false},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/", nil)
+		r.Header.Set("Accept-Encoding", tc.header)
+		if got := acceptsGzip(r); got != tc.want {
+			t.Errorf("Accept-Encoding %q: acceptsGzip = %v, want %v", tc.header, got, tc.want)
+		}
+	}
+}
+
 // TestResultEncodeOnceCounter is the zero-marshal regression test: every
 // cache-hit result GET (304s included) and every status splice must tick
 // result_encodes_saved — the designated witness that no per-request

@@ -138,11 +138,6 @@ type Config struct {
 	// front-end passes the node's self address; standalone daemons may
 	// leave it empty).
 	Node string
-	// SLO configures the burn-rate SLO evaluator (GET /v1/slo, the
-	// odeproto_slo_* gauges, and the 429 Retry-After hint). nil takes
-	// DefaultSLOConfig; a non-nil config must already be validated
-	// (ParseSLOConfig validates, the -slo-config flag path).
-	SLO *SLOConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -226,11 +221,7 @@ func New(cfg Config) *Server {
 		reg:        cfg.Metrics,
 		log:        cfg.Logger,
 	}
-	sloCfg := DefaultSLOConfig()
-	if cfg.SLO != nil {
-		sloCfg = *cfg.SLO
-	}
-	s.slo = newSLOEvaluator(sloCfg, met, cfg.Metrics)
+	s.slo = newSLOEvaluator(defaultSLOs, met, cfg.Metrics)
 	s.registerGauges(cfg.Metrics)
 	store.RegisterMetrics(cfg.Metrics, s.store)
 	restartable := s.recoverJobs()

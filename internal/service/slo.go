@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -12,15 +10,14 @@ import (
 	"odeproto/internal/obs"
 )
 
-// This file is the SLO engine: a declarative spec (objective + windows +
-// burn-rate thresholds, loadable from -slo-config JSON with compiled-in
-// defaults), evaluated over windowed histogram deltas into ok/warning/
-// page states — served at GET /v1/slo, mirrored as odeproto_slo_*
-// gauges, and logged as one structured line per state transition. The
-// burn-rate idiom is multi-window multi-burn-rate alerting: burn =
-// bad_fraction / (1 - objective), page when both the short and mid
-// windows burn fast, warn when both the mid and long windows burn
-// steadily.
+// This file is the SLO engine: a compiled-in policy (objective + windows +
+// burn-rate thresholds per SLO), evaluated over windowed histogram deltas
+// into ok/warning/page states — served at GET /v1/slo, mirrored as
+// odeproto_slo_* gauges, and logged as one structured line per state
+// transition. The burn-rate idiom is multi-window multi-burn-rate
+// alerting: burn = bad_fraction / (1 - objective), page when both the
+// short and mid windows burn fast, warn when both the mid and long
+// windows burn steadily.
 
 // SLOState is one SLO's alert state, ordered by severity.
 type SLOState string
@@ -59,155 +56,36 @@ const (
 	IndicatorErrors = "errors"
 )
 
-// ConfigDuration is a time.Duration that marshals as a Go duration
-// string ("5m", "6h") in the -slo-config JSON.
-type ConfigDuration time.Duration
-
-// MarshalJSON renders the duration string form.
-func (d ConfigDuration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
+// sloDef is one burn-rate SLO. Paging keys on the short and mid windows,
+// warning on the mid and long ones.
+type sloDef struct {
+	name      string
+	indicator string  // IndicatorLatency or IndicatorErrors
+	objective float64 // the target good fraction, e.g. 0.99
+	// threshold is the latency in seconds a job must finish within to count
+	// as good (latency indicator only).
+	threshold float64
+	windows   [3]time.Duration // short, mid, long
+	// pageBurn pages when the short and mid windows both burn at least this
+	// multiple of the error budget; warnBurn warns when the mid and long do.
+	pageBurn, warnBurn float64
 }
 
-// UnmarshalJSON accepts a Go duration string.
-func (d *ConfigDuration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("duration must be a string like \"5m\": %w", err)
+// The daemon's SLO policy, compiled in: job latency (99% within 30s) and
+// job error rate (99.9% success), each over 5m/30m/6h with the standard
+// 14.4×/3× burn-rate thresholds, evaluated every sloEvalInterval. The
+// snapshot rings keep the long window.
+var (
+	sloWindows  = [3]time.Duration{5 * time.Minute, 30 * time.Minute, 6 * time.Hour}
+	defaultSLOs = []sloDef{
+		{name: "job_latency", indicator: IndicatorLatency, objective: 0.99, threshold: 30,
+			windows: sloWindows, pageBurn: 14.4, warnBurn: 3},
+		{name: "job_errors", indicator: IndicatorErrors, objective: 0.999,
+			windows: sloWindows, pageBurn: 14.4, warnBurn: 3},
 	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		return err
-	}
-	*d = ConfigDuration(v)
-	return nil
-}
+)
 
-// SLODef is one declarative SLO.
-type SLODef struct {
-	// Name identifies the SLO in /v1/slo, gauges, and logs.
-	Name string `json:"name"`
-	// Indicator is "latency" or "errors".
-	Indicator string `json:"indicator"`
-	// Objective is the target good fraction, e.g. 0.99.
-	Objective float64 `json:"objective"`
-	// ThresholdSeconds is the latency bound a job must finish within to
-	// count as good (latency indicator only).
-	ThresholdSeconds float64 `json:"threshold_seconds,omitempty"`
-	// ShortWindow/MidWindow/LongWindow are the three evaluation windows,
-	// strictly ascending. Paging keys on short+mid, warning on mid+long.
-	ShortWindow ConfigDuration `json:"short_window"`
-	MidWindow   ConfigDuration `json:"mid_window"`
-	LongWindow  ConfigDuration `json:"long_window"`
-	// PageBurnRate pages when both short and mid windows burn at least
-	// this multiple of the error budget.
-	PageBurnRate float64 `json:"page_burn_rate"`
-	// WarnBurnRate warns when both mid and long windows burn at least
-	// this multiple.
-	WarnBurnRate float64 `json:"warn_burn_rate"`
-}
-
-// SLOConfig is the body of -slo-config.
-type SLOConfig struct {
-	// EvalInterval is the background evaluation (and snapshot tick)
-	// cadence. Default 10s.
-	EvalInterval ConfigDuration `json:"eval_interval,omitempty"`
-	SLOs         []SLODef       `json:"slos"`
-}
-
-// DefaultSLOConfig is the compiled-in spec used when no -slo-config is
-// given: job latency (99% under 30s) and job error rate (99.9% success),
-// each over 5m/30m/6h with the standard 14.4×/3× burn-rate thresholds.
-func DefaultSLOConfig() SLOConfig {
-	window := func(def SLODef) SLODef {
-		def.ShortWindow = ConfigDuration(5 * time.Minute)
-		def.MidWindow = ConfigDuration(30 * time.Minute)
-		def.LongWindow = ConfigDuration(6 * time.Hour)
-		def.PageBurnRate = 14.4
-		def.WarnBurnRate = 3
-		return def
-	}
-	return SLOConfig{
-		EvalInterval: ConfigDuration(10 * time.Second),
-		SLOs: []SLODef{
-			window(SLODef{Name: "job_latency", Indicator: IndicatorLatency,
-				Objective: 0.99, ThresholdSeconds: 30}),
-			window(SLODef{Name: "job_errors", Indicator: IndicatorErrors,
-				Objective: 0.999}),
-		},
-	}
-}
-
-// ParseSLOConfig decodes and validates an -slo-config document. Fields
-// the document omits do NOT inherit defaults — a partial SLO is a
-// config error, caught at boot rather than evaluated as zeroes.
-func ParseSLOConfig(data []byte) (SLOConfig, error) {
-	var cfg SLOConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return SLOConfig{}, fmt.Errorf("slo config: %w", err)
-	}
-	if cfg.EvalInterval == 0 {
-		cfg.EvalInterval = ConfigDuration(10 * time.Second)
-	}
-	if err := cfg.validate(); err != nil {
-		return SLOConfig{}, fmt.Errorf("slo config: %w", err)
-	}
-	return cfg, nil
-}
-
-func (c SLOConfig) validate() error {
-	if time.Duration(c.EvalInterval) < time.Second {
-		return fmt.Errorf("eval_interval %s is below the 1s minimum", time.Duration(c.EvalInterval))
-	}
-	if len(c.SLOs) == 0 {
-		return fmt.Errorf("no slos defined")
-	}
-	seen := make(map[string]bool)
-	for i, def := range c.SLOs {
-		where := fmt.Sprintf("slo %d (%q)", i, def.Name)
-		if def.Name == "" {
-			return fmt.Errorf("slo %d: missing name", i)
-		}
-		if seen[def.Name] {
-			return fmt.Errorf("%s: duplicate name", where)
-		}
-		seen[def.Name] = true
-		switch def.Indicator {
-		case IndicatorLatency:
-			if def.ThresholdSeconds <= 0 {
-				return fmt.Errorf("%s: latency indicator needs threshold_seconds > 0", where)
-			}
-		case IndicatorErrors:
-			if def.ThresholdSeconds != 0 {
-				return fmt.Errorf("%s: threshold_seconds only applies to the latency indicator", where)
-			}
-		default:
-			return fmt.Errorf("%s: unknown indicator %q (want %s or %s)", where, def.Indicator, IndicatorLatency, IndicatorErrors)
-		}
-		if def.Objective <= 0 || def.Objective >= 1 {
-			return fmt.Errorf("%s: objective %v outside (0, 1)", where, def.Objective)
-		}
-		s, m, l := time.Duration(def.ShortWindow), time.Duration(def.MidWindow), time.Duration(def.LongWindow)
-		if s <= 0 || m <= s || l <= m {
-			return fmt.Errorf("%s: windows must be strictly ascending (short %s, mid %s, long %s)", where, s, m, l)
-		}
-		if def.WarnBurnRate <= 0 || def.PageBurnRate <= def.WarnBurnRate {
-			return fmt.Errorf("%s: need page_burn_rate > warn_burn_rate > 0 (page %v, warn %v)", where, def.PageBurnRate, def.WarnBurnRate)
-		}
-	}
-	return nil
-}
-
-// maxWindow returns the longest window any SLO evaluates — the snapshot
-// ring retention.
-func (c SLOConfig) maxWindow() time.Duration {
-	max := time.Duration(0)
-	for _, def := range c.SLOs {
-		if d := time.Duration(def.LongWindow); d > max {
-			max = d
-		}
-	}
-	return max
-}
+const sloEvalInterval = 10 * time.Second
 
 // SLOWindowStatus is one window's evaluation inside an SLOStatus.
 type SLOWindowStatus struct {
@@ -252,11 +130,11 @@ type sloTransition struct {
 }
 
 // sloEvaluator windows the job-duration histogram, queue-wait histogram,
-// and failure counter, and evaluates the configured SLOs against them.
+// and failure counter, and evaluates its SLOs against them.
 // All clock inputs are explicit so tests drive it with a fake clock; the
 // serving path passes time.Now().
 type sloEvaluator struct {
-	cfg    SLOConfig
+	defs   []sloDef
 	dur    *obs.WindowedHistogram
 	qwait  *obs.WindowedHistogram
 	failed *obs.WindowedCounter
@@ -272,10 +150,12 @@ type sloEvaluator struct {
 	last map[string]SLOState
 }
 
-func newSLOEvaluator(cfg SLOConfig, met *serviceMetrics, reg *obs.Registry) *sloEvaluator {
-	retention := cfg.maxWindow()
+// newSLOEvaluator evaluates defs: the server passes defaultSLOs, the
+// fake-clock tests policies with shorter windows.
+func newSLOEvaluator(defs []sloDef, met *serviceMetrics, reg *obs.Registry) *sloEvaluator {
+	retention := sloWindows[2]
 	e := &sloEvaluator{
-		cfg:    cfg,
+		defs:   defs,
 		dur:    obs.NewWindowedHistogram(met.jobDuration, retention),
 		qwait:  obs.NewWindowedHistogram(met.queueWait, retention),
 		failed: obs.NewWindowedCounter(met.failed, retention),
@@ -287,15 +167,15 @@ func newSLOEvaluator(cfg SLOConfig, met *serviceMetrics, reg *obs.Registry) *slo
 			"Windowed latency quantiles backing the latency SLOs.", "slo", "window", "quantile"),
 		last: make(map[string]SLOState),
 	}
-	for _, def := range cfg.SLOs {
-		e.last[def.Name] = SLOOk
-		e.stateGauge.With(def.Name).Set(0)
+	for _, def := range defs {
+		e.last[def.name] = SLOOk
+		e.stateGauge.With(def.name).Set(0)
 	}
 	return e
 }
 
-// tick records window baselines; the background loop calls it each
-// EvalInterval (on-demand /v1/slo evaluations never tick — the loop owns
+// tick records window baselines; the background loop calls it every
+// sloEvalInterval (on-demand /v1/slo evaluations never tick — the loop owns
 // the ring cadence).
 func (e *sloEvaluator) tick(now time.Time) {
 	e.dur.Tick(now)
@@ -311,49 +191,42 @@ func (e *sloEvaluator) evaluate(now time.Time) (SLOReport, []sloTransition) {
 	var transitions []sloTransition
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, def := range e.cfg.SLOs {
+	for _, def := range e.defs {
 		st := e.evalOne(def, now)
 		report.SLOs = append(report.SLOs, st)
 		report.State = worseState(report.State, st.State)
-		if prev := e.last[def.Name]; prev != st.State {
-			e.last[def.Name] = st.State
+		if prev := e.last[def.name]; prev != st.State {
+			e.last[def.name] = st.State
 			transitions = append(transitions, sloTransition{
-				name: def.Name, from: prev, to: st.State, burn: st.Windows[0].BurnRate})
+				name: def.name, from: prev, to: st.State, burn: st.Windows[0].BurnRate})
 		}
-		e.stateGauge.With(def.Name).Set(sloStateValue(st.State))
+		e.stateGauge.With(def.name).Set(sloStateValue(st.State))
 	}
 	return report, transitions
 }
 
 // evalOne evaluates one SLO over its three windows.
-func (e *sloEvaluator) evalOne(def SLODef, now time.Time) SLOStatus {
+func (e *sloEvaluator) evalOne(def sloDef, now time.Time) SLOStatus {
 	st := SLOStatus{
-		Name:             def.Name,
-		Indicator:        def.Indicator,
-		Objective:        def.Objective,
-		ThresholdSeconds: def.ThresholdSeconds,
+		Name:             def.name,
+		Indicator:        def.indicator,
+		Objective:        def.objective,
+		ThresholdSeconds: def.threshold,
 		State:            SLOOk,
 	}
-	budget := 1 - def.Objective
-	windows := []struct {
-		name string
-		d    time.Duration
-	}{
-		{"short", time.Duration(def.ShortWindow)},
-		{"mid", time.Duration(def.MidWindow)},
-		{"long", time.Duration(def.LongWindow)},
-	}
-	burns := make(map[string]float64, 3)
-	for _, win := range windows {
-		snap, covered := e.dur.Window(now, win.d)
+	budget := 1 - def.objective
+	var burns [3]float64
+	for i, name := range [3]string{"short", "mid", "long"} {
+		d := def.windows[i]
+		snap, covered := e.dur.Window(now, d)
 		ws := SLOWindowStatus{
-			Window:         time.Duration(win.d).String(),
+			Window:         d.String(),
 			CoveredSeconds: covered.Seconds(),
 			Total:          snap.Count(),
 		}
-		switch def.Indicator {
+		switch def.indicator {
 		case IndicatorLatency:
-			ws.BadFraction = snap.FractionOver(def.ThresholdSeconds)
+			ws.BadFraction = snap.FractionOver(def.threshold)
 			ws.Bad = ws.BadFraction * float64(ws.Total)
 			for _, q := range []struct {
 				q     float64
@@ -365,39 +238,37 @@ func (e *sloEvaluator) evalOne(def SLODef, now time.Time) SLOStatus {
 					v = 0
 				}
 				*q.field = v
-				e.quantGauge.With(def.Name, win.name, q.label).Set(v)
+				e.quantGauge.With(def.name, name, q.label).Set(v)
 			}
 		case IndicatorErrors:
-			bad, _ := e.failed.Window(now, win.d)
+			bad, _ := e.failed.Window(now, d)
 			ws.Bad = float64(bad)
 			if ws.Total > 0 {
 				ws.BadFraction = ws.Bad / float64(ws.Total)
 			}
 		}
 		ws.BurnRate = ws.BadFraction / budget
-		burns[win.name] = ws.BurnRate
-		e.burnGauge.With(def.Name, win.name).Set(ws.BurnRate)
+		burns[i] = ws.BurnRate
+		e.burnGauge.With(def.name, name).Set(ws.BurnRate)
 		st.Windows = append(st.Windows, ws)
 	}
 	switch {
-	case burns["short"] >= def.PageBurnRate && burns["mid"] >= def.PageBurnRate:
+	case burns[0] >= def.pageBurn && burns[1] >= def.pageBurn:
 		st.State = SLOPage
-	case burns["mid"] >= def.WarnBurnRate && burns["long"] >= def.WarnBurnRate:
+	case burns[1] >= def.warnBurn && burns[2] >= def.warnBurn:
 		st.State = SLOWarning
 	}
 	return st
 }
 
 // retryAfterSeconds derives the Retry-After hint for 429 responses from
-// the p95 queue wait over the shortest configured window: if jobs
-// currently wait ~p95 seconds for a worker, a retry sooner than that
-// meets the same full queue. Floor (and no-data default) 1s.
+// the p95 queue wait over the shortest short window: if jobs currently
+// wait ~p95 seconds for a worker, a retry sooner than that meets the same
+// full queue. Floor (and no-data default) 1s.
 func (e *sloEvaluator) retryAfterSeconds(now time.Time) int {
-	shortest := time.Duration(math.MaxInt64)
-	for _, def := range e.cfg.SLOs {
-		if d := time.Duration(def.ShortWindow); d < shortest {
-			shortest = d
-		}
+	shortest := e.defs[0].windows[0]
+	for _, def := range e.defs[1:] {
+		shortest = min(shortest, def.windows[0])
 	}
 	snap, _ := e.qwait.Window(now, shortest)
 	p95 := snap.Quantile(0.95)
@@ -408,12 +279,11 @@ func (e *sloEvaluator) retryAfterSeconds(now time.Time) int {
 }
 
 // sloLoop is the background evaluation goroutine: tick the snapshot
-// rings, evaluate, and log any transitions, every EvalInterval until the
-// server closes.
+// rings, evaluate, and log any transitions, every sloEvalInterval until
+// the server closes.
 func (s *Server) sloLoop() {
 	defer s.wg.Done()
-	interval := time.Duration(s.slo.cfg.EvalInterval)
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(sloEvalInterval)
 	defer ticker.Stop()
 	for {
 		select {

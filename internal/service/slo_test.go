@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,15 +13,14 @@ import (
 	"odeproto/internal/obs"
 )
 
-func testSLOConfig() SLOConfig {
-	return SLOConfig{
-		EvalInterval: ConfigDuration(10 * time.Second),
-		SLOs: []SLODef{{
-			Name: "lat", Indicator: IndicatorLatency, Objective: 0.9, ThresholdSeconds: 1,
-			ShortWindow: ConfigDuration(time.Minute), MidWindow: ConfigDuration(5 * time.Minute),
-			LongWindow: ConfigDuration(30 * time.Minute), PageBurnRate: 5, WarnBurnRate: 2,
-		}},
-	}
+// testSLOs is a one-SLO latency policy with short windows, so a fake clock
+// crosses every window in a few ticks.
+func testSLOs() []sloDef {
+	return []sloDef{{
+		name: "lat", indicator: IndicatorLatency, objective: 0.9, threshold: 1,
+		windows:  [3]time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute},
+		pageBurn: 5, warnBurn: 2,
+	}}
 }
 
 // TestSLOStateMachineTransitions drives the evaluator with a fake clock
@@ -29,9 +29,9 @@ func testSLOConfig() SLOConfig {
 func TestSLOStateMachineTransitions(t *testing.T) {
 	reg := obs.NewRegistry()
 	met := newServiceMetrics(reg)
-	e := newSLOEvaluator(testSLOConfig(), met, reg)
+	e := newSLOEvaluator(testSLOs(), met, reg)
 	var logBuf bytes.Buffer
-	s := &Server{log: obs.NewLogger(&logBuf, "n1")}
+	s := &Server{log: obs.NewLeveledLogger(&logBuf, "n1", slog.LevelInfo)}
 
 	base := time.Unix(1700000000, 0)
 	e.tick(base)
@@ -103,13 +103,12 @@ func TestSLOStateMachineTransitions(t *testing.T) {
 func TestSLOErrorRateIndicator(t *testing.T) {
 	reg := obs.NewRegistry()
 	met := newServiceMetrics(reg)
-	cfg := testSLOConfig()
-	cfg.SLOs[0] = SLODef{
-		Name: "errs", Indicator: IndicatorErrors, Objective: 0.99,
-		ShortWindow: ConfigDuration(time.Minute), MidWindow: ConfigDuration(5 * time.Minute),
-		LongWindow: ConfigDuration(30 * time.Minute), PageBurnRate: 5, WarnBurnRate: 2,
+	defs := testSLOs()
+	defs[0] = sloDef{
+		name: "errs", indicator: IndicatorErrors, objective: 0.99,
+		windows: defs[0].windows, pageBurn: 5, warnBurn: 2,
 	}
-	e := newSLOEvaluator(cfg, met, reg)
+	e := newSLOEvaluator(defs, met, reg)
 	base := time.Unix(1700000000, 0)
 	e.tick(base)
 	// 100 completions, 10 failures: bad fraction 0.1 against a 0.01
@@ -131,7 +130,7 @@ func TestSLOErrorRateIndicator(t *testing.T) {
 func TestRetryAfterFromQueueWaitQuantile(t *testing.T) {
 	reg := obs.NewRegistry()
 	met := newServiceMetrics(reg)
-	e := newSLOEvaluator(testSLOConfig(), met, reg)
+	e := newSLOEvaluator(testSLOs(), met, reg)
 	now := time.Unix(1700000000, 0)
 	if got := e.retryAfterSeconds(now); got != 1 {
 		t.Fatalf("retry-after with no data = %d, want floor 1", got)
@@ -143,39 +142,6 @@ func TestRetryAfterFromQueueWaitQuantile(t *testing.T) {
 	}
 	if got := e.retryAfterSeconds(now); got != 10 {
 		t.Fatalf("retry-after = %d, want 10 (ceil of interpolated p95)", got)
-	}
-}
-
-func TestParseSLOConfigValidation(t *testing.T) {
-	good := `{"slos":[{"name":"lat","indicator":"latency","objective":0.99,
-		"threshold_seconds":30,"short_window":"5m","mid_window":"30m",
-		"long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`
-	cfg, err := ParseSLOConfig([]byte(good))
-	if err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	if time.Duration(cfg.EvalInterval) != 10*time.Second {
-		t.Fatalf("eval interval default = %v, want 10s", time.Duration(cfg.EvalInterval))
-	}
-	if time.Duration(cfg.SLOs[0].MidWindow) != 30*time.Minute {
-		t.Fatalf("mid window = %v", time.Duration(cfg.SLOs[0].MidWindow))
-	}
-	bad := []string{
-		`not json`,
-		`{"slos":[]}`,
-		`{"slos":[{"indicator":"latency","objective":0.99,"threshold_seconds":1,"short_window":"5m","mid_window":"30m","long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`,                                   // no name
-		`{"slos":[{"name":"x","indicator":"widgets","objective":0.99,"short_window":"5m","mid_window":"30m","long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`,                                              // unknown indicator
-		`{"slos":[{"name":"x","indicator":"latency","objective":1.5,"threshold_seconds":1,"short_window":"5m","mid_window":"30m","long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`,                         // objective out of range
-		`{"slos":[{"name":"x","indicator":"latency","objective":0.99,"short_window":"5m","mid_window":"30m","long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`,                                              // latency without threshold
-		`{"slos":[{"name":"x","indicator":"latency","objective":0.99,"threshold_seconds":1,"short_window":"30m","mid_window":"5m","long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`,                        // windows not ascending
-		`{"slos":[{"name":"x","indicator":"latency","objective":0.99,"threshold_seconds":1,"short_window":"5m","mid_window":"30m","long_window":"6h","page_burn_rate":2,"warn_burn_rate":3}]}`,                           // page <= warn
-		`{"eval_interval":"10ms","slos":[{"name":"x","indicator":"latency","objective":0.99,"threshold_seconds":1,"short_window":"5m","mid_window":"30m","long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`, // interval too small
-		`{"slos":[{"name":"x","indicator":"errors","objective":0.99,"threshold_seconds":5,"short_window":"5m","mid_window":"30m","long_window":"6h","page_burn_rate":14.4,"warn_burn_rate":3}]}`,                         // threshold on errors
-	}
-	for _, text := range bad {
-		if _, err := ParseSLOConfig([]byte(text)); err == nil {
-			t.Fatalf("accepted invalid config:\n%s", text)
-		}
 	}
 }
 
