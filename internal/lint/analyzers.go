@@ -6,7 +6,6 @@ import "strings"
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDeterminism,
-		AnalyzerFsyncorder,
 		AnalyzerClosecheck,
 		AnalyzerNoblocklock,
 	}
@@ -39,5 +38,9 @@ func ByName(names string) ([]*Analyzer, error) {
 type UnknownAnalyzerError struct{ Name string }
 
 func (e *UnknownAnalyzerError) Error() string {
-	return "unknown analyzer " + e.Name + " (have determinism, fsyncorder, closecheck, noblocklock)"
+	var names []string
+	for _, a := range All() {
+		names = append(names, a.Name)
+	}
+	return "unknown analyzer " + e.Name + " (have " + strings.Join(names, ", ") + ")"
 }

@@ -1,5 +1,5 @@
 // Package lint implements odelint, the in-house static-analysis suite
-// that enforces this repository's determinism, durability, and
+// that enforces this repository's determinism, error-checking and
 // concurrency contracts at compile time.
 //
 // The suite is self-contained: it is built on go/ast, go/types, and the
@@ -23,29 +23,28 @@
 // sorted-keys idiom (collect keys, sort, range the slice) and
 // indexed-slot fan-in (results[i] = ...) are the blessed alternatives.
 //
-// fsyncorder — the durable store (internal/store, plus the service's
-// persistence glue) must order writes so a crash at any point is
-// recoverable: a file write must be Synced before the file is renamed
-// into place, and a job's "done" journal record must not be built in a
-// function that has not durably written its result blob first (cache
-// hits, which journal done with Cached: true against an already-durable
-// blob, are exempt).
-//
 // closecheck — errors from Close/Sync on writable *os.File handles and
 // Close/Flush on buffered writers must be checked: the kernel and the
 // buffer are allowed to defer the failing write into exactly those
 // calls. Unchecked http.ResponseWriter writes inside streaming loops
 // are flagged in the serving packages. Assigning to _ is the accepted
-// explicit-discard idiom for error-path cleanup.
+// explicit-discard idiom for error-path cleanup. Its first run found
+// eight unchecked store Closes, among them the flock release that
+// FileStore.Close now reports.
 //
 // noblocklock — the request-serving packages (internal/service,
 // internal/cluster) must not perform network/disk I/O, store calls, or
 // blocking channel operations while holding a mutex. Select-with-default
 // try-sends are allowed; function literals are assumed to run outside
-// the lock hold.
+// the lock hold. No finding of its own is on record; nothing else guards
+// this contract.
 //
-// Cache-key completeness is a behavioural test, not an analyzer:
-// TestCacheKeyCoversEverySpecField in internal/service.
+// Cache-key completeness and fsync ordering are behavioural tests, not
+// analyzers: TestCacheKeyCoversEverySpecField in internal/service;
+// TestCrashAtEveryOperation in internal/store (a crash before every
+// filesystem call, a failure at every write, sync, close and rename) and
+// TestEveryTerminalPath in internal/service (a result's blob is stored
+// before its done record).
 //
 // # Suppression
 //

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant checker. The shape deliberately mirrors
@@ -177,24 +176,6 @@ func methodHasErrorResult(fn *types.Func) bool {
 	return types.Identical(last, types.Universe.Lookup("error").Type())
 }
 
-// exprTypeIs reports whether e's type (through pointers) is the named type
-// pkgPath.name.
-func exprTypeIs(info *types.Info, e ast.Expr, pkgPath, name string) bool {
-	tv, ok := info.Types[e]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
-}
-
 // implementsWriter reports whether t (or *t) satisfies io.Writer — used to
 // decide that an unchecked Close/Flush can lose buffered data.
 func implementsWriter(t types.Type) bool {
@@ -250,24 +231,4 @@ func declaredOutside(obj types.Object, node ast.Node) bool {
 		return false
 	}
 	return obj.Pos() < node.Pos() || obj.Pos() >= node.End()
-}
-
-// funcName returns a printable name for a function declaration.
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	var b strings.Builder
-	b.WriteString("(")
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		b.WriteString("*")
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		b.WriteString(id.Name)
-	}
-	b.WriteString(").")
-	b.WriteString(fd.Name.Name)
-	return b.String()
 }

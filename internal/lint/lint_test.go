@@ -40,7 +40,6 @@ func TestScopeByImportPath(t *testing.T) {
 		dir string
 	}{
 		{AnalyzerDeterminism, "determinism"},
-		{AnalyzerFsyncorder, "fsyncorder"},
 		{AnalyzerClosecheck, "closecheck"},
 		{AnalyzerNoblocklock, "noblocklock"},
 	}
@@ -76,14 +75,20 @@ func contains(s, sub string) bool {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 4 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 4, nil", len(all), err)
+	if err != nil || len(all) != 3 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 3, nil", len(all), err)
 	}
 	subset, err := ByName("determinism,noblocklock")
 	if err != nil || len(subset) != 2 {
 		t.Fatalf("ByName subset = %d, err %v; want 2, nil", len(subset), err)
 	}
-	if _, err := ByName("nonsense"); err == nil {
+	_, err = ByName("nonsense")
+	if err == nil {
 		t.Fatal("ByName(nonsense) did not fail")
+	}
+	for _, a := range all {
+		if !contains(err.Error(), a.Name) {
+			t.Errorf("the unknown-analyzer error %q does not name %s", err, a.Name)
+		}
 	}
 }

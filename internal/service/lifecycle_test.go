@@ -17,9 +17,11 @@ import (
 )
 
 // recordingStore wraps a Store, keeping every journaled record — with
-// whether it was appended synced — and counting each OpenResult and each
-// read of result bytes: Read and ReadAt calls on an opened blob (the open
-// itself reads nothing). With failPut set it refuses result blobs.
+// whether it was appended synced — and, in the same sequence, every result
+// blob stored (an opPut entry naming its key, once PutResult returned nil);
+// and counting each OpenResult and each read of result bytes: Read and ReadAt
+// calls on an opened blob (the open itself reads nothing). With failPut set
+// it refuses result blobs.
 type recordingStore struct {
 	store.Store
 	failPut bool
@@ -34,6 +36,9 @@ type journaled struct {
 	store.JobRecord
 	synced bool
 }
+
+// opPut marks a stored blob among the journaled records.
+const opPut store.Op = "put"
 
 func (r *recordingStore) record(rec store.JobRecord, synced bool) {
 	r.mu.Lock()
@@ -55,7 +60,27 @@ func (r *recordingStore) PutResult(key string, data []byte) error {
 	if r.failPut {
 		return errors.New("disk full")
 	}
-	return r.Store.PutResult(key, data)
+	err := r.Store.PutResult(key, data)
+	if err == nil {
+		r.record(store.JobRecord{Op: opPut, Key: key}, true)
+	}
+	return err
+}
+
+// putBefore reports whether a PutResult of key returned before id's first
+// done record was journaled.
+func (r *recordingStore) putBefore(id, key string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	put := false
+	for _, rec := range r.recs {
+		if rec.Op == opPut && rec.Key == key {
+			put = true
+		} else if rec.ID == id && rec.Op == store.OpDone {
+			return put
+		}
+	}
+	return false
 }
 
 func (r *recordingStore) count(n *int) {
@@ -266,7 +291,8 @@ var (
 )
 
 // TestEveryTerminalPath: however a job comes to its end — nine paths, one
-// function — it ends in the same state. Each row drives one job down one
+// function — it ends in the same state, a computed result's blob stored
+// before its done record. Each row drives one job down one
 // path on a server of its own and the same invariant set is asserted on
 // every one.
 func TestEveryTerminalPath(t *testing.T) {
@@ -456,6 +482,10 @@ func TestEveryTerminalPath(t *testing.T) {
 				r.FinishedAt != st.Finished.UnixNano() || r.Cached != row.cached || r.Error != st.Error || r.synced != row.synced {
 				t.Errorf("terminal record %+v does not match the served status (finished %d) or its durability class (synced %v)",
 					r, st.Finished.UnixNano(), row.synced)
+			}
+			// A computed result is stored before its done record says so.
+			if wantOp == store.OpDone && !row.cached && !e.rec.putBefore(e.id, st.CacheKey) {
+				t.Errorf("job %s journaled done before its blob was stored", e.id)
 			}
 
 			// The single-flight claim is released.

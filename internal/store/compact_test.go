@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -69,7 +70,7 @@ func sameIndexed(t *testing.T, what string, got, want []RecoveredJob, indexed ma
 // segmentCount is the number of segment files under dir's wal.
 func segmentCount(t *testing.T, dir string) int {
 	t.Helper()
-	indices, err := segmentIndices(filepath.Join(dir, "wal"))
+	indices, err := segmentIndices(osFS{}, filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +142,52 @@ func TestCompactionUnderAppends(t *testing.T) {
 	t.Logf("%d compactions; the reopen recovered %d jobs for %d indexed", st.Compactions, len(got), keep)
 }
 
+// watchFS is the disk, calling after once each directory operation is done.
+type watchFS struct {
+	osFS
+	after func(op, name string)
+}
+
+func (w watchFS) ReadDir(name string) ([]fs.DirEntry, error) {
+	entries, err := w.osFS.ReadDir(name)
+	w.after("readdir", name)
+	return entries, err
+}
+
+func (w watchFS) Rename(oldpath, newpath string) error {
+	err := w.osFS.Rename(oldpath, newpath)
+	w.after("rename", newpath)
+	return err
+}
+
+func (w watchFS) Remove(name string) error {
+	err := w.osFS.Remove(name)
+	w.after("remove", name)
+	return err
+}
+
+func (w watchFS) SyncDir(dir string) error {
+	err := w.osFS.SyncDir(dir)
+	w.after("syncdir", dir)
+	return err
+}
+
 // TestCompactionCrashAtEachStep copies the data dir at each of compaction's
-// step boundaries — the log sealed, the snapshot renamed in, the first old
-// segment removed — with a record appended after each of the first two. Each
-// copy reopens to the state of a log that never compacted: every job, where
-// nothing is removed yet; every indexed job, once removal has begun.
+// step boundaries, as the filesystem seam sees them — the log sealed (the
+// sealed log listed for replay), the snapshot renamed in (and its dir
+// synced), the first old segment removed — with a record appended after each
+// of the first two. Each copy reopens to the state of a log that never
+// compacted: every job, where nothing is removed yet; every indexed job, once
+// removal has begun.
 func TestCompactionCrashAtEachStep(t *testing.T) {
 	dir, refDir := t.TempDir(), t.TempDir()
 	ref := mustOpen(t, refDir, Options{})
-	s := mustOpen(t, dir, Options{segmentBytes: 1 << 10})
+	var step func(op, name string)
+	s := mustOpen(t, dir, Options{segmentBytes: 1 << 10, fs: watchFS{after: func(op, name string) {
+		if step != nil {
+			step(op, name)
+		}
+	}}})
 	indexed := make(map[string]bool)
 	appendBoth := func(rec JobRecord) {
 		for _, st := range []*FileStore{s, ref} {
@@ -172,7 +210,7 @@ func TestCompactionCrashAtEachStep(t *testing.T) {
 	}
 
 	crashes := map[string]string{}
-	afterStep = func(step string) {
+	crashAt := func(step string) {
 		if _, ok := crashes[step]; ok {
 			return
 		}
@@ -184,8 +222,21 @@ func TestCompactionCrashAtEachStep(t *testing.T) {
 			indexed["j1"+step] = true
 		}
 	}
-	defer func() { afterStep = func(string) {} }()
+	renamed := false
+	step = func(op, name string) {
+		switch {
+		case op == "readdir":
+			crashAt("sealed")
+		case op == "rename":
+			renamed = true
+		case op == "syncdir" && renamed:
+			crashAt("renamed")
+		case op == "remove":
+			crashAt("removed")
+		}
+	}
 	compactNow(t, s)
+	step = nil
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,18 +324,17 @@ func TestCompactionRefusesABadFrame(t *testing.T) {
 func TestNewDirsAreDurable(t *testing.T) {
 	synced := map[string]int{}
 	var mu sync.Mutex
-	orig := syncDir
-	syncDir = func(dir string) error {
-		mu.Lock()
-		synced[dir]++
-		mu.Unlock()
-		return orig(dir)
-	}
-	defer func() { syncDir = orig }()
+	opts := Options{fs: watchFS{after: func(op, name string) {
+		if op == "syncdir" {
+			mu.Lock()
+			synced[name]++
+			mu.Unlock()
+		}
+	}}}
 
 	dir := t.TempDir()
 	results := filepath.Join(dir, "results")
-	s := mustOpen(t, dir, Options{})
+	s := mustOpen(t, dir, opts)
 	if synced[dir] != 2 {
 		t.Fatalf("a fresh Open synced the data dir %d times, want 2 (results/ and wal/)", synced[dir])
 	}
@@ -303,12 +353,24 @@ func TestNewDirsAreDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	clear(synced)
-	s2 := mustOpen(t, dir, Options{})
+	s2 := mustOpen(t, dir, opts)
 	defer s2.Close()
 	if err := s2.PutResult("ab03", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	if synced[dir] != 0 || synced[results] != 0 {
 		t.Fatalf("a reopen and a blob under an existing prefix synced %v", synced)
+	}
+
+	// A data dir that does not exist yet, nor its parent: each is made
+	// durable in its own parent, or a power loss after the first 202 could
+	// take the whole dir with it.
+	clear(synced)
+	parent := filepath.Join(t.TempDir(), "new")
+	fresh := filepath.Join(parent, "data")
+	s3 := mustOpen(t, fresh, opts)
+	defer s3.Close()
+	if synced[filepath.Dir(parent)] != 1 || synced[parent] != 1 || synced[fresh] != 2 {
+		t.Fatalf("an Open that created %s synced %v, want its parent and grandparent once each and the dir twice", fresh, synced)
 	}
 }

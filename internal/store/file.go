@@ -18,6 +18,7 @@ type Options struct {
 	// segmentBytes rotates the WAL to a new segment beyond this size
 	// (default 4 MiB).
 	segmentBytes int64
+	fs           fileSystem // default osFS
 }
 
 const defaultSegmentBytes = 4 << 20
@@ -33,8 +34,9 @@ const (
 type FileStore struct {
 	mu   sync.Mutex
 	dir  string
+	fs   fileSystem
 	wal  *wal
-	lock *os.File // flock'd LOCK file guarding the dir against a second process
+	lock io.Closer // flock'd LOCK file guarding the dir against a second process
 
 	// ids is the index: every job journaled and not forgotten. It is all a
 	// compaction takes from memory; the states it writes come from the log.
@@ -67,23 +69,24 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := opts.fs
+	if fsys == nil {
+		fsys = osFS{}
+	}
+	if err := mkdirDurable(fsys, filepath.Join(dir, "results")); err != nil {
 		return nil, err
 	}
-	if err := mkdirDurable(filepath.Join(dir, "results")); err != nil {
-		return nil, err
-	}
-	lock, err := lockDir(dir)
+	lock, err := fsys.Lock(dir)
 	if err != nil {
 		return nil, err
 	}
 	m := merged{at: map[string]int{}}
-	w, err := openWAL(filepath.Join(dir, "wal"), segBytes, m.add)
+	w, err := openWAL(fsys, filepath.Join(dir, "wal"), segBytes, m.add)
 	if err != nil {
 		_ = lock.Close()
 		return nil, err
 	}
-	s := &FileStore{dir: dir, wal: w, lock: lock, ids: make(map[string]struct{}, len(m.jobs)), logRecords: m.records}
+	s := &FileStore{dir: dir, fs: fsys, wal: w, lock: lock, ids: make(map[string]struct{}, len(m.jobs)), logRecords: m.records}
 	for i := range m.jobs {
 		rj := &m.jobs[i]
 		rj.Interrupted = opRank(rj.Status) < rankTerminal
@@ -212,12 +215,12 @@ var tmpSeq atomic.Int64
 // writeAtomic publishes what write writes at path: to a temp file, fsync'd,
 // renamed into place and the dir fsync'd, so a crash leaves either the whole
 // file or nothing, never a torn read under a name a reader can open.
-func writeAtomic(path string, write func(io.Writer) error) error {
-	if err := mkdirDurable(filepath.Dir(path)); err != nil {
+func writeAtomic(fsys fileSystem, path string, write func(io.Writer) error) error {
+	if err := mkdirDurable(fsys, filepath.Dir(path)); err != nil {
 		return err
 	}
 	tmp := fmt.Sprintf("%s.tmp%d", path, tmpSeq.Add(1))
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return err
 	}
@@ -228,29 +231,45 @@ func writeAtomic(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		_ = fsys.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return fsys.SyncDir(filepath.Dir(path))
 }
 
 var mkdirMu sync.Mutex
 
-// mkdirDurable creates dir if it is missing and fsyncs its parent, so the new
-// entry survives a crash; an existing dir costs one syscall. Callers wait on
-// each other, so none returns before a dir another has just made is durable.
-func mkdirDurable(dir string) error {
+// mkdirDurable creates dir, and any missing parent, and fsyncs each new dir's
+// parent, so the new entries survive a crash; an existing dir costs one
+// syscall. Callers wait on each other, so none returns before a dir another
+// has just made is durable. A dir whose parent fails to sync is removed again,
+// so the next call retries the sync.
+func mkdirDurable(fsys fileSystem, dir string) error {
 	mkdirMu.Lock()
 	defer mkdirMu.Unlock()
-	if err := os.Mkdir(dir, 0o755); errors.Is(err, fs.ErrExist) {
+	var mkdir func(string) error
+	mkdir = func(dir string) error {
+		err := fsys.Mkdir(dir)
+		if parent := filepath.Dir(dir); errors.Is(err, fs.ErrNotExist) && parent != dir {
+			if err = mkdir(parent); err == nil {
+				err = fsys.Mkdir(dir)
+			}
+		}
+		if errors.Is(err, fs.ErrExist) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
+			_ = fsys.Remove(dir)
+			return err
+		}
 		return nil
-	} else if err != nil {
-		return err
 	}
-	return syncDir(filepath.Dir(dir))
+	return mkdir(dir)
 }
 
 // PutResult durably stores a completed result under its content address
@@ -268,7 +287,7 @@ func (s *FileStore) PutResult(key string, data []byte) error {
 	} else if len(data) > blockBytes {
 		stored = Deflate(data)
 	}
-	if err := writeAtomic(path, func(w io.Writer) error { _, err := w.Write(stored); return err }); err != nil {
+	if err := writeAtomic(s.fs, path, func(w io.Writer) error { _, err := w.Write(stored); return err }); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -286,7 +305,7 @@ func (s *FileStore) OpenResult(key string) (Blob, int64, error) {
 	if err != nil {
 		return nil, 0, ErrNotFound
 	}
-	f, err := os.Open(path)
+	f, err := s.fs.OpenFile(path, os.O_RDONLY)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, 0, ErrNotFound
 	} else if err != nil {
@@ -335,7 +354,7 @@ func (s *FileStore) PutResultGzip(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(path+".gz", func(w io.Writer) error { _, err := w.Write(data); return err })
+	return writeAtomic(s.fs, path+".gz", func(w io.Writer) error { _, err := w.Write(data); return err })
 }
 
 // Recovered hands over the jobs rebuilt from the WAL at Open time, in
@@ -386,7 +405,6 @@ func (s *FileStore) compact() error {
 	var oldBytes, size int64
 	var live []RecoveredJob
 	if err == nil {
-		afterStep("sealed")
 		snap := merged{at: map[string]int{}}
 		old, oldBytes, err = s.replaySealed(sealed, &snap)
 		// A job forgotten mid-replay may have lost records to the filter: the
@@ -401,7 +419,7 @@ func (s *FileStore) compact() error {
 		s.mu.Unlock()
 	}
 	if err == nil {
-		err = writeAtomic(filepath.Join(s.wal.dir, segName(sealed+1)), func(f io.Writer) error {
+		err = writeAtomic(s.fs, filepath.Join(s.wal.dir, segName(sealed+1)), func(f io.Writer) error {
 			for _, j := range live {
 				buf, err := frame(JobRecord{Op: j.Status, ID: j.ID, Key: j.Key, Spec: j.Spec, Error: j.Error, Cached: j.Cached,
 					SubmittedAt: j.SubmittedAt, StartedAt: j.StartedAt, FinishedAt: j.FinishedAt, Trace: j.Trace})
@@ -416,9 +434,6 @@ func (s *FileStore) compact() error {
 			return nil
 		})
 	}
-	if err == nil {
-		afterStep("renamed")
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,8 +442,7 @@ func (s *FileStore) compact() error {
 		err = errClosed
 	}
 	for i := 0; i < len(old) && err == nil; i++ {
-		err = os.Remove(filepath.Join(s.wal.dir, segName(old[i])))
-		afterStep("removed")
+		err = s.fs.Remove(filepath.Join(s.wal.dir, segName(old[i])))
 	}
 	if err != nil {
 		s.retryAt = 2 * s.logRecords
@@ -446,7 +460,7 @@ func (s *FileStore) compact() error {
 // s.mu once per segment, to read the index. A bad frame is an error, since a
 // compaction must not drop what it cannot read.
 func (s *FileStore) replaySealed(sealed int, snap *merged) (old []int, size int64, err error) {
-	indices, err := segmentIndices(s.wal.dir)
+	indices, err := segmentIndices(s.fs, s.wal.dir)
 	var recs []JobRecord
 	for _, idx := range indices {
 		if err != nil || idx > sealed {
@@ -454,7 +468,7 @@ func (s *FileStore) replaySealed(sealed int, snap *merged) (old []int, size int6
 		}
 		path := filepath.Join(s.wal.dir, segName(idx))
 		recs = recs[:0]
-		good, n, rerr := readSegment(path, func(rec JobRecord) { recs = append(recs, rec) })
+		good, n, rerr := readSegment(s.fs, path, func(rec JobRecord) { recs = append(recs, rec) })
 		if err = rerr; err == nil && good < n {
 			err = fmt.Errorf("store: sealed segment %s holds a torn or corrupted frame at byte %d", path, good)
 		}
@@ -473,10 +487,6 @@ func (s *FileStore) replaySealed(sealed int, snap *merged) (old []int, size int6
 	}
 	return old, size, err
 }
-
-// afterStep marks the boundaries between compaction's steps, for tests that
-// crash there.
-var afterStep = func(step string) {}
 
 func (s *FileStore) Stats() Stats {
 	s.mu.Lock()

@@ -4,14 +4,15 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
 )
 
-// lockDir takes a non-blocking exclusive flock on <dir>/LOCK. The kernel
-// drops the lock when the holder dies, so crash recovery needs no cleanup.
-func lockDir(dir string) (*os.File, error) {
+// Lock takes a non-blocking exclusive flock on <dir>/LOCK. The kernel drops
+// the lock when the holder dies, so crash recovery needs no cleanup.
+func (osFS) Lock(dir string) (io.Closer, error) {
 	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err

@@ -12,14 +12,19 @@
 // blob is fsync'd and renamed into place (PutResult, before anyone can see
 // it done). Results are immutable blobs keyed by the SHA-256 cache key of
 // the spec that produced them, so the second point needs no coordination:
-// rewriting the same key writes the same bytes. (A dir the store creates is
-// fsync'd into its parent once, so a blob's path is as durable as its bytes:
-// at most 258 syncs per data dir, none of them a job's.) Every other record
-// is an index over those two facts. The done record of an accepted job only
+// rewriting the same key writes the same bytes. (A dir the store creates,
+// the data dir and its missing parents included, is fsync'd into its parent
+// once, so a blob's path is as durable as its bytes: none of these syncs is a
+// job's.) Every other record is an index over those two facts. The done record of an accepted job only
 // repeats what its blob proves, so it is written without a flush of its own
 // (AppendUnsynced) and rides the next one; a failed or aborted record, and
 // the single done record of a job answered from the cache at submission, are
 // the only evidence of what they say and are fsync'd like a submitted one.
+//
+// A failed write, fsync or rotation stops the log's appends until the next
+// Open, which appends to a fresh segment: no record is acknowledged behind
+// bytes a failure left. Every filesystem call goes through one unexported
+// seam (fileSystem), under which the tests crash or fail each call in turn.
 //
 // The recovery contract: Open replays every WAL segment in order, merging
 // each job's records into its latest state. A torn or corrupted record

@@ -3,13 +3,11 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
-	"syscall"
 )
 
 // Frame layout of one WAL record: a 4-byte little-endian payload length, a
@@ -29,12 +27,15 @@ type wal struct {
 	segBytes int64
 
 	segIndex int // index of the open segment
-	f        *os.File
+	fs       fileSystem
+	f        file
 	size     int64
 
 	segments    int   // segment files on disk
 	totalBytes  int64 // live bytes across all segments
 	truncations int64
+
+	err error // the first failed write, fsync or rotation: it fails every later append
 
 	// syncs counts append-path fsyncs; one covers every record written
 	// before it, unsynced ones included. unsynced counts the records written
@@ -51,28 +52,28 @@ func (w *wal) markSynced() { w.unsynced, w.syncedSize = 0, w.size }
 
 func segName(index int) string { return fmt.Sprintf("%08d.wal", index) }
 
-// openWAL replays every segment in index order into add and opens the
-// newest for append. Torn or corrupted records truncate their segment at the
+// openWAL replays every segment in index order into add and starts a fresh
+// one for appends. Torn or corrupted records truncate their segment at the
 // last good byte; replay then continues with the next segment.
-func openWAL(dir string, segBytes int64, add func(JobRecord)) (*wal, error) {
-	if err := mkdirDurable(dir); err != nil {
+func openWAL(fsys fileSystem, dir string, segBytes int64, add func(JobRecord)) (*wal, error) {
+	if err := mkdirDurable(fsys, dir); err != nil {
 		return nil, err
 	}
-	indices, err := segmentIndices(dir)
+	indices, err := segmentIndices(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{dir: dir, segBytes: segBytes}
+	w := &wal{dir: dir, segBytes: segBytes, fs: fsys}
 	for _, idx := range indices {
 		// A bad frame truncates its segment there: an append-only log is only
 		// ever damaged at its tail by a crash (bit rot elsewhere hits the same
 		// CRC check), so everything before it is trustworthy and everything
 		// after it is not.
 		path := filepath.Join(dir, segName(idx))
-		good, size, err := readSegment(path, add)
+		good, size, err := readSegment(fsys, path, add)
 		if err == nil && good < size {
 			w.truncations++
-			if err = os.Truncate(path, good); err != nil {
+			if err = fsys.Truncate(path, good); err != nil {
 				err = fmt.Errorf("truncating torn tail of %s: %w", path, err)
 			}
 		}
@@ -82,30 +83,21 @@ func openWAL(dir string, segBytes int64, add func(JobRecord)) (*wal, error) {
 		w.totalBytes += good
 	}
 	w.segments = len(indices)
-	if len(indices) == 0 {
-		if err := w.rotate(1); err != nil {
-			return nil, err
-		}
-	} else {
-		last := indices[len(indices)-1]
-		f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		info, err := f.Stat()
-		if err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		w.segIndex, w.f, w.size = last, f, info.Size()
-		w.markSynced()
+	// Appends go to a fresh segment, never behind bytes an earlier process
+	// left; its dir sync also makes durable a segment that process created.
+	next := 1
+	if len(indices) > 0 {
+		next = indices[len(indices)-1] + 1
+	}
+	if err := w.rotate(next); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
 
 // segmentIndices lists the indices of the segments under dir, ascending.
-func segmentIndices(dir string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
+func segmentIndices(fsys fileSystem, dir string) ([]int, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +115,8 @@ func segmentIndices(dir string) ([]int, error) {
 // readSegment hands path's records to add up to the first frame that is torn
 // or fails its CRC, and returns the length of that good prefix and of the
 // file. It changes nothing on disk.
-func readSegment(path string, add func(JobRecord)) (good, size int64, err error) {
-	data, err := os.ReadFile(path)
+func readSegment(fsys fileSystem, path string, add func(JobRecord)) (good, size int64, err error) {
+	data, err := fsys.ReadFile(path)
 	off := 0
 	for err == nil && len(data)-off >= frameHeader {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
@@ -162,21 +154,29 @@ func frame(rec JobRecord) ([]byte, error) {
 func (w *wal) rotate(index int) error {
 	if w.f != nil {
 		if err := w.f.Sync(); err != nil {
-			return err
+			return w.fail(err)
 		}
 		if err := w.f.Close(); err != nil {
-			return err
+			return w.fail(err)
 		}
 		w.f = nil
 	}
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(index)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := w.fs.OpenFile(filepath.Join(w.dir, segName(index)), os.O_WRONLY|os.O_CREATE|os.O_EXCL)
 	if err != nil {
-		return err
+		return w.fail(err)
 	}
 	w.segIndex, w.f, w.size = index, f, 0
 	w.markSynced()
 	w.segments++
-	return syncDir(w.dir)
+	return w.fail(w.fs.SyncDir(w.dir))
+}
+
+// fail records err, if any, as the log's first failure and returns it.
+func (w *wal) fail(err error) error {
+	if err != nil && w.err == nil {
+		w.err = fmt.Errorf("wal: appends stopped after a failed write, fsync or rotation: %w", err)
+	}
+	return err
 }
 
 // appendNoSync frames and writes one record without forcing it to disk,
@@ -184,10 +184,8 @@ func (w *wal) rotate(index int) error {
 // record is durable once syncOpenSegment next runs — or already, if a
 // rotation closes its segment: rotate fsyncs the old segment first.
 func (w *wal) appendNoSync(rec JobRecord) error {
-	if w.f == nil {
-		// A failed compact/rotate left no open segment; fail the append
-		// instead of panicking (the service journals best-effort).
-		return fmt.Errorf("wal: no open segment (a previous compaction or rotation failed)")
+	if w.err != nil {
+		return w.err
 	}
 	buf, err := frame(rec)
 	if err != nil {
@@ -199,7 +197,7 @@ func (w *wal) appendNoSync(rec JobRecord) error {
 		}
 	}
 	if _, err := w.f.Write(buf); err != nil {
-		return err
+		return w.fail(err)
 	}
 	w.size += int64(len(buf))
 	w.totalBytes += int64(len(buf))
@@ -208,15 +206,18 @@ func (w *wal) appendNoSync(rec JobRecord) error {
 }
 
 // syncOpenSegment fsyncs the open segment, making every written record
-// durable. A nil open segment is not an error here: the only paths that
-// clear w.f (close, a failed rotation) sync the file first, so everything
-// appendNoSync wrote is already on disk.
+// durable. A nil open segment with no failure recorded is not an error here:
+// close clears w.f only once the file is synced, so everything appendNoSync
+// wrote is already on disk.
 func (w *wal) syncOpenSegment() error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.f == nil {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
-		return err
+		return w.fail(err)
 	}
 	w.syncs++
 	w.markSynced()
@@ -236,20 +237,4 @@ func (w *wal) close() error {
 	}
 	w.f = nil
 	return err
-}
-
-// syncDir fsyncs a directory so a just-created or renamed entry survives a
-// crash. Filesystems that cannot sync directories report EINVAL (and
-// Windows rejects the open for sync entirely); neither voids the write. A
-// variable so that tests can watch which dirs are synced.
-var syncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, os.ErrPermission) {
-		return err
-	}
-	return nil
 }
