@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	odelint [-json] [-analyzers determinism,closecheck,noblocklock] [-C dir] [packages...]
+//	odelint [-json] [-analyzers determinism,closecheck] [-C dir] [packages...]
 //
 // Packages default to ./... . Findings print one per line as
 // file:line:col: [analyzer] message, or as a JSON array with -json.

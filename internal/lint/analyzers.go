@@ -7,7 +7,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDeterminism,
 		AnalyzerClosecheck,
-		AnalyzerNoblocklock,
 	}
 }
 

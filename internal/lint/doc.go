@@ -1,6 +1,6 @@
 // Package lint implements odelint, the in-house static-analysis suite
-// that enforces this repository's determinism, error-checking and
-// concurrency contracts at compile time.
+// that enforces this repository's determinism and error-checking
+// contracts at compile time.
 //
 // The suite is self-contained: it is built on go/ast, go/types, and the
 // gc export-data importer from the standard library only (the vendored
@@ -32,19 +32,16 @@
 // eight unchecked store Closes, among them the flock release that
 // FileStore.Close now reports.
 //
-// noblocklock — the request-serving packages (internal/service,
-// internal/cluster) must not perform network/disk I/O, store calls, or
-// blocking channel operations while holding a mutex. Select-with-default
-// try-sends are allowed; function literals are assumed to run outside
-// the lock hold. No finding of its own is on record; nothing else guards
-// this contract.
-//
-// Cache-key completeness and fsync ordering are behavioural tests, not
-// analyzers: TestCacheKeyCoversEverySpecField in internal/service;
-// TestCrashAtEveryOperation in internal/store (a crash before every
-// filesystem call, a failure at every write, sync, close and rename) and
-// TestEveryTerminalPath in internal/service (a result's blob is stored
-// before its done record).
+// Cache-key completeness, fsync ordering and the lock discipline are
+// behavioural tests, not analyzers: TestCacheKeyCoversEverySpecField in
+// internal/service; TestCrashAtEveryOperation in internal/store (a crash
+// before every filesystem call, a failure at every write, sync, close and
+// rename) and TestEveryTerminalPath in internal/service (a result's blob
+// is stored before its done record); TestNoLockHeldAcrossABlockedCall in
+// internal/service (with one key's store calls parked and two clients
+// stalled in Write, every other request still answers) and
+// TestRouterServesWhileAForwardHangs in internal/cluster (a forward to a
+// peer that never answers stalls no other request).
 //
 // # Suppression
 //

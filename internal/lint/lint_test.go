@@ -41,7 +41,6 @@ func TestScopeByImportPath(t *testing.T) {
 	}{
 		{AnalyzerDeterminism, "determinism"},
 		{AnalyzerClosecheck, "closecheck"},
-		{AnalyzerNoblocklock, "noblocklock"},
 	}
 	for _, tc := range scoped {
 		pkg, err := LoadFixture(filepath.Join("testdata", "src", tc.dir), "example.com/elsewhere")
@@ -75,12 +74,12 @@ func contains(s, sub string) bool {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 3 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 3, nil", len(all), err)
+	if err != nil || len(all) != 2 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 2, nil", len(all), err)
 	}
-	subset, err := ByName("determinism,noblocklock")
-	if err != nil || len(subset) != 2 {
-		t.Fatalf("ByName subset = %d, err %v; want 2, nil", len(subset), err)
+	subset, err := ByName("closecheck")
+	if err != nil || len(subset) != 1 {
+		t.Fatalf("ByName subset = %d, err %v; want 1, nil", len(subset), err)
 	}
 	_, err = ByName("nonsense")
 	if err == nil {

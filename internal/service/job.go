@@ -325,7 +325,7 @@ func (s *Server) conclude(job *Job, from Status, out outcome) bool {
 	} else if !started.IsZero() {
 		rec.StartedAt = started.UnixNano()
 	}
-	s.journal(rec, born || out.status != StatusDone)
+	_ = s.journal(rec, born || out.status != StatusDone) // counted and logged; the job stays concluded
 	s.retire(job)
 	job.mu.Lock()
 	if job.done != nil {

@@ -21,15 +21,16 @@ import (
 // blob stored (an opPut entry naming its key, once PutResult returned nil);
 // and counting each OpenResult and each read of result bytes: Read and ReadAt
 // calls on an opened blob (the open itself reads nothing). With failPut set
-// it refuses result blobs.
+// it refuses result blobs, with failAppend (set under mu) synced records.
 type recordingStore struct {
 	store.Store
 	failPut bool
 
-	mu    sync.Mutex
-	recs  []journaled
-	opens int
-	reads int
+	mu         sync.Mutex
+	failAppend bool
+	recs       []journaled
+	opens      int
+	reads      int
 }
 
 type journaled struct {
@@ -47,6 +48,12 @@ func (r *recordingStore) record(rec store.JobRecord, synced bool) {
 }
 
 func (r *recordingStore) Append(rec store.JobRecord) error {
+	r.mu.Lock()
+	fail := r.failAppend
+	r.mu.Unlock()
+	if fail {
+		return errors.New("disk full")
+	}
 	r.record(rec, true)
 	return r.Store.Append(rec)
 }

@@ -14,20 +14,23 @@ import (
 )
 
 // journal appends one lifecycle record to the durable store: durable on
-// return if synced, with the log's next flush if not. Journaling is
-// best-effort — a failed append is counted in odeproto_store_errors_total
-// rather than failing the request — but result persistence is not (see
-// conclude: a result that cannot be stored fails its job instead of
-// claiming done).
-func (s *Server) journal(rec store.JobRecord, synced bool) {
+// return if synced, with the log's next flush if not. A failed append is
+// counted in odeproto_store_errors_total, logged and returned. Only the
+// submitted record is a commit point: Submit withdraws a job whose record
+// failed and answers an error, never 202. A terminal record that fails leaves
+// its job as concluded, as does a result that cannot be stored (conclude
+// fails that job rather than claim done).
+func (s *Server) journal(rec store.JobRecord, synced bool) error {
 	appendRec := s.store.Append
 	if !synced {
 		appendRec = s.store.AppendUnsynced
 	}
-	if err := appendRec(rec); err != nil {
+	err := appendRec(rec)
+	if err != nil {
 		s.met.storeErrs.Inc()
 		s.log.Warn("wal append failed", "job", rec.ID, "op", string(rec.Op), "trace", rec.Trace, "err", err)
 	}
+	return err
 }
 
 // forget tells the store a job aged out of the table. The store may compact

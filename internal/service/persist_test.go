@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -603,5 +604,55 @@ func TestPutResultFailureFailsTheJob(t *testing.T) {
 	st := job.Snapshot(false)
 	if st.Status != StatusFailed || !strings.Contains(st.Error, "persisting result") {
 		t.Fatalf("job with a failing store finished %+v", st)
+	}
+}
+
+// TestRefusedSubmittedRecordIsNotAccepted: the fsync'd submitted record is
+// the accepted commit point. A POST whose record the store refuses answers an
+// error, never 202, and its job is withdrawn — failed while still queued,
+// cancelled if a worker already holds it — with the failure counted.
+func TestRefusedSubmittedRecordIsNotAccepted(t *testing.T) {
+	rec := &recordingStore{Store: store.NewMemory()}
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Store: rec})
+	resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", slowSpec())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit blocker: %d %s", resp.StatusCode, data)
+	}
+	blocker := decodeStatus(t, data).ID
+	waitStatus(t, ts.URL, blocker, StatusRunning, 30*time.Second)
+	rec.mu.Lock()
+	rec.failAppend = true
+	rec.mu.Unlock()
+
+	// slowSpec runs for seconds: each job is queued or running when its
+	// record is refused, never done. The first waits behind the blocker; the
+	// second meets a free worker.
+	for i, want := range [][]Status{{StatusFailed}, {StatusFailed, StatusCancelled}} {
+		if i == 1 {
+			if _, err := srv.Cancel(blocker); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spec := slowSpec()
+		spec.Seed = int64(i + 2)
+		resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("POST whose submitted record was refused: %d %s", resp.StatusCode, data)
+		}
+		job, err := srv.job(srv.jobID(i + 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-job.wait():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("withdrawn job %s never ended", job.ID)
+		}
+		if st := job.Snapshot(false); !slices.Contains(want, st.Status) {
+			t.Errorf("withdrawn job %s ended %s (%q), want one of %v", job.ID, st.Status, st.Error, want)
+		}
+	}
+	if got := sampleValue(t, scrapeMetrics(t, ts.URL), "odeproto_store_errors_total", nil); got < 2 {
+		t.Errorf("odeproto_store_errors_total = %v, want the two refused submitted records counted", got)
 	}
 }

@@ -316,7 +316,8 @@ func (s *Server) assignID(job *Job) {
 // durable result store return an already-done job; an identical spec
 // still in flight returns the in-flight twin (single-flight
 // deduplication); everything else is enqueued. A full queue returns an
-// error that the HTTP layer maps to 503.
+// error that the HTTP layer maps to 429, a submitted record the store refuses
+// one it maps to 500.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	return s.submitTraced(spec, "")
 }
@@ -404,8 +405,21 @@ func (s *Server) submitTraced(spec JobSpec, traceID string) (*Job, error) {
 	// merges by rank, and that record stamps the key too, so even a crash
 	// that loses this append leaves the result reachable.
 	s.met.submitted.Inc()
-	s.journal(store.JobRecord{Op: store.OpSubmitted, ID: job.ID, Key: key,
-		Spec: specJSON(&spec), Trace: tr.ID, SubmittedAt: job.created.UnixNano()}, true)
+	if err := s.journal(store.JobRecord{Op: store.OpSubmitted, ID: job.ID, Key: key,
+		Spec: specJSON(&spec), Trace: tr.ID, SubmittedAt: job.created.UnixNano()}, true); err != nil {
+		// Not accepted: conclude the job failed, or cancel it if a worker
+		// already holds it.
+		err = fmt.Errorf("journaling the submission: %w", err)
+		if !s.conclude(job, StatusQueued, outcome{status: StatusFailed, errMsg: err.Error()}) {
+			job.mu.Lock()
+			cancel := job.cancel // nil once the job is terminal
+			job.mu.Unlock()
+			if cancel != nil {
+				cancel()
+			}
+		}
+		return nil, err
+	}
 	s.log.Info("job queued", "trace", tr.ID, "job", job.ID, "key", key,
 		"engine", spec.Engine, "mode", spec.Mode, "n", spec.N, "periods", spec.Periods, "seeds", spec.Seeds)
 	// That record was appended in no order with the worker's: if the job has

@@ -142,6 +142,16 @@ func (c *crashRun) put(key string) bool {
 		data = StoredForm(data)
 	}
 	if c.call("PutResult", func() error { return c.s.PutResult(key, data) }) != nil {
+		// What a refused write left must not be served: a power loss could
+		// drop it. A blob an earlier PutResult stored stays (readsBack).
+		if !slices.Contains(c.stored, key) {
+			if b, _, err := c.s.OpenResult(key); !errors.Is(err, ErrNotFound) {
+				if err == nil {
+					_ = b.Close()
+				}
+				c.t.Errorf("fail at op %d (%s): PutResult of %.8s returned an error, then OpenResult served it (err %v)", c.failAt, c.kinds[c.failAt], key, err)
+			}
+		}
 		return false
 	}
 	c.stored = append(c.stored, key)

@@ -214,11 +214,15 @@ var tmpSeq atomic.Int64
 
 // writeAtomic publishes what write writes at path: to a temp file, fsync'd,
 // renamed into place and the dir fsync'd, so a crash leaves either the whole
-// file or nothing, never a torn read under a name a reader can open.
+// file or nothing, never a torn read under a name a reader can open. When the
+// dir sync fails, a file new at path is removed again: a power loss could drop
+// it, so nothing may serve it. One that was there before stays.
 func writeAtomic(fsys fileSystem, path string, write func(io.Writer) error) error {
 	if err := mkdirDurable(fsys, filepath.Dir(path)); err != nil {
 		return err
 	}
+	_, err := fsys.Stat(path)
+	fresh := err != nil
 	tmp := fmt.Sprintf("%s.tmp%d", path, tmpSeq.Add(1))
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL)
 	if err != nil {
@@ -237,7 +241,10 @@ func writeAtomic(fsys fileSystem, path string, write func(io.Writer) error) erro
 		_ = fsys.Remove(tmp)
 		return err
 	}
-	return fsys.SyncDir(filepath.Dir(path))
+	if err = fsys.SyncDir(filepath.Dir(path)); err != nil && fresh {
+		_ = fsys.Remove(path)
+	}
+	return err
 }
 
 var mkdirMu sync.Mutex

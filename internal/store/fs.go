@@ -17,6 +17,7 @@ type fileSystem interface {
 	Mkdir(name string) error
 	ReadDir(name string) ([]fs.DirEntry, error)
 	ReadFile(name string) ([]byte, error)
+	Stat(name string) (fs.FileInfo, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Truncate(name string, size int64) error
@@ -38,6 +39,7 @@ func (osFS) OpenFile(name string, flag int) (file, error) { return os.OpenFile(n
 func (osFS) Mkdir(name string) error                      { return os.Mkdir(name, 0o755) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }

@@ -177,6 +177,19 @@ func (m *memFS) ReadFile(name string) ([]byte, error) {
 	return slices.Clone(ino.data), nil
 }
 
+func (m *memFS) Stat(name string) (fs.FileInfo, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.op("stat"); err != nil {
+		return nil, err
+	}
+	ino := m.live[name]
+	if ino == nil {
+		return nil, pathErr("stat", name, fs.ErrNotExist)
+	}
+	return memInfo{filepath.Base(name), ino}, nil
+}
+
 func (m *memFS) Rename(oldpath, newpath string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
